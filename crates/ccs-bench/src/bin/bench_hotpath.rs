@@ -16,11 +16,12 @@
 //! * `--seeds N` — random-sweep seeds per cell (default 10).
 //! * `--reps N` — timing repetitions, median reported (default 3).
 //!
-//! A `candidate_scan/*` section times the candidate-scan engine
-//! against the [`ccs_core::ScanPolicy::Reference`] full sweep on the
-//! many-PE machines and asserts — every invocation — that both land on
-//! bit-identical schedules; the per-machine ratio is reported as
-//! `candidate_scan_speedup`.
+//! A `candidate_scan/*` section times the remapper's one candidate
+//! sweep with pruning ([`ccs_core::ScanPolicy::Engine`]) and without
+//! ([`ccs_core::ScanPolicy::Reference`]) on the many-PE machines and
+//! asserts — every invocation — that both land on bit-identical
+//! schedules; the per-machine ratio, i.e. what pruning buys, is
+//! reported as `candidate_scan_speedup`.
 //!
 //! All timed sections run with **no trace sink installed** (asserted),
 //! so the numbers measure the uninstrumented hot path.  A separate,
@@ -211,11 +212,11 @@ fn main() {
         (r.initial_length, r.best_length),
     );
 
-    // --- Candidate-scan microbenchmark: the engine (cost rows + bitset
-    // occupancy + branch-and-bound pruning) against the reference full
-    // sweep, on the many-PE machines where the per-PE scan dominates.
-    // Both runs must land on bit-identical schedules (asserted here, on
-    // every machine, every invocation) — the engine is a pure speedup.
+    // --- Candidate-scan microbenchmark: the sweep with branch-and-bound
+    // pruning against the same sweep unpruned, on the many-PE machines
+    // where the per-PE scan dominates.  Both runs must land on
+    // bit-identical schedules (asserted here, on every machine, every
+    // invocation) — pruning is a pure speedup.
     let mut scan_speedups: Vec<(String, Value)> = Vec::new();
     for (slug, machine) in [
         ("mesh4x4", Machine::mesh(4, 4)),

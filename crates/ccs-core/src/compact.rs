@@ -61,9 +61,11 @@ pub struct PassRecord {
     pub length: u32,
     /// Whether the pass was rolled back.
     pub reverted: bool,
-    /// Wall-clock milliseconds the pass took.  Observability only —
-    /// excluded from every determinism fingerprint (the schedule and
-    /// the decision sequence stay a pure function of the inputs).
+    /// Wall-clock milliseconds the pass took, measured only while a
+    /// trace sink is installed (`0.0` otherwise, so an unrecorded run
+    /// reads no clock).  Observability only — excluded from every
+    /// determinism fingerprint (the schedule and the decision sequence
+    /// stay a pure function of the inputs).
     pub wall_ms: f64,
 }
 
@@ -233,12 +235,13 @@ pub(crate) fn compact_probed<P: Probe>(
             });
         }
         // CLOCK: feeds PassRecord::wall_ms, the one sanctioned timing
-        // field — excluded from fingerprints and ledger diffs.
-        let t0 = Instant::now();
+        // field — read for recorded runs only, and excluded from
+        // fingerprints and ledger diffs.
+        let t0 = P::ACTIVE.then(Instant::now);
         // The pass mutates the working pair in place; a reverted pass
         // restores it, so nothing is cloned on the per-pass hot path.
         let out = remap_probed(&mut cur_graph, machine, &mut cur_sched, config.remap, probe);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let wall_ms = t0.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e3);
         passes_run += 1;
         if !out.reverted {
             for &v in &out.rotated {
@@ -449,7 +452,11 @@ mod tests {
     #[test]
     fn pass_records_have_wall_time_and_round_trip_serde() {
         let (g, _, m) = fig1();
-        let result = cyclo_compact(&g, &m, CompactConfig::default()).unwrap();
+        // An unrecorded run reads no clock.
+        let plain = cyclo_compact(&g, &m, CompactConfig::default()).unwrap();
+        assert!(plain.history.iter().all(|rec| rec.wall_ms == 0.0));
+        let (result, _) =
+            ccs_trace::record(|| cyclo_compact(&g, &m, CompactConfig::default()).unwrap());
         assert!(!result.history.is_empty());
         for rec in &result.history {
             assert!(rec.wall_ms >= 0.0);

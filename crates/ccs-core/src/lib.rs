@@ -155,8 +155,9 @@ mod proptests {
 
         #[test]
         fn pruned_scan_matches_reference_scan(g in arb_csdfg(), m in arb_machine()) {
-            // Pruning soundness: the candidate-scan engine (sequential
-            // and forced-parallel) must reproduce the reference full
+            // Pruning soundness: the pruned sweep (sequential and
+            // forced-parallel) and a recorded run (the probed, unpruned
+            // instantiation) must reproduce the unpruned reference
             // sweep bit-for-bit — schedules, lengths, and the entire
             // pass history.
             let run = |scan: ScanPolicy, parallel_pes: u32| {
@@ -170,7 +171,8 @@ mod proptests {
             let reference = run(ScanPolicy::Reference, u32::MAX);
             let engine = run(ScanPolicy::Engine, u32::MAX);
             let parallel = run(ScanPolicy::Engine, 1);
-            for (label, r) in [("engine", &engine), ("parallel", &parallel)] {
+            let (recorded, _) = ccs_trace::record(|| run(ScanPolicy::Engine, 1));
+            for (label, r) in [("engine", &engine), ("parallel", &parallel), ("recorded", &recorded)] {
                 prop_assert_eq!(&r.schedule, &reference.schedule, "{} schedule diverged", label);
                 prop_assert_eq!(r.best_length, reference.best_length, "{} best length", label);
                 prop_assert_eq!(r.initial_length, reference.initial_length, "{} initial", label);

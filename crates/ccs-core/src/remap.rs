@@ -28,7 +28,7 @@ pub(crate) fn nid(v: NodeId) -> u32 {
 /// `P::ACTIVE`, so the disabled path carries no bookkeeping.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct Counters {
-    /// Resolved edges swept in `best_position` (per PE × target).
+    /// Resolved edges swept by the candidate sweep (per PE × target).
     pub edges_swept: u64,
     /// Candidate slots probed via `earliest_free`.
     pub slots_probed: u64,
@@ -66,26 +66,23 @@ pub enum RemapMode {
     WithRelaxation,
 }
 
-/// Candidate-scan strategy of the remapper's `best_position` when no
-/// trace sink is installed.  (The probe-active path always runs the
-/// full reference sweep, so `Candidate` events, their order, and every
-/// counter are unchanged by the engine.)
+/// Candidate-scan strategy of the remapper when no trace sink is
+/// installed.  Both policies run the same candidate sweep; a recorded
+/// run always sweeps every PE in order, whatever the policy, so its
+/// `Candidate` events and counters describe the full scan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ScanPolicy {
-    /// The candidate-scan engine: per-edge volume-scaled cost rows
-    /// hoisted once per node ([`Machine::dist_row`]), branch-and-bound
-    /// PE pruning on the `(impact, cs, comm, pe)` ranking key, and —
-    /// on machines with at least [`RemapConfig::parallel_pes`] PEs — a
-    /// deterministic parallel chunk scan.  Pruning is on strict
-    /// domination only, so the winner and every tie-break are
-    /// bit-identical to [`ScanPolicy::Reference`] (proptested).
+    /// The sweep with branch-and-bound PE pruning on the `(impact, cs,
+    /// comm, pe)` ranking key and — on machines with at least
+    /// [`RemapConfig::parallel_pes`] PEs — a deterministic parallel
+    /// chunk scan.  Pruning is on strict domination only, so the winner
+    /// and every tie-break are bit-identical to
+    /// [`ScanPolicy::Reference`] (proptested).
     #[default]
     Engine,
-    /// The plain full sequential sweep (pre-engine behavior):
-    /// recomputes each edge's communication cost per candidate PE and
-    /// prunes nothing.  Kept as the oracle for the pruning-soundness
-    /// tests and as the baseline of the candidate-scan
-    /// microbenchmark.
+    /// The same sweep with pruning off, sequential.  Kept as the oracle
+    /// for the pruning-soundness tests and as the baseline of the
+    /// candidate-scan microbenchmark.
     Reference,
 }
 
@@ -275,36 +272,32 @@ pub(crate) fn remap_probed<P: Probe>(
     };
 
     // Hoist each rotated node's adjacency (endpoints, delay, volume)
-    // out of the graph once per pass; `best_position` then only touches
-    // flat slices instead of re-walking edge lists per (PE, target).
+    // out of the graph once per pass; the sweep then only touches flat
+    // slices instead of re-walking edge lists per (PE, target).
     let adjacency = hoist_adjacency(g, &rotated);
     let mut scratch = Scratch::default();
-    // Cost rows only feed the unprobed engine scan; the probed and
-    // reference sweeps recompute per-candidate costs instead.
-    let cost_rows = !P::ACTIVE && config.scan == ScanPolicy::Engine;
     let mut failed = false;
     'remap: for (&v, adj) in rotated.iter().zip(&adjacency) {
         let duration = g.time(v);
-        // Placements only change between nodes, so neighbour slots can
-        // be resolved once per node and reused across PEs and targets.
-        scratch.resolve(adj, sched, machine, cost_rows);
+        // Placements only change between nodes, so neighbour slots and
+        // the traffic column can be resolved once per node and reused
+        // across PEs and targets.
+        scratch.resolve(adj, sched, machine);
         let mut attempts: u64 = 0;
         for &target in &targets {
             if P::ACTIVE {
                 counters.scratch_reuses += u64::from(attempts > 0);
                 attempts += 1;
             }
-            if let Some(found) = best_position(
+            let sweep = Sweep {
                 machine,
-                sched,
+                table: sched,
+                scratch: &scratch,
+                node: nid(v),
                 duration,
-                &mut scratch,
                 target,
-                nid(v),
-                config,
-                probe,
-                &mut counters,
-            ) {
+            };
+            if let Some(found) = best_position(&sweep, config, probe, &mut counters) {
                 sched
                     .place(v, found.pe, found.cs, duration)
                     // INVARIANT: best_position only returns slots that
@@ -441,33 +434,28 @@ struct PlacedEdge {
     step: i64,
 }
 
-/// Reusable per-node buffers for [`best_position`]: resolved placed
-/// neighbours, per-candidate communication costs for the reference and
-/// probed sweeps (written in the bound sweep, reused in the impact
-/// sweep), and — for the engine scan — the per-PE total traffic `comm`
-/// (the column sums of every edge's volume-scaled hop-distance row),
-/// hoisted once per node so it is shared across every target the
-/// remapper tries and every per-PE sweep reads it as one indexed add.
+/// Reusable per-node buffers for the candidate sweep: resolved placed
+/// neighbours and the per-PE total traffic `comm` (the column sums of
+/// every edge's volume-scaled hop-distance row), hoisted once per node
+/// so it is shared across every target the remapper tries and the
+/// sweep reads it as one indexed load per PE.
 #[derive(Default)]
 struct Scratch {
     ins: Vec<PlacedEdge>,
     outs: Vec<PlacedEdge>,
-    m_ins: Vec<i64>,
-    m_outs: Vec<i64>,
     comm: Vec<u32>,
 }
 
 impl Scratch {
     /// Resolves `adj` against the current table, keeping only edges
     /// whose neighbour is placed (unplaced neighbours never constrain),
-    /// and with `cost_rows` accumulates the per-PE traffic columns from
-    /// each edge's volume-scaled hop-distance row
-    /// ([`Machine::dist_row`]; distances are symmetric, so one row
-    /// serves in- and out-edges alike).  Every buffer is `clear`ed
-    /// before refilling, so a node with fewer resolved edges than its
-    /// predecessor can never observe stale slots (regression-tested
-    /// below).
-    fn resolve(&mut self, adj: &NodeAdj, table: &Schedule, machine: &Machine, cost_rows: bool) {
+    /// and accumulates the per-PE traffic column from each edge's
+    /// volume-scaled hop-distance row ([`Machine::dist_row`]; distances
+    /// are symmetric, so one row serves in- and out-edges alike).
+    /// Every buffer is `clear`ed before refilling, so a node with fewer
+    /// resolved edges than its predecessor can never observe stale
+    /// slots (regression-tested below).
+    fn resolve(&mut self, adj: &NodeAdj, table: &Schedule, machine: &Machine) {
         self.ins.clear();
         for &(u, k, vol) in &adj.ins {
             let (Some(ce_u), Some(pu)) = (table.ce(u), table.pe(u)) else {
@@ -492,18 +480,12 @@ impl Scratch {
                 step: i64::from(cb_w),
             });
         }
-        self.m_ins.clear();
-        self.m_ins.resize(self.ins.len(), 0);
-        self.m_outs.clear();
-        self.m_outs.resize(self.outs.len(), 0);
         self.comm.clear();
-        if cost_rows {
-            self.comm.resize(machine.num_pes(), 0);
-            for e in self.ins.iter().chain(&self.outs) {
-                let vol = e.vol;
-                for (sum, &d) in self.comm.iter_mut().zip(machine.dist_row(e.pe)) {
-                    *sum += d * vol;
-                }
+        self.comm.resize(machine.num_pes(), 0);
+        for e in self.ins.iter().chain(&self.outs) {
+            let vol = e.vol;
+            for (sum, &d) in self.comm.iter_mut().zip(machine.dist_row(e.pe)) {
+                *sum += d * vol;
             }
         }
     }
@@ -518,31 +500,6 @@ fn psl(m: i64, ce: i64, cb: i64, k: i64) -> i64 {
     ccs_schedule::psl_value(m, ce, cb, k)
 }
 
-/// Finds the cheapest feasible `(control step, processor)` for the node
-/// whose resolved neighbourhood is in `scratch`, under
-/// final-schedule-length `target`, or `None`.
-///
-/// For every processor the anticipation function gives the first
-/// control step that satisfies all *placed* predecessors:
-///
-/// `AN(v, p) = max_e { M(PE(u), p) + CE(u) + 1 - d_r(e) * target }`
-///
-/// (Lemma 4.2 with `L - 1` generalized to `target`; a zero-delay edge
-/// contributes plain precedence `CE(u) + M + 1`).  Placed successors
-/// bound `CE(v)` from above through their own projected schedule
-/// lengths.  Among feasible placements the earliest control step wins,
-/// ties to the lowest processor index.
-///
-/// Candidates are ranked by `(length impact, cs, traffic, pe index)`.
-/// The driving objective is the schedule length the placement forces —
-/// the max of the node's own end step and the projected schedule
-/// lengths (Lemma 4.3) of its loop-carried edges to placed neighbours.
-/// Control step breaks ties (earlier leaves room for later rotations),
-/// then total data movement, then processor index.  Ranking by length
-/// impact rather than raw `cs` stops the greedy from scattering tasks
-/// across dense machines: a remote slot one step earlier is worthless
-/// if its communication inflates a projected schedule length.
-///
 /// The winning placement found by [`best_position`], with the ranking
 /// components the tracing layer reports (`impact`, `comm`) and the
 /// second-best candidate for the `--explain` narrative.
@@ -566,38 +523,86 @@ struct Placement {
 /// relies on.
 type CandKey = (u32, u32, u32, u32);
 
-/// Sequential candidate-scan-engine sweep over the PE span
-/// `[lo, hi)`, returning the span's best ranking key.
+/// What one candidate sweep reads: the node whose resolved
+/// neighbourhood is in `scratch`, its duration, and the
+/// final-schedule-length `target` it is placed under.
+struct Sweep<'a> {
+    machine: &'a Machine,
+    table: &'a Schedule,
+    scratch: &'a Scratch,
+    node: u32,
+    duration: u32,
+    target: u32,
+}
+
+/// The candidate sweep over the PE span `[lo, hi)`: ranks every PE for
+/// the sweep's node and returns the span's best and second-best keys.
+///
+/// For every processor the anticipation function gives the first
+/// control step that satisfies all *placed* predecessors:
+///
+/// `AN(v, p) = max_e { M(PE(u), p) + CE(u) + 1 - d_r(e) * target }`
+///
+/// (Lemma 4.2 with `L - 1` generalized to `target`; a zero-delay edge
+/// contributes plain precedence `CE(u) + M + 1`).  Placed successors
+/// bound `CE(v)` from above through their own projected schedule
+/// lengths.
+///
+/// Candidates are ranked by `(length impact, cs, traffic, pe index)`.
+/// The driving objective is the schedule length the placement forces —
+/// the max of the node's own end step and the projected schedule
+/// lengths (Lemma 4.3) of its loop-carried edges to placed neighbours.
+/// Control step breaks ties (earlier leaves room for later rotations),
+/// then total data movement, then processor index.  Ranking by length
+/// impact rather than raw `cs` stops the greedy from scattering tasks
+/// across dense machines: a remote slot one step earlier is worthless
+/// if its communication inflates a projected schedule length.
 ///
 /// The `AN` bounds are computed column-major: one tight add-and-
 /// accumulate loop per resolved edge over the span's slice of its
-/// hoisted cost row (indexed adds, no multiplies, no bounds checks, no
-/// hop-matrix branch — the compiler vectorizes these), instead of
-/// re-walking the edge list once per PE.  Per-PE traffic comes from
-/// the column sums [`Scratch::comm`] hoisted once per *node*, shared
-/// across every target.
+/// hop-distance row (indexed adds, no bounds checks, no hop-matrix
+/// branch — the compiler vectorizes these), instead of re-walking the
+/// edge list once per PE.  Per-PE traffic comes from the column sums
+/// [`Scratch::comm`] hoisted once per *node*, shared across every
+/// target.
 ///
-/// Branch-and-bound then decides per PE whether the expensive part —
-/// the free-window scan and the PSL sweep — can be skipped: every
-/// component of the eventual key is bounded below by what is already
-/// fixed (`cs` by the anticipation bound and the PE's free cursor,
-/// `impact` by the end step of that earliest window, `comm` and `pe`
-/// exactly), and component-wise `>=` implies lexicographic `>=`.  A PE
-/// is pruned only when even its floor key fails to *strictly* beat the
-/// incumbent — precisely the candidates the reference sweep would
+/// With `prune`, branch-and-bound decides per PE whether the expensive
+/// part — the free-window scan and the PSL sweep — can be skipped:
+/// every component of the eventual key is bounded below by what is
+/// already fixed (`cs` by the anticipation bound and the PE's free
+/// cursor, `impact` by the end step of that earliest window, `comm` and
+/// `pe` exactly), and component-wise `>=` implies lexicographic `>=`.
+/// A PE is pruned only when even its floor key fails to *strictly* beat
+/// the incumbent — precisely the candidates the unpruned sweep would
 /// discard too — so winner and tie-breaks are bit-identical.
-fn scan_span(
-    machine: &Machine,
-    table: &Schedule,
-    duration: u32,
-    scratch: &Scratch,
-    target: u32,
+///
+/// Under an active probe every PE emits an [`Event::Candidate`] with
+/// its `AN` window and verdict, the counters tally edges swept and
+/// slots probed, and the second-best key is tracked for the
+/// placement's `runner_up`.  [`best_position`] never prunes then, so
+/// the events describe every PE.
+fn scan_span<P: Probe>(
+    sweep: &Sweep<'_>,
     lo: usize,
     hi: usize,
-) -> Option<CandKey> {
+    prune: bool,
+    probe: &mut P,
+    counters: &mut Counters,
+) -> (Option<CandKey>, Option<CandKey>) {
+    let Sweep {
+        machine,
+        table,
+        scratch,
+        node,
+        duration,
+        target,
+    } = *sweep;
     let target_len = i64::from(target);
     let dur = i64::from(duration);
     let span = hi - lo;
+    if P::ACTIVE {
+        counters.edges_swept += (span * (scratch.ins.len() + scratch.outs.len())) as u64;
+    }
     // Lower bound on CB(v) per PE from placed predecessors (Lemma 4.2)
     // and upper bound on CE(v) from placed successors and the target,
     // accumulated column-major straight off each edge's hop-distance
@@ -622,17 +627,30 @@ fn scan_span(
         }
     }
     let mut best: Option<CandKey> = None;
+    // Runner-up for the explain narrative (probe-gated).
+    let mut second: Option<CandKey> = None;
     for (i, (&lb, &ub)) in lb.iter().zip(&ub).enumerate() {
+        let p = lo + i;
         if lb > ub {
+            if P::ACTIVE {
+                probe.emit(Event::Candidate {
+                    node,
+                    target,
+                    pe: Pe::from_index(p).0,
+                    lb,
+                    ub,
+                    comm: scratch.comm[p],
+                    verdict: Verdict::Infeasible,
+                });
+            }
             continue;
         }
-        let p = lo + i;
         let pe = Pe::from_index(p);
         let comm = scratch.comm[p];
         // INVARIANT: lb <= ub <= target at this point (checked above)
         // and target is a u32, so the clamped value always fits.
         let from = u32::try_from(lb.max(1)).expect("clamped positive");
-        if let Some(incumbent) = best {
+        if let Some(incumbent) = best.filter(|_| prune) {
             let floor = from.max(table.free_cursor(pe));
             let impact_floor = u32::try_from(i64::from(floor) + dur - 1).unwrap_or(u32::MAX);
             if (impact_floor, floor, comm, pe.0) >= incumbent {
@@ -640,236 +658,11 @@ fn scan_span(
             }
         }
         let cs = table.earliest_free(pe, from, duration);
-        let ce_v = i64::from(cs) + dur - 1;
-        if ce_v > ub {
-            continue;
-        }
-        let mut needed = ce_v;
-        for e in &scratch.ins {
-            if e.k > 0 {
-                let m = i64::from(machine.dist_row(e.pe)[p] * e.vol);
-                needed = needed.max(psl(m, e.step, i64::from(cs), e.k));
-            }
-        }
-        for e in &scratch.outs {
-            if e.k > 0 {
-                let m = i64::from(machine.dist_row(e.pe)[p] * e.vol);
-                needed = needed.max(psl(m, ce_v, e.step, e.k));
-            }
-        }
-        // Saturating conversion, matching the reference sweep exactly.
-        let impact = u32::try_from(needed.max(0)).unwrap_or(u32::MAX);
-        let key = (impact, cs, comm, pe.0);
-        if best.is_none_or(|b| key < b) {
-            best = Some(key);
-        }
-    }
-    best
-}
-
-/// Deterministic parallel engine scan: the PE range is cut into fixed
-/// contiguous chunks (one per rayon worker), each chunk runs
-/// [`scan_span`] independently, and the per-chunk minima are reduced
-/// in ascending PE order.  Chunk-local pruning never changes a chunk's
-/// exact minimum, and the trailing PE index makes the global minimum
-/// unique, so the result is byte-identical to the sequential scan at
-/// any `RAYON_NUM_THREADS`.
-fn parallel_scan(
-    machine: &Machine,
-    table: &Schedule,
-    duration: u32,
-    scratch: &Scratch,
-    target: u32,
-) -> Option<CandKey> {
-    let n = machine.num_pes();
-    let chunk = n.div_ceil(rayon::current_num_threads().min(n).max(1));
-    let spans: Vec<(usize, usize)> = (0..n)
-        .step_by(chunk)
-        .map(|lo| (lo, (lo + chunk).min(n)))
-        .collect();
-    let bests: Vec<Option<CandKey>> = spans
-        .into_par_iter()
-        .map(|(lo, hi)| scan_span(machine, table, duration, scratch, target, lo, hi))
-        .collect();
-    bests
-        .into_iter()
-        .flatten()
-        .reduce(|a, b| if b < a { b } else { a })
-}
-
-/// The pre-engine full sweep ([`ScanPolicy::Reference`]): recomputes
-/// each edge's communication cost per candidate PE via
-/// [`Machine::comm_cost`] and prunes nothing.  Oracle for the
-/// pruning-soundness tests and baseline for the candidate-scan
-/// microbenchmark.
-fn reference_scan(
-    machine: &Machine,
-    table: &Schedule,
-    duration: u32,
-    scratch: &mut Scratch,
-    target: u32,
-) -> Option<CandKey> {
-    let target_len = i64::from(target);
-    let Scratch {
-        ins,
-        outs,
-        m_ins,
-        m_outs,
-        ..
-    } = scratch;
-    let mut best: Option<CandKey> = None;
-    for pe in machine.pes() {
-        let mut lb: i64 = 1;
-        let mut comm: u32 = 0;
-        for (e, m_slot) in ins.iter().zip(m_ins.iter_mut()) {
-            let c = machine.comm_cost(e.pe, pe, e.vol);
-            let m = i64::from(c);
-            *m_slot = m;
-            comm += c;
-            lb = lb.max(m + e.step + 1 - e.k * target_len);
-        }
-        let mut ub: i64 = target_len;
-        for (e, m_slot) in outs.iter().zip(m_outs.iter_mut()) {
-            let c = machine.comm_cost(pe, e.pe, e.vol);
-            let m = i64::from(c);
-            *m_slot = m;
-            comm += c;
-            ub = ub.min(e.k * target_len + e.step - m - 1);
-        }
-        if lb > ub {
-            continue;
-        }
-        // INVARIANT: lb <= ub <= target at this point (checked above)
-        // and target is a u32, so the clamped value always fits.
-        let from = u32::try_from(lb.max(1)).expect("clamped positive");
-        let cs = table.earliest_free(pe, from, duration);
-        let ce_v = i64::from(cs) + i64::from(duration) - 1;
-        if ce_v > ub {
-            continue;
-        }
-        let mut needed = ce_v;
-        for (e, &m) in ins.iter().zip(m_ins.iter()) {
-            if e.k > 0 {
-                needed = needed.max(psl(m, e.step, i64::from(cs), e.k));
-            }
-        }
-        for (e, &m) in outs.iter().zip(m_outs.iter()) {
-            if e.k > 0 {
-                needed = needed.max(psl(m, ce_v, e.step, e.k));
-            }
-        }
-        let impact = u32::try_from(needed.max(0)).unwrap_or(u32::MAX);
-        let key = (impact, cs, comm, pe.0);
-        if best.is_none_or(|b| key < b) {
-            best = Some(key);
-        }
-    }
-    best
-}
-
-/// The lower/upper-bound sweep, the traffic sum, and the per-edge
-/// communication costs of the impact sweep are fused into a single pass
-/// over the resolved edges per processor.
-///
-/// Dispatch: with an active probe every PE is scanned in full and
-/// emits an [`Event::Candidate`] carrying the `AN` bounds and the
-/// rejection reason, and the second-best feasible slot is tracked for
-/// the placement's `runner_up` — the engine never runs, so traces and
-/// counters are unchanged by it.  With the no-op probe the scan goes
-/// through [`ScanPolicy`]: the candidate-scan engine ([`scan_span`],
-/// fanned out via [`parallel_scan`] on machines of at least
-/// [`RemapConfig::parallel_pes`] PEs) or the full
-/// [`reference_scan`] — all of which return the same winner,
-/// bit-identically.
-#[allow(clippy::too_many_arguments)]
-fn best_position<P: Probe>(
-    machine: &Machine,
-    table: &Schedule,
-    duration: u32,
-    scratch: &mut Scratch,
-    target: u32,
-    node: u32,
-    config: RemapConfig,
-    probe: &mut P,
-    counters: &mut Counters,
-) -> Option<Placement> {
-    if !P::ACTIVE {
-        let best = match config.scan {
-            ScanPolicy::Reference => reference_scan(machine, table, duration, scratch, target),
-            ScanPolicy::Engine => {
-                let n = machine.num_pes();
-                if n >= config.parallel_pes as usize && rayon::current_num_threads() > 1 {
-                    parallel_scan(machine, table, duration, &*scratch, target)
-                } else {
-                    scan_span(machine, table, duration, &*scratch, target, 0, n)
-                }
-            }
-        };
-        return best.map(|(impact, cs, comm, pe)| Placement {
-            cs,
-            pe: Pe(pe),
-            impact,
-            comm,
-            runner_up: None,
-        });
-    }
-    let target_len = i64::from(target);
-    let Scratch {
-        ins,
-        outs,
-        m_ins,
-        m_outs,
-        ..
-    } = scratch;
-    let mut best: Option<(u32, u32, u32, Pe)> = None;
-    // Runner-up slot for the explain narrative (probe-gated).
-    let mut second: Option<(u32, u32, u32, Pe)> = None;
-    for pe in machine.pes() {
-        if P::ACTIVE {
-            counters.edges_swept += (ins.len() + outs.len()) as u64;
-        }
-        // Lower bound on CB(v) from placed predecessors; total traffic
-        // and per-edge comm costs fall out of the same sweep.
-        let mut lb: i64 = 1;
-        let mut comm: u32 = 0;
-        for (e, m_slot) in ins.iter().zip(m_ins.iter_mut()) {
-            let c = machine.comm_cost(e.pe, pe, e.vol);
-            let m = i64::from(c);
-            *m_slot = m;
-            comm += c;
-            lb = lb.max(m + e.step + 1 - e.k * target_len);
-        }
-        // Upper bound on CE(v) from placed successors and the target.
-        let mut ub: i64 = target_len;
-        for (e, m_slot) in outs.iter().zip(m_outs.iter_mut()) {
-            let c = machine.comm_cost(pe, e.pe, e.vol);
-            let m = i64::from(c);
-            *m_slot = m;
-            comm += c;
-            ub = ub.min(e.k * target_len + e.step - m - 1);
-        }
-        if lb > ub {
-            if P::ACTIVE {
-                probe.emit(Event::Candidate {
-                    node,
-                    target,
-                    pe: pe.0,
-                    lb,
-                    ub,
-                    comm,
-                    verdict: Verdict::Infeasible,
-                });
-            }
-            continue;
-        }
-        // INVARIANT: lb <= ub <= target at this point (checked above)
-        // and target is a u32, so the clamped value always fits.
-        let from = u32::try_from(lb.max(1)).expect("clamped positive");
-        let cs = table.earliest_free(pe, from, duration);
         if P::ACTIVE {
             counters.slots_probed += 1;
         }
-        if i64::from(cs) + i64::from(duration) - 1 > ub {
+        let ce_v = i64::from(cs) + dur - 1;
+        if ce_v > ub {
             if P::ACTIVE {
                 probe.emit(Event::Candidate {
                     node,
@@ -884,17 +677,17 @@ fn best_position<P: Probe>(
             continue;
         }
         // Length impact: the node's own end step and the PSL of every
-        // loop-carried edge to a placed neighbour, reusing the cached
-        // comm costs.
-        let ce_v = i64::from(cs) + i64::from(duration) - 1;
+        // loop-carried edge to a placed neighbour.
         let mut needed = ce_v;
-        for (e, &m) in ins.iter().zip(m_ins.iter()) {
+        for e in &scratch.ins {
             if e.k > 0 {
+                let m = i64::from(machine.dist_row(e.pe)[p] * e.vol);
                 needed = needed.max(psl(m, e.step, i64::from(cs), e.k));
             }
         }
-        for (e, &m) in outs.iter().zip(m_outs.iter()) {
+        for e in &scratch.outs {
             if e.k > 0 {
+                let m = i64::from(machine.dist_row(e.pe)[p] * e.vol);
                 needed = needed.max(psl(m, ce_v, e.step, e.k));
             }
         }
@@ -902,8 +695,8 @@ fn best_position<P: Probe>(
         // and cannot meaningfully exceed u32::MAX; if one ever does,
         // the candidate simply ranks last instead of panicking.
         let impact = u32::try_from(needed.max(0)).unwrap_or(u32::MAX);
-        let key = (impact, cs, comm, pe.index());
-        let leads = best.is_none_or(|(bi, bcs, bcomm, bpe)| key < (bi, bcs, bcomm, bpe.index()));
+        let key = (impact, cs, comm, pe.0);
+        let leads = best.is_none_or(|b| key < b);
         if P::ACTIVE {
             probe.emit(Event::Candidate {
                 node,
@@ -920,32 +713,73 @@ fn best_position<P: Probe>(
             });
             // The displaced best (or the losing candidate) competes
             // for the runner-up slot.
-            let contender = if leads {
-                best
-            } else {
-                Some((impact, cs, comm, pe))
-            };
-            if let Some(c) = contender {
-                let ckey = (c.0, c.1, c.2, c.3.index());
-                if second.is_none_or(|(si, scs, scomm, spe)| ckey < (si, scs, scomm, spe.index())) {
-                    second = Some(c);
-                }
+            let contender = if leads { best } else { Some(key) };
+            if contender.is_some_and(|c| second.is_none_or(|s| c < s)) {
+                second = contender;
             }
         }
         if leads {
-            best = Some((impact, cs, comm, pe));
+            best = Some(key);
         }
     }
-    best.map(|(impact, cs, comm, pe)| Placement {
+    (best, second)
+}
+
+/// Deterministic parallel sweep: the PE range is cut into fixed
+/// contiguous chunks (one per rayon worker), each chunk runs the pruned
+/// [`scan_span`] independently, and the minimum of the per-chunk minima
+/// wins.  Chunk-local pruning never changes a chunk's exact minimum,
+/// and the trailing PE index makes the global minimum unique, so the
+/// result is byte-identical to the sequential sweep at any
+/// `RAYON_NUM_THREADS`.
+fn parallel_scan(sweep: &Sweep<'_>) -> Option<CandKey> {
+    let n = sweep.machine.num_pes();
+    let chunk = n.div_ceil(rayon::current_num_threads().min(n).max(1));
+    let spans: Vec<(usize, usize)> = (0..n)
+        .step_by(chunk)
+        .map(|lo| (lo, (lo + chunk).min(n)))
+        .collect();
+    let bests: Vec<Option<CandKey>> = spans
+        .into_par_iter()
+        .map(|(lo, hi)| scan_span(sweep, lo, hi, true, &mut Off, &mut Counters::default()).0)
+        .collect();
+    bests.into_iter().flatten().min()
+}
+
+/// Finds the best feasible `(control step, processor)` for the sweep's
+/// node, or `None`.
+///
+/// A dispatcher over the one candidate sweep, [`scan_span`]: an
+/// unrecorded run under [`ScanPolicy::Engine`] prunes, and on machines
+/// of at least [`RemapConfig::parallel_pes`] PEs (with more than one
+/// rayon worker) fans out through [`parallel_scan`].  A recorded run
+/// and [`ScanPolicy::Reference`] sweep every PE in order.  All paths
+/// return the same winner, bit-identically.
+fn best_position<P: Probe>(
+    sweep: &Sweep<'_>,
+    config: RemapConfig,
+    probe: &mut P,
+    counters: &mut Counters,
+) -> Option<Placement> {
+    let n = sweep.machine.num_pes();
+    let prune = !P::ACTIVE && config.scan == ScanPolicy::Engine;
+    let (best, second) =
+        if prune && n >= config.parallel_pes as usize && rayon::current_num_threads() > 1 {
+            (parallel_scan(sweep), None)
+        } else {
+            scan_span(sweep, 0, n, prune, probe, counters)
+        };
+    let (impact, cs, comm, pe) = best?;
+    Some(Placement {
         cs,
-        pe,
+        pe: Pe(pe),
         impact,
         comm,
-        runner_up: second.map(|(si, scs, scomm, spe)| RunnerUp {
-            pe: spe.0,
-            cs: scs,
-            impact: si,
-            comm: scomm,
+        runner_up: second.map(|(impact, cs, comm, pe)| RunnerUp {
+            pe,
+            cs,
+            impact,
+            comm,
         }),
     })
 }
@@ -1092,12 +926,12 @@ mod tests {
 
     #[test]
     fn scratch_resolve_cannot_leak_stale_slots() {
-        // Regression: `resolve` once grew `m_ins`/`m_outs` with a bare
-        // `Vec::resize`, which never shrinks — a node with fewer
-        // resolved edges than its predecessor would keep the old tail
-        // alive and a later exact-length sweep could read stale costs.
-        // Resolve a fat node, then a thin one, and check every buffer
-        // is exactly sized and freshly filled.
+        // Regression: `resolve` once grew its per-edge cost buffers
+        // with a bare `Vec::resize`, which never shrinks — a node with
+        // fewer resolved edges than its predecessor would keep the old
+        // tail alive and a later sweep could read stale costs.  Resolve
+        // a fat node, then a thin one, and check every buffer is
+        // exactly sized and freshly filled.
         let mut g = Csdfg::new();
         let hub = g.add_task("hub", 1).unwrap();
         let spokes: Vec<_> = (0..5)
@@ -1127,28 +961,18 @@ mod tests {
 
         let adj = hoist_adjacency(&g, &[hub, thin]);
         let mut scratch = Scratch::default();
-        scratch.resolve(&adj[0], &sched, &m, true);
+        scratch.resolve(&adj[0], &sched, &m);
         assert_eq!(scratch.ins.len(), 5);
-        assert_eq!(scratch.m_ins.len(), 5);
+        assert_eq!(scratch.outs.len(), 5);
         assert_eq!(scratch.comm.len(), m.num_pes());
-        // Poison the reusable buffers, as a real sweep would.
-        for s in &mut scratch.m_ins {
-            *s = -99;
-        }
-        for s in &mut scratch.m_outs {
-            *s = -99;
-        }
+        // Poison the reusable column; a resolve that accumulated onto
+        // it instead of rebuilding it would keep the poison.
+        scratch.comm.fill(99);
 
-        scratch.resolve(&adj[1], &sched, &m, true);
+        scratch.resolve(&adj[1], &sched, &m);
         assert_eq!(scratch.ins.len(), 1, "thin node resolves one in-edge");
         assert_eq!(scratch.outs.len(), 1);
-        assert_eq!(scratch.m_ins.len(), 1, "m_ins must shrink with the node");
-        assert_eq!(scratch.m_outs.len(), 1);
         assert_eq!(scratch.comm.len(), m.num_pes());
-        assert!(
-            scratch.m_ins.iter().chain(&scratch.m_outs).all(|&v| v == 0),
-            "stale poison leaked into the resolved buffers"
-        );
         // The comm column is rebuilt from the thin node's own edges:
         // one in- and one out-edge to spoke0 on PE 0, volume 2 each,
         // so every column is 4 * dist_row(0).

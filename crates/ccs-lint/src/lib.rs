@@ -198,7 +198,7 @@ pub fn run(root: &Path) -> std::io::Result<Report> {
 
 /// Reads every `.rs` file the lint scans, as sorted
 /// `(repo-relative path, contents)` pairs — the exact corpus
-/// [`run`] lints, exposed so tests (round-trip, parity) can walk the
+/// [`run`] lints, exposed so tests (the lexer round-trip) can walk the
 /// same set.
 pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     let mut paths: Vec<PathBuf> = Vec::new();

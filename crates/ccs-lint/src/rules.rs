@@ -52,8 +52,10 @@ const UNORDERED_TYPES: [&str; 2] = ["HashMap", "HashSet"];
 
 /// The innermost-loop functions that must stay panic-free in release
 /// builds, as `(file, function)` pairs.
-const HOT_PATH_FNS: [(&str, &str); 3] = [
+const HOT_PATH_FNS: [(&str, &str); 5] = [
     ("crates/ccs-core/src/remap.rs", "best_position"),
+    ("crates/ccs-core/src/remap.rs", "scan_span"),
+    ("crates/ccs-core/src/remap.rs", "parallel_scan"),
     ("crates/ccs-schedule/src/table.rs", "earliest_free"),
     ("crates/ccs-topology/src/machine.rs", "distance"),
 ];
@@ -588,6 +590,13 @@ mod tests {
         let src = "fn best_position<P: Probe>(x: u32) -> u32 {\n    \
                    assert!(x > 0);\n    \
                    x\n}\n";
+        let f = lint_source("crates/ccs-core/src/remap.rs", src);
+        assert!(
+            f.iter().any(|f| f.rule == RULE_HOT_ASSERT && f.line == 2),
+            "{f:?}"
+        );
+        let src = "fn scan_span<P: Probe>(lo: usize, hi: usize) -> usize {\n    \
+                   assert_ne!(lo, hi);\n    hi - lo\n}\n";
         let f = lint_source("crates/ccs-core/src/remap.rs", src);
         assert!(
             f.iter().any(|f| f.rule == RULE_HOT_ASSERT && f.line == 2),

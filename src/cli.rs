@@ -98,8 +98,9 @@ pub enum DiffPolicy {
     Strict,
     /// Remap with relaxation (the default scheduler behavior).
     Relaxed,
-    /// The reference candidate scan (`ScanPolicy::Reference`) — the
-    /// unpruned sequential oracle.
+    /// The reference candidate scan (`ScanPolicy::Reference`).  Both
+    /// sides of a diff are recorded, and a recorded run never prunes
+    /// its sweep, so this side B repeats side A: a self-diff.
     Reference,
 }
 
