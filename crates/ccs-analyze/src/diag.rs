@@ -25,6 +25,10 @@ pub mod codes {
     pub const UNKNOWN_TASK: &str = "CCS005";
     /// Two tasks share one name.
     pub const DUPLICATE_TASK: &str = "CCS006";
+    /// The task times sum to `u32::MAX` or more.  Control steps are
+    /// `u32`, and every chain length, ASAP/ALAP step and `ceil(B)` is
+    /// at most that sum, so below it no step arithmetic can overflow.
+    pub const TIME_OVERFLOW: &str = "CCS007";
     /// The machine topology is disconnected: some PE pair has no
     /// connecting path, so `M(p_i, p_j)` (Definition 3.5) is undefined.
     pub const MACHINE_DISCONNECTED: &str = "CCS010";

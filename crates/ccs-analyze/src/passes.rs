@@ -75,6 +75,21 @@ pub fn analyze_graph(g: &Csdfg) -> Report {
             ));
         }
     }
+    let work = g.total_time();
+    if work >= u64::from(u32::MAX) {
+        r.push(
+            Diagnostic::error(
+                codes::TIME_OVERFLOW,
+                Subject::Graph,
+                format!(
+                    "total computation time {work} is not below {}: \
+                     control steps would overflow u32",
+                    u32::MAX
+                ),
+            )
+            .with_suggestion("scale the task times down by a common factor"),
+        );
+    }
 
     // Warnings.
     for v in g.tasks() {

@@ -2,9 +2,10 @@
 //! distance queries, retiming analyses, schedule-table operations, and
 //! simulator throughput.
 
+use ccs_bounds::compute_bounds;
 use ccs_core::{startup_schedule, StartupConfig};
-use ccs_model::NodeId;
-use ccs_retiming::{clock_period, iteration_bound};
+use ccs_model::{Csdfg, NodeId};
+use ccs_retiming::{clock_period, critical_cycle, iteration_bound};
 use ccs_schedule::Schedule;
 use ccs_sim::{replay_static, run_self_timed};
 use ccs_topology::{Machine, Pe};
@@ -35,20 +36,40 @@ fn bench_topology(c: &mut Criterion) {
 
 fn bench_retiming(c: &mut Criterion) {
     let mut group = c.benchmark_group("retiming");
-    for nodes in [16usize, 48, 96] {
-        let g = random_csdfg(
+    let config = |nodes: usize| RandomGraphConfig {
+        nodes,
+        back_edges: nodes / 3,
+        ..Default::default()
+    };
+    let mut graphs: Vec<(usize, Csdfg)> = [16usize, 48, 96]
+        .into_iter()
+        .map(|n| (n, random_csdfg(config(n), 5)))
+        .collect();
+    // The sparse shape of perfbench's `large-certify` graphs (about
+    // five edges per node) at its upper size.
+    graphs.push((
+        200,
+        random_csdfg(
             RandomGraphConfig {
-                nodes,
-                back_edges: nodes / 3,
-                ..Default::default()
+                forward_density: 8.0 / 200.0,
+                ..config(200)
             },
             5,
-        );
-        group.bench_with_input(BenchmarkId::new("iteration_bound", nodes), &g, |b, g| {
+        ),
+    ));
+    let machine = Machine::mesh(8, 8);
+    for (nodes, g) in &graphs {
+        group.bench_with_input(BenchmarkId::new("iteration_bound", nodes), g, |b, g| {
             b.iter(|| iteration_bound(black_box(g)))
         });
-        group.bench_with_input(BenchmarkId::new("min_clock_period", nodes), &g, |b, g| {
+        group.bench_with_input(BenchmarkId::new("min_clock_period", nodes), g, |b, g| {
             b.iter(|| clock_period::min_clock_period(black_box(g)))
+        });
+        group.bench_with_input(BenchmarkId::new("critical_cycle", nodes), g, |b, g| {
+            b.iter(|| critical_cycle(black_box(g)))
+        });
+        group.bench_with_input(BenchmarkId::new("compute_bounds", nodes), g, |b, g| {
+            b.iter(|| compute_bounds(black_box(g), &machine))
         });
     }
     group.finish();

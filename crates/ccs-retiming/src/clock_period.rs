@@ -7,6 +7,7 @@
 //! that rotation-based compaction can be compared against when
 //! resources and communication are ignored.
 
+use crate::iteration_bound::iteration_bound;
 use crate::retiming::Retiming;
 use ccs_model::{Csdfg, NodeId};
 
@@ -126,20 +127,27 @@ pub fn feasible(g: &Csdfg, c: u32) -> Option<Retiming> {
 
 /// Minimum achievable clock period and a witness retiming.
 ///
-/// Binary search over `c` in `[max_v t(v), Φ(G)]` using [`feasible`].
+/// No retiming beats the heaviest task or the iteration bound `B`, so
+/// [`feasible`] is tried first at `c0 = max(max_v t(v), ceil(B))`, and
+/// only when that floor fails is the smallest feasible `c` in
+/// `(c0, Φ(G)]` binary-searched.  `FEAS` at a given `c` is
+/// deterministic, so the witness is the one the minimum period yields
+/// whichever way the minimum is found.
 pub fn min_clock_period(g: &Csdfg) -> (u32, Retiming) {
-    let lo0 = g.tasks().map(|v| g.time(v)).max().unwrap_or(0);
+    let heaviest = g.tasks().map(|v| g.time(v)).max().unwrap_or(0);
+    let ratio_floor = iteration_bound(g).map_or(0, |b| u32::try_from(b.ceil()).unwrap_or(u32::MAX));
+    let floor = heaviest.max(ratio_floor);
+    if let Some(r) = feasible(g, floor) {
+        return (floor, r);
+    }
     let hi0 = clock_period(g);
-    let (mut lo, mut hi) = (lo0, hi0);
+    let (mut lo, mut hi) = (floor.saturating_add(1), hi0);
     let mut best = (hi0, Retiming::zero_for(g));
     while lo <= hi {
         let mid = lo + (hi - lo) / 2;
         match feasible(g, mid) {
             Some(r) => {
                 best = (mid, r);
-                if mid == 0 {
-                    break;
-                }
                 hi = mid - 1;
             }
             None => lo = mid + 1,

@@ -8,14 +8,13 @@
 //! The experiment harness uses it to report how close cyclo-compaction
 //! gets to the algorithmic optimum.
 //!
-//! Implementation: the classical lambda test.  A candidate ratio `λ` is
-//! too small iff the graph with edge weights `λ·d(e) - t(src(e))` has a
-//! negative cycle.  We binary-search `λ`, then recover the exact
-//! rational via a bounded continued-fraction expansion (the bound is
-//! `D(C) <= total delay`, so the denominator is small) and verify it
-//! with exact integer arithmetic.
+//! Implementation: Howard's policy iteration, run per strongly
+//! connected component in exact integer arithmetic — cycle ratios are
+//! [`Ratio`]s and node values `i128` numerators — so the bound comes
+//! out exact with no tolerance and no search over candidate ratios.
 
 use ccs_graph::algo::paths::feasible_potentials;
+use ccs_graph::algo::scc::tarjan_scc;
 use ccs_model::Csdfg;
 use std::fmt;
 
@@ -86,17 +85,6 @@ fn gcd(a: u64, b: u64) -> u64 {
     }
 }
 
-/// `true` iff some cycle has `T(C)/D(C) > num/den`, via exact integer
-/// negative-cycle detection on weights `num·d(e) - den·t(src(e))`.
-fn exceeds(g: &Csdfg, num: u64, den: u64) -> bool {
-    // Values stay well below 2^53, so f64 arithmetic is exact here.
-    feasible_potentials(g.graph(), |e| {
-        let (u, _) = g.endpoints(e);
-        num as f64 * f64::from(g.delay(e)) - den as f64 * f64::from(g.time(u))
-    })
-    .is_err()
-}
-
 /// Computes the iteration bound of `g`.
 ///
 /// Returns `None` for acyclic graphs (no cycle, no bound).
@@ -106,62 +94,143 @@ fn exceeds(g: &Csdfg, num: u64, den: u64) -> bool {
 /// Panics if `g` has a zero-delay cycle (illegal CSDFG — the bound
 /// would be infinite).
 pub fn iteration_bound(g: &Csdfg) -> Option<Ratio> {
-    use ccs_graph::algo::cycles::has_cycle;
-    if !has_cycle(g.graph()) {
-        return None;
-    }
     assert!(
         g.check_legal().is_ok(),
         "iteration bound undefined: graph has a zero-delay cycle"
     );
+    let sccs = tarjan_scc(g.graph());
+    // Component id and position within it, per node.
+    let bound = g.graph().node_bound();
+    let (mut comp, mut local) = (vec![0; bound], vec![0; bound]);
+    for (c, scc) in sccs.iter().enumerate() {
+        for (i, &v) in scc.iter().enumerate() {
+            comp[v.index()] = c;
+            local[v.index()] = i;
+        }
+    }
+    sccs.iter()
+        .filter_map(|scc| {
+            let time: Vec<u64> = scc.iter().map(|&v| u64::from(g.time(v))).collect();
+            let out: Vec<Vec<(usize, u64)>> = scc
+                .iter()
+                .map(|&v| {
+                    g.out_deps(v)
+                        .filter_map(|e| {
+                            let w = g.endpoints(e).1;
+                            (comp[w.index()] == comp[v.index()])
+                                .then(|| (local[w.index()], u64::from(g.delay(e))))
+                        })
+                        .collect()
+                })
+                .collect();
+            // Only a lone node without a self-loop has no internal edge.
+            (!out[0].is_empty()).then(|| max_cycle_ratio(&time, &out))
+        })
+        .max()
+}
 
-    let d_total: u64 = g.total_delay();
-    let t_total: u64 = g.total_time();
-    // Binary search on λ: exceeds(λ) is monotone decreasing in λ.
-    let (mut lo, mut hi) = (0.0f64, t_total as f64 + 1.0);
-    for _ in 0..80 {
-        let mid = 0.5 * (lo + hi);
-        // mid as rational approx for the exact test: scale by 2^20.
-        let den = 1u64 << 20;
-        let num = (mid * den as f64) as u64;
-        if exceeds(g, num, den) {
-            lo = mid;
-        } else {
-            hi = mid;
+/// Policy-evaluation marks.
+const UNSEEN: u8 = 0;
+const ON_PATH: u8 = 1;
+const DONE: u8 = 2;
+
+/// `val(u)` through a policy edge `u -> w` of delay `d`, in units of
+/// `1/λ.den` where `λ = λ(w)`: `λ.den·t(u) − λ.num·d + val(w)`.
+fn through(lambda: Ratio, t: u64, d: u64, val_w: i128) -> i128 {
+    i128::from(lambda.den) * i128::from(t) - i128::from(lambda.num) * i128::from(d) + val_w
+}
+
+/// The maximum cycle ratio of one strongly connected component, by
+/// Howard's policy iteration.  Nodes are `0..time.len()`; `out[v]`
+/// lists the internal out-edges of `v` as `(target, delay)`, and every
+/// node has at least one.
+///
+/// A policy picks one out-edge per node, so each node's policy path
+/// ends in exactly one policy cycle `C`.  The node inherits
+/// `λ = T(C)/D(C)` and a value measured from an anchor on `C` (its
+/// smallest node, value 0).  Each round every node switches to an
+/// out-edge whose `(λ(w), value through the edge)` is strictly
+/// greater, lexicographically, than its own; the values of an
+/// unchanged cycle's basin never drop and switched nodes strictly
+/// gain, so no policy repeats and the loop ends.  At the fixpoint
+/// every edge satisfies `λ.num·d(e) − λ.den·t(u) >= val(w) − val(u)`,
+/// so no cycle beats the best policy cycle.
+fn max_cycle_ratio(time: &[u64], out: &[Vec<(usize, u64)>]) -> Ratio {
+    let n = time.len();
+    // Initial policy: the out-edge of largest delay.
+    let mut policy: Vec<usize> = out
+        .iter()
+        .map(|es| (0..es.len()).max_by_key(|&k| es[k].1).unwrap_or(0))
+        .collect();
+    let mut lambda = vec![Ratio::new(0, 1); n];
+    let mut value = vec![0i128; n];
+    let mut state = vec![UNSEEN; n];
+    let mut path: Vec<usize> = Vec::new();
+    loop {
+        // Evaluation: walk every policy path to its cycle.
+        let mut best = Ratio::new(0, 1);
+        state.fill(UNSEEN);
+        for start in 0..n {
+            let mut v = start;
+            while state[v] == UNSEEN {
+                state[v] = ON_PATH;
+                path.push(v);
+                v = out[v][policy[v]].0;
+            }
+            if state[v] == ON_PATH {
+                // `v` closes a new policy cycle: the path suffix from `v`.
+                let at = path.iter().rposition(|&u| u == v).unwrap_or(0);
+                let cycle = &path[at..];
+                let (t, d) = cycle
+                    .iter()
+                    .fold((0, 0), |(t, d), &u| (t + time[u], d + out[u][policy[u]].1));
+                let r = Ratio::new(t, d);
+                best = best.max(r);
+                let (j, &anchor) = cycle
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(_, &u)| u)
+                    .unwrap_or((0, &v));
+                lambda[anchor] = r;
+                value[anchor] = 0;
+                state[anchor] = DONE;
+                // Backwards around the cycle from the anchor.
+                for k in 1..cycle.len() {
+                    let u = cycle[(j + cycle.len() - k) % cycle.len()];
+                    let (w, d) = out[u][policy[u]];
+                    lambda[u] = r;
+                    value[u] = through(r, time[u], d, value[w]);
+                    state[u] = DONE;
+                }
+            }
+            // The rest of the path drains into evaluated nodes.
+            while let Some(u) = path.pop() {
+                if state[u] == DONE {
+                    continue;
+                }
+                let (w, d) = out[u][policy[u]];
+                lambda[u] = lambda[w];
+                value[u] = through(lambda[w], time[u], d, value[w]);
+                state[u] = DONE;
+            }
         }
-    }
-    // The exact bound is a rational with denominator <= d_total.
-    let candidate = best_rational(0.5 * (lo + hi), d_total.max(1));
-    // Verify and adjust: the bound B satisfies !exceeds(B) and
-    // exceeds(B - 1/(den*d_total)) — nudge if the approximation landed
-    // one step off.
-    let mut best: Option<Ratio> = None;
-    for (dn, dd) in [(0i64, 0i64), (-1, 0), (1, 0), (0, 1), (0, -1)] {
-        let num = candidate.num as i64 + dn;
-        let den = candidate.den as i64 + dd;
-        if num < 0 || den <= 0 {
-            continue;
-        }
-        let r = Ratio::new(num as u64, den as u64);
-        if !exceeds(g, r.num, r.den) && is_tight(g, r) {
-            best = Some(match best {
-                Some(b) if b <= r => b,
-                _ => r,
-            });
-        }
-    }
-    best.or_else(|| {
-        // Fallback: exhaustive scan over all denominators (small graphs).
-        for den in 1..=d_total {
-            for num in 0..=t_total * den {
-                let r = Ratio::new(num, den);
-                if !exceeds(g, r.num, r.den) && is_tight(g, r) {
-                    return Some(r);
+        // Improvement: strictly better `(λ, value)` only.
+        let mut changed = false;
+        for v in 0..n {
+            let mut key = (lambda[v], value[v]);
+            for (k, &(w, d)) in out[v].iter().enumerate() {
+                let cand = (lambda[w], through(lambda[w], time[v], d, value[w]));
+                if cand > key {
+                    key = cand;
+                    policy[v] = k;
+                    changed = true;
                 }
             }
         }
-        None
-    })
+        if !changed {
+            return best;
+        }
+    }
 }
 
 /// The iteration bound together with a *witness*: one critical cycle
@@ -192,52 +261,6 @@ pub fn critical_cycle(g: &Csdfg) -> Option<(Ratio, Vec<ccs_graph::NodeId>)> {
         (pot[v.index()] - pot[u.index()] - w).abs() < 1e-6
     })?;
     Some((r, cycle))
-}
-
-/// `true` iff some cycle attains ratio exactly `r` (there is a
-/// zero-weight cycle under weights `r.num·d - r.den·t`).
-fn is_tight(g: &Csdfg, r: Ratio) -> bool {
-    let Ok(pot) = feasible_potentials(g.graph(), |e| {
-        let (u, _) = g.endpoints(e);
-        r.num as f64 * f64::from(g.delay(e)) - r.den as f64 * f64::from(g.time(u))
-    }) else {
-        return false;
-    };
-    // Tight edges: pot[v] == pot[u] + w(e). A cycle of tight edges is a
-    // critical cycle.
-    let graph = g.graph();
-    let tight = |e| {
-        let (u, v) = graph.edge_endpoints(e);
-        let w = r.num as f64 * f64::from(g.delay(e)) - r.den as f64 * f64::from(g.time(u));
-        (pot[v.index()] - pot[u.index()] - w).abs() < 1e-6
-    };
-    !ccs_graph::algo::topo::is_acyclic_filtered(graph, tight)
-}
-
-/// Best rational approximation of `x` with denominator `<= max_den`
-/// (continued fractions).
-fn best_rational(x: f64, max_den: u64) -> Ratio {
-    let mut a = x.floor();
-    let (mut p0, mut q0, mut p1, mut q1) = (1u64, 0u64, a as u64, 1u64);
-    let mut frac = x - a;
-    for _ in 0..64 {
-        if frac.abs() < 1e-12 {
-            break;
-        }
-        let inv = 1.0 / frac;
-        a = inv.floor();
-        frac = inv - a;
-        let p2 = (a as u64).saturating_mul(p1).saturating_add(p0);
-        let q2 = (a as u64).saturating_mul(q1).saturating_add(q0);
-        if q2 > max_den {
-            break;
-        }
-        p0 = p1;
-        q0 = q1;
-        p1 = p2;
-        q1 = q2;
-    }
-    Ratio::new(p1, q1.max(1))
 }
 
 #[cfg(test)]
@@ -288,6 +311,35 @@ mod tests {
         g.add_dep(c, c, 2, 1).unwrap();
         g.add_dep(a, c, 0, 1).unwrap();
         assert_eq!(iteration_bound(&g), Some(Ratio::new(5, 2)));
+    }
+
+    #[test]
+    fn overlapping_cycles_take_the_maximum() {
+        let mut g = Csdfg::new();
+        let n: Vec<_> = (0..5)
+            .map(|i| g.add_task(format!("v{i}"), (i % 3 + 1) as u32).unwrap())
+            .collect();
+        g.add_dep(n[0], n[1], 0, 1).unwrap();
+        g.add_dep(n[1], n[2], 0, 1).unwrap();
+        g.add_dep(n[2], n[0], 2, 1).unwrap();
+        g.add_dep(n[1], n[3], 0, 1).unwrap();
+        g.add_dep(n[3], n[0], 1, 1).unwrap();
+        g.add_dep(n[3], n[4], 0, 1).unwrap();
+        g.add_dep(n[4], n[3], 3, 1).unwrap();
+        // Cycles: 0-1-2 (T=6,D=2 -> 3), 0-1-3 (T=4,D=1 -> 4), 3-4 (T=3,D=3 -> 1).
+        assert_eq!(iteration_bound(&g), Some(Ratio::new(4, 1)));
+    }
+
+    #[test]
+    fn parallel_edges_bind_through_the_smaller_delay() {
+        // B -> A twice: d = 3 (the initial policy's pick) and d = 1.
+        let mut g = Csdfg::new();
+        let a = g.add_task("A", 2).unwrap();
+        let b = g.add_task("B", 3).unwrap();
+        g.add_dep(a, b, 0, 1).unwrap();
+        g.add_dep(b, a, 1, 1).unwrap();
+        g.add_dep(b, a, 3, 1).unwrap();
+        assert_eq!(iteration_bound(&g), Some(Ratio::new(5, 1)));
     }
 
     #[test]

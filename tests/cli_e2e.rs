@@ -108,6 +108,23 @@ fn illegal_graph_rejected_cleanly() {
 }
 
 #[test]
+fn task_times_that_overflow_control_steps_are_rejected() {
+    // Each time fits a u32, their 6·10⁹ sum does not: schedule steps,
+    // chain lengths and the clock period would wrap.
+    let huge = "node A t=3000000000\nnode B t=3000000000\n\
+                edge A -> B d=0 c=1\nedge B -> A d=2 c=1\n";
+    for args in [
+        &["bound", "-"][..],
+        &["schedule", "-", "--machine", "ring:4"][..],
+    ] {
+        let out = run_with_stdin(args, huge);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(err.contains("CCS007"), "{args:?} stderr: {err}");
+    }
+}
+
+#[test]
 fn compile_then_schedule_pipeline() {
     let kernel = "y = y[i-1]*k + x;\n";
     let compiled = stdout_of(&run_with_stdin(&["compile", "-"], kernel));
