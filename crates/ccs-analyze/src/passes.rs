@@ -8,7 +8,7 @@ use ccs_model::spec::CsdfgSpec;
 use ccs_model::{Csdfg, ModelError, NodeId};
 use ccs_retiming::iteration_bound;
 use ccs_schedule::{validate, Schedule, Violation};
-use ccs_topology::Machine;
+use ccs_topology::{Machine, Pe};
 use std::collections::BTreeMap;
 
 /// Runs every Pass A check: [`analyze_graph`], [`analyze_machine`],
@@ -143,39 +143,43 @@ pub fn analyze_graph(g: &Csdfg) -> Report {
     r
 }
 
+/// Side of the square blocks the hop-table checks compare: a 32×32
+/// block of `u32` hops and its mirror across the diagonal take 8 KiB,
+/// so both stay in L1 while the block is scanned.
+const HOP_BLOCK: usize = 32;
+
 /// Machine sanity (Definition 3.5): connected topology, well-formed
 /// hop tables, non-degenerate parallelism.
 pub fn analyze_machine(m: &Machine) -> Report {
     let mut r = Report::new();
-    for (a, b) in m.unreachable_pairs() {
-        r.push(
-            Diagnostic::error(
-                codes::MACHINE_DISCONNECTED,
-                Subject::PePair(a.0, b.0),
-                "no path between these PEs: the communication cost M(p_i, p_j) is undefined",
-            )
-            .with_suggestion("add links until the topology is connected"),
-        );
-    }
-    // Degenerate hop tables (impossible for BFS-built machines; checked
-    // as defense in depth).
-    for a in m.pes() {
-        if m.try_distance(a, a) != Some(0) {
-            r.push(Diagnostic::error(
-                codes::HOP_TABLE_DEGENERATE,
-                Subject::Pe(a.0),
-                "hops(p, p) != 0",
-            ));
-        }
-        for b in m.pes() {
-            if a.index() < b.index() && m.try_distance(a, b) != m.try_distance(b, a) {
-                r.push(Diagnostic::error(
-                    codes::HOP_TABLE_DEGENERATE,
+    // Connectivity is cached from the same hop table, so a connected
+    // machine has no unreachable pair to list.
+    if !m.is_connected() {
+        for (a, b) in m.unreachable_pairs() {
+            r.push(
+                Diagnostic::error(
+                    codes::MACHINE_DISCONNECTED,
                     Subject::PePair(a.0, b.0),
-                    "asymmetric hop table",
-                ));
-            }
+                    "no path between these PEs: the communication cost M(p_i, p_j) is undefined",
+                )
+                .with_suggestion("add links until the topology is connected"),
+            );
         }
+    }
+    // Degenerate hop tables (impossible for the built-in machines;
+    // checked as defense in depth), reported row by row.
+    let rows: Vec<&[u32]> = m.pes().map(|p| m.dist_row(p)).collect();
+    for (a, b) in degenerate_hops(&rows) {
+        let (subject, message) = if a == b {
+            (Subject::Pe(a.0), "hops(p, p) != 0")
+        } else {
+            (Subject::PePair(a.0, b.0), "asymmetric hop table")
+        };
+        r.push(Diagnostic::error(
+            codes::HOP_TABLE_DEGENERATE,
+            subject,
+            message,
+        ));
     }
     if m.num_pes() == 1 {
         r.push(Diagnostic::warning(
@@ -192,6 +196,36 @@ pub fn analyze_machine(m: &Machine) -> Report {
         ));
     }
     r
+}
+
+/// The entries of the hop table `rows` that break `hops(p, p) = 0`
+/// (reported as `(p, p)`) or `hops(a, b) = hops(b, a)` (reported as
+/// `(a, b)`, `a < b`), sorted, i.e. in row-by-row order.  The upper
+/// triangle is compared against its mirror in [`HOP_BLOCK`]-sized
+/// square blocks, so the column-stride side of each comparison stays
+/// in cache.
+fn degenerate_hops(rows: &[&[u32]]) -> Vec<(Pe, Pe)> {
+    let n = rows.len();
+    let mut bad = Vec::new();
+    for a0 in (0..n).step_by(HOP_BLOCK) {
+        let a_end = (a0 + HOP_BLOCK).min(n);
+        for b0 in (a0..n).step_by(HOP_BLOCK) {
+            let b_end = (b0 + HOP_BLOCK).min(n);
+            for a in a0..a_end {
+                let row = rows[a];
+                if b0 == a0 && row[a] != 0 {
+                    bad.push((Pe::from_index(a), Pe::from_index(a)));
+                }
+                for b in b0.max(a + 1)..b_end {
+                    if row[b] != rows[b][a] {
+                        bad.push((Pe::from_index(a), Pe::from_index(b)));
+                    }
+                }
+            }
+        }
+    }
+    bad.sort_unstable();
+    bad
 }
 
 /// Graph × machine cross checks: PSL/iteration-bound lower bounds
@@ -483,6 +517,47 @@ mod tests {
         let r = analyze_machine(&m);
         assert_eq!(r.errors().count(), 4); // 4 unreachable pairs
         assert!(r.errors().all(|d| d.code == codes::MACHINE_DISCONNECTED));
+    }
+
+    #[test]
+    fn blocked_hop_checks_report_row_by_row() {
+        // 70 PEs span three blocks per side; corrupt entries on the
+        // diagonal, inside a block and across block boundaries, on
+        // both sides of the diagonal.
+        let n: usize = 70;
+        let mut table: Vec<Vec<u32>> = (0..n)
+            .map(|a| (0..n).map(|b| a.abs_diff(b) as u32).collect())
+            .collect();
+        for (a, b) in [
+            (5, 5),
+            (3, 40),
+            (69, 2),
+            (33, 33),
+            (31, 32),
+            (64, 65),
+            (40, 3),
+        ] {
+            table[a][b] += 7;
+        }
+        table[2][3] = u32::MAX;
+        // The unblocked row-by-row scan `analyze_machine` replaced.
+        let want: Vec<(Pe, Pe)> = (0..n)
+            .flat_map(|a| (a..n).map(move |b| (a, b)))
+            .filter(|&(a, b)| {
+                if a == b {
+                    table[a][a] != 0
+                } else {
+                    table[a][b] != table[b][a]
+                }
+            })
+            .map(|(a, b)| (Pe::from_index(a), Pe::from_index(b)))
+            .collect();
+        let rows: Vec<&[u32]> = table.iter().map(Vec::as_slice).collect();
+        assert_eq!(want.len(), 6); // (3, 40) and (40, 3) cancel out
+        assert_eq!(degenerate_hops(&rows), want);
+        let m = Machine::mesh(8, 9);
+        let rows: Vec<&[u32]> = m.pes().map(|p| m.dist_row(p)).collect();
+        assert!(degenerate_hops(&rows).is_empty());
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Criterion benchmarks of the substrate crates (B4-B5): topology
-//! distance queries, retiming analyses, schedule-table operations, and
-//! simulator throughput.
+//! builds, distance queries and machine checks, retiming analyses,
+//! schedule-table operations, and simulator throughput.
 
+use ccs_analyze::analyze_machine;
 use ccs_bounds::compute_bounds;
 use ccs_core::{startup_schedule, StartupConfig};
 use ccs_model::{Csdfg, NodeId};
 use ccs_retiming::{clock_period, critical_cycle, iteration_bound};
 use ccs_schedule::Schedule;
 use ccs_sim::{replay_static, run_self_timed};
-use ccs_topology::{Machine, Pe};
+use ccs_topology::{parse_spec, Machine, Pe, RoutingTable};
 use ccs_workloads::{random_csdfg, OpTimes, RandomGraphConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -31,6 +32,30 @@ fn bench_topology(c: &mut Criterion) {
         })
     });
     group.bench_function("build/mesh_32x32", |b| b.iter(|| Machine::mesh(32, 32)));
+    // The machine layer of a perfbench `manype-compact` job: the spec
+    // parse, Pass A's machine checks, and the communication bound.
+    group.bench_function("parse_spec/complete_128", |b| {
+        b.iter(|| parse_spec(black_box("complete:128")))
+    });
+    let mesh = Machine::mesh(32, 32);
+    group.bench_function("analyze_machine/mesh_32x32", |b| {
+        b.iter(|| analyze_machine(black_box(&mesh)))
+    });
+    group.bench_function("routing_table/mesh_32x32", |b| {
+        b.iter(|| RoutingTable::new(black_box(&mesh)))
+    });
+    let g = random_csdfg(
+        RandomGraphConfig {
+            nodes: 96,
+            back_edges: 32,
+            forward_density: 0.03,
+            ..Default::default()
+        },
+        5,
+    );
+    group.bench_function("compute_bounds/mesh_32x32_96n", |b| {
+        b.iter(|| compute_bounds(black_box(&g), &mesh))
+    });
     group.finish();
 }
 

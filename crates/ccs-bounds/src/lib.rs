@@ -39,7 +39,7 @@ use ccs_model::{Csdfg, EdgeId};
 use ccs_retiming::clock_period::{critical_chain, min_clock_period};
 use ccs_retiming::{critical_cycle, Ratio};
 use ccs_schedule::Schedule;
-use ccs_topology::{Machine, Pe, RoutingTable};
+use ccs_topology::{routing, Machine, Pe};
 use serde::{Serialize, Value};
 
 /// Which member of the bound family a certificate proves.
@@ -418,18 +418,16 @@ fn communication_bound(g: &Csdfg, m: &Machine) -> Option<Certificate> {
 
     // Cheapest possible hop distance between two *distinct* PEs that
     // can talk at all; `None` when no such pair exists (then any
-    // crossing is illegal and every split is infeasible).
-    let mut min_hop: Option<u64> = None;
-    for a in m.pes() {
-        for (j, &d) in m.dist_row(a).iter().enumerate() {
-            if j != a.index() && d != u32::MAX {
-                let d = u64::from(d);
-                if min_hop.map(|h| d < h).unwrap_or(true) {
-                    min_hop = Some(d);
-                }
-            }
-        }
-    }
+    // crossing is illegal and every split is infeasible).  Each link
+    // is a shortest path between two distinct PEs (1 hop, or 0 on the
+    // ideal machine), and a pair with no link between them is at least
+    // as far apart, so the minimum over the links is the minimum over
+    // all pairs.
+    let min_hop: Option<u64> = m
+        .links()
+        .iter()
+        .map(|&(a, b)| u64::from(m.distance(Pe::from_index(a), Pe::from_index(b))))
+        .min();
 
     // Cheapest crossing floor over all non-self edges, with each
     // edge's delay maximized over legal retimings.
@@ -478,8 +476,9 @@ fn communication_bound(g: &Csdfg, m: &Machine) -> Option<Certificate> {
     });
     let route = match (edge, min_hop) {
         (Some(_), Some(_)) => {
-            // A hop-optimal route witnessing `min_hop`, via the same
-            // deterministic BFS routing table the traffic ledger uses.
+            // A hop-optimal route witnessing `min_hop`: the first pair
+            // in row-major order at that distance, routed the way the
+            // traffic ledger's `RoutingTable` would route it.
             let mut pair: Option<(Pe, Pe)> = None;
             'outer: for a in m.pes() {
                 for (j, &d) in m.dist_row(a).iter().enumerate() {
@@ -489,14 +488,8 @@ fn communication_bound(g: &Csdfg, m: &Machine) -> Option<Certificate> {
                     }
                 }
             }
-            pair.map(|(a, b)| {
-                RoutingTable::new(m)
-                    .path(a, b)
-                    .iter()
-                    .map(|p| p.index() as u32)
-                    .collect()
-            })
-            .unwrap_or_default()
+            pair.map(|(a, b)| routing::route(m, a, b).iter().map(|p| p.0).collect())
+                .unwrap_or_default()
         }
         _ => Vec::new(),
     };
@@ -823,13 +816,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn communication_bound_charges_forced_crossing() {
-        // Four weight-2 tasks in a zero-delay diamond on 2 PEs with
-        // volume-5 edges: W=8, so 1 PE costs 8; 2 PEs cost
-        // max(ceil(8/2), crossing).  All edges are acyclic (retiming
-        // can pipeline them), so the crossing floor collapses to 1 and
-        // the compute term 4 wins the p=2 branch.
+    /// Four weight-2 tasks in a zero-delay diamond with volume-5 edges.
+    fn diamond() -> Csdfg {
         let mut g = Csdfg::new();
         let a = g.add_task("A", 2).unwrap();
         let b = g.add_task("B", 2).unwrap();
@@ -838,10 +826,40 @@ mod tests {
         for (u, v) in [(a, b), (a, c), (b, d), (c, d)] {
             g.add_dep(u, v, 0, 5).unwrap();
         }
+        g
+    }
+
+    #[test]
+    fn communication_bound_charges_forced_crossing() {
+        // The diamond on 2 PEs: W=8, so 1 PE costs 8; 2 PEs cost
+        // max(ceil(8/2), crossing).  All edges are acyclic (retiming
+        // can pipeline them), so the crossing floor collapses to 1 and
+        // the compute term 4 wins the p=2 branch.
+        let g = diamond();
         let m = Machine::linear_array(2);
         let set = compute_bounds(&g, &m);
         let cut = set.get(BoundKind::Communication).unwrap();
         assert_eq!(cut.value, 4);
+    }
+
+    #[test]
+    fn communication_witness_routes_the_first_closest_pair() {
+        let g = diamond();
+        let route = |m: &Machine| match &compute_bounds(&g, m)
+            .get(BoundKind::Communication)
+            .unwrap()
+            .witness
+        {
+            Witness::Cut { route, .. } => route.clone(),
+            w => panic!("wrong witness {w:?}"),
+        };
+        assert_eq!(route(&Machine::mesh(2, 2)), vec![0, 1]);
+        // Every pair is 0 hops apart on the ideal machine.
+        assert_eq!(route(&Machine::ideal(3)), vec![0, 1]);
+        // pe1 has no links, so the first linked pair is (pe2, pe3); the
+        // route needs only that pair's partition to be connected.
+        let islands = Machine::from_links("islands", 6, &[(3, 4), (4, 5), (1, 2)]);
+        assert_eq!(route(&islands), vec![1, 2]);
     }
 
     #[test]

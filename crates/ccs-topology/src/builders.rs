@@ -1,14 +1,30 @@
 //! Constructors for the architectures of the paper (Figure 5) plus a few
 //! natural extensions.
+//!
+//! Every regular builder fills its hop table from the closed-form
+//! distance of its topology, row by row; only the irregular shapes
+//! (the binary tree, random and user link lists) go through the BFS of
+//! [`Machine::from_links`].  The link lists are emitted normalized and
+//! duplicate-free, in the order `from_links` would report them.
 
-use crate::machine::Machine;
+use crate::machine::{normalize_links, Machine};
 use crate::pe::Pe;
+
+/// Fills PE `a`'s hop-table row with `f(a, b)` for every PE `b`.
+fn fill(a: usize, row: &mut [u32], f: impl Fn(Pe, Pe) -> u32) {
+    let a = Pe::from_index(a);
+    for (b, d) in (0u32..).zip(row.iter_mut()) {
+        *d = f(a, Pe(b));
+    }
+}
 
 impl Machine {
     /// Linear array of `n` PEs: `pe1 - pe2 - ... - peN` (Figure 5a).
     pub fn linear_array(n: usize) -> Machine {
-        let links: Vec<_> = (0..n.saturating_sub(1)).map(|i| (i, i + 1)).collect();
-        Machine::from_links(format!("Linear Array {n}"), n, &links)
+        let links = (0..n.saturating_sub(1)).map(|i| (i, i + 1)).collect();
+        Machine::with_rows(format!("Linear Array {n}"), n, links, |a, row| {
+            fill(a, row, closed_form::linear)
+        })
     }
 
     /// Bidirectional ring of `n` PEs (Figure 5b).
@@ -16,9 +32,11 @@ impl Machine {
         assert!(n >= 1);
         let mut links: Vec<_> = (0..n.saturating_sub(1)).map(|i| (i, i + 1)).collect();
         if n > 2 {
-            links.push((n - 1, 0));
+            links.push((0, n - 1));
         }
-        Machine::from_links(format!("Ring {n}"), n, &links)
+        Machine::with_rows(format!("Ring {n}"), n, links, |a, row| {
+            fill(a, row, |a, b| closed_form::ring(n, a, b))
+        })
     }
 
     /// Completely connected machine of `n` PEs (Figure 5c).
@@ -29,7 +47,9 @@ impl Machine {
                 links.push((a, b));
             }
         }
-        Machine::from_links(format!("Completely Connected {n}"), n, &links)
+        Machine::with_rows(format!("Completely Connected {n}"), n, links, |a, row| {
+            fill(a, row, closed_form::complete)
+        })
     }
 
     /// 2-D mesh with `rows * cols` PEs, numbered row-major (Figure 5d).
@@ -47,7 +67,16 @@ impl Machine {
                 }
             }
         }
-        Machine::from_links(format!("2-D Mesh {rows}x{cols}"), n, &links)
+        // `closed_form::mesh`, one grid row at a time.
+        Machine::with_rows(format!("2-D Mesh {rows}x{cols}"), n, links, |a, row| {
+            let (r0, c0) = (a / cols, a % cols);
+            for (r, cells) in row.chunks_exact_mut(cols).enumerate() {
+                let dr = r.abs_diff(r0);
+                for (c, d) in cells.iter_mut().enumerate() {
+                    *d = (dr + c.abs_diff(c0)) as u32;
+                }
+            }
+        })
     }
 
     /// 2-D torus (mesh with wrap-around links), numbered row-major.
@@ -65,7 +94,19 @@ impl Machine {
                 }
             }
         }
-        Machine::from_links(format!("Torus {rows}x{cols}"), n, &links)
+        // Tori two PEs wide link each pair twice, once each way round.
+        let links = normalize_links(n, &links);
+        // `closed_form::torus`, one grid row at a time.
+        let wrap = |d: usize, len: usize| d.min(len - d);
+        Machine::with_rows(format!("Torus {rows}x{cols}"), n, links, |a, row| {
+            let (r0, c0) = (a / cols, a % cols);
+            for (r, cells) in row.chunks_exact_mut(cols).enumerate() {
+                let dr = wrap(r.abs_diff(r0), rows);
+                for (c, d) in cells.iter_mut().enumerate() {
+                    *d = (dr + wrap(c.abs_diff(c0), cols)) as u32;
+                }
+            }
+        })
     }
 
     /// `dim`-cube with `2^dim` PEs; PEs are adjacent when their indices
@@ -82,13 +123,24 @@ impl Machine {
                 }
             }
         }
-        Machine::from_links(format!("{dim}-cube"), n, &links)
+        Machine::with_rows(format!("{dim}-cube"), n, links, |a, row| {
+            fill(a, row, closed_form::hypercube)
+        })
     }
 
     /// Star: PE 0 is the hub, all others are leaves.
     pub fn star(n: usize) -> Machine {
-        let links: Vec<_> = (1..n).map(|i| (0, i)).collect();
-        Machine::from_links(format!("Star {n}"), n, &links)
+        let links = (1..n).map(|i| (0, i)).collect();
+        // One hop to or from the hub, two between leaves.
+        Machine::with_rows(format!("Star {n}"), n, links, |a, row| {
+            if a == 0 {
+                row.fill(1);
+            } else {
+                row.fill(2);
+                row[0] = 1;
+            }
+            row[a] = 0;
+        })
     }
 
     /// Complete binary tree with `n` PEs, numbered level order
@@ -119,7 +171,8 @@ impl Machine {
     }
 }
 
-/// Closed-form hop distances, used to cross-check the BFS matrices.
+/// Closed-form hop distances: the builders fill their hop tables from
+/// these formulas.
 pub mod closed_form {
     use super::Pe;
 
@@ -165,27 +218,27 @@ pub mod closed_form {
 mod tests {
     use super::*;
 
-    fn check_against(m: &Machine, f: impl Fn(Pe, Pe) -> u32) {
-        for a in m.pes() {
-            for b in m.pes() {
-                assert_eq!(m.distance(a, b), f(a, b), "{} {a}->{b}", m.name());
-            }
-        }
+    /// Asserts that `m` equals the machine BFS builds from its links,
+    /// compared as the whole struct: name, links in order, every hop
+    /// table entry, connectivity and diameter.
+    fn check_against_bfs(m: &Machine) {
+        let twin = Machine::from_links(m.name(), m.num_pes(), m.links());
+        assert!(*m == twin, "{} differs from its BFS twin", m.name());
     }
 
     #[test]
-    fn linear_array_matches_closed_form() {
+    fn linear_array_matches_bfs() {
         let m = Machine::linear_array(8);
-        check_against(&m, closed_form::linear);
+        check_against_bfs(&m);
         assert_eq!(m.diameter(), 7);
         assert_eq!(m.degree(Pe(0)), 1);
         assert_eq!(m.degree(Pe(3)), 2);
     }
 
     #[test]
-    fn ring_matches_closed_form() {
+    fn ring_matches_bfs() {
         let m = Machine::ring(8);
-        check_against(&m, |a, b| closed_form::ring(8, a, b));
+        check_against_bfs(&m);
         assert_eq!(m.diameter(), 4);
         for p in m.pes() {
             assert_eq!(m.degree(p), 2);
@@ -200,18 +253,17 @@ mod tests {
     }
 
     #[test]
-    fn complete_matches_closed_form() {
+    fn complete_matches_bfs() {
         let m = Machine::complete(8);
-        check_against(&m, closed_form::complete);
+        check_against_bfs(&m);
         assert_eq!(m.diameter(), 1);
         assert_eq!(m.links().len(), 28);
     }
 
     #[test]
-    fn mesh_matches_closed_form() {
+    fn mesh_matches_bfs() {
         for (r, c) in [(2, 2), (4, 2), (3, 3), (2, 4)] {
-            let m = Machine::mesh(r, c);
-            check_against(&m, |a, b| closed_form::mesh(c, a, b));
+            check_against_bfs(&Machine::mesh(r, c));
         }
     }
 
@@ -227,21 +279,58 @@ mod tests {
     }
 
     #[test]
-    fn torus_matches_closed_form() {
+    fn torus_matches_bfs() {
         for (r, c) in [(3, 3), (4, 2), (2, 5)] {
-            let m = Machine::torus(r, c);
-            check_against(&m, |a, b| closed_form::torus(r, c, a, b));
+            check_against_bfs(&Machine::torus(r, c));
         }
     }
 
     #[test]
-    fn hypercube_matches_closed_form() {
+    fn hypercube_matches_bfs() {
         for dim in 1..=4 {
             let m = Machine::hypercube(dim);
-            check_against(&m, closed_form::hypercube);
+            check_against_bfs(&m);
             assert_eq!(m.diameter(), dim);
             for p in m.pes() {
                 assert_eq!(m.degree(p), dim as usize);
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_and_large_sizes_match_bfs() {
+        let mut machines = vec![Machine::mesh(32, 32), Machine::complete(128)];
+        for n in 1..=2 {
+            machines.extend([
+                Machine::linear_array(n),
+                Machine::complete(n),
+                Machine::star(n),
+            ]);
+        }
+        machines.extend((1..=3).map(Machine::ring));
+        for k in 1..=4 {
+            machines.extend([
+                Machine::mesh(1, k),
+                Machine::mesh(k, 1),
+                Machine::torus(1, k),
+                Machine::torus(2, k),
+            ]);
+        }
+        machines.extend((0..=4).map(Machine::hypercube));
+        for m in &machines {
+            check_against_bfs(m);
+        }
+    }
+
+    #[test]
+    fn grid_closed_forms_match_the_row_fills() {
+        // The mesh and torus builders inline these formulas row by row.
+        let mesh = Machine::mesh(3, 4);
+        let torus = Machine::torus(3, 4);
+        for a in mesh.pes() {
+            for b in mesh.pes() {
+                assert_eq!(mesh.distance(a, b), closed_form::mesh(4, a, b));
+                assert_eq!(torus.distance(a, b), closed_form::torus(3, 4, a, b));
             }
         }
     }

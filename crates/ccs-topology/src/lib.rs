@@ -6,10 +6,16 @@
 //! tree as extensions, all reduced to one uniform abstraction:
 //!
 //! * [`Machine`] — a set of PEs, an undirected link list, and all-pairs
-//!   hop distances (BFS), exposing the paper's communication function
-//!   `M(p_i, p_j) = hops * volume` as [`Machine::comm_cost`];
-//! * [`builders::closed_form`] — analytic distance formulas used to
-//!   cross-check the BFS matrices in tests.
+//!   hop distances, exposing the paper's communication function
+//!   `M(p_i, p_j) = hops * volume` as [`Machine::comm_cost`].  The
+//!   regular builders fill the distance table from
+//!   [`builders::closed_form`]'s analytic formulas; the binary tree,
+//!   random machines and user link lists ([`Machine::from_links`]) get
+//!   it from per-source BFS, which the tests use as the reference.
+//!   Connectivity and diameter are computed once, at construction;
+//! * [`RoutingTable`] and [`routing::route`] — deterministic
+//!   shortest-path routes for the contention simulator, the traffic
+//!   ledger and the communication bound's witness.
 //!
 //! Communication follows the paper's model (Definition 3.5):
 //! store-and-forward over contention-free multiple channels, cost
@@ -40,12 +46,19 @@ mod proptests {
             (3usize..10).prop_map(Machine::ring),
             (1usize..10).prop_map(Machine::complete),
             ((1usize..5), (1usize..5)).prop_map(|(r, c)| Machine::mesh(r, c)),
+            ((1usize..5), (1usize..5)).prop_map(|(r, c)| Machine::torus(r, c)),
             (1u32..5).prop_map(Machine::hypercube),
             (2usize..10).prop_map(Machine::star),
         ]
     }
 
     proptest! {
+        #[test]
+        fn closed_forms_equal_bfs(m in arb_machine()) {
+            let twin = Machine::from_links(m.name(), m.num_pes(), m.links());
+            prop_assert!(m == twin, "{} differs from its BFS twin", m.name());
+        }
+
         #[test]
         fn distances_form_a_metric(m in arb_machine()) {
             for a in m.pes() {

@@ -1,7 +1,7 @@
 //! The target machine: a set of PEs plus a hop-distance matrix.
 
 use crate::pe::Pe;
-use std::collections::VecDeque;
+use crate::routing::Adjacency;
 use std::fmt;
 
 /// A target parallel machine.
@@ -11,7 +11,8 @@ use std::fmt;
 /// with volume `m` from `p_i` to `p_j` costs
 /// `M(p_i, p_j) = hops(p_i, p_j) * m` control steps, zero when
 /// `p_i == p_j`.  A `Machine` therefore only needs the undirected link
-/// set and the all-pairs hop distances derived from it.
+/// set and the all-pairs hop distances derived from it: closed forms
+/// for the regular builders, per-source BFS for [`Machine::from_links`].
 ///
 /// ```
 /// use ccs_topology::{Machine, Pe};
@@ -34,6 +35,9 @@ pub struct Machine {
     /// can reject disconnected machines once at entry instead of
     /// re-checking (or asserting) inside the candidate-scan hot path.
     connected: bool,
+    /// Cached at construction: the largest finite hop distance, read
+    /// by [`Machine::diameter`].
+    diameter: u32,
 }
 
 impl Machine {
@@ -47,48 +51,54 @@ impl Machine {
     /// Panics if `n == 0` or a link endpoint is out of range.
     pub fn from_links(name: impl Into<String>, n: usize, links: &[(usize, usize)]) -> Self {
         assert!(n > 0, "a machine needs at least one PE");
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut norm: Vec<(usize, usize)> = Vec::new();
-        // Set-based dedup: the dense builders (`complete`, `ncube`)
-        // emit O(n^2) links, so a linear `contains` scan here made
-        // construction quadratic in the link count.  `norm` still
-        // records first-seen order for a stable public link list.
-        let mut seen: std::collections::BTreeSet<(usize, usize)> =
-            std::collections::BTreeSet::new();
-        for &(a, b) in links {
-            assert!(a < n && b < n, "link ({a},{b}) out of range for {n} PEs");
-            if a == b {
-                continue;
+        let links = normalize_links(n, links);
+        let adj = Adjacency::new(n, &links);
+        let (mut parent, mut queue) = (vec![0; n], Vec::with_capacity(n));
+        Machine::with_rows(name, n, links, |src, row| {
+            // `queue` lists the PEs the search reached, each after its
+            // parent; PEs of other partitions stay unreachable.
+            adj.bfs(src, &mut parent, &mut queue);
+            row.fill(u32::MAX);
+            row[src] = 0;
+            for &v in &queue[1..] {
+                row[v as usize] = row[parent[v as usize] as usize] + 1;
             }
-            let key = (a.min(b), a.max(b));
-            if seen.insert(key) {
-                norm.push(key);
-                adj[a].push(b);
-                adj[b].push(a);
+        })
+    }
+
+    /// Builds a machine from a normalized, duplicate-free link list
+    /// (each link once, `a < b`) and a hop-table row filler:
+    /// `fill_row(p, row)` writes the distances from PE `p` into the
+    /// zeroed `row`.  Connectivity and diameter are folded from each
+    /// row right after it is filled, while it is still in cache.
+    pub(crate) fn with_rows(
+        name: impl Into<String>,
+        n: usize,
+        links: Vec<(usize, usize)>,
+        mut fill_row: impl FnMut(usize, &mut [u32]),
+    ) -> Self {
+        assert!(n > 0, "a machine needs at least one PE");
+        let mut dist = vec![0u32; n * n];
+        // `d + 1` wraps the unreachable marker to 0, so the smallest
+        // shifted entry is 0 exactly when some pair is unreachable and
+        // the largest is one more than the largest finite distance
+        // (at least 1: every row has its zero diagonal).
+        let (mut lo, mut hi) = (u32::MAX, 0);
+        for (src, row) in dist.chunks_exact_mut(n).enumerate() {
+            fill_row(src, row);
+            for &d in row.iter() {
+                let shifted = d.wrapping_add(1);
+                lo = lo.min(shifted);
+                hi = hi.max(shifted);
             }
         }
-        let mut dist = vec![u32::MAX; n * n];
-        for src in 0..n {
-            let mut queue = VecDeque::new();
-            dist[src * n + src] = 0;
-            queue.push_back(src);
-            while let Some(u) = queue.pop_front() {
-                let du = dist[src * n + u];
-                for &v in &adj[u] {
-                    if dist[src * n + v] == u32::MAX {
-                        dist[src * n + v] = du + 1;
-                        queue.push_back(v);
-                    }
-                }
-            }
-        }
-        let connected = dist.iter().all(|&d| d != u32::MAX);
         Machine {
             name: name.into(),
             n,
             dist,
-            links: norm,
-            connected,
+            links,
+            connected: lo != 0,
+            diameter: hi - 1,
         }
     }
 
@@ -107,13 +117,7 @@ impl Machine {
                 links.push((a, b));
             }
         }
-        Machine {
-            name: format!("Ideal {n}"),
-            n,
-            dist: vec![0; n * n],
-            links,
-            connected: true,
-        }
+        Machine::with_rows(format!("Ideal {n}"), n, links, |_, _| {})
     }
 
     /// Machine name (e.g. `"2-D Mesh 4x2"`).
@@ -135,7 +139,7 @@ impl Machine {
     /// Hop distance between two PEs (0 for `a == b`).
     ///
     /// Connectivity is a *construction-time* property: it is computed
-    /// once by [`Machine::from_links`] and exposed through the O(1)
+    /// once when the hop table is built and exposed through the O(1)
     /// [`Machine::is_connected`], which schedulers check at entry.
     /// The hot path here is therefore a branch-free table read in
     /// release builds; debug builds still panic on a cross-partition
@@ -236,18 +240,11 @@ impl Machine {
             .count()
     }
 
-    /// Maximum hop distance over all PE pairs.
+    /// Maximum hop distance over all reachable PE pairs.  O(1): cached
+    /// at construction.
+    #[inline]
     pub fn diameter(&self) -> u32 {
-        let mut best = 0;
-        for a in 0..self.n {
-            for b in 0..self.n {
-                let d = self.dist[a * self.n + b];
-                if d != u32::MAX {
-                    best = best.max(d);
-                }
-            }
-        }
-        best
+        self.diameter
     }
 
     /// Mean hop distance over ordered distinct PE pairs.
@@ -295,6 +292,31 @@ impl fmt::Display for Machine {
             self.diameter()
         )
     }
+}
+
+/// Normalizes an undirected link list: each link once, as `(min, max)`,
+/// in first-seen order, with self-links dropped.
+///
+/// # Panics
+///
+/// Panics if a link endpoint is out of range.
+pub(crate) fn normalize_links(n: usize, links: &[(usize, usize)]) -> Vec<(usize, usize)> {
+    let mut norm = Vec::with_capacity(links.len());
+    // Set-based dedup: the dense link lists (`complete`, `ideal`) have
+    // O(n^2) links, so a linear `contains` scan here was quadratic in
+    // the link count.
+    let mut seen = std::collections::BTreeSet::new();
+    for &(a, b) in links {
+        assert!(a < n && b < n, "link ({a},{b}) out of range for {n} PEs");
+        if a == b {
+            continue;
+        }
+        let key = (a.min(b), a.max(b));
+        if seen.insert(key) {
+            norm.push(key);
+        }
+    }
+    norm
 }
 
 #[cfg(test)]

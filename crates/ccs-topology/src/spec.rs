@@ -24,6 +24,11 @@ fn err(msg: impl Into<String>) -> SpecError {
     SpecError(msg.into())
 }
 
+/// The most PEs a [`parse_spec`] machine may have.  Its hop table holds
+/// `MAX_PES²` `u32` entries, 64 MiB; the largest machine the tests,
+/// benches and benchmark workloads build has 1024 PEs (4 MiB).
+pub const MAX_PES: usize = 4096;
+
 /// Parses a machine specification:
 ///
 /// | spec | machine |
@@ -38,6 +43,9 @@ fn err(msg: impl Into<String>) -> SpecError {
 /// | `tree:N` | complete binary tree |
 /// | `ideal:N` | zero-cost PRAM-style machine |
 /// | `random:N:S` | random connected machine, `N` PEs, seed `S` |
+///
+/// Every machine has 1 to [`MAX_PES`] PEs; larger specs are rejected
+/// before any table is allocated.
 pub fn parse_spec(spec: &str) -> Result<Machine, SpecError> {
     let mut parts = spec.split(':');
     let kind = parts.next().ok_or_else(|| err("empty spec"))?;
@@ -51,11 +59,23 @@ pub fn parse_spec(spec: &str) -> Result<Machine, SpecError> {
     let n = |s: &str| -> Result<usize, SpecError> {
         s.parse().map_err(|_| err(format!("bad count {s:?}")))
     };
+    // Checks a PE count against `1..=MAX_PES`; `None` is a count that
+    // overflowed `usize`.
+    let pes = |count: Option<usize>| -> Result<usize, SpecError> {
+        match count {
+            Some(0) => Err(err("machine size must be >= 1")),
+            Some(p) if p <= MAX_PES => Ok(p),
+            _ => Err(err(format!("{spec:?}: more than {MAX_PES} PEs"))),
+        }
+    };
+    let count = |s: &str| pes(Some(n(s)?));
     let grid = |s: &str| -> Result<(usize, usize), SpecError> {
         let (r, c) = s
             .split_once('x')
             .ok_or_else(|| err(format!("grid size {s:?} must look like RxC")))?;
-        Ok((n(r)?, n(c)?))
+        let (r, c) = (n(r)?, n(c)?);
+        pes(r.checked_mul(c))?;
+        Ok((r, c))
     };
     if tail.is_some() && kind != "random" {
         return Err(err(format!(
@@ -63,29 +83,25 @@ pub fn parse_spec(spec: &str) -> Result<Machine, SpecError> {
         )));
     }
     let m = match kind {
-        "linear" => Machine::linear_array(check_nonzero(n(size)?)?),
-        "ring" => Machine::ring(check_nonzero(n(size)?)?),
-        "complete" => Machine::complete(check_nonzero(n(size)?)?),
-        "ideal" => Machine::ideal(check_nonzero(n(size)?)?),
-        "star" => Machine::star(check_nonzero(n(size)?)?),
-        "tree" => Machine::binary_tree(check_nonzero(n(size)?)?),
+        "linear" => Machine::linear_array(count(size)?),
+        "ring" => Machine::ring(count(size)?),
+        "complete" => Machine::complete(count(size)?),
+        "ideal" => Machine::ideal(count(size)?),
+        "star" => Machine::star(count(size)?),
+        "tree" => Machine::binary_tree(count(size)?),
         "hypercube" => {
             let d: u32 = size
                 .parse()
                 .map_err(|_| err(format!("bad dimension {size:?}")))?;
-            if d > 16 {
-                return Err(err("hypercube dimension > 16 is unreasonable"));
-            }
+            pes(1usize.checked_shl(d))?;
             Machine::hypercube(d)
         }
         "mesh" => {
             let (r, c) = grid(size)?;
-            check_nonzero(r * c)?;
             Machine::mesh(r, c)
         }
         "torus" => {
             let (r, c) = grid(size)?;
-            check_nonzero(r * c)?;
             Machine::torus(r, c)
         }
         "random" => {
@@ -93,19 +109,11 @@ pub fn parse_spec(spec: &str) -> Result<Machine, SpecError> {
                 .ok_or_else(|| err("random:N:SEED needs a seed"))?
                 .parse()
                 .map_err(|_| err("bad seed"))?;
-            random_machine(check_nonzero(n(size)?)?, seed)
+            random_machine(count(size)?, seed)
         }
         other => return Err(err(format!("unknown machine kind {other:?}"))),
     };
     Ok(m)
-}
-
-fn check_nonzero(n: usize) -> Result<usize, SpecError> {
-    if n == 0 {
-        Err(err("machine size must be >= 1"))
-    } else {
-        Ok(n)
-    }
 }
 
 /// A random connected machine: a random spanning tree plus `~n/2`
@@ -168,9 +176,32 @@ mod tests {
             "random:5",
             "ring:5:7",
             "mesh:2x3:4:5",
+            "mesh:0x4",
+            // Hop tables past MAX_PES², and PE counts that overflow.
+            "mesh:300x300",
+            "torus:65x64",
+            "mesh:5000000000x5000000000",
+            "torus:4294967296x4294967296",
+            "hypercube:13",
+            "hypercube:16",
+            "hypercube:64",
+            "complete:100000",
+            "ring:18446744073709551615",
+            "linear:4097",
+            "ideal:4097",
+            "star:4097",
+            "tree:4097",
+            "random:4097:1",
         ] {
             assert!(parse_spec(spec).is_err(), "{spec:?} should fail");
         }
+    }
+
+    #[test]
+    fn pe_limit_is_inclusive() {
+        assert_eq!(parse_spec("mesh:64x64").unwrap().num_pes(), MAX_PES);
+        let e = parse_spec("mesh:300x300").unwrap_err();
+        assert!(e.to_string().contains("more than 4096 PEs"), "{e}");
     }
 
     #[test]

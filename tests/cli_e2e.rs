@@ -192,6 +192,27 @@ fn machines_lists_specs_and_details() {
 }
 
 #[test]
+fn oversized_machine_specs_are_rejected_before_allocating() {
+    // Each of these would need a hop table of gigabytes (or overflow
+    // computing its size); the spec parser refuses them up front.
+    for spec in [
+        "mesh:300x300",
+        "hypercube:16",
+        "complete:100000",
+        "ring:18446744073709551615",
+        "mesh:5000000000x5000000000",
+    ] {
+        let machines = bin().args(["machines", spec]).output().unwrap();
+        let schedule = run_with_stdin(&["schedule", "-", "--machine", spec], GRAPH);
+        for (what, out) in [("machines", machines), ("schedule", schedule)] {
+            assert_eq!(out.status.code(), Some(1), "{what} {spec}");
+            let err = String::from_utf8_lossy(&out.stderr).to_string();
+            assert!(err.contains("bad machine spec"), "{what} {spec}: {err}");
+        }
+    }
+}
+
+#[test]
 fn workloads_roundtrip_through_schedule() {
     let out = bin().args(["workloads", "fig1"]).output().unwrap();
     let graph = stdout_of(&out);
