@@ -4,6 +4,7 @@
 //! oracle in `ccs-core`) and the `ccsc-check` CLI.
 
 use crate::diag::{codes, Diagnostic, Report, Subject};
+use ccs_model::analysis::weak_components;
 use ccs_model::spec::CsdfgSpec;
 use ccs_model::{Csdfg, ModelError, NodeId};
 use ccs_retiming::iteration_bound;
@@ -409,30 +410,6 @@ fn edge_subject(g: &Csdfg, e: ccs_model::EdgeId) -> Subject {
         src: g.name(u).to_string(),
         dst: g.name(v).to_string(),
     }
-}
-
-/// Number of weakly-connected components (0 for an empty graph).
-fn weak_components(g: &Csdfg) -> usize {
-    let bound = g.graph().node_bound();
-    let mut parent: Vec<usize> = (0..bound).collect();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
-    for e in g.deps() {
-        let (u, v) = g.endpoints(e);
-        let (ru, rv) = (find(&mut parent, u.index()), find(&mut parent, v.index()));
-        if ru != rv {
-            parent[ru] = rv;
-        }
-    }
-    let mut roots: Vec<usize> = g.tasks().map(|v| find(&mut parent, v.index())).collect();
-    roots.sort_unstable();
-    roots.dedup();
-    roots.len()
 }
 
 #[cfg(test)]

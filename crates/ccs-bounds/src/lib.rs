@@ -35,6 +35,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use ccs_model::analysis::weak_components;
 use ccs_model::{Csdfg, EdgeId};
 use ccs_retiming::clock_period::{critical_chain, min_clock_period};
 use ccs_retiming::{critical_cycle, Ratio};
@@ -327,29 +328,6 @@ fn critical_path_bound(g: &Csdfg) -> Option<Certificate> {
     })
 }
 
-/// Number of weakly connected components of `g` (self-loops ignored).
-fn weak_components(g: &Csdfg) -> usize {
-    let n = g.graph().node_bound();
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
-    for e in g.deps() {
-        let (u, v) = g.endpoints(e);
-        let (ru, rv) = (find(&mut parent, u.index()), find(&mut parent, v.index()));
-        if ru != rv {
-            parent[ru.max(rv)] = ru.min(rv);
-        }
-    }
-    g.tasks()
-        .filter(|&v| find(&mut parent, v.index()) == v.index())
-        .count()
-}
-
 /// The maximum delay any *legal* retiming can place on each edge:
 /// `d(e) + min-delay-path(dst -> src)`, or `None` when the edge lies
 /// on no cycle (retiming can pipeline it arbitrarily deep).
@@ -360,7 +338,7 @@ fn weak_components(g: &Csdfg) -> usize {
 /// it, which the retiming invariant caps.
 fn max_retimed_delays(g: &Csdfg) -> Vec<Option<u64>> {
     let graph = g.graph();
-    let n = graph.node_bound();
+    let n = graph.node_count();
     // All-pairs min-delay distances via repeated Dijkstra (delay
     // weights are non-negative; graphs in this domain are small).
     let mut dist = vec![vec![u64::MAX; n]; n];

@@ -42,7 +42,6 @@ pub mod baselines;
 pub mod compact;
 pub mod optimal;
 pub mod oracle;
-pub mod presets;
 pub mod priority;
 pub mod refine;
 pub mod remap;

@@ -71,7 +71,7 @@ pub(crate) fn startup_probed<P: Probe>(
         });
     }
 
-    let bound = g.graph().node_bound();
+    let bound = g.task_count();
     // Remaining zero-delay in-degree per node.
     let mut pending = vec![0usize; bound];
     for v in g.tasks() {

@@ -1,106 +1,6 @@
-//! Enumeration of elementary cycles (Johnson's algorithm).
-//!
-//! Used by the retiming substrate to cross-check cycle invariants
-//! (total delay around any cycle is retiming-invariant) and by tests of
-//! the iteration bound.  Exponential in the worst case — intended for
-//! the small/medium graphs of this domain, and capped by `max_cycles`.
+//! One directed cycle of an edge-filtered sub-graph (iterative DFS).
 
-use crate::algo::scc::tarjan_scc;
-use crate::{DiGraph, NodeId};
-
-/// Enumerates elementary cycles of `g` as node sequences
-/// (`[a, b, c]` means the cycle `a -> b -> c -> a`).
-///
-/// Stops early once `max_cycles` cycles were collected. Self-loops are
-/// reported as single-node cycles.  Parallel edges between the same node
-/// pair yield a single reported cycle per node sequence.
-pub fn elementary_cycles<N, E>(g: &DiGraph<N, E>, max_cycles: usize) -> Vec<Vec<NodeId>> {
-    let mut cycles = Vec::new();
-    // Work SCC by SCC; cycles never cross SCC boundaries.
-    for scc in tarjan_scc(g) {
-        if cycles.len() >= max_cycles {
-            break;
-        }
-        if scc.len() == 1 {
-            let v = scc[0];
-            if g.successors(v).any(|s| s == v) {
-                cycles.push(vec![v]);
-            }
-            continue;
-        }
-        let mut in_scc = vec![false; g.node_bound()];
-        for &v in &scc {
-            in_scc[v.index()] = true;
-        }
-        // Johnson-style DFS from the smallest node of the SCC, restricted
-        // to nodes >= start to avoid duplicates, repeated per start node.
-        let mut members = scc.clone();
-        members.sort();
-        for &start in &members {
-            if cycles.len() >= max_cycles {
-                break;
-            }
-            dfs_cycles(g, start, &in_scc, max_cycles, &mut cycles);
-        }
-    }
-    cycles
-}
-
-fn dfs_cycles<N, E>(
-    g: &DiGraph<N, E>,
-    start: NodeId,
-    in_scc: &[bool],
-    max_cycles: usize,
-    cycles: &mut Vec<Vec<NodeId>>,
-) {
-    let mut path: Vec<NodeId> = vec![start];
-    let mut on_path = vec![false; g.node_bound()];
-    on_path[start.index()] = true;
-    // (node, successor cursor)
-    let mut stack: Vec<(NodeId, usize)> = vec![(start, 0)];
-
-    while let Some(&mut (node, ref mut cursor)) = stack.last_mut() {
-        let mut advanced = false;
-        // Deduplicate successors lazily via cursor walk.
-        while let Some(next) = g.successors(node).nth(*cursor) {
-            *cursor += 1;
-            if !in_scc[next.index()] || next < start {
-                continue; // outside SCC or handled by a smaller start node
-            }
-            if next == start {
-                if path.len() > 1 || node == start {
-                    // A cycle back to the root; record unless it's a
-                    // duplicate of an immediately preceding parallel edge.
-                    if cycles.last().map(|c| c != &path).unwrap_or(true) {
-                        cycles.push(path.clone());
-                    }
-                    if cycles.len() >= max_cycles {
-                        return;
-                    }
-                }
-                continue;
-            }
-            if on_path[next.index()] {
-                continue;
-            }
-            on_path[next.index()] = true;
-            path.push(next);
-            stack.push((next, 0));
-            advanced = true;
-            break;
-        }
-        if !advanced {
-            stack.pop();
-            let done = path.pop().expect("path tracks stack");
-            on_path[done.index()] = false;
-        }
-    }
-}
-
-/// Returns `true` if `g` has at least one directed cycle.
-pub fn has_cycle<N, E>(g: &DiGraph<N, E>) -> bool {
-    crate::algo::topo::topo_sort(g).is_err()
-}
+use crate::{DiGraph, EdgeId, NodeId};
 
 /// Finds one directed cycle in the sub-graph selected by `edge_keep`,
 /// as a node sequence (`[a, b, c]` means `a -> b -> c -> a`), or
@@ -112,10 +12,10 @@ pub fn has_cycle<N, E>(g: &DiGraph<N, E>) -> bool {
 /// behind a max-cycle-ratio certificate.
 pub fn find_cycle_filtered<N, E>(
     g: &DiGraph<N, E>,
-    mut edge_keep: impl FnMut(crate::EdgeId) -> bool,
+    mut edge_keep: impl FnMut(EdgeId) -> bool,
 ) -> Option<Vec<NodeId>> {
     // 0 = white, 1 = on the current DFS path, 2 = done.
-    let mut color = vec![0u8; g.node_bound()];
+    let mut color = vec![0u8; g.node_count()];
     let mut path: Vec<NodeId> = Vec::new();
     // (node, out-edge cursor)
     let mut stack: Vec<(NodeId, usize)> = Vec::new();
@@ -190,65 +90,6 @@ mod tests {
     }
 
     #[test]
-    fn triangle_has_one_cycle() {
-        let mut g: DiGraph<(), ()> = DiGraph::new();
-        let n: Vec<_> = (0..3).map(|_| g.add_node(())).collect();
-        g.add_edge(n[0], n[1], ());
-        g.add_edge(n[1], n[2], ());
-        g.add_edge(n[2], n[0], ());
-        assert_eq!(norm(elementary_cycles(&g, 100)), vec![vec![0, 1, 2]]);
-    }
-
-    #[test]
-    fn two_overlapping_cycles() {
-        // 0 -> 1 -> 0 and 0 -> 1 -> 2 -> 0
-        let mut g: DiGraph<(), ()> = DiGraph::new();
-        let n: Vec<_> = (0..3).map(|_| g.add_node(())).collect();
-        g.add_edge(n[0], n[1], ());
-        g.add_edge(n[1], n[0], ());
-        g.add_edge(n[1], n[2], ());
-        g.add_edge(n[2], n[0], ());
-        assert_eq!(
-            norm(elementary_cycles(&g, 100)),
-            vec![vec![0, 1], vec![0, 1, 2]]
-        );
-    }
-
-    #[test]
-    fn self_loop_reported() {
-        let mut g: DiGraph<(), ()> = DiGraph::new();
-        let a = g.add_node(());
-        g.add_edge(a, a, ());
-        assert_eq!(norm(elementary_cycles(&g, 100)), vec![vec![0]]);
-    }
-
-    #[test]
-    fn dag_has_no_cycles() {
-        let mut g: DiGraph<(), ()> = DiGraph::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        g.add_edge(a, b, ());
-        assert!(elementary_cycles(&g, 100).is_empty());
-        assert!(!has_cycle(&g));
-    }
-
-    #[test]
-    fn max_cycles_caps_enumeration() {
-        // Complete digraph on 5 nodes has many elementary cycles.
-        let mut g: DiGraph<(), ()> = DiGraph::new();
-        let n: Vec<_> = (0..5).map(|_| g.add_node(())).collect();
-        for i in 0..5 {
-            for j in 0..5 {
-                if i != j {
-                    g.add_edge(n[i], n[j], ());
-                }
-            }
-        }
-        let cycles = elementary_cycles(&g, 7);
-        assert_eq!(cycles.len(), 7);
-    }
-
-    #[test]
     fn find_cycle_filtered_respects_filter() {
         // 0 -> 1 -> 0 (edge ids 0,1) and 1 -> 2 -> 1 (edge ids 2,3).
         let mut g: DiGraph<(), ()> = DiGraph::new();
@@ -275,22 +116,5 @@ mod tests {
         assert!(find_cycle_filtered(&g, |_| true).is_none());
         g.add_edge(b, b, ());
         assert_eq!(find_cycle_filtered(&g, |_| true), Some(vec![b]));
-    }
-
-    #[test]
-    fn cycles_do_not_cross_scc_boundaries() {
-        // (0 <-> 1) -> (2 <-> 3)
-        let mut g: DiGraph<(), ()> = DiGraph::new();
-        let n: Vec<_> = (0..4).map(|_| g.add_node(())).collect();
-        g.add_edge(n[0], n[1], ());
-        g.add_edge(n[1], n[0], ());
-        g.add_edge(n[1], n[2], ());
-        g.add_edge(n[2], n[3], ());
-        g.add_edge(n[3], n[2], ());
-        assert_eq!(
-            norm(elementary_cycles(&g, 100)),
-            vec![vec![0, 1], vec![2, 3]]
-        );
-        assert!(has_cycle(&g));
     }
 }

@@ -1,4 +1,5 @@
-//! Weighted path computations: DAG longest paths and Bellman-Ford.
+//! Weighted path computations: DAG longest paths and feasible
+//! potentials of a difference-constraint system.
 
 use crate::algo::topo::{topo_sort_filtered, CycleError};
 use crate::{DiGraph, EdgeId, NodeId};
@@ -32,7 +33,7 @@ pub fn dag_longest_paths<N, E>(
     mut source_value: impl FnMut(NodeId) -> i64,
 ) -> Result<Vec<i64>, CycleError> {
     let order = topo_sort_filtered(g, &mut edge_keep)?;
-    let mut dist = vec![i64::MIN; g.node_bound()];
+    let mut dist = vec![i64::MIN; g.node_count()];
     for n in g.node_ids() {
         dist[n.index()] = source_value(n);
     }
@@ -52,44 +53,9 @@ pub fn dag_longest_paths<N, E>(
     Ok(dist)
 }
 
-/// Single-source shortest paths with real-valued (possibly negative) edge
-/// lengths via Bellman-Ford.
-///
-/// `None` entries mean "unreachable".  Returns [`NegativeCycle`] if one
-/// is reachable from `src` — the detection used by retiming
-/// feasibility checks.
-pub fn bellman_ford<N, E>(
-    g: &DiGraph<N, E>,
-    src: NodeId,
-    mut edge_len: impl FnMut(EdgeId) -> f64,
-) -> Result<Vec<Option<f64>>, NegativeCycle> {
-    let mut dist: Vec<Option<f64>> = vec![None; g.node_bound()];
-    dist[src.index()] = Some(0.0);
-    let n = g.node_count();
-    for round in 0..n {
-        let mut changed = false;
-        for (e, u, v, _) in g.edges() {
-            if let Some(du) = dist[u.index()] {
-                let cand = du + edge_len(e);
-                if dist[v.index()].is_none_or(|dv| cand < dv - 1e-12) {
-                    dist[v.index()] = Some(cand);
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            return Ok(dist);
-        }
-        if round == n - 1 {
-            return Err(NegativeCycle); // still relaxing after n-1 rounds
-        }
-    }
-    Ok(dist)
-}
-
-/// All-pairs variant of [`bellman_ford`] from a virtual super-source
-/// connected to every node with zero-length edges: computes a feasible
-/// potential for the constraint system `pot[v] <= pot[u] + len(u->v)`.
+/// Bellman-Ford from a virtual super-source connected to every node
+/// with zero-length edges: computes a feasible potential for the
+/// constraint system `pot[v] <= pot[u] + len(u->v)`.
 ///
 /// Returns [`NegativeCycle`] on a negative cycle.  This is exactly the
 /// system solved when testing whether a clock period is achievable by
@@ -98,7 +64,7 @@ pub fn feasible_potentials<N, E>(
     g: &DiGraph<N, E>,
     mut edge_len: impl FnMut(EdgeId) -> f64,
 ) -> Result<Vec<f64>, NegativeCycle> {
-    let mut dist = vec![0.0f64; g.node_bound()];
+    let mut dist = vec![0.0f64; g.node_count()];
     let n = g.node_count();
     if n == 0 {
         return Ok(dist);
@@ -164,40 +130,6 @@ mod tests {
             .unwrap();
         assert_eq!(dist[a.index()], 10);
         assert_eq!(dist[b.index()], 12);
-    }
-
-    #[test]
-    fn bellman_ford_negative_edges() {
-        let mut g: DiGraph<(), f64> = DiGraph::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        let c = g.add_node(());
-        g.add_edge(a, b, 4.0);
-        g.add_edge(a, c, 10.0);
-        g.add_edge(b, c, -7.0);
-        let dist = bellman_ford(&g, a, |e| g[e]).unwrap();
-        assert_eq!(dist[c.index()], Some(-3.0));
-        assert_eq!(dist[b.index()], Some(4.0));
-    }
-
-    #[test]
-    fn bellman_ford_detects_negative_cycle() {
-        let mut g: DiGraph<(), f64> = DiGraph::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        g.add_edge(a, b, 1.0);
-        g.add_edge(b, a, -2.0);
-        assert!(bellman_ford(&g, a, |e| g[e]).is_err());
-    }
-
-    #[test]
-    fn bellman_ford_unreachable_is_none() {
-        let mut g: DiGraph<(), f64> = DiGraph::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        let _ = b;
-        let dist = bellman_ford(&g, a, |e| g[e]).unwrap();
-        assert_eq!(dist[b.index()], None);
     }
 
     #[test]

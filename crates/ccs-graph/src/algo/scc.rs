@@ -17,7 +17,7 @@ pub fn tarjan_scc<N, E>(g: &DiGraph<N, E>) -> Vec<Vec<NodeId>> {
         succ_cursor: usize,
     }
 
-    let bound = g.node_bound();
+    let bound = g.node_count();
     let mut index = vec![UNVISITED; bound];
     let mut low = vec![0usize; bound];
     let mut on_stack = vec![false; bound];
@@ -85,16 +85,6 @@ pub fn tarjan_scc<N, E>(g: &DiGraph<N, E>) -> Vec<Vec<NodeId>> {
     comps
 }
 
-/// Returns `true` if the whole live node set forms one strongly connected
-/// component (and the graph is non-empty).
-pub fn is_strongly_connected<N, E>(g: &DiGraph<N, E>) -> bool {
-    if g.node_count() == 0 {
-        return false;
-    }
-    let sccs = tarjan_scc(g);
-    sccs.len() == 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,7 +133,6 @@ mod tests {
         for i in 0..6 {
             g.add_edge(n[i], n[(i + 1) % 6], ());
         }
-        assert!(is_strongly_connected(&g));
         assert_eq!(tarjan_scc(&g).len(), 1);
     }
 
@@ -156,14 +145,12 @@ mod tests {
         g.add_edge(a, b, ());
         g.add_edge(a, c, ());
         assert_eq!(tarjan_scc(&g).len(), 3);
-        assert!(!is_strongly_connected(&g));
     }
 
     #[test]
     fn empty_graph() {
         let g: DiGraph<(), ()> = DiGraph::new();
         assert!(tarjan_scc(&g).is_empty());
-        assert!(!is_strongly_connected(&g));
     }
 
     #[test]
@@ -172,6 +159,5 @@ mod tests {
         let a = g.add_node(());
         g.add_edge(a, a, ());
         assert_eq!(tarjan_scc(&g), vec![vec![a]]);
-        assert!(is_strongly_connected(&g));
     }
 }

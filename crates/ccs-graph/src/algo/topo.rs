@@ -22,14 +22,9 @@ impl std::fmt::Display for CycleError {
 
 impl std::error::Error for CycleError {}
 
-/// Topological order of all live nodes, or [`CycleError`] if the graph is
-/// cyclic.  Ties are broken by node id, making the order deterministic.
-pub fn topo_sort<N, E>(g: &DiGraph<N, E>) -> Result<Vec<NodeId>, CycleError> {
-    topo_sort_filtered(g, |_| true)
-}
-
 /// Topological order of the subgraph induced by edges for which
-/// `edge_keep` returns `true`.
+/// `edge_keep` returns `true`, or [`CycleError`] if that subgraph is
+/// cyclic.  Ties are broken by node id, making the order deterministic.
 ///
 /// This is the workhorse behind the "zero-delay DAG view" of a cyclic
 /// data-flow graph: keep only edges with `d(e) == 0` and sort.
@@ -37,8 +32,8 @@ pub fn topo_sort_filtered<N, E>(
     g: &DiGraph<N, E>,
     mut edge_keep: impl FnMut(EdgeId) -> bool,
 ) -> Result<Vec<NodeId>, CycleError> {
-    let mut in_deg = vec![0usize; g.node_bound()];
-    let mut kept_out: Vec<Vec<NodeId>> = vec![Vec::new(); g.node_bound()];
+    let mut in_deg = vec![0usize; g.node_count()];
+    let mut kept_out: Vec<Vec<NodeId>> = vec![Vec::new(); g.node_count()];
     for (e, src, dst, _) in g.edges() {
         if edge_keep(e) {
             in_deg[dst.index()] += 1;
@@ -68,11 +63,6 @@ pub fn topo_sort_filtered<N, E>(
     }
 }
 
-/// Returns `true` if the graph (restricted to `edge_keep`) is acyclic.
-pub fn is_acyclic_filtered<N, E>(g: &DiGraph<N, E>, edge_keep: impl FnMut(EdgeId) -> bool) -> bool {
-    topo_sort_filtered(g, edge_keep).is_ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,7 +75,7 @@ mod tests {
         let c = g.add_node(());
         g.add_edge(a, c, ());
         g.add_edge(b, c, ());
-        let order = topo_sort(&g).unwrap();
+        let order = topo_sort_filtered(&g, |_| true).unwrap();
         assert_eq!(order.len(), 3);
         let pos = |x| order.iter().position(|&y| y == x).unwrap();
         assert!(pos(a) < pos(c));
@@ -99,8 +89,7 @@ mod tests {
         let b = g.add_node(());
         g.add_edge(a, b, ());
         g.add_edge(b, a, ());
-        assert!(topo_sort(&g).is_err());
-        assert!(!is_acyclic_filtered(&g, |_| true));
+        assert!(topo_sort_filtered(&g, |_| true).is_err());
     }
 
     #[test]
@@ -108,7 +97,7 @@ mod tests {
         let mut g: DiGraph<(), ()> = DiGraph::new();
         let a = g.add_node(());
         g.add_edge(a, a, ());
-        let err = topo_sort(&g).unwrap_err();
+        let err = topo_sort_filtered(&g, |_| true).unwrap_err();
         assert_eq!(err.witness, a);
     }
 
@@ -122,7 +111,7 @@ mod tests {
         g.add_edge(b, a, 1);
         let order = topo_sort_filtered(&g, |e| g[e] == 0).unwrap();
         assert_eq!(order, vec![a, b]);
-        assert!(topo_sort(&g).is_err());
+        assert!(topo_sort_filtered(&g, |_| true).is_err());
     }
 
     #[test]
@@ -130,20 +119,7 @@ mod tests {
         let mut g: DiGraph<(), ()> = DiGraph::new();
         let n: Vec<_> = (0..4).map(|_| g.add_node(())).collect();
         // no edges: order must be id order
-        assert_eq!(topo_sort(&g).unwrap(), n);
-    }
-
-    #[test]
-    fn tombstones_are_skipped() {
-        let mut g: DiGraph<(), ()> = DiGraph::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        let c = g.add_node(());
-        g.add_edge(a, b, ());
-        g.add_edge(b, c, ());
-        g.remove_node(b);
-        let order = topo_sort(&g).unwrap();
-        assert_eq!(order, vec![a, c]);
+        assert_eq!(topo_sort_filtered(&g, |_| true).unwrap(), n);
     }
 
     #[test]

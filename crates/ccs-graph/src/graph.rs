@@ -4,7 +4,7 @@ use crate::ids::{EdgeId, NodeId};
 
 #[derive(Clone, Debug)]
 struct NodeSlot<N> {
-    weight: Option<N>,
+    weight: N,
     /// Outgoing edge ids (insertion order).
     out_edges: Vec<EdgeId>,
     /// Incoming edge ids (insertion order).
@@ -13,16 +13,19 @@ struct NodeSlot<N> {
 
 #[derive(Clone, Debug)]
 struct EdgeSlot<E> {
-    weight: Option<E>,
+    weight: E,
     src: NodeId,
     dst: NodeId,
 }
 
-/// A directed multigraph with node weights `N` and edge weights `E`.
+/// An append-only directed multigraph with node weights `N` and edge
+/// weights `E`.
 ///
 /// Parallel edges and self-loops are allowed (both occur in data-flow
-/// graphs).  Node and edge ids are stable: removing an element leaves a
-/// tombstone and never renumbers the survivors.
+/// graphs).  Nodes and edges are only ever added, so ids are dense:
+/// node ids are `0..node_count()` and edge ids `0..edge_count()`, both
+/// in insertion order, and side tables indexed by [`NodeId::index`]
+/// are sized by [`node_count`](Self::node_count).
 ///
 /// # Examples
 ///
@@ -35,14 +38,12 @@ struct EdgeSlot<E> {
 /// let e = g.add_edge(a, b, 3);
 /// assert_eq!(g.edge_endpoints(e), (a, b));
 /// assert_eq!(g[e], 3);
-/// assert_eq!(g.out_degree(a), 1);
+/// assert_eq!(g.out_edges(a).count(), 1);
 /// ```
 #[derive(Clone, Debug)]
 pub struct DiGraph<N, E> {
     nodes: Vec<NodeSlot<N>>,
     edges: Vec<EdgeSlot<E>>,
-    live_nodes: usize,
-    live_edges: usize,
 }
 
 impl<N, E> Default for DiGraph<N, E> {
@@ -57,41 +58,16 @@ impl<N, E> DiGraph<N, E> {
         DiGraph {
             nodes: Vec::new(),
             edges: Vec::new(),
-            live_nodes: 0,
-            live_edges: 0,
         }
     }
 
-    /// Creates an empty graph with capacity reserved for `nodes` nodes and
-    /// `edges` edges.
-    pub fn with_capacity(nodes: usize, edges: usize) -> Self {
-        DiGraph {
-            nodes: Vec::with_capacity(nodes),
-            edges: Vec::with_capacity(edges),
-            live_nodes: 0,
-            live_edges: 0,
-        }
-    }
-
-    /// Number of live nodes.
+    /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.live_nodes
-    }
-
-    /// Number of live edges.
-    pub fn edge_count(&self) -> usize {
-        self.live_edges
-    }
-
-    /// Upper bound (exclusive) on raw node indices ever allocated,
-    /// including tombstones.  Useful to size side tables indexed by
-    /// [`NodeId::index`].
-    pub fn node_bound(&self) -> usize {
         self.nodes.len()
     }
 
-    /// Upper bound (exclusive) on raw edge indices ever allocated.
-    pub fn edge_bound(&self) -> usize {
+    /// Number of edges.
+    pub fn edge_count(&self) -> usize {
         self.edges.len()
     }
 
@@ -99,11 +75,10 @@ impl<N, E> DiGraph<N, E> {
     pub fn add_node(&mut self, weight: N) -> NodeId {
         let id = NodeId::from_index(self.nodes.len());
         self.nodes.push(NodeSlot {
-            weight: Some(weight),
+            weight,
             out_edges: Vec::new(),
             in_edges: Vec::new(),
         });
-        self.live_nodes += 1;
         id
     }
 
@@ -111,154 +86,66 @@ impl<N, E> DiGraph<N, E> {
     ///
     /// # Panics
     ///
-    /// Panics if either endpoint is not a live node.
+    /// Panics if either endpoint is not a node of this graph.
     pub fn add_edge(&mut self, src: NodeId, dst: NodeId, weight: E) -> EdgeId {
         assert!(
             self.contains_node(src),
-            "add_edge: source {src:?} is not a live node"
+            "add_edge: source {src:?} is not a node of this graph"
         );
         assert!(
             self.contains_node(dst),
-            "add_edge: target {dst:?} is not a live node"
+            "add_edge: target {dst:?} is not a node of this graph"
         );
         let id = EdgeId::from_index(self.edges.len());
-        self.edges.push(EdgeSlot {
-            weight: Some(weight),
-            src,
-            dst,
-        });
+        self.edges.push(EdgeSlot { weight, src, dst });
         self.nodes[src.index()].out_edges.push(id);
         self.nodes[dst.index()].in_edges.push(id);
-        self.live_edges += 1;
         id
     }
 
-    /// Returns `true` if `id` refers to a live node of this graph.
+    /// Returns `true` if `id` is a node of this graph (guards against
+    /// ids taken from another, larger graph).
     pub fn contains_node(&self, id: NodeId) -> bool {
-        self.nodes
-            .get(id.index())
-            .is_some_and(|s| s.weight.is_some())
+        id.index() < self.nodes.len()
     }
 
-    /// Returns `true` if `id` refers to a live edge of this graph.
-    pub fn contains_edge(&self, id: EdgeId) -> bool {
-        self.edges
-            .get(id.index())
-            .is_some_and(|s| s.weight.is_some())
-    }
-
-    /// Removes a node and every edge incident to it.  Returns its weight,
-    /// or `None` if the node was already gone.
-    pub fn remove_node(&mut self, id: NodeId) -> Option<N> {
-        if !self.contains_node(id) {
-            return None;
-        }
-        let incident: Vec<EdgeId> = self.nodes[id.index()]
-            .out_edges
-            .iter()
-            .chain(self.nodes[id.index()].in_edges.iter())
-            .copied()
-            .collect();
-        for e in incident {
-            self.remove_edge(e);
-        }
-        self.live_nodes -= 1;
-        self.nodes[id.index()].weight.take()
-    }
-
-    /// Removes an edge, returning its weight (or `None` if already gone).
-    pub fn remove_edge(&mut self, id: EdgeId) -> Option<E> {
-        if !self.contains_edge(id) {
-            return None;
-        }
-        let (src, dst) = (self.edges[id.index()].src, self.edges[id.index()].dst);
-        self.nodes[src.index()].out_edges.retain(|&e| e != id);
-        self.nodes[dst.index()].in_edges.retain(|&e| e != id);
-        self.live_edges -= 1;
-        self.edges[id.index()].weight.take()
-    }
-
-    /// Borrow a node weight.
-    pub fn node_weight(&self, id: NodeId) -> Option<&N> {
-        self.nodes.get(id.index()).and_then(|s| s.weight.as_ref())
-    }
-
-    /// Mutably borrow a node weight.
-    pub fn node_weight_mut(&mut self, id: NodeId) -> Option<&mut N> {
-        self.nodes
-            .get_mut(id.index())
-            .and_then(|s| s.weight.as_mut())
-    }
-
-    /// Borrow an edge weight.
-    pub fn edge_weight(&self, id: EdgeId) -> Option<&E> {
-        self.edges.get(id.index()).and_then(|s| s.weight.as_ref())
-    }
-
-    /// Mutably borrow an edge weight.
-    pub fn edge_weight_mut(&mut self, id: EdgeId) -> Option<&mut E> {
-        self.edges
-            .get_mut(id.index())
-            .and_then(|s| s.weight.as_mut())
-    }
-
-    /// Endpoints `(src, dst)` of a live edge.
+    /// Endpoints `(src, dst)` of an edge.
     ///
     /// # Panics
     ///
     /// Panics if the edge does not exist.
     pub fn edge_endpoints(&self, id: EdgeId) -> (NodeId, NodeId) {
         let slot = &self.edges[id.index()];
-        assert!(
-            slot.weight.is_some(),
-            "edge_endpoints: {id:?} is not a live edge"
-        );
         (slot.src, slot.dst)
     }
 
-    /// Source node of a live edge.
+    /// Source node of an edge.
     pub fn edge_source(&self, id: EdgeId) -> NodeId {
-        self.edge_endpoints(id).0
+        self.edges[id.index()].src
     }
 
-    /// Target node of a live edge.
+    /// Target node of an edge.
     pub fn edge_target(&self, id: EdgeId) -> NodeId {
-        self.edge_endpoints(id).1
+        self.edges[id.index()].dst
     }
 
-    /// Iterator over live node ids, in insertion order.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.weight.is_some())
-            .map(|(i, _)| NodeId::from_index(i))
+    /// Node ids, in insertion order.
+    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
+        (0..self.nodes.len()).map(NodeId::from_index)
     }
 
-    /// Iterator over live edge ids, in insertion order.
-    pub fn edge_ids(&self) -> impl Iterator<Item = EdgeId> + '_ {
+    /// Edge ids, in insertion order.
+    pub fn edge_ids(&self) -> impl Iterator<Item = EdgeId> {
+        (0..self.edges.len()).map(EdgeId::from_index)
+    }
+
+    /// Iterator over `(id, src, dst, &weight)` for every edge, in
+    /// insertion order.
+    pub fn edges(&self) -> impl Iterator<Item = (EdgeId, NodeId, NodeId, &E)> + '_ {
         self.edges
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.weight.is_some())
-            .map(|(i, _)| EdgeId::from_index(i))
-    }
-
-    /// Iterator over `(id, &weight)` for live nodes.
-    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &N)> + '_ {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.weight.as_ref().map(|w| (NodeId::from_index(i), w)))
-    }
-
-    /// Iterator over `(id, src, dst, &weight)` for live edges.
-    pub fn edges(&self) -> impl Iterator<Item = (EdgeId, NodeId, NodeId, &E)> + '_ {
-        self.edges.iter().enumerate().filter_map(|(i, s)| {
-            s.weight
-                .as_ref()
-                .map(|w| (EdgeId::from_index(i), s.src, s.dst, w))
-        })
+            .map(|(i, s)| (EdgeId::from_index(i), s.src, s.dst, &s.weight))
     }
 
     /// Ids of edges leaving `node`, in insertion order.
@@ -281,84 +168,30 @@ impl<N, E> DiGraph<N, E> {
         self.in_edges(node).map(|e| self.edges[e.index()].src)
     }
 
-    /// Out-degree of `node`.
-    pub fn out_degree(&self, node: NodeId) -> usize {
-        self.nodes[node.index()].out_edges.len()
-    }
-
-    /// In-degree of `node`.
-    pub fn in_degree(&self, node: NodeId) -> usize {
-        self.nodes[node.index()].in_edges.len()
-    }
-
-    /// Returns the first live edge `src -> dst` if one exists.
+    /// Returns the first edge `src -> dst` if one exists.
     pub fn find_edge(&self, src: NodeId, dst: NodeId) -> Option<EdgeId> {
         self.out_edges(src)
             .find(|&e| self.edges[e.index()].dst == dst)
-    }
-
-    /// Maps node and edge weights into a new graph with identical ids.
-    pub fn map<N2, E2>(
-        &self,
-        mut node_f: impl FnMut(NodeId, &N) -> N2,
-        mut edge_f: impl FnMut(EdgeId, &E) -> E2,
-    ) -> DiGraph<N2, E2> {
-        let nodes = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, s)| NodeSlot {
-                weight: s.weight.as_ref().map(|w| node_f(NodeId::from_index(i), w)),
-                out_edges: s.out_edges.clone(),
-                in_edges: s.in_edges.clone(),
-            })
-            .collect();
-        let edges = self
-            .edges
-            .iter()
-            .enumerate()
-            .map(|(i, s)| EdgeSlot {
-                weight: s.weight.as_ref().map(|w| edge_f(EdgeId::from_index(i), w)),
-                src: s.src,
-                dst: s.dst,
-            })
-            .collect();
-        DiGraph {
-            nodes,
-            edges,
-            live_nodes: self.live_nodes,
-            live_edges: self.live_edges,
-        }
     }
 }
 
 impl<N, E> std::ops::Index<NodeId> for DiGraph<N, E> {
     type Output = N;
     fn index(&self, id: NodeId) -> &N {
-        self.node_weight(id)
-            .expect("indexed with a dead or foreign NodeId")
-    }
-}
-
-impl<N, E> std::ops::IndexMut<NodeId> for DiGraph<N, E> {
-    fn index_mut(&mut self, id: NodeId) -> &mut N {
-        self.node_weight_mut(id)
-            .expect("indexed with a dead or foreign NodeId")
+        &self.nodes[id.index()].weight
     }
 }
 
 impl<N, E> std::ops::Index<EdgeId> for DiGraph<N, E> {
     type Output = E;
     fn index(&self, id: EdgeId) -> &E {
-        self.edge_weight(id)
-            .expect("indexed with a dead or foreign EdgeId")
+        &self.edges[id.index()].weight
     }
 }
 
 impl<N, E> std::ops::IndexMut<EdgeId> for DiGraph<N, E> {
     fn index_mut(&mut self, id: EdgeId) -> &mut E {
-        self.edge_weight_mut(id)
-            .expect("indexed with a dead or foreign EdgeId")
+        &mut self.edges[id.index()].weight
     }
 }
 
@@ -385,11 +218,11 @@ mod tests {
         let (g, [a, b, _c, d]) = diamond();
         assert_eq!(g.node_count(), 4);
         assert_eq!(g.edge_count(), 4);
-        assert_eq!(g.out_degree(a), 2);
-        assert_eq!(g.in_degree(a), 0);
-        assert_eq!(g.out_degree(d), 0);
-        assert_eq!(g.in_degree(d), 2);
-        assert_eq!(g.out_degree(b), 1);
+        assert_eq!(g.out_edges(a).count(), 2);
+        assert_eq!(g.in_edges(a).count(), 0);
+        assert_eq!(g.out_edges(d).count(), 0);
+        assert_eq!(g.in_edges(d).count(), 2);
+        assert_eq!(g.out_edges(b).count(), 1);
     }
 
     #[test]
@@ -405,8 +238,6 @@ mod tests {
     fn weights_and_indexing() {
         let (mut g, [a, ..]) = diamond();
         assert_eq!(g[a], "a");
-        g[a] = "A";
-        assert_eq!(g[a], "A");
         let e = g.find_edge(a, NodeId::from_index(1)).unwrap();
         assert_eq!(g[e], 1);
         g[e] = 10;
@@ -423,65 +254,32 @@ mod tests {
         let e3 = g.add_edge(a, a, 3);
         assert_ne!(e1, e2);
         assert_eq!(g.edge_count(), 3);
-        assert_eq!(g.out_degree(a), 3);
-        assert_eq!(g.in_degree(a), 1);
+        assert_eq!(g.out_edges(a).count(), 3);
+        assert_eq!(g.in_edges(a).count(), 1);
         assert_eq!(g.edge_endpoints(e3), (a, a));
     }
 
     #[test]
-    fn remove_edge_updates_adjacency() {
-        let (mut g, [a, b, _c, _d]) = diamond();
-        let e = g.find_edge(a, b).unwrap();
-        assert_eq!(g.remove_edge(e), Some(1));
-        assert_eq!(g.remove_edge(e), None);
-        assert_eq!(g.edge_count(), 3);
-        assert_eq!(g.out_degree(a), 1);
-        assert_eq!(g.in_degree(b), 0);
-        assert!(!g.contains_edge(e));
+    fn ids_are_dense_in_insertion_order() {
+        let (g, nodes) = diamond();
+        let ids: Vec<NodeId> = g.node_ids().collect();
+        assert_eq!(ids, nodes);
+        let ix: Vec<usize> = g.node_ids().map(NodeId::index).collect();
+        assert_eq!(ix, (0..g.node_count()).collect::<Vec<_>>());
+        let ex: Vec<usize> = g.edge_ids().map(EdgeId::index).collect();
+        assert_eq!(ex, (0..g.edge_count()).collect::<Vec<_>>());
     }
 
     #[test]
-    fn remove_node_removes_incident_edges() {
-        let (mut g, [a, b, c, d]) = diamond();
-        assert_eq!(g.remove_node(b), Some("b"));
-        assert_eq!(g.node_count(), 3);
-        assert_eq!(g.edge_count(), 2);
-        assert!(!g.contains_node(b));
-        // a -> c -> d survives
-        assert!(g.find_edge(a, c).is_some());
-        assert!(g.find_edge(c, d).is_some());
-        assert!(g.find_edge(a, b).is_none());
-        // ids of survivors are unchanged
-        assert_eq!(g[a], "a");
-        assert_eq!(g[d], "d");
-    }
-
-    #[test]
-    fn node_ids_skip_tombstones() {
-        let (mut g, [_a, b, ..]) = diamond();
-        g.remove_node(b);
-        let ids: Vec<usize> = g.node_ids().map(|n| n.index()).collect();
-        assert_eq!(ids, vec![0, 2, 3]);
-        assert_eq!(g.node_bound(), 4);
-    }
-
-    #[test]
-    fn map_preserves_structure() {
-        let (g, [a, _b, _c, d]) = diamond();
-        let g2 = g.map(|_, &w| w.to_uppercase(), |_, &w| w * 10);
-        assert_eq!(g2[a], "A");
-        let e = g2.find_edge(a, NodeId::from_index(1)).unwrap();
-        assert_eq!(g2[e], 10);
-        assert_eq!(g2.node_count(), 4);
-        assert_eq!(g2.in_degree(d), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a live node")]
-    fn add_edge_to_dead_node_panics() {
-        let (mut g, [a, b, ..]) = diamond();
-        g.remove_node(b);
-        g.add_edge(a, b, 99);
+    #[should_panic(expected = "is not a node of this graph")]
+    fn add_edge_with_another_graphs_id_panics() {
+        let (mut g, [a, ..]) = diamond();
+        let mut other: DiGraph<&str, u32> = DiGraph::new();
+        for name in ["p", "q", "r", "s", "t"] {
+            other.add_node(name);
+        }
+        let foreign = other.add_node("u");
+        g.add_edge(a, foreign, 99);
     }
 
     #[test]

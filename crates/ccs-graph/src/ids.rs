@@ -2,14 +2,13 @@
 //!
 //! Both identifiers are plain `u32` indices into the graph's internal
 //! arenas. They are `Copy`, cheap to hash, and stable for the lifetime of
-//! the graph (removals leave tombstones instead of shifting indices).
+//! the graph, which never removes anything.
 
 use std::fmt;
 
 /// Identifier of a node inside a [`DiGraph`](crate::DiGraph).
 ///
 /// Node ids are assigned densely in insertion order starting from zero.
-/// They remain valid after removals of *other* nodes.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub(crate) u32);
 

@@ -6,33 +6,35 @@
 //! Remapping"* (Tongsima, Passos, Sha — ICPP 1995).
 //!
 //! Data-flow graphs in that paper are node- and edge-weighted directed
-//! multigraphs (parallel edges and self-loops both occur), so this crate
-//! provides exactly that: a [`DiGraph`] arena with stable integer ids,
-//! plus the graph algorithms the scheduler stack needs:
+//! multigraphs (parallel edges and self-loops both occur), and no run
+//! ever deletes a task or an edge: rotation rewrites delays, unfolding
+//! and slow-down build new graphs.  So this crate provides an
+//! append-only [`DiGraph`] arena with dense integer ids, plus the
+//! algorithms the scheduler stack calls:
 //!
 //! * [`algo::topo`] — topological sorting with *edge filtering*, used to
 //!   obtain the zero-delay DAG view of a cyclic data-flow graph;
-//! * [`algo::traversal`] — BFS/DFS, hop distances (used for topology
-//!   distance cross-checks);
-//! * [`algo::scc`] — Tarjan strongly connected components;
-//! * [`algo::cycles`] — elementary-cycle enumeration (retiming
-//!   invariants, iteration-bound tests);
-//! * [`algo::paths`] — DAG longest paths (ASAP/ALAP) and Bellman-Ford
-//!   (negative-cycle detection for retiming feasibility);
-//! * [`dot`] — Graphviz export for debugging and documentation.
+//! * [`algo::scc`] — Tarjan strongly connected components (graph
+//!   statistics, the iteration bound);
+//! * [`algo::cycles`] — one cycle of an edge-filtered sub-graph (the
+//!   witness behind a cycle-ratio certificate);
+//! * [`algo::paths`] — DAG longest paths (ASAP/ALAP) and feasible
+//!   potentials of a difference-constraint system (negative-cycle
+//!   detection for retiming feasibility).
 //!
 //! ## Example
 //!
 //! ```
-//! use ccs_graph::{DiGraph, algo::topo::topo_sort};
+//! use ccs_graph::{DiGraph, algo::topo::topo_sort_filtered};
 //!
 //! let mut g: DiGraph<&str, u32> = DiGraph::new();
 //! let a = g.add_node("load");
 //! let b = g.add_node("mul");
 //! let c = g.add_node("store");
-//! g.add_edge(a, b, 1);
-//! g.add_edge(b, c, 1);
-//! let order = topo_sort(&g).unwrap();
+//! g.add_edge(a, b, 0);
+//! g.add_edge(b, c, 0);
+//! g.add_edge(c, a, 1); // loop-carried: dropped from the DAG view
+//! let order = topo_sort_filtered(&g, |e| g[e] == 0).unwrap();
 //! assert_eq!(order, vec![a, b, c]);
 //! ```
 
@@ -44,14 +46,11 @@ mod ids;
 
 pub mod algo {
     //! Graph algorithms over [`DiGraph`](crate::DiGraph).
-    pub mod closure;
     pub mod cycles;
     pub mod paths;
     pub mod scc;
     pub mod topo;
-    pub mod traversal;
 }
-pub mod dot;
 
 pub use graph::DiGraph;
 pub use ids::{EdgeId, NodeId};

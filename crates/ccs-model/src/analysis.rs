@@ -53,6 +53,30 @@ pub fn stats(g: &Csdfg) -> GraphStats {
     }
 }
 
+/// Number of weakly connected components of `g` (0 for an empty
+/// graph): tasks joined by an edge in either direction share one, and a
+/// self-loop joins nothing.
+pub fn weak_components(g: &Csdfg) -> usize {
+    let mut parent: Vec<usize> = (0..g.task_count()).collect();
+    fn find(parent: &mut [usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        x
+    }
+    for e in g.deps() {
+        let (u, v) = g.endpoints(e);
+        let (ru, rv) = (find(&mut parent, u.index()), find(&mut parent, v.index()));
+        if ru != rv {
+            parent[ru.max(rv)] = ru.min(rv);
+        }
+    }
+    g.tasks()
+        .filter(|&v| find(&mut parent, v.index()) == v.index())
+        .count()
+}
+
 /// A fluent builder for small graphs, mostly for examples and tests:
 ///
 /// ```
@@ -182,5 +206,48 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(stats(&g).recurrences, 0);
+    }
+
+    fn graph(tasks: usize, deps: &[(usize, usize)]) -> Csdfg {
+        let mut g = Csdfg::new();
+        let ids: Vec<NodeId> = (0..tasks)
+            .map(|i| g.add_task(format!("v{i}"), 1).unwrap())
+            .collect();
+        for &(a, b) in deps {
+            g.add_dep(ids[a], ids[b], 1, 1).unwrap();
+        }
+        g
+    }
+
+    #[test]
+    fn weak_components_of_empty_and_isolated_tasks() {
+        assert_eq!(weak_components(&Csdfg::new()), 0);
+        assert_eq!(weak_components(&graph(1, &[])), 1);
+        assert_eq!(weak_components(&graph(4, &[])), 4);
+    }
+
+    #[test]
+    fn weak_components_self_loop_joins_nothing() {
+        assert_eq!(weak_components(&graph(1, &[(0, 0)])), 1);
+        assert_eq!(weak_components(&graph(3, &[(1, 1), (0, 0)])), 3);
+    }
+
+    #[test]
+    fn weak_components_ignore_direction() {
+        // 0 -> 1 -> 2 -> 0, 3 -> 4, 5 isolated.
+        let g = graph(6, &[(0, 1), (1, 2), (2, 0), (3, 4)]);
+        assert_eq!(weak_components(&g), 3);
+        // Edges pointing into a shared sink, or out of a shared source,
+        // still join their endpoints.
+        assert_eq!(weak_components(&graph(3, &[(0, 2), (1, 2)])), 1);
+        assert_eq!(weak_components(&graph(3, &[(2, 0), (2, 1)])), 1);
+        // The highest-numbered task joining the lowest merges the lot.
+        assert_eq!(weak_components(&graph(3, &[(1, 0), (2, 1)])), 1);
+    }
+
+    #[test]
+    fn weak_components_parallel_edges_count_once() {
+        let g = graph(3, &[(0, 1), (0, 1), (1, 0)]);
+        assert_eq!(weak_components(&g), 2);
     }
 }

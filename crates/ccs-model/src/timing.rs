@@ -70,7 +70,7 @@ pub fn analyze(g: &Csdfg) -> Result<Timing, CycleError> {
     // dag_longest_paths walks forward edges, so emulate reversal by
     // processing the reverse topological order manually.
     let order = g.zero_delay_topo()?;
-    let bound = graph.node_bound();
+    let bound = graph.node_count();
     let mut tail = vec![0i64; bound];
     for &v in order.iter().rev() {
         let mut best = 0i64;

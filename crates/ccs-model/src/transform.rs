@@ -80,17 +80,17 @@ pub fn unfold(g: &Csdfg, f: u32) -> Csdfg {
 ///
 /// # Panics
 ///
-/// Panics if `keep` contains an id that is not a live task of `g`.
+/// Panics if `keep` contains an id that is not a task of `g`.
 pub fn prune_to(g: &Csdfg, keep: &[NodeId]) -> Csdfg {
     // Backward reachability over all edges (delayed edges carry data
     // across iterations; their producers are still needed).
-    let bound = g.graph().node_bound();
+    let bound = g.task_count();
     let mut needed = vec![false; bound];
     let mut stack: Vec<NodeId> = Vec::new();
     for &v in keep {
         assert!(
             g.graph().contains_node(v),
-            "prune_to: {v} is not a live task of this graph"
+            "prune_to: {v} is not a task of this graph"
         );
         if !needed[v.index()] {
             needed[v.index()] = true;
@@ -261,7 +261,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not a live task")]
+    #[should_panic(expected = "not a task of this graph")]
     fn prune_rejects_foreign_ids() {
         let g = loop2();
         let other = loop2();

@@ -1,10 +1,11 @@
 //! `report-check` — validates an HTML report produced by
 //! `cyclosched schedule --report` (or `--report-diff`, or a sweep's
-//! `--report` grid page), and standalone SVG heatmap exports.
+//! `--report` grid page), and standalone SVG exports (the Gantt of
+//! `--svg`, the heatmap of `--heatmap-svg`).
 //!
 //! ```text
 //! report-check report.html
-//! report-check --heatmap-svg heatmap.svg
+//! report-check --svg gantt.svg
 //! ```
 //!
 //! Re-verifies the renderer's output contract on the artifact itself
@@ -12,7 +13,7 @@
 //! (every `<` opens a whitelisted tag, every `&` a known entity, no
 //! `<script>`), SVG viewBox sanity, ledger/link conservation on every
 //! routable heatmap, both-sides conservation on diff pages, and
-//! one-heatmap-per-cell on grid pages.  With `--heatmap-svg` the same
+//! one-heatmap-per-cell on grid pages.  With `--svg` the same
 //! scan runs against a standalone SVG export, which must additionally
 //! declare the SVG namespace.  Exit codes: `0` valid, `1` invalid,
 //! `2` usage/IO error.  CI runs this on every artifact uploaded by the
@@ -21,8 +22,7 @@
 use ccs_report::check::{check_html, check_svg, ReportFacts};
 use std::process::ExitCode;
 
-const USAGE: &str =
-    "usage: report-check <report.html>\n       report-check --heatmap-svg <heatmap.svg>";
+const USAGE: &str = "usage: report-check <report.html>\n       report-check --svg <file.svg>";
 
 fn report(path: &str, what: &str, outcome: Result<ReportFacts, Vec<String>>) -> ExitCode {
     match outcome {
@@ -47,7 +47,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (svg_mode, path) = match args.as_slice() {
         [p] if p != "--help" && p != "-h" && !p.starts_with("--") => (false, p.clone()),
-        [flag, p] if flag == "--heatmap-svg" => (true, p.clone()),
+        [flag, p] if flag == "--svg" => (true, p.clone()),
         _ => {
             eprintln!("{USAGE}");
             return ExitCode::from(2);

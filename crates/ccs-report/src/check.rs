@@ -25,8 +25,8 @@
 //!   unique — one panel per metered cell, no more, no fewer.
 //!
 //! [`check_svg`] applies the same markup scan to a standalone SVG
-//! export (`--heatmap-svg`), which must additionally declare the SVG
-//! namespace to stand alone.
+//! export (`--svg` or `--heatmap-svg`), which must additionally declare
+//! the SVG namespace to stand alone.
 
 /// Tags the renderer is allowed to emit.  Anything else means raw text
 /// leaked around the escape helper.
@@ -280,10 +280,11 @@ pub fn check_html(html: &str) -> Result<ReportFacts, Vec<String>> {
     }
 }
 
-/// Validates a standalone SVG export (`--heatmap-svg FILE`): same
-/// markup/escaping/conservation scan as embedded heatmaps, plus the
-/// standalone shell requirements — opens with `<svg`, declares the SVG
-/// namespace, closes with `</svg>`, and contains no scripts.
+/// Validates a standalone SVG export (`--svg FILE` or
+/// `--heatmap-svg FILE`): same markup/escaping/conservation scan as
+/// embedded SVGs, plus the standalone shell requirements — opens with
+/// `<svg`, declares the SVG namespace, closes with `</svg>`, and
+/// contains no scripts.
 pub fn check_svg(svg: &str) -> Result<ReportFacts, Vec<String>> {
     let mut errors = Vec::new();
     let mut state = ScanState::default();

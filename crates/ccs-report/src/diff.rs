@@ -109,6 +109,7 @@ fn side_schedule(
         story.pes,
         story.startup_length,
         &bars,
+        false,
     ));
     out.push_str(
         "<table>\n<thead><tr><th>pass</th><th class=\"l\">outcome</th><th>length</th>\

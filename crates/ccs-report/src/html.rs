@@ -9,9 +9,28 @@
 
 pub use ccs_profile::render::esc;
 
+/// The Gantt rules, written once for [`STYLE`] and [`GANTT_STYLE`].
+macro_rules! gantt_rules {
+    () => {
+        "\
+svg.gantt .g-cap{font:12px sans-serif;fill:#222}
+svg.gantt .g-ax{font:9px monospace;fill:#666}
+svg.gantt .g-lbl{font:10px monospace;fill:#fff}
+svg.gantt .g-rect{fill:#4a7ab5;stroke:#2c4a70;stroke-width:0.5}
+svg.gantt .g-rot{fill:#e07b39;stroke:#8f4a1d;stroke-width:0.5}
+svg.gantt .g-grid{stroke:#eee;stroke-width:1}
+"
+    };
+}
+
+/// The Gantt strips' rules: part of [`STYLE`], and carried by every
+/// standalone Gantt SVG (`cyclosched schedule --svg FILE`).
+pub const GANTT_STYLE: &str = gantt_rules!();
+
 /// The report's embedded stylesheet.  Plain ASCII, no `<` and no `&`,
 /// so it survives the `report-check` markup scan untouched.
-pub const STYLE: &str = "\
+pub const STYLE: &str = concat!(
+    "\
 body{font:14px/1.45 system-ui,sans-serif;color:#222;margin:24px;max-width:1100px}
 h1{font-size:20px;margin-bottom:4px}
 h2{font-size:16px;border-bottom:1px solid #ddd;padding-bottom:4px;margin-top:28px}
@@ -23,12 +42,9 @@ th{background:#f3f3f3}
 th.l,td.l{text-align:left}
 tr.binding td{background:#fff7e0;font-weight:600}
 svg{display:block;margin:10px 0}
-svg.gantt .g-cap{font:12px sans-serif;fill:#222}
-svg.gantt .g-ax{font:9px monospace;fill:#666}
-svg.gantt .g-lbl{font:10px monospace;fill:#fff}
-svg.gantt .g-rect{fill:#4a7ab5;stroke:#2c4a70;stroke-width:0.5}
-svg.gantt .g-rot{fill:#e07b39;stroke:#8f4a1d;stroke-width:0.5}
-svg.gantt .g-grid{stroke:#eee;stroke-width:1}
+",
+    gantt_rules!(),
+    "\
 span.accepted{color:#0a7d32;font-weight:600}
 span.reverted{color:#b30000;font-weight:600}
 pre{background:#f7f7f7;padding:8px;overflow-x:auto;font-size:12px}
@@ -41,7 +57,8 @@ div.grid{display:flex;gap:16px;flex-wrap:wrap;align-items:flex-start}
 div.tile{border:1px solid #ccc;border-radius:4px;padding:8px;background:#fafafa}
 div.tile p.tile-head{margin:0 0 4px;font:600 12px monospace}
 div.tile p.tile-gap{margin:0;font:11px monospace;color:#333;padding:1px 4px}
-";
+",
+);
 
 /// Wraps the four panel bodies in the self-contained document shell.
 ///

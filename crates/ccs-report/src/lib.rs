@@ -66,25 +66,51 @@ const G_LEFT: u32 = 44;
 const G_TOP: u32 = 24;
 
 /// One bar of a Gantt strip.
-struct Bar {
-    pe: u32,
-    cs: u32,
-    duration: u32,
-    rotated: bool,
-    label: String,
-    title: String,
+pub struct Bar {
+    /// 0-based processor row.
+    pub pe: u32,
+    /// First control step, 1-based like the schedule table and every
+    /// recorded event.
+    pub cs: u32,
+    /// Control steps occupied.
+    pub duration: u32,
+    /// Drawn in the rotated-node colour.
+    pub rotated: bool,
+    /// Text inside the bar (shown when the bar is wide enough).
+    pub label: String,
+    /// Hover text.
+    pub title: String,
 }
 
-fn gantt_svg(caption: &str, pes: u32, length: u32, bars: &[Bar]) -> String {
-    let length = length.max(1);
+/// Renders one Gantt strip: a row per PE and a column per control
+/// step, labelled `1..` like the paper's tables, so step `cs` is
+/// column `cs`.  The strip spans `length` steps, widened to the last
+/// step any bar occupies.  A `standalone` strip is a file of its own:
+/// it declares the SVG namespace and carries the Gantt rules of
+/// [`html::GANTT_STYLE`]; an embedded one takes them from the report
+/// stylesheet.
+pub fn gantt_svg(caption: &str, pes: u32, length: u32, bars: &[Bar], standalone: bool) -> String {
+    let length = bars
+        .iter()
+        .map(|b| b.cs + b.duration.max(1) - 1)
+        .fold(length, u32::max)
+        .max(1);
     let width = G_LEFT + length * CW + 8;
     let height = G_TOP + pes.max(1) * RH + 6;
+    let xmlns = if standalone {
+        " xmlns=\"http://www.w3.org/2000/svg\""
+    } else {
+        ""
+    };
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "<svg class=\"gantt\" width=\"{width}\" height=\"{height}\" \
+        "<svg{xmlns} class=\"gantt\" width=\"{width}\" height=\"{height}\" \
          viewBox=\"0 0 {width} {height}\" role=\"img\">"
     );
+    if standalone {
+        let _ = writeln!(out, "<style>\n{}</style>", html::GANTT_STYLE);
+    }
     let _ = writeln!(
         out,
         "<text class=\"g-cap\" x=\"4\" y=\"14\">{}</text>",
@@ -92,20 +118,20 @@ fn gantt_svg(caption: &str, pes: u32, length: u32, bars: &[Bar]) -> String {
     );
     // Control-step grid and axis labels (thinned on long schedules).
     let tick = (length / 12).max(1);
-    for cs in 0..=length {
-        let x = G_LEFT + cs * CW;
+    for col in 0..=length {
+        let x = G_LEFT + col * CW;
         let _ = writeln!(
             out,
             "<line class=\"g-grid\" x1=\"{x}\" y1=\"{G_TOP}\" x2=\"{x}\" y2=\"{}\"/>",
             G_TOP + pes * RH
         );
-        if cs % tick == 0 && cs < length {
+        if col % tick == 0 && col < length {
             let _ = writeln!(
                 out,
                 "<text class=\"g-ax\" x=\"{}\" y=\"{}\">{}</text>",
                 x + 2,
                 G_TOP - 4,
-                esc(&cs.to_string())
+                esc(&(col + 1).to_string())
             );
         }
     }
@@ -118,7 +144,7 @@ fn gantt_svg(caption: &str, pes: u32, length: u32, bars: &[Bar]) -> String {
         );
     }
     for b in bars {
-        let x = G_LEFT + b.cs * CW;
+        let x = G_LEFT + b.cs.saturating_sub(1) * CW;
         let y = G_TOP + b.pe * RH + 2;
         let w = (b.duration.max(1) * CW).saturating_sub(1).max(2);
         let class = if b.rotated { "g-rot" } else { "g-rect" };
@@ -220,6 +246,7 @@ fn schedule_section(story: &RunStory, mut name: impl FnMut(u32) -> String) -> St
         story.pes,
         story.startup_length,
         &bars,
+        false,
     ));
     for p in &story.passes {
         if p.accepted {
@@ -251,12 +278,6 @@ fn pass_strip(p: &PassStory, pes: u32, mut name: impl FnMut(u32) -> String) -> S
             title: remap_title(r, &mut name),
         })
         .collect();
-    let span = bars
-        .iter()
-        .map(|b| b.cs + b.duration)
-        .max()
-        .unwrap_or(0)
-        .max(p.length);
     let mut caption = format!(
         "pass {} accepted: length {} -> {}, rotated J = {{{}}}",
         p.pass,
@@ -271,7 +292,7 @@ fn pass_strip(p: &PassStory, pes: u32, mut name: impl FnMut(u32) -> String) -> S
             p.no_slots
         );
     }
-    gantt_svg(&caption, pes, span, &bars)
+    gantt_svg(&caption, pes, p.length, &bars, false)
 }
 
 fn ledger_comm(edges: &[EdgeTraffic]) -> u64 {
@@ -574,13 +595,13 @@ mod tests {
             te(Event::StartupPlace {
                 node: 0,
                 pe: 0,
-                cs: 0,
+                cs: 1,
                 duration: 1,
             }),
             te(Event::StartupPlace {
                 node: 1,
                 pe: 1,
-                cs: 1,
+                cs: 2,
                 duration: 1,
             }),
             te(Event::StartupEnd { length: 2 }),
@@ -638,7 +659,7 @@ mod tests {
 
     #[test]
     fn gantt_viewbox_matches_width_and_height() {
-        let svg = gantt_svg("cap", 2, 3, &[]);
+        let svg = gantt_svg("cap", 2, 3, &[], false);
         let w = G_LEFT + 3 * CW + 8;
         let h = G_TOP + 2 * RH + 6;
         assert!(svg.contains(&format!(

@@ -149,3 +149,44 @@ fn report_is_independent_of_recording_context() {
     let machine = Machine::ring(4);
     assert_eq!(fig1_report(&machine), fig1_report(&machine));
 }
+
+/// The numeric value of attribute `key` in the tag text `tag`.
+fn num_attr(tag: &str, key: &str) -> u32 {
+    let pat = format!(" {key}=\"");
+    let start = tag
+        .find(&pat)
+        .unwrap_or_else(|| panic!("no {key} in {tag}"))
+        + pat.len();
+    let end = tag[start..].find('"').expect("closing quote") + start;
+    tag[start..end].parse().expect("numeric attribute")
+}
+
+/// Asserts that every bar of every Gantt strip in `html` lies inside
+/// its SVG, and returns how many bars were checked.
+fn gantt_bars_inside(html: &str) -> usize {
+    let mut bars = 0;
+    for strip in html.split("<svg class=\"gantt\"").skip(1) {
+        let strip = &strip[..strip.find("</svg>").expect("closed svg")];
+        let width = num_attr(strip, "width");
+        for rect in strip.split("<rect ").skip(1) {
+            let (x, w) = (num_attr(rect, "x"), num_attr(rect, "width"));
+            assert!(
+                x + w <= width,
+                "bar at x {x} width {w} overflows a {width}-px strip"
+            );
+            bars += 1;
+        }
+    }
+    bars
+}
+
+#[test]
+fn gantt_bars_lie_inside_their_strips() {
+    // fig1 on the 2x2 mesh starts at length 7 with F in the last step,
+    // and its accepted passes remap nodes near the strips' right edge.
+    let machine = Machine::mesh(2, 2);
+    let bars = gantt_bars_inside(&fig1_report(&machine));
+    assert!(bars > 6, "start-up bars plus pass-strip bars, saw {bars}");
+    let diff = fig1_diff_report(&machine, &Machine::complete(4));
+    assert!(gantt_bars_inside(&diff) >= 12, "both start-up strips");
+}

@@ -27,7 +27,7 @@ fn deltas(g: &Csdfg) -> Vec<u32> {
     let order = g
         .zero_delay_topo()
         .expect("illegal CSDFG: zero-delay cycle");
-    let mut delta = vec![0u32; g.graph().node_bound()];
+    let mut delta = vec![0u32; g.task_count()];
     for &v in &order {
         let mut best = 0;
         for e in g.intra_iter_in_deps(v) {
@@ -87,7 +87,7 @@ pub fn feasible(g: &Csdfg, c: u32) -> Option<Retiming> {
     let n = g.task_count();
     // Work in Leiserson-Saxe convention internally:
     // d_ls(u->v) = d + r_ls(v) - r_ls(u); paper convention is negated.
-    let mut r_ls = vec![0i64; g.graph().node_bound()];
+    let mut r_ls = vec![0i64; g.task_count()];
     let mut current = g.clone();
     for _ in 0..n.saturating_sub(1) {
         let delta = deltas(&current);

@@ -100,7 +100,7 @@ pub fn iteration_bound(g: &Csdfg) -> Option<Ratio> {
     );
     let sccs = tarjan_scc(g.graph());
     // Component id and position within it, per node.
-    let bound = g.graph().node_bound();
+    let bound = g.task_count();
     let (mut comp, mut local) = (vec![0; bound], vec![0; bound]);
     for (c, scc) in sccs.iter().enumerate() {
         for (i, &v) in scc.iter().enumerate() {

@@ -22,15 +22,14 @@ pub struct Retiming {
 }
 
 impl Retiming {
-    /// The zero retiming for a graph with node bound `bound`
-    /// (see [`ccs_graph::DiGraph::node_bound`]).
+    /// The zero retiming for a graph with `bound` tasks.
     pub fn zero(bound: usize) -> Self {
         Retiming { r: vec![0; bound] }
     }
 
     /// The zero retiming sized for graph `g`.
     pub fn zero_for(g: &Csdfg) -> Self {
-        Self::zero(g.graph().node_bound())
+        Self::zero(g.task_count())
     }
 
     /// Value `r(v)`.
@@ -74,7 +73,7 @@ impl Retiming {
         out
     }
 
-    /// Normalizes so the minimum retiming value over live nodes of `g`
+    /// Normalizes so the minimum retiming value over the tasks of `g`
     /// is zero (does not change any retimed delay).
     pub fn normalize(&mut self, g: &Csdfg) {
         let min = g.tasks().map(|v| self.get(v)).min().unwrap_or(0);
@@ -126,7 +125,7 @@ pub fn rotate(g: &Csdfg, set: &[NodeId]) -> Result<Csdfg, EdgeId> {
 /// and edges leaving it — the only edges a rotation changes (internal
 /// and self edges get `+1 - 1 = 0`).
 fn rotation_boundary(g: &Csdfg, set: &[NodeId]) -> (Vec<EdgeId>, Vec<EdgeId>) {
-    let mut in_set = vec![false; g.graph().node_bound()];
+    let mut in_set = vec![false; g.task_count()];
     for &v in set {
         in_set[v.index()] = true;
     }

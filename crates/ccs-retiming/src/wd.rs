@@ -28,7 +28,7 @@ impl WdMatrices {
     /// Computes the matrices by Floyd–Warshall over lexicographic
     /// `(delay, -time)` path weights.  `O(V^3)`.
     pub fn new(g: &Csdfg) -> Self {
-        let n = g.graph().node_bound();
+        let n = g.task_count();
         // dist[u][v] = (min delay, max path time at that delay)
         let mut w: Vec<Option<(u64, u64)>> = vec![None; n * n];
         let at = |u: usize, v: usize| u * n + v;
@@ -133,7 +133,7 @@ pub fn feasible_wd(g: &Csdfg, wd: &WdMatrices, c: u64) -> Option<Retiming> {
         }
     }
     // Bellman-Ford from a virtual source at potential 0.
-    let bound = g.graph().node_bound();
+    let bound = g.task_count();
     let mut pot = vec![0.0f64; bound];
     let n = g.task_count().max(1);
     for round in 0..=n {

@@ -18,12 +18,10 @@
 
 pub mod checker;
 pub mod stats;
-pub mod svg;
 mod table;
 
 pub use checker::{edge_comm_cost, psl, psl_value, required_length, validate, Violation};
 pub use stats::{stats, to_csv, ScheduleStats};
-pub use svg::{to_svg, SvgOptions};
 pub use table::{Occupancy, Schedule, Slot, TableError};
 
 #[cfg(test)]

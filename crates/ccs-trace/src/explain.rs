@@ -29,7 +29,8 @@ struct Scan {
 /// `name` maps a raw node index to a display name (pass
 /// `|n| format!("n{n}")` when no graph is at hand).  PEs are shown
 /// 1-based to match the paper's `PE1..PEm` convention; control steps
-/// are 0-based table rows.
+/// are printed as the events carry them, 1-based like the schedule
+/// table's rows.
 pub fn explain(events: &[TimedEvent], name: impl FnMut(u32) -> String) -> String {
     explain_with(events, name, |_| None)
 }

@@ -26,11 +26,11 @@
 //!   (`cyclosched schedule --explain`);
 //! * [`metrics`] — counters + histograms registry serialized into the
 //!   `bench_hotpath` report;
-//! * [`sample`] — bounded, deterministic event sampling for long
-//!   sweeps (`O(cap)` memory regardless of run length);
 //! * the `ccs-profile` crate — folds the per-edge traffic attribution
 //!   events (`traffic.edge` / `traffic.pe`) into a `CommProfile`
-//!   (`cyclosched schedule --profile out.json [--heatmap]`).
+//!   (`cyclosched schedule --profile out.json [--heatmap]`);
+//! * the `ccs-report` crate — folds a recorded stream into the HTML
+//!   flight-recorder report (`cyclosched schedule --report out.html`).
 //!
 //! Sinks are **thread-local or explicitly threaded**: install one in
 //! the thread that runs the scheduler, or pass a sink through
@@ -44,7 +44,6 @@ pub mod chrome;
 pub mod event;
 pub mod explain;
 pub mod metrics;
-pub mod sample;
 
 pub use event::{Event, RunnerUp, Verdict};
 

@@ -1,72 +1,11 @@
-//! Boundary-condition coverage for [`ccs_trace::sample::SampleSink`]
-//! (stride/cap edges) and for nested [`Recorder`] installation —
-//! behaviors previously exercised only incidentally by the sweep
+//! Boundary-condition coverage for nested [`Recorder`] installation —
+//! behavior previously exercised only incidentally by the sweep
 //! drivers.
 
-use ccs_trace::sample::SampleSink;
-use ccs_trace::{emit, install, installed, record, Event, Recorder, Sink as _};
+use ccs_trace::{emit, install, installed, record, Event, Recorder};
 
 fn ev(n: u32) -> Event {
     Event::StartupEnd { length: n }
-}
-
-fn lengths(kept: &[Event]) -> Vec<u32> {
-    kept.iter()
-        .map(|e| match e {
-            Event::StartupEnd { length } => *length,
-            other => panic!("unexpected event {other:?}"),
-        })
-        .collect()
-}
-
-#[test]
-fn stride_one_keeps_everything_until_cap() {
-    let mut s = SampleSink::new(1, 3);
-    for n in 0..5 {
-        s.event(ev(n));
-    }
-    assert_eq!(s.seen, 5, "dropped events are still counted");
-    assert_eq!(lengths(&s.kept), vec![0, 1, 2]);
-    assert!(s.saturated());
-}
-
-#[test]
-fn cap_zero_keeps_nothing_but_counts() {
-    let mut s = SampleSink::new(1, 0);
-    assert!(s.saturated(), "a zero cap is saturated from the start");
-    for n in 0..7 {
-        s.event(ev(n));
-    }
-    let (seen, kept) = s.into_parts();
-    assert_eq!(seen, 7);
-    assert!(kept.is_empty());
-}
-
-#[test]
-fn cap_hit_mid_stride_counts_the_tail() {
-    // stride 3, cap 2: events 0 and 3 are kept; 6 and 9 match the
-    // stride but arrive after saturation and must be dropped while the
-    // `seen` counter keeps advancing through non-multiples too.
-    let mut s = SampleSink::new(3, 2);
-    for n in 0..11 {
-        assert_eq!(s.saturated(), n >= 4, "saturates when event 3 lands");
-        s.event(ev(n));
-    }
-    assert_eq!(s.seen, 11);
-    assert_eq!(lengths(&s.kept), vec![0, 3]);
-    assert!(s.saturated());
-}
-
-#[test]
-fn saturation_is_by_kept_count_not_by_seen() {
-    let mut s = SampleSink::new(5, 2);
-    for n in 0..5 {
-        s.event(ev(n));
-    }
-    // Five events seen but only event 0 kept: not saturated yet.
-    assert_eq!(s.seen, 5);
-    assert_eq!(s.kept.len(), 1);
-    assert!(!s.saturated());
 }
 
 #[test]
@@ -110,22 +49,4 @@ fn explicit_guard_installs_nest_and_restore_in_order() {
     }
     drop(outer_guard);
     assert!(!installed(), "no sink left after the outermost guard drops");
-}
-
-#[test]
-fn sample_sink_under_record_composes_with_nesting() {
-    // A SampleSink installed inside a Recorder sees only its own
-    // scope's events, at its own stride.
-    let ((), events) = record(|| {
-        emit(ev(0));
-        let ((), sample) = ccs_trace::with_sink(SampleSink::new(2, 10), || {
-            for n in 10..15 {
-                emit(ev(n));
-            }
-        });
-        assert_eq!(sample.seen, 5);
-        assert_eq!(lengths(&sample.kept), vec![10, 12, 14]);
-        emit(ev(1));
-    });
-    assert_eq!(events.len(), 2, "sampled events never leak to the recorder");
 }

@@ -9,6 +9,7 @@ use cyclosched::cli::{
 use cyclosched::lang::{compile as lang_compile, LowerConfig};
 use cyclosched::model::parser as graph_parser;
 use cyclosched::prelude::*;
+use cyclosched::report::{gantt_svg, Bar};
 use cyclosched::topology::parse_spec;
 use std::io::Read;
 use std::process::ExitCode;
@@ -256,11 +257,34 @@ fn run_schedule(args: ScheduleArgs) -> Result<(), String> {
         );
     }
     if let Some(path) = &args.svg {
-        let svg = cyclosched::schedule::to_svg(
-            &result.graph,
-            &result.schedule,
-            cyclosched::schedule::SvgOptions::default(),
+        let sched = &result.schedule;
+        let bars: Vec<Bar> = sched
+            .placements()
+            .map(|(v, slot)| {
+                let label = result.graph.name(v).to_string();
+                Bar {
+                    pe: slot.pe.0,
+                    cs: slot.start,
+                    duration: slot.duration,
+                    rotated: false,
+                    title: format!(
+                        "{label} -> PE{}, cs {}..{}",
+                        slot.pe.0 + 1,
+                        slot.start,
+                        slot.start + slot.duration
+                    ),
+                    label,
+                }
+            })
+            .collect();
+        let caption = format!(
+            "{}: length {}, {} padded step(s)",
+            machine.name(),
+            sched.length(),
+            sched.padding()
         );
+        let pes = u32::try_from(sched.num_pes()).unwrap_or(u32::MAX);
+        let svg = gantt_svg(&caption, pes, sched.length(), &bars, true);
         std::fs::write(path, svg).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("wrote {path}");
     }

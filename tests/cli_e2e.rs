@@ -241,6 +241,17 @@ fn svg_export_writes_a_file() {
     assert!(out.status.success());
     let svg = std::fs::read_to_string(&path).unwrap();
     assert!(svg.starts_with("<svg"));
+    let facts = cyclosched::report::check::check_svg(&svg)
+        .unwrap_or_else(|e| panic!("--svg output fails report-check: {e:?}"));
+    assert_eq!(facts.svgs, 1);
+    // Control steps are labelled 1-based, like the schedule table.
+    let first_label = svg
+        .split("<text class=\"g-ax\"")
+        .nth(1)
+        .and_then(|t| t.split_once('>'))
+        .and_then(|(_, rest)| rest.split_once('<'))
+        .map(|(label, _)| label);
+    assert_eq!(first_label, Some("1"), "{svg}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
