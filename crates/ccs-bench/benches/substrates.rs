@@ -1,15 +1,19 @@
 //! Criterion benchmarks of the substrate crates (B4-B5): topology
 //! builds, distance queries and machine checks, retiming analyses,
-//! schedule-table operations, and simulator throughput.
+//! schedule-table operations, simulator throughput, and the
+//! observability consumers (Chrome export, report and diff pages).
 
 use ccs_analyze::analyze_machine;
 use ccs_bounds::compute_bounds;
-use ccs_core::{startup_schedule, StartupConfig};
+use ccs_core::{cyclo_compact, startup_schedule, CompactConfig, StartupConfig};
 use ccs_model::{Csdfg, NodeId};
+use ccs_report::diff::{render_diff_report, DiffInput, DiffSide};
+use ccs_report::{render_report, ReportInput};
 use ccs_retiming::{clock_period, critical_cycle, iteration_bound};
 use ccs_schedule::Schedule;
 use ccs_sim::{replay_static, run_self_timed};
 use ccs_topology::{parse_spec, Machine, Pe, RoutingTable};
+use ccs_trace::chrome::{to_chrome, Clock};
 use ccs_workloads::{random_csdfg, OpTimes, RandomGraphConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -133,11 +137,66 @@ fn bench_simulator(c: &mut Criterion) {
     group.finish();
 }
 
+/// The artifact writers of a `--trace`, `--report` and `--report-diff`
+/// job on one recorded `elliptic` x `mesh:4x4` run (the diff page
+/// compares the run with itself, as `--diff-policy reference` does).
+fn bench_observe(c: &mut Criterion) {
+    let mut group = c.benchmark_group("observe");
+    // One iteration is a whole artifact (2-20 ms), so one sample holds
+    // one call; take more than the default ten.
+    group.sample_size(40);
+    let g = ccs_workloads::filters::elliptic_wave_filter(OpTimes::default());
+    let m = Machine::mesh(4, 4);
+    let (outcome, events) = ccs_trace::record(|| cyclo_compact(&g, &m, CompactConfig::default()));
+    let best = outcome.expect("legal").best_length;
+    let profile = ccs_profile::build(&events, &m);
+    let certificate = ccs_bounds::certify_period(&g, &m, best);
+    let name = |n: u32| g.name(NodeId::from_index(n as usize)).to_string();
+    group.bench_function("to_chrome/elliptic_mesh4x4", |b| {
+        b.iter(|| to_chrome(black_box(&events), Clock::Logical))
+    });
+    group.bench_function("render_report/elliptic_mesh4x4", |b| {
+        b.iter(|| {
+            render_report(
+                &ReportInput {
+                    title: "elliptic on mesh:4x4",
+                    events: black_box(&events),
+                    machine: &m,
+                    profile: &profile,
+                    certificate: Some(&certificate),
+                },
+                name,
+            )
+        })
+    });
+    let side = || DiffSide {
+        label: "mesh:4x4",
+        events: black_box(&events),
+        machine: &m,
+        profile: &profile,
+        certificate: Some(&certificate),
+    };
+    group.bench_function("render_diff_report/elliptic_mesh4x4", |b| {
+        b.iter(|| {
+            render_diff_report(
+                &DiffInput {
+                    title: "elliptic: mesh:4x4 vs itself",
+                    a: side(),
+                    b: side(),
+                },
+                name,
+            )
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_topology,
     bench_retiming,
     bench_schedule_table,
-    bench_simulator
+    bench_simulator,
+    bench_observe
 );
 criterion_main!(benches);

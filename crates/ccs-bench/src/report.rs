@@ -225,11 +225,12 @@ const SPARK_TOP: u32 = 22;
 const SPARK_PLOT_W: u32 = 280;
 const SPARK_PLOT_H: u32 = 36;
 
-/// One inline SVG sparkline over the report sequence.  `values[i]` is
-/// the metric at report `i` (`None` when that report lacks the key);
-/// `marks[i]` draws a drift marker at report `i`.  Coordinates are
-/// formatted with fixed precision, so the output is deterministic.
-fn spark_svg(caption: &str, values: &[Option<f64>], marks: &[bool]) -> String {
+/// Appends one inline SVG sparkline over the report sequence.
+/// `values[i]` is the metric at report `i` (`None` when that report
+/// lacks the key); `marks[i]` draws a drift marker at report `i`.
+/// Coordinates are formatted with fixed precision, so the output is
+/// deterministic.
+fn spark_svg(out: &mut String, caption: &str, values: &[Option<f64>], marks: &[bool]) {
     let present: Vec<f64> = values.iter().flatten().copied().collect();
     let (lo, hi) = present
         .iter()
@@ -249,7 +250,6 @@ fn spark_svg(caption: &str, values: &[Option<f64>], marks: &[bool]) -> String {
         };
         f64::from(SPARK_TOP) + f64::from(SPARK_PLOT_H) * (1.0 - frac)
     };
-    let mut out = String::new();
     let _ = writeln!(
         out,
         r#"<svg class="spark" width="{SPARK_W}" height="{SPARK_H}" viewBox="0 0 {SPARK_W} {SPARK_H}" role="img">"#
@@ -288,7 +288,7 @@ fn spark_svg(caption: &str, values: &[Option<f64>], marks: &[bool]) -> String {
             r#"  <circle cx="{:.1}" cy="{:.1}" r="{r}" fill="{fill}"><title>{}</title></circle>"#,
             x_of(i),
             y_of(*v),
-            esc(&format!(
+            esc(format_args!(
                 "report {}: {v:.2}{}",
                 i + 1,
                 if drifted { " (fingerprint drift)" } else { "" }
@@ -299,20 +299,19 @@ fn spark_svg(caption: &str, values: &[Option<f64>], marks: &[bool]) -> String {
         let _ = writeln!(
             out,
             r#"  <text class="sp-s" x="{tx}" y="{ty}">{}</text>"#,
-            esc(&format!("{hi:.2}")),
+            esc(format_args!("{hi:.2}")),
             tx = SPARK_LEFT + SPARK_PLOT_W + 6,
             ty = SPARK_TOP + 8
         );
         let _ = writeln!(
             out,
             r#"  <text class="sp-s" x="{tx}" y="{ty}">{}</text>"#,
-            esc(&format!("{lo:.2}")),
+            esc(format_args!("{lo:.2}")),
             tx = SPARK_LEFT + SPARK_PLOT_W + 6,
             ty = SPARK_TOP + SPARK_PLOT_H
         );
     }
     out.push_str("</svg>\n");
-    out
 }
 
 /// Union of a metric's keys across the trajectory, in BTree order.
@@ -326,10 +325,13 @@ fn all_keys<'a>(
     keys
 }
 
-fn timings_section(t: &Trajectory) -> String {
-    let mut out = String::new();
+fn timings_section(out: &mut String, t: &Trajectory) {
     let no_marks = vec![false; t.reports.len()];
-    for key in all_keys(t, |r| &r.timings) {
+    let keys = all_keys(t, |r| &r.timings);
+    if keys.is_empty() {
+        out.push_str("<p>no timings recorded</p>\n");
+    }
+    for key in keys {
         let values: Vec<Option<f64>> = t
             .reports
             .iter()
@@ -341,21 +343,21 @@ fn timings_section(t: &Trajectory) -> String {
             (Some(&f), Some(&l)) if l > 0.0 => format!("{:.2}x", f / l),
             _ => "-".to_string(),
         };
-        out.push_str(&spark_svg(
+        spark_svg(
+            out,
             &format!("{key} (ms, first/last speedup {speedup})"),
             &values,
             &no_marks,
-        ));
+        );
     }
-    if out.is_empty() {
-        out.push_str("<p>no timings recorded</p>\n");
-    }
-    out
 }
 
-fn gaps_section(t: &Trajectory) -> String {
-    let mut out = String::new();
-    for key in all_keys(t, |r| &r.gaps) {
+fn gaps_section(out: &mut String, t: &Trajectory) {
+    let keys = all_keys(t, |r| &r.gaps);
+    if keys.is_empty() {
+        out.push_str("<p>no bounds sections recorded (reports predate the bound engine)</p>\n");
+    }
+    for key in keys {
         let values: Vec<Option<f64>> = t.reports.iter().map(|r| r.gaps.get(key).copied()).collect();
         // Drift markers land on the *later* report of each drifting
         // adjacent pair, matched by label.
@@ -368,32 +370,28 @@ fn gaps_section(t: &Trajectory) -> String {
                     .any(|d| d.key == *key && d.between.1 == r.label)
             })
             .collect();
-        out.push_str(&spark_svg(
+        spark_svg(
+            out,
             &format!("{key} (gap % vs static floor)"),
             &values,
             &marks,
-        ));
+        );
     }
-    if out.is_empty() {
-        out.push_str("<p>no bounds sections recorded (reports predate the bound engine)</p>\n");
-    }
-    out
 }
 
-fn findings_section(t: &Trajectory) -> String {
-    let mut out = String::new();
+fn findings_section(out: &mut String, t: &Trajectory) {
     if !t.failed() {
         out.push_str(
             "<p><span class=\"accepted\">gate passes</span>: fingerprints stable, \
              no gap growth, no timing regression past the threshold</p>\n",
         );
-        return out;
+        return;
     }
     for d in &t.drifts {
         let _ = writeln!(
             out,
             "<p><span class=\"reverted\">FINGERPRINT DRIFT</span> {}</p>",
-            esc(&format!(
+            esc(format_args!(
                 "{}: {} -> {} between {} and {}",
                 d.key, d.from, d.to, d.between.0, d.between.1
             ))
@@ -403,7 +401,7 @@ fn findings_section(t: &Trajectory) -> String {
         let _ = writeln!(
             out,
             "<p><span class=\"reverted\">GAP GROWTH</span> {}</p>",
-            esc(&format!(
+            esc(format_args!(
                 "{}: {:.1}% -> {:.1}% between {} and {}",
                 g.key, g.from_pct, g.to_pct, g.between.0, g.between.1
             ))
@@ -413,13 +411,12 @@ fn findings_section(t: &Trajectory) -> String {
         let _ = writeln!(
             out,
             "<p><span class=\"reverted\">TIMING REGRESSION</span> {}</p>",
-            esc(&format!(
+            esc(format_args!(
                 "{}: {:.2} ms -> {:.2} ms (+{:.0}%) between {} and {}",
                 r.key, r.from_ms, r.to_ms, r.pct, r.between.0, r.between.1
             ))
         );
     }
-    out
 }
 
 /// Renders the analyzed BENCH trajectory as one self-contained HTML
@@ -429,20 +426,19 @@ fn findings_section(t: &Trajectory) -> String {
 pub fn trajectory_html(t: &Trajectory) -> String {
     let labels: Vec<&str> = t.reports.iter().map(|r| r.label.as_str()).collect();
     let meta = format!("{} report(s): {}", t.reports.len(), labels.join(" -> "));
-    let sections = [
-        (
-            "timings",
-            "Timing trajectory (median ms per experiment)",
-            timings_section(t),
-        ),
-        (
-            "gaps",
-            "Optimality-gap trajectory (drift markers in red)",
-            gaps_section(t),
-        ),
-        ("findings", "Gate findings", findings_section(t)),
-    ];
-    html::document("BENCH trajectory", &meta, &sections)
+    let mut page = html::Page::new("BENCH trajectory", &meta);
+    page.section(
+        "timings",
+        "Timing trajectory (median ms per experiment)",
+        |out| timings_section(out, t),
+    );
+    page.section(
+        "gaps",
+        "Optimality-gap trajectory (drift markers in red)",
+        |out| gaps_section(out, t),
+    );
+    page.section("findings", "Gate findings", |out| findings_section(out, t));
+    page.finish()
 }
 
 #[cfg(test)]
@@ -517,7 +513,9 @@ mod tests {
 
     #[test]
     fn spark_svg_handles_gaps_and_hostile_captions() {
-        let svg = spark_svg(
+        let mut svg = String::new();
+        spark_svg(
+            &mut svg,
             "a < b & c",
             &[Some(1.0), None, Some(3.0)],
             &[false, false, true],
@@ -529,7 +527,8 @@ mod tests {
         assert_eq!(svg.matches("<circle").count(), 2, "{svg}");
         assert!(svg.contains("#b30000"), "drift mark rendered: {svg}");
         // Single-point series renders no polyline but still validates.
-        let one = spark_svg("one", &[Some(2.0)], &[false]);
+        let mut one = String::new();
+        spark_svg(&mut one, "one", &[Some(2.0)], &[false]);
         assert!(!one.contains("<polyline"), "{one}");
     }
 

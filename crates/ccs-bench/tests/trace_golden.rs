@@ -6,6 +6,7 @@
 
 use ccs_core::{cyclo_compact, CompactConfig};
 use ccs_topology::Machine;
+use ccs_trace::chrome::{to_chrome, validate_chrome, Clock};
 use ccs_trace::{record, Event};
 
 /// Two passes of the paper example keep the golden readable while
@@ -20,12 +21,19 @@ fn two_pass_config() -> CompactConfig {
     }
 }
 
-fn render_stream() -> Vec<String> {
+fn record_stream() -> Vec<ccs_trace::TimedEvent> {
     let g = ccs_workloads::paper::fig1_example();
     let machine = Machine::mesh(2, 2);
     let (outcome, events) = record(|| cyclo_compact(&g, &machine, two_pass_config()));
     outcome.expect("legal");
-    events.iter().map(|te| te.event.to_string()).collect()
+    events
+}
+
+fn render_stream() -> Vec<String> {
+    record_stream()
+        .iter()
+        .map(|te| te.event.to_string())
+        .collect()
 }
 
 /// The exact stream, pinned.  Debug builds only: the `oracle_calls`
@@ -134,6 +142,30 @@ compact.end init=7 best=5 passes=2";
     assert_eq!(
         stream, golden,
         "trace stream drifted; if the change is intentional, update the golden"
+    );
+}
+
+/// The exact Chrome-trace bytes of the same stream under the logical
+/// clock.  Debug builds only, for the same `oracle_calls` reason.  The
+/// debug CLI writes the same bytes, which is how to regenerate the file
+/// after an intentional exporter or scheduler change:
+///
+/// ```text
+/// cyclosched workloads fig1 > fig1.csdfg
+/// cyclosched schedule fig1.csdfg --machine mesh:2x2 --passes 2 \
+///     --trace crates/ccs-bench/tests/golden/fig1_mesh2x2_two_pass.chrome.json
+/// ```
+#[cfg(debug_assertions)]
+#[test]
+fn fig1_two_pass_chrome_export_is_golden() {
+    let actual = to_chrome(&record_stream(), Clock::Logical);
+    let stats = validate_chrome(&actual).expect("export passes trace-check");
+    assert_eq!(stats.spans, 4, "startup, two passes, cyclo_compact");
+    assert_eq!(
+        actual,
+        include_str!("golden/fig1_mesh2x2_two_pass.chrome.json"),
+        "Chrome export drifted; if intentional, regenerate the golden with a debug build \
+         of the CLI (see this test's doc comment)"
     );
 }
 

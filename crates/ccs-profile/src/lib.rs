@@ -398,13 +398,67 @@ pub struct ProfileBuilder {
     best_length: u32,
 }
 
+/// A routable machine's deterministic BFS routes plus an index from
+/// each hop to its physical link.  Build it once per machine and share
+/// it across every [`link_loads`] and [`route_label`] call: the route
+/// table is `O(PEs²)` to build, and the index replaces a scan of the
+/// machine's link list per hop.
+pub struct LinkRoutes {
+    table: RoutingTable,
+    /// Every physical link as `((min, max), position in
+    /// machine.links())`, sorted by link for binary search.
+    index: Vec<((usize, usize), usize)>,
+}
+
+impl LinkRoutes {
+    /// Routes for `machine`, or `None` when link loads are not
+    /// meaningful on it (see [`routable`]).
+    pub fn new(machine: &Machine) -> Option<Self> {
+        if !routable(machine) {
+            return None;
+        }
+        let mut index: Vec<_> = machine
+            .links()
+            .iter()
+            .enumerate()
+            .map(|(ix, &link)| (link, ix))
+            .collect();
+        index.sort_unstable();
+        Some(LinkRoutes {
+            table: RoutingTable::new(machine),
+            index,
+        })
+    }
+
+    /// The deterministic route table ([`route_label`] takes it).
+    pub fn table(&self) -> &RoutingTable {
+        &self.table
+    }
+
+    /// Position in `machine.links()` of the link joining `a` and `b`.
+    fn link(&self, a: Pe, b: Pe) -> Option<usize> {
+        let (a, b) = (a.index(), b.index());
+        let key = (a.min(b), a.max(b));
+        self.index
+            .binary_search_by_key(&key, |&(link, _)| link)
+            .ok()
+            .map(|i| self.index[i].1)
+    }
+}
+
 /// Hop-weighted link loads of one edge ledger on `machine`: each
 /// crossing edge charges its volume to every link on the deterministic
 /// BFS route between its PEs.  Σ over links of one edge's volume =
 /// hops · volume = the edge's cost, so link loads and the ledger agree
-/// (the conservation invariant `report-check` verifies).  Machines
-/// without meaningful routes (no links, or disconnected) load nothing.
-pub fn link_loads(machine: &Machine, edges: &[EdgeTraffic]) -> Vec<LinkLoad> {
+/// (the conservation invariant `report-check` verifies).  `routes` is
+/// [`LinkRoutes::new`] of the same machine; a machine without
+/// meaningful routes (no links, or disconnected) has none and loads
+/// nothing.
+pub fn link_loads(
+    machine: &Machine,
+    routes: Option<&LinkRoutes>,
+    edges: &[EdgeTraffic],
+) -> Vec<LinkLoad> {
     let mut links: Vec<LinkLoad> = machine
         .links()
         .iter()
@@ -414,29 +468,22 @@ pub fn link_loads(machine: &Machine, edges: &[EdgeTraffic]) -> Vec<LinkLoad> {
             ..LinkLoad::default()
         })
         .collect();
-    if !routable(machine) {
+    let Some(routes) = routes else {
         return links;
-    }
-    let routes = RoutingTable::new(machine);
-    let index_of = |a: usize, b: usize| {
-        machine
-            .links()
-            .iter()
-            .position(|&l| l == (a.min(b), a.max(b)))
     };
     for e in edges {
         if !e.crossing() || e.hops == 0 || e.hops == u32::MAX {
             continue;
         }
-        let (sp, dp) = (
-            Pe::from_index(e.src_pe as usize),
-            Pe::from_index(e.dst_pe as usize),
-        );
-        for (a, b) in routes.links_on_path(sp, dp) {
-            if let Some(ix) = index_of(a, b) {
+        let dst = Pe::from_index(e.dst_pe as usize);
+        let mut cur = Pe::from_index(e.src_pe as usize);
+        while cur != dst {
+            let next = routes.table.next_hop(cur, dst);
+            if let Some(ix) = routes.link(cur, next) {
                 links[ix].volume = links[ix].volume.saturating_add(u64::from(e.volume));
                 links[ix].messages += 1;
             }
+            cur = next;
         }
     }
     links
@@ -459,7 +506,7 @@ impl ProfileBuilder {
     pub fn finish(self, machine: &Machine) -> CommProfile {
         let edges = self.cur_edges;
         let (total_comm, crossing_edges, local_edges) = fold(&edges);
-        let links = link_loads(machine, &edges);
+        let links = link_loads(machine, LinkRoutes::new(machine).as_ref(), &edges);
 
         // Per-PE rows: loads from the traffic.pe events, send/recv
         // from the ledger.
@@ -679,6 +726,97 @@ mod tests {
             dst_pe,
             hops,
             volume,
+        }
+    }
+
+    /// The per-call table and linear link scan [`link_loads`] used
+    /// before [`LinkRoutes`], kept as the oracle.
+    fn link_loads_by_scan(machine: &Machine, edges: &[EdgeTraffic]) -> Vec<LinkLoad> {
+        let mut links: Vec<LinkLoad> = machine
+            .links()
+            .iter()
+            .map(|&(a, b)| LinkLoad {
+                a: a as u32,
+                b: b as u32,
+                ..LinkLoad::default()
+            })
+            .collect();
+        if !routable(machine) {
+            return links;
+        }
+        let routes = RoutingTable::new(machine);
+        for e in edges {
+            if !e.crossing() || e.hops == 0 || e.hops == u32::MAX {
+                continue;
+            }
+            let (sp, dp) = (Pe(e.src_pe), Pe(e.dst_pe));
+            for (a, b) in routes.links_on_path(sp, dp) {
+                if let Some(ix) = machine.links().iter().position(|&l| l == (a, b)) {
+                    links[ix].volume += u64::from(e.volume);
+                    links[ix].messages += 1;
+                }
+            }
+        }
+        links
+    }
+
+    #[test]
+    fn indexed_link_loads_match_the_linear_scan() {
+        let mut machines = Machine::paper_suite();
+        for spec in ["mesh:8x8", "complete:64", "hypercube:6", "random:24:7"] {
+            machines.push(ccs_topology::parse_spec(spec).expect("spec"));
+        }
+        for m in &machines {
+            // Every ordered PE pair once, with volumes that tell the
+            // pairs apart, plus a local and a zero-hop row.
+            let n = m.num_pes() as u32;
+            let mut edges = vec![
+                EdgeTraffic {
+                    edge: 0,
+                    src: 0,
+                    dst: 1,
+                    src_pe: 0,
+                    dst_pe: 0,
+                    hops: 0,
+                    volume: 9,
+                },
+                EdgeTraffic {
+                    edge: 1,
+                    src: 0,
+                    dst: 1,
+                    src_pe: 0,
+                    dst_pe: n - 1,
+                    hops: 0,
+                    volume: 9,
+                },
+            ];
+            for s in 0..n {
+                for d in (0..n).filter(|&d| d != s) {
+                    edges.push(EdgeTraffic {
+                        edge: edges.len() as u32,
+                        src: s,
+                        dst: d,
+                        src_pe: s,
+                        dst_pe: d,
+                        hops: m.distance(Pe(s), Pe(d)),
+                        volume: 1 + (s * 7 + d) % 5,
+                    });
+                }
+            }
+            let routes = LinkRoutes::new(m);
+            assert_eq!(routes.is_some(), routable(m), "{}", m.name());
+            let loads = link_loads(m, routes.as_ref(), &edges);
+            assert_eq!(loads, link_loads_by_scan(m, &edges), "{}", m.name());
+            // Conservation: the links carry the ledger's hop-weighted cost.
+            if routes.is_some() {
+                let charged: u64 = loads.iter().map(|l| l.volume).sum();
+                let cost: u64 = edges
+                    .iter()
+                    .filter(|e| e.crossing())
+                    .map(|e| e.cost())
+                    .sum();
+                assert_eq!(charged, cost, "{}", m.name());
+            }
         }
     }
 

@@ -2,21 +2,26 @@
 //!
 //! [`heatmap`] draws the PE-to-PE hop-weighted traffic matrix plus a
 //! per-link load bar chart — a terminal-native view of which parts of
-//! the fabric the schedule actually stresses.  [`heatmap_svg`] is the
-//! rich equivalent: a self-contained SVG of the same matrix and link
-//! bars, written by `cyclosched schedule --heatmap-svg` and embedded
-//! per accepted pass by the `ccs-report` HTML report.  Pure functions
-//! of the profile, so the output is as deterministic as the profile
-//! itself.
+//! the fabric the schedule actually stresses.  [`heatmap_panel`] is
+//! the rich equivalent: an SVG of the same matrix and link bars,
+//! appended to the caller's buffer — embedded per accepted pass by the
+//! `ccs-report` HTML report, per side by its diff page and per cell by
+//! its sweep grid.  [`heatmap_svg`] wraps it as the standalone file
+//! `cyclosched schedule --heatmap-svg` writes, and
+//! [`delta_heatmap_svg`] appends the signed shift between two ledgers.
+//! Pure functions of their inputs, so the output is as deterministic
+//! as the profile itself.
 //!
 //! Everything interpolated into SVG/HTML text content goes through
 //! [`esc`] — the one audited escape helper (the `escaped-html-output`
 //! repo lint enforces this for every markup renderer in the workspace's
-//! report path).
+//! report path).  It is a formatting adaptor: it escapes while its
+//! argument formats, so `esc(format_args!(…))` writes a matrix cell's
+//! title straight into the page without an intermediate `String`.
 
 use crate::CommProfile;
 use crate::{EdgeTraffic, LinkLoad};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Intensity ramp for the matrix cells, dimmest to brightest.
 const RAMP: &[u8] = b" .:-=+*#%@";
@@ -111,24 +116,42 @@ pub fn heatmap(p: &CommProfile) -> String {
     out
 }
 
-/// Escapes `s` for HTML/SVG text and attribute contexts: the five
-/// XML-special characters become entities.  This is the single audited
-/// escape helper of the reporting path — `ccs-report` re-exports it,
-/// and the `escaped-html-output` repo lint keeps every markup
-/// interpolation routed through it.
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&#39;"),
-            _ => out.push(c),
+/// Formats `x` for HTML/SVG text and attribute contexts, escaping as
+/// it formats: the five XML-special characters become entities, and
+/// nothing is allocated.  A special character is caught wherever it
+/// falls, also across the arguments of a `format_args!`.  This is the
+/// single audited escape helper of the reporting path — `ccs-report`
+/// re-exports it, and the `escaped-html-output` repo lint keeps every
+/// markup interpolation routed through it.
+pub fn esc<T: fmt::Display>(x: T) -> impl fmt::Display {
+    struct Esc<T>(T);
+    /// Escapes each chunk the inner value writes.
+    struct Escape<'a, 'b>(&'a mut fmt::Formatter<'b>);
+    impl fmt::Write for Escape<'_, '_> {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            let mut plain = 0;
+            for (i, b) in s.bytes().enumerate() {
+                let entity = match b {
+                    b'&' => "&amp;",
+                    b'<' => "&lt;",
+                    b'>' => "&gt;",
+                    b'"' => "&quot;",
+                    b'\'' => "&#39;",
+                    _ => continue,
+                };
+                self.0.write_str(&s[plain..i])?;
+                self.0.write_str(entity)?;
+                plain = i + 1;
+            }
+            self.0.write_str(&s[plain..])
         }
     }
-    out
+    impl<T: fmt::Display> fmt::Display for Esc<T> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            write!(Escape(f), "{}", self.0)
+        }
+    }
+    Esc(x)
 }
 
 /// Sequential heat ramp (OrRd-style), dimmest to hottest; index 0 is
@@ -209,46 +232,27 @@ impl PanelGeometry {
     }
 }
 
-/// Renders one edge ledger and its link loads as an SVG heatmap: the
-/// PE-to-PE hop-weighted crossing-cost matrix (rows = source PE,
-/// columns = destination PE) plus one load bar per physical link.
+/// Appends one edge ledger and its link loads to `out` as an SVG
+/// heatmap: the PE-to-PE hop-weighted crossing-cost matrix (rows =
+/// source PE, columns = destination PE) plus one load bar per physical
+/// link.  This one renderer draws the report's per-phase panels, the
+/// standalone `--heatmap-svg` file, the diff page's sides and the
+/// sweep grid's tiles; [`PanelOptions`] sets which.
 ///
 /// The `<svg>` element carries machine-readable conservation data:
 /// `data-ledger-total` (Σ hop·volume over crossing ledger rows) and
-/// `data-link-total` (Σ volume charged to links).  When `routable` is
-/// `true` the two are equal by construction — `report-check` verifies
-/// exactly that invariant on every embedded heatmap.  `standalone`
-/// adds the `xmlns` attribute so the file opens outside an HTML page.
-pub fn heatmap_svg_panel(
-    caption: &str,
-    pes: u32,
-    edges: &[EdgeTraffic],
-    links: &[LinkLoad],
-    routable: bool,
-    standalone: bool,
-) -> String {
-    heatmap_panel(
-        caption,
-        pes,
-        edges,
-        links,
-        PanelOptions {
-            routable,
-            standalone,
-            ..PanelOptions::default()
-        },
-    )
-}
-
-/// [`heatmap_svg_panel`] with full [`PanelOptions`]: diff-side and
-/// grid-cell markers, mini geometry.
+/// `data-link-total` (Σ volume charged to links).  When
+/// [`PanelOptions::routable`] holds the two are equal by construction
+/// — `report-check` verifies exactly that invariant on every embedded
+/// heatmap.
 pub fn heatmap_panel(
+    out: &mut String,
     caption: &str,
     pes: u32,
     edges: &[EdgeTraffic],
     links: &[LinkLoad],
     opts: PanelOptions<'_>,
-) -> String {
+) {
     let PanelOptions {
         routable,
         standalone,
@@ -288,23 +292,25 @@ pub fn heatmap_panel(
         .max(geo.min_w);
     let height = links_top + links_h + 16;
 
-    let mut out = String::new();
     let xmlns = if standalone {
         r#" xmlns="http://www.w3.org/2000/svg""#
     } else {
         ""
     };
     let class = if mini { "heatmap mini" } else { "heatmap" };
-    let mut marks = String::new();
+    let _ = write!(
+        out,
+        r#"<svg{xmlns} class="{class}" width="{width}" height="{height}" viewBox="0 0 {width} {height}" data-pes="{pes}""#
+    );
     if let Some(s) = side {
-        let _ = write!(marks, r#" data-side="{}""#, esc(s));
+        let _ = write!(out, r#" data-side="{}""#, esc(s));
     }
     if let Some(c) = cell {
-        let _ = write!(marks, r#" data-cell="{}""#, esc(c));
+        let _ = write!(out, r#" data-cell="{}""#, esc(c));
     }
     let _ = writeln!(
         out,
-        r#"<svg{xmlns} class="{class}" width="{width}" height="{height}" viewBox="0 0 {width} {height}" data-pes="{pes}"{marks} data-routable="{routable}" data-ledger-total="{ledger_total}" data-link-total="{link_total}" role="img">"#
+        r#" data-routable="{routable}" data-ledger-total="{ledger_total}" data-link-total="{link_total}" role="img">"#
     );
     let (tf, sf) = if mini { (10, 8) } else { (12, 10) };
     let _ = writeln!(
@@ -324,7 +330,7 @@ pub fn heatmap_panel(
         let _ = writeln!(
             out,
             r#"  <text class="hm-s" x="{x}" y="{y}" text-anchor="middle">{}</text>"#,
-            esc(&format!("{}", d + 1)),
+            esc(d + 1),
             y = gt - 4
         );
     }
@@ -333,7 +339,7 @@ pub fn heatmap_panel(
         let _ = writeln!(
             out,
             r#"  <text class="hm-s" x="{x}" y="{y}" text-anchor="end">{}</text>"#,
-            esc(&format!("PE{}", s + 1)),
+            esc(format_args!("PE{}", s + 1)),
             x = gl - 4
         );
         for d in 0..n {
@@ -343,7 +349,7 @@ pub fn heatmap_panel(
             let _ = writeln!(
                 out,
                 r#"  <rect class="hm-c" x="{x}" y="{yy}" width="{gc}" height="{gc}" fill="{fill}"><title>{}</title></rect>"#,
-                esc(&format!("PE{} -> PE{}: cost {v}", s + 1, d + 1)),
+                esc(format_args!("PE{} -> PE{}: cost {v}", s + 1, d + 1)),
                 fill = heat_color(v, cell_max)
             );
         }
@@ -353,7 +359,7 @@ pub fn heatmap_panel(
         let _ = writeln!(
             out,
             r#"  <text class="hm-s" x="{gl}" y="{y}">{}</text>"#,
-            esc(&format!("matrix scale: 0 .. {cell_max}"))
+            esc(format_args!("matrix scale: 0 .. {cell_max}"))
         );
     }
 
@@ -369,13 +375,13 @@ pub fn heatmap_panel(
         let _ = writeln!(
             out,
             r#"  <text class="hm-s" x="{gl}" y="{ty}" text-anchor="end">{}</text>"#,
-            esc(&format!("PE{}-PE{}", l.a + 1, l.b + 1)),
+            esc(format_args!("PE{}-PE{}", l.a + 1, l.b + 1)),
             ty = y + 11
         );
         let _ = writeln!(
             out,
             r#"  <rect x="{bx}" y="{ry}" width="{bw}" height="{bh}" fill="{fill}"><title>{}</title></rect>"#,
-            esc(&format!(
+            esc(format_args!(
                 "link PE{}-PE{}: volume {}, {} message(s)",
                 l.a + 1,
                 l.b + 1,
@@ -395,13 +401,12 @@ pub fn heatmap_panel(
         let _ = writeln!(
             out,
             r#"  <text class="hm-s" x="{tx}" y="{ty}">{}</text>"#,
-            esc(&format!("{}", l.volume)),
+            esc(l.volume),
             tx = gl + 8 + gb + 8,
             ty = y + 11
         );
     }
     out.push_str("</svg>\n");
-    out
 }
 
 /// Diverging ramp for signed deltas: index 0 is zero, higher indices
@@ -465,7 +470,8 @@ fn link_deltas(before: &[LinkLoad], after: &[LinkLoad]) -> Vec<LinkDelta> {
     rows
 }
 
-/// Renders the signed traffic shift between two edge ledgers as an SVG:
+/// Appends the signed traffic shift between two edge ledgers to `out`
+/// as an SVG:
 /// a PE-to-PE matrix of `Δcost = cost_B - cost_A` on a diverging ramp
 /// (blues = traffic removed, reds = added), plus one signed bar per
 /// physical link of either machine (links only one side has charge
@@ -473,13 +479,14 @@ fn link_deltas(before: &[LinkLoad], after: &[LinkLoad]) -> Vec<LinkDelta> {
 /// marked `data-side="delta"` and carries no conservation totals (a
 /// signed difference conserves nothing).
 pub fn delta_heatmap_svg(
+    out: &mut String,
     caption: &str,
     pes: u32,
     before: &[EdgeTraffic],
     after: &[EdgeTraffic],
     before_links: &[LinkLoad],
     after_links: &[LinkLoad],
-) -> String {
+) {
     let n = pes as usize;
     let mut cells = vec![0i64; n * n];
     let charge = |cells: &mut Vec<i64>, edges: &[EdgeTraffic], sign: i64| {
@@ -510,7 +517,6 @@ pub fn delta_heatmap_svg(
         .max(360);
     let height = links_top + links_h + 16;
 
-    let mut out = String::new();
     let _ = writeln!(
         out,
         r#"<svg class="heatmap delta" width="{width}" height="{height}" viewBox="0 0 {width} {height}" data-pes="{pes}" data-side="delta" data-routable="false" role="img">"#
@@ -529,7 +535,7 @@ pub fn delta_heatmap_svg(
         let _ = writeln!(
             out,
             r#"  <text class="hm-s" x="{x}" y="{y}" text-anchor="middle">{}</text>"#,
-            esc(&format!("{}", d + 1)),
+            esc(d + 1),
             y = TOP - 4
         );
     }
@@ -538,7 +544,7 @@ pub fn delta_heatmap_svg(
         let _ = writeln!(
             out,
             r#"  <text class="hm-s" x="{x}" y="{y}" text-anchor="end">{}</text>"#,
-            esc(&format!("PE{}", s + 1)),
+            esc(format_args!("PE{}", s + 1)),
             x = LEFT - 4
         );
         for d in 0..n {
@@ -548,7 +554,7 @@ pub fn delta_heatmap_svg(
             let _ = writeln!(
                 out,
                 r#"  <rect class="hm-c" x="{x}" y="{yy}" width="{CELL}" height="{CELL}" fill="{fill}"><title>{}</title></rect>"#,
-                esc(&format!("PE{} -> PE{}: delta {v:+}", s + 1, d + 1)),
+                esc(format_args!("PE{} -> PE{}: delta {v:+}", s + 1, d + 1)),
                 fill = div_color(v, cell_max)
             );
         }
@@ -558,7 +564,7 @@ pub fn delta_heatmap_svg(
         let _ = writeln!(
             out,
             r#"  <text class="hm-s" x="{LEFT}" y="{y}">{}</text>"#,
-            esc(&format!("delta scale: -{cell_max} .. +{cell_max}"))
+            esc(format_args!("delta scale: -{cell_max} .. +{cell_max}"))
         );
     }
     for (i, r) in rows.iter().enumerate() {
@@ -572,13 +578,13 @@ pub fn delta_heatmap_svg(
         let _ = writeln!(
             out,
             r#"  <text class="hm-s" x="{LEFT}" y="{ty}" text-anchor="end">{}</text>"#,
-            esc(&format!("PE{}-PE{}", r.a + 1, r.b + 1)),
+            esc(format_args!("PE{}-PE{}", r.a + 1, r.b + 1)),
             ty = y + 11
         );
         let _ = writeln!(
             out,
             r#"  <rect x="{bx}" y="{ry}" width="{bw}" height="10" fill="{fill}"><title>{}</title></rect>"#,
-            esc(&format!(
+            esc(format_args!(
                 "link PE{}-PE{} ({}): volume delta {:+}",
                 r.a + 1,
                 r.b + 1,
@@ -597,13 +603,12 @@ pub fn delta_heatmap_svg(
         let _ = writeln!(
             out,
             r#"  <text class="hm-s" x="{tx}" y="{ty}">{}</text>"#,
-            esc(&format!("{:+} ({})", r.delta, r.tag)),
+            esc(format_args!("{:+} ({})", r.delta, r.tag)),
             tx = LEFT + 8 + BAR_W + 8,
             ty = y + 11
         );
     }
     out.push_str("</svg>\n");
-    out
 }
 
 /// The profile's final best-schedule heatmap as a standalone SVG
@@ -614,7 +619,20 @@ pub fn heatmap_svg(p: &CommProfile, routable: bool) -> String {
         "{} — final best schedule: comm {} / compute {}, length {} -> {}",
         p.machine, p.total_comm, p.compute, p.initial_length, p.best_length
     );
-    heatmap_svg_panel(&caption, p.pes, &p.edges, &p.links, routable, true)
+    let mut out = String::new();
+    heatmap_panel(
+        &mut out,
+        &caption,
+        p.pes,
+        &p.edges,
+        &p.links,
+        PanelOptions {
+            routable,
+            standalone: true,
+            ..PanelOptions::default()
+        },
+    );
+    out
 }
 
 #[cfg(test)]
@@ -693,11 +711,88 @@ mod tests {
         assert_eq!(bar(10, 10, 8), "########");
     }
 
+    /// [`heatmap_panel`] into a fresh buffer.
+    fn panel(caption: &str, p: &CommProfile, opts: PanelOptions<'_>) -> String {
+        let mut out = String::new();
+        heatmap_panel(&mut out, caption, p.pes, &p.edges, &p.links, opts);
+        out
+    }
+
+    /// [`delta_heatmap_svg`] into a fresh buffer.
+    fn delta(
+        caption: &str,
+        pes: u32,
+        before: &[EdgeTraffic],
+        after: &[EdgeTraffic],
+        before_links: &[LinkLoad],
+        after_links: &[LinkLoad],
+    ) -> String {
+        let mut out = String::new();
+        delta_heatmap_svg(
+            &mut out,
+            caption,
+            pes,
+            before,
+            after,
+            before_links,
+            after_links,
+        );
+        out
+    }
+
+    /// The allocating escaper the adaptor replaced, kept as the oracle.
+    fn esc_reference(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        for c in s.chars() {
+            match c {
+                '&' => out.push_str("&amp;"),
+                '<' => out.push_str("&lt;"),
+                '>' => out.push_str("&gt;"),
+                '"' => out.push_str("&quot;"),
+                '\'' => out.push_str("&#39;"),
+                _ => out.push(c),
+            }
+        }
+        out
+    }
+
     #[test]
     fn esc_covers_all_specials_and_passes_plain_text() {
-        assert_eq!(esc("a<b>&\"c'"), "a&lt;b&gt;&amp;&quot;c&#39;");
-        assert_eq!(esc("Mesh 2x2"), "Mesh 2x2");
-        assert_eq!(esc(""), "");
+        assert_eq!(esc("a<b>&\"c'").to_string(), "a&lt;b&gt;&amp;&quot;c&#39;");
+        assert_eq!(esc("Mesh 2x2").to_string(), "Mesh 2x2");
+        assert_eq!(esc("").to_string(), "");
+    }
+
+    #[test]
+    fn esc_adaptor_matches_the_allocating_escaper() {
+        for s in [
+            "",
+            "plain",
+            "&",
+            "<<>>",
+            "a<b>&\"c'",
+            "'\"'\"",
+            "PE\u{2081} → PE\u{2082}: Δcost ≥ 3 & <ok> \u{1F600}",
+            "ünïcödé<>&",
+        ] {
+            assert_eq!(esc(s).to_string(), esc_reference(s), "{s:?}");
+        }
+        assert_eq!(esc(42u32).to_string(), "42");
+        assert_eq!(esc(-7i64).to_string(), "-7");
+    }
+
+    #[test]
+    fn esc_catches_specials_across_format_args_boundaries() {
+        assert_eq!(esc(format_args!("{}{}", "<", "&")).to_string(), "&lt;&amp;");
+        assert_eq!(
+            esc(format_args!("PE{} -> PE{}: {}", 1, 2, "a'b\"")).to_string(),
+            "PE1 -&gt; PE2: a&#39;b&quot;"
+        );
+        // The adaptor is as good inside another format string.
+        assert_eq!(
+            format!("<t>{}</t>", esc(format_args!("{}>", "<"))),
+            "<t>&lt;&gt;</t>"
+        );
     }
 
     #[test]
@@ -726,9 +821,9 @@ mod tests {
     }
 
     #[test]
-    fn heatmap_svg_panel_embeds_without_xmlns() {
+    fn heatmap_panel_embeds_without_xmlns() {
         let p = profile();
-        let svg = heatmap_svg_panel("pass 1", p.pes, &p.edges, &p.links, false, false);
+        let svg = panel("pass 1", &p, PanelOptions::default());
         assert!(svg.starts_with("<svg class="), "{svg}");
         assert!(!svg.contains("xmlns"), "{svg}");
         assert!(svg.contains(r#"data-routable="false""#), "{svg}");
@@ -749,11 +844,9 @@ mod tests {
     #[test]
     fn panel_options_tag_side_and_cell_escaped() {
         let p = profile();
-        let svg = heatmap_panel(
+        let svg = panel(
             "cap",
-            p.pes,
-            &p.edges,
-            &p.links,
+            &p,
             PanelOptions {
                 routable: true,
                 side: Some("a"),
@@ -769,12 +862,10 @@ mod tests {
     #[test]
     fn mini_panel_is_smaller_than_full_panel() {
         let p = profile();
-        let full = heatmap_panel("cap", p.pes, &p.edges, &p.links, PanelOptions::default());
-        let mini = heatmap_panel(
+        let full = panel("cap", &p, PanelOptions::default());
+        let mini = panel(
             "cap",
-            p.pes,
-            &p.edges,
-            &p.links,
+            &p,
             PanelOptions {
                 mini: true,
                 ..PanelOptions::default()
@@ -790,11 +881,9 @@ mod tests {
         assert!(mini.contains(r#"class="heatmap mini""#), "{mini}");
         assert_eq!(mini, {
             let p = profile();
-            heatmap_panel(
+            panel(
                 "cap",
-                p.pes,
-                &p.edges,
-                &p.links,
+                &p,
                 PanelOptions {
                     mini: true,
                     ..PanelOptions::default()
@@ -816,7 +905,7 @@ mod tests {
             volume: 3,
             messages: 1,
         }];
-        let svg = delta_heatmap_svg("A vs B", p.pes, &p.edges, &after, &p.links, &after_links);
+        let svg = delta("A vs B", p.pes, &p.edges, &after, &p.links, &after_links);
         assert!(svg.starts_with("<svg class=\"heatmap delta\""), "{svg}");
         assert!(svg.contains(r#"data-side="delta""#), "{svg}");
         assert!(svg.contains(r#"data-routable="false""#), "{svg}");
@@ -840,14 +929,14 @@ mod tests {
         assert!(svg.contains(&format!(r#"viewBox="0 0 {wh} "#)), "{svg}");
         assert_eq!(
             svg,
-            delta_heatmap_svg("A vs B", p.pes, &p.edges, &after, &p.links, &after_links)
+            delta("A vs B", p.pes, &p.edges, &after, &p.links, &after_links)
         );
     }
 
     #[test]
     fn delta_heatmap_of_identical_sides_is_all_zero() {
         let p = profile();
-        let svg = delta_heatmap_svg("same", p.pes, &p.edges, &p.edges, &p.links, &p.links);
+        let svg = delta("same", p.pes, &p.edges, &p.edges, &p.links, &p.links);
         assert!(!svg.contains("delta scale"), "{svg}");
         assert!(svg.contains("delta +0"), "{svg}");
     }

@@ -76,12 +76,12 @@ fn divergence_pass(a: &RunStory, b: &RunStory) -> Option<u32> {
 /// One side's column of the schedule panel: the start-up Gantt plus a
 /// pass-outcome table with rows highlighted from the divergence point.
 fn side_schedule(
+    out: &mut String,
     side: &DiffSide<'_>,
     story: &RunStory,
     diverge: Option<u32>,
     mut name: impl FnMut(u32) -> String,
-) -> String {
-    let mut out = String::new();
+) {
     let _ = writeln!(out, "<h3>{}</h3>", esc(side.label));
     let bars: Vec<Bar> = story
         .startup
@@ -104,13 +104,14 @@ fn side_schedule(
             }
         })
         .collect();
-    out.push_str(&gantt_svg(
+    gantt_svg(
+        out,
         &format!("start-up (pass 0): length {}", story.startup_length),
         story.pes,
         story.startup_length,
         &bars,
         false,
-    ));
+    );
     out.push_str(
         "<table>\n<thead><tr><th>pass</th><th class=\"l\">outcome</th><th>length</th>\
          <th class=\"l\">rotated J</th></tr></thead>\n<tbody>\n",
@@ -130,50 +131,49 @@ fn side_schedule(
             out,
             "<tr{cls}><td>{}</td><td class=\"l\">{outcome}</td><td>{}</td>\
              <td class=\"l\">{{{}}}</td></tr>",
-            esc(&p.pass.to_string()),
-            esc(&p.length.to_string()),
-            esc(&names_of(&p.rotated, &mut name))
+            esc(p.pass),
+            esc(p.length),
+            esc(names_of(&p.rotated, &mut name))
         );
     }
     out.push_str("</tbody>\n</table>\n");
     let _ = writeln!(
         out,
         "<p>best length {} after {} pass(es)</p>",
-        esc(&story.best_length.to_string()),
-        esc(&story.passes_run.to_string())
+        esc(story.best_length),
+        esc(story.passes_run)
     );
-    out
 }
 
 fn schedule_section(
+    out: &mut String,
     input: &DiffInput<'_>,
     sa: &RunStory,
     sb: &RunStory,
     mut name: impl FnMut(u32) -> String,
-) -> String {
+) {
     let diverge = divergence_pass(sa, sb);
-    let mut out = String::new();
     match diverge {
         Some(d) => {
             let _ = writeln!(
                 out,
                 "<p>runs diverge at {}: first pass whose rotation set differs \
                  (highlighted below)</p>",
-                esc(&phase_label(d))
+                esc(phase_label(d))
             );
         }
         None => out.push_str("<p>the runs rotate identical node sets in every pass</p>\n"),
     }
     out.push_str("<div class=\"cols\">\n<div class=\"col\">\n");
-    out.push_str(&side_schedule(&input.a, sa, diverge, &mut name));
+    side_schedule(out, &input.a, sa, diverge, &mut name);
     out.push_str("</div>\n<div class=\"col\">\n");
-    out.push_str(&side_schedule(&input.b, sb, diverge, &mut name));
+    side_schedule(out, &input.b, sb, diverge, &mut name);
     out.push_str("</div>\n</div>\n");
-    out
 }
 
-fn side_heatmap(side: &DiffSide<'_>, tag: &str) -> String {
+fn side_heatmap(out: &mut String, side: &DiffSide<'_>, tag: &str) {
     heatmap_panel(
+        out,
         &format!(
             "{} — final best schedule: comm {}, length {} -> {}",
             side.label,
@@ -189,44 +189,43 @@ fn side_heatmap(side: &DiffSide<'_>, tag: &str) -> String {
             side: Some(tag),
             ..PanelOptions::default()
         },
-    )
+    );
 }
 
-fn heatmaps_section(input: &DiffInput<'_>) -> String {
-    let mut out = String::new();
+fn heatmaps_section(out: &mut String, input: &DiffInput<'_>) {
     out.push_str("<div class=\"cols\">\n<div class=\"col\">\n");
-    out.push_str(&side_heatmap(&input.a, "a"));
+    side_heatmap(out, &input.a, "a");
     out.push_str("</div>\n<div class=\"col\">\n");
-    out.push_str(&side_heatmap(&input.b, "b"));
+    side_heatmap(out, &input.b, "b");
     out.push_str("</div>\n</div>\n");
-    out.push_str(&delta_heatmap_svg(
+    delta_heatmap_svg(
+        out,
         "link-load delta (B minus A)",
         input.a.profile.pes.max(input.b.profile.pes),
         &input.a.profile.edges,
         &input.b.profile.edges,
         &input.a.profile.links,
         &input.b.profile.links,
-    ));
-    out
+    );
 }
 
 fn one_sided_list(out: &mut String, label: &str, edges: &[EdgeTraffic]) {
     if edges.is_empty() {
         return;
     }
-    let rows: Vec<String> = edges
-        .iter()
-        .map(|e| format!("e{} (cost {})", e.edge, e.cost()))
-        .collect();
-    let _ = writeln!(
-        out,
-        "<p>{} only: {} — no counterpart to diff against</p>",
-        esc(label),
-        esc(&rows.join(", "))
-    );
+    let _ = write!(out, "<p>{} only: ", esc(label));
+    for (i, e) in edges.iter().enumerate() {
+        let sep = if i > 0 { ", " } else { "" };
+        let _ = write!(
+            out,
+            "{sep}{}",
+            esc(format_args!("e{} (cost {})", e.edge, e.cost()))
+        );
+    }
+    out.push_str(" — no counterpart to diff against</p>\n");
 }
 
-fn ledger_section(input: &DiffInput<'_>, mut name: impl FnMut(u32) -> String) -> String {
+fn ledger_section(out: &mut String, input: &DiffInput<'_>, mut name: impl FnMut(u32) -> String) {
     let (ea, eb) = (&input.a.profile.edges, &input.b.profile.edges);
     let deltas = diff_ledgers(ea, eb);
     let (lone_a, lone_b) = one_sided_edges(ea, eb);
@@ -235,14 +234,13 @@ fn ledger_section(input: &DiffInput<'_>, mut name: impl FnMut(u32) -> String) ->
     let (ca, cb) = (ledger_comm(ea), ledger_comm(eb));
     let shift = i64::try_from(cb).unwrap_or(i64::MAX) - i64::try_from(ca).unwrap_or(i64::MAX);
 
-    let mut out = String::new();
     let _ = writeln!(
         out,
         "<p>final best-schedule comm: A {} / B {} ({}), {} shared edge(s) moved</p>",
-        esc(&ca.to_string()),
-        esc(&cb.to_string()),
-        esc(&format!("{shift:+}")),
-        esc(&deltas.len().to_string())
+        esc(ca),
+        esc(cb),
+        esc(format_args!("{shift:+}")),
+        esc(deltas.len())
     );
     out.push_str(
         "<table>\n<thead><tr><th class=\"l\">edge</th><th class=\"l\">route A</th>\
@@ -260,17 +258,17 @@ fn ledger_section(input: &DiffInput<'_>, mut name: impl FnMut(u32) -> String) ->
             out,
             "<tr><td class=\"l\">{}</td><td class=\"l\">{}</td><td>{}</td>\
              <td class=\"l\">{}</td><td>{}</td><td>{}</td></tr>",
-            esc(&format!(
+            esc(format_args!(
                 "e{} {}->{}",
                 d.after.edge,
                 name(d.after.src),
                 name(d.after.dst)
             )),
-            esc(&route_label(routes_a.as_ref(), &d.before)),
-            esc(&d.before.cost().to_string()),
-            esc(&route_label(routes_b.as_ref(), &d.after)),
-            esc(&d.after.cost().to_string()),
-            esc(&format!("{:+}", d.delta()))
+            esc(route_label(routes_a.as_ref(), &d.before)),
+            esc(d.before.cost()),
+            esc(route_label(routes_b.as_ref(), &d.after)),
+            esc(d.after.cost()),
+            esc(format_args!("{:+}", d.delta()))
         );
     }
     out.push_str("</tbody>\n</table>\n");
@@ -278,12 +276,11 @@ fn ledger_section(input: &DiffInput<'_>, mut name: impl FnMut(u32) -> String) ->
         let _ = writeln!(
             out,
             "<p>({} more changed edge(s) not shown)</p>",
-            esc(&(deltas.len() - DIFF_TOP_K).to_string())
+            esc(deltas.len() - DIFF_TOP_K)
         );
     }
-    one_sided_list(&mut out, "A", &lone_a);
-    one_sided_list(&mut out, "B", &lone_b);
-    out
+    one_sided_list(out, "A", &lone_a);
+    one_sided_list(out, "B", &lone_b);
 }
 
 fn cert_cell(c: Option<&OptimalityReport>) -> [String; 5] {
@@ -299,11 +296,10 @@ fn cert_cell(c: Option<&OptimalityReport>) -> [String; 5] {
     }
 }
 
-fn certificate_section(input: &DiffInput<'_>) -> String {
-    let mut out = String::new();
+fn certificate_section(out: &mut String, input: &DiffInput<'_>) {
     if input.a.certificate.is_none() && input.b.certificate.is_none() {
         out.push_str("<p>no certificate was computed for either run</p>\n");
-        return out;
+        return;
     }
     let a = cert_cell(input.a.certificate);
     let b = cert_cell(input.b.certificate);
@@ -325,7 +321,6 @@ fn certificate_section(input: &DiffInput<'_>) -> String {
         );
     }
     out.push_str("</tbody>\n</table>\n");
-    out
 }
 
 /// Renders the complete two-run comparison document.  `name` resolves
@@ -344,29 +339,28 @@ pub fn render_diff_report(input: &DiffInput<'_>, mut name: impl FnMut(u32) -> St
         sb.best_length,
         sa.tasks
     );
-    let sections = [
-        (
-            "schedule",
-            "Schedule: start-up placements and pass outcomes, side by side",
-            schedule_section(input, &sa, &sb, &mut name),
-        ),
-        (
-            "heatmaps",
-            "Link-load heatmaps: final best schedules and their delta",
-            heatmaps_section(input),
-        ),
-        (
-            "ledger",
-            "Edge-ledger delta: top movers between the runs",
-            ledger_section(input, &mut name),
-        ),
-        (
-            "certificate",
-            "Optimality certificates, graded side by side",
-            certificate_section(input),
-        ),
-    ];
-    html::document(input.title, &meta, &sections)
+    let mut page = html::Page::new(input.title, &meta);
+    page.section(
+        "schedule",
+        "Schedule: start-up placements and pass outcomes, side by side",
+        |out| schedule_section(out, input, &sa, &sb, &mut name),
+    );
+    page.section(
+        "heatmaps",
+        "Link-load heatmaps: final best schedules and their delta",
+        |out| heatmaps_section(out, input),
+    );
+    page.section(
+        "ledger",
+        "Edge-ledger delta: top movers between the runs",
+        |out| ledger_section(out, input, &mut name),
+    );
+    page.section(
+        "certificate",
+        "Optimality certificates, graded side by side",
+        |out| certificate_section(out, input),
+    );
+    page.finish()
 }
 
 #[cfg(test)]

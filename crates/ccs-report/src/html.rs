@@ -1,6 +1,11 @@
 //! Document skeleton for the report: the (single, audited) escape
 //! helper, the embedded stylesheet, and the outer HTML shell.
 //!
+//! A page is one buffer.  [`Page`] writes the shell into it, and every
+//! section body and SVG fragment renderer appends to the same `String`
+//! instead of returning one to be copied in; [`esc`] escapes while its
+//! argument formats, so escaping allocates nothing.
+//!
 //! Everything the report interpolates into content position must pass
 //! through [`esc`] — the `escaped-html-output` lint enforces exactly
 //! that over this crate, and `report-check` re-verifies the rendered
@@ -8,6 +13,7 @@
 //! entity).
 
 pub use ccs_profile::render::esc;
+use std::fmt::Write as _;
 
 /// The Gantt rules, written once for [`STYLE`] and [`GANTT_STYLE`].
 macro_rules! gantt_rules {
@@ -60,29 +66,43 @@ div.tile p.tile-gap{margin:0;font:11px monospace;color:#333;padding:1px 4px}
 ",
 );
 
-/// Wraps the four panel bodies in the self-contained document shell.
-///
-/// `title` and `meta` are caller text and are escaped here; `sections`
-/// are pre-rendered `(id, heading, body)` triples whose bodies must
-/// already be fully escaped by their renderers.
-pub fn document(title: &str, meta: &str, sections: &[(&str, &str, String)]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(16 * 1024);
-    out.push_str("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n");
-    let _ = writeln!(out, "<title>{}</title>", esc(title));
-    out.push_str("<style>\n");
-    out.push_str(STYLE);
-    out.push_str("</style>\n</head>\n<body>\n");
-    let _ = writeln!(out, "<h1>{}</h1>", esc(title));
-    let _ = writeln!(out, "<p class=\"meta\">{}</p>", esc(meta));
-    for (id, heading, body) in sections {
-        let _ = writeln!(out, "<section id=\"{}\">", esc(id));
-        let _ = writeln!(out, "<h2>{}</h2>", esc(heading));
-        out.push_str(body);
-        out.push_str("</section>\n");
+/// One self-contained HTML page, written into a single buffer: the
+/// shell's head goes in first, each [`Page::section`] appends its
+/// section, and [`Page::finish`] closes the document.
+pub struct Page {
+    out: String,
+}
+
+impl Page {
+    /// Opens a page.  `title` and `meta` are caller text and are
+    /// escaped here.
+    pub fn new(title: &str, meta: &str) -> Page {
+        let mut out = String::with_capacity(16 * 1024);
+        out.push_str("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n");
+        let _ = writeln!(out, "<title>{}</title>", esc(title));
+        out.push_str("<style>\n");
+        out.push_str(STYLE);
+        out.push_str("</style>\n</head>\n<body>\n");
+        let _ = writeln!(out, "<h1>{}</h1>", esc(title));
+        let _ = writeln!(out, "<p class=\"meta\">{}</p>", esc(meta));
+        Page { out }
     }
-    out.push_str("</body>\n</html>\n");
-    out
+
+    /// Appends one `<section id="…">` with an `<h2>` heading; `body`
+    /// appends the section's content to the page buffer and must
+    /// escape everything it interpolates.
+    pub fn section(&mut self, id: &str, heading: &str, body: impl FnOnce(&mut String)) {
+        let _ = writeln!(self.out, "<section id=\"{}\">", esc(id));
+        let _ = writeln!(self.out, "<h2>{}</h2>", esc(heading));
+        body(&mut self.out);
+        self.out.push_str("</section>\n");
+    }
+
+    /// Closes the document and returns it.
+    pub fn finish(mut self) -> String {
+        self.out.push_str("</body>\n</html>\n");
+        self.out
+    }
 }
 
 #[cfg(test)]
@@ -91,7 +111,7 @@ mod tests {
 
     #[test]
     fn document_escapes_title_and_meta() {
-        let html = document("<fig1> & friends", "2 < 3", &[]);
+        let html = Page::new("<fig1> & friends", "2 < 3").finish();
         assert!(html.starts_with("<!DOCTYPE html>"));
         assert!(html.trim_end().ends_with("</html>"));
         assert!(html.contains("<title>&lt;fig1&gt; &amp; friends</title>"));
@@ -108,14 +128,12 @@ mod tests {
 
     #[test]
     fn sections_carry_ids_in_order() {
-        let html = document(
-            "t",
-            "m",
-            &[
-                ("schedule", "Schedule", "<p>a</p>\n".to_string()),
-                ("certificate", "Certificate", "<p>b</p>\n".to_string()),
-            ],
-        );
+        let mut page = Page::new("t", "m");
+        page.section("schedule", "Schedule", |out| out.push_str("<p>a</p>\n"));
+        page.section("certificate", "Certificate", |out| {
+            out.push_str("<p>b</p>\n")
+        });
+        let html = page.finish();
         let a = html.find("<section id=\"schedule\">").expect("schedule");
         let b = html
             .find("<section id=\"certificate\">")

@@ -33,9 +33,9 @@ pub mod grid;
 pub mod html;
 
 use ccs_bounds::{OptimalityReport, Verdict as BoundsVerdict, Witness};
-use ccs_profile::render::heatmap_svg_panel;
-use ccs_profile::{diff_ledgers, link_loads, routable, route_label, CommProfile, EdgeTraffic};
-use ccs_topology::{Machine, RoutingTable};
+use ccs_profile::render::{heatmap_panel, PanelOptions};
+use ccs_profile::{diff_ledgers, link_loads, route_label, CommProfile, EdgeTraffic, LinkRoutes};
+use ccs_topology::Machine;
 use ccs_trace::TimedEvent;
 use fold::{PassStory, Remap, RunStory};
 use html::esc;
@@ -88,8 +88,15 @@ pub struct Bar {
 /// step any bar occupies.  A `standalone` strip is a file of its own:
 /// it declares the SVG namespace and carries the Gantt rules of
 /// [`html::GANTT_STYLE`]; an embedded one takes them from the report
-/// stylesheet.
-pub fn gantt_svg(caption: &str, pes: u32, length: u32, bars: &[Bar], standalone: bool) -> String {
+/// stylesheet.  The strip is appended to `out`.
+pub fn gantt_svg(
+    out: &mut String,
+    caption: &str,
+    pes: u32,
+    length: u32,
+    bars: &[Bar],
+    standalone: bool,
+) {
     let length = bars
         .iter()
         .map(|b| b.cs + b.duration.max(1) - 1)
@@ -102,7 +109,6 @@ pub fn gantt_svg(caption: &str, pes: u32, length: u32, bars: &[Bar], standalone:
     } else {
         ""
     };
-    let mut out = String::new();
     let _ = writeln!(
         out,
         "<svg{xmlns} class=\"gantt\" width=\"{width}\" height=\"{height}\" \
@@ -131,7 +137,7 @@ pub fn gantt_svg(caption: &str, pes: u32, length: u32, bars: &[Bar], standalone:
                 "<text class=\"g-ax\" x=\"{}\" y=\"{}\">{}</text>",
                 x + 2,
                 G_TOP - 4,
-                esc(&(col + 1).to_string())
+                esc(col + 1)
             );
         }
     }
@@ -140,7 +146,7 @@ pub fn gantt_svg(caption: &str, pes: u32, length: u32, bars: &[Bar], standalone:
             out,
             "<text class=\"g-ax\" x=\"2\" y=\"{}\">{}</text>",
             G_TOP + pe * RH + 12,
-            esc(&format!("PE{}", pe + 1))
+            esc(format_args!("PE{}", pe + 1))
         );
     }
     for b in bars {
@@ -166,7 +172,6 @@ pub fn gantt_svg(caption: &str, pes: u32, length: u32, bars: &[Bar], standalone:
         }
     }
     out.push_str("</svg>\n");
-    out
 }
 
 fn remap_title(r: &Remap, mut name: impl FnMut(u32) -> String) -> String {
@@ -205,8 +210,7 @@ fn names_of(nodes: &[u32], mut name: impl FnMut(u32) -> String) -> String {
     v.join(", ")
 }
 
-fn schedule_section(story: &RunStory, mut name: impl FnMut(u32) -> String) -> String {
-    let mut out = String::new();
+fn schedule_section(out: &mut String, story: &RunStory, mut name: impl FnMut(u32) -> String) {
     let rotated_ever: BTreeSet<u32> = story
         .passes
         .iter()
@@ -238,7 +242,8 @@ fn schedule_section(story: &RunStory, mut name: impl FnMut(u32) -> String) -> St
             }
         })
         .collect();
-    out.push_str(&gantt_svg(
+    gantt_svg(
+        out,
         &format!(
             "start-up schedule (pass 0): length {}",
             story.startup_length
@@ -247,25 +252,24 @@ fn schedule_section(story: &RunStory, mut name: impl FnMut(u32) -> String) -> St
         story.startup_length,
         &bars,
         false,
-    ));
+    );
     for p in &story.passes {
         if p.accepted {
-            out.push_str(&pass_strip(p, story.pes, &mut name));
+            pass_strip(out, p, story.pes, &mut name);
         } else {
             let _ = writeln!(
                 out,
                 "<p>pass {} <span class=\"reverted\">reverted</span>: \
                  length would be {}, rotated J = {{{}}} rolled back</p>",
-                esc(&p.pass.to_string()),
-                esc(&p.length.to_string()),
-                esc(&names_of(&p.rotated, &mut name))
+                esc(p.pass),
+                esc(p.length),
+                esc(names_of(&p.rotated, &mut name))
             );
         }
     }
-    out
 }
 
-fn pass_strip(p: &PassStory, pes: u32, mut name: impl FnMut(u32) -> String) -> String {
+fn pass_strip(out: &mut String, p: &PassStory, pes: u32, mut name: impl FnMut(u32) -> String) {
     let bars: Vec<Bar> = p
         .remaps
         .iter()
@@ -292,7 +296,7 @@ fn pass_strip(p: &PassStory, pes: u32, mut name: impl FnMut(u32) -> String) -> S
             p.no_slots
         );
     }
-    gantt_svg(&caption, pes, p.length, &bars, false)
+    gantt_svg(out, &caption, pes, p.length, &bars, false);
 }
 
 fn ledger_comm(edges: &[EdgeTraffic]) -> u64 {
@@ -310,13 +314,16 @@ fn phase_label(pass: u32) -> String {
     }
 }
 
-fn heatmaps_section(profile: &CommProfile, machine: &Machine) -> String {
-    let mut out = String::new();
+fn heatmaps_section(
+    out: &mut String,
+    profile: &CommProfile,
+    machine: &Machine,
+    routes: Option<&LinkRoutes>,
+) {
     if profile.pass_ledgers.is_empty() {
         out.push_str("<p>no accepted phases recorded</p>\n");
-        return out;
+        return;
     }
-    let can_route = routable(machine);
     for l in &profile.pass_ledgers {
         let caption = format!(
             "{}: length {}, comm {}",
@@ -324,25 +331,27 @@ fn heatmaps_section(profile: &CommProfile, machine: &Machine) -> String {
             l.length,
             ledger_comm(&l.edges)
         );
-        let loads = link_loads(machine, &l.edges);
-        out.push_str(&heatmap_svg_panel(
+        let loads = link_loads(machine, routes, &l.edges);
+        heatmap_panel(
+            out,
             &caption,
             profile.pes,
             &l.edges,
             &loads,
-            can_route,
-            false,
-        ));
+            PanelOptions {
+                routable: routes.is_some(),
+                ..PanelOptions::default()
+            },
+        );
     }
-    out
 }
 
 fn trajectory_section(
+    out: &mut String,
     profile: &CommProfile,
-    machine: &Machine,
+    routes: Option<&LinkRoutes>,
     mut name: impl FnMut(u32) -> String,
-) -> String {
-    let mut out = String::new();
+) {
     out.push_str(
         "<table>\n<thead><tr><th class=\"l\">phase</th><th class=\"l\">outcome</th>\
          <th>length</th><th>comm</th><th>crossing</th><th>local</th></tr></thead>\n<tbody>\n",
@@ -357,22 +366,22 @@ fn trajectory_section(
             out,
             "<tr><td class=\"l\">{}</td><td class=\"l\">{outcome}</td><td>{}</td>\
              <td>{}</td><td>{}</td><td>{}</td></tr>",
-            esc(&phase_label(p.pass)),
-            esc(&p.length.to_string()),
-            esc(&p.comm.to_string()),
-            esc(&p.crossing.to_string()),
-            esc(&p.local.to_string())
+            esc(phase_label(p.pass)),
+            esc(p.length),
+            esc(p.comm),
+            esc(p.crossing),
+            esc(p.local)
         );
     }
     out.push_str("</tbody>\n</table>\n");
     let _ = writeln!(
         out,
         "<p>compute {} cells, best-schedule comm {} (hop-weighted)</p>",
-        esc(&profile.compute.to_string()),
-        esc(&profile.total_comm.to_string())
+        esc(profile.compute),
+        esc(profile.total_comm)
     );
 
-    let routes = routable(machine).then(|| RoutingTable::new(machine));
+    let routes = routes.map(LinkRoutes::table);
     for pair in profile.pass_ledgers.windows(2) {
         let (prev, cur) = (&pair[0], &pair[1]);
         let deltas = diff_ledgers(&prev.edges, &cur.edges);
@@ -381,17 +390,17 @@ fn trajectory_section(
         let _ = writeln!(
             out,
             "<h3>ledger diff: {} -> {}</h3>",
-            esc(&phase_label(prev.pass)),
-            esc(&phase_label(cur.pass))
+            esc(phase_label(prev.pass)),
+            esc(phase_label(cur.pass))
         );
         let _ = writeln!(
             out,
             "<p>comm {} -> {} ({}), {} of {} edge(s) moved</p>",
-            esc(&a.to_string()),
-            esc(&b.to_string()),
-            esc(&format!("{shift:+}")),
-            esc(&deltas.len().to_string()),
-            esc(&cur.edges.len().to_string())
+            esc(a),
+            esc(b),
+            esc(format_args!("{shift:+}")),
+            esc(deltas.len()),
+            esc(cur.edges.len())
         );
         if deltas.is_empty() {
             continue;
@@ -406,17 +415,17 @@ fn trajectory_section(
                 out,
                 "<tr><td class=\"l\">{}</td><td class=\"l\">{}</td><td class=\"l\">{}</td>\
                  <td>{}</td><td>{}</td><td>{}</td></tr>",
-                esc(&format!(
+                esc(format_args!(
                     "e{} {}->{}",
                     d.after.edge,
                     name(d.after.src),
                     name(d.after.dst)
                 )),
-                esc(&route_label(routes.as_ref(), &d.before)),
-                esc(&route_label(routes.as_ref(), &d.after)),
-                esc(&d.before.cost().to_string()),
-                esc(&d.after.cost().to_string()),
-                esc(&format!("{:+}", d.delta()))
+                esc(route_label(routes, &d.before)),
+                esc(route_label(routes, &d.after)),
+                esc(d.before.cost()),
+                esc(d.after.cost()),
+                esc(format_args!("{:+}", d.delta()))
             );
         }
         out.push_str("</tbody>\n</table>\n");
@@ -424,11 +433,10 @@ fn trajectory_section(
             let _ = writeln!(
                 out,
                 "<p>({} more changed edge(s) not shown)</p>",
-                esc(&(deltas.len() - DIFF_TOP_K).to_string())
+                esc(deltas.len() - DIFF_TOP_K)
             );
         }
     }
-    out
 }
 
 fn witness_label(w: &Witness) -> String {
@@ -477,11 +485,10 @@ fn witness_label(w: &Witness) -> String {
     }
 }
 
-fn certificate_section(report: Option<&OptimalityReport>) -> String {
-    let mut out = String::new();
+fn certificate_section(out: &mut String, report: Option<&OptimalityReport>) {
     let Some(r) = report else {
         out.push_str("<p>no certificate was computed for this run</p>\n");
-        return out;
+        return;
     };
     let best = r.bounds.best_value();
     out.push_str(
@@ -498,8 +505,8 @@ fn certificate_section(report: Option<&OptimalityReport>) -> String {
             out,
             "<tr{binding}><td class=\"l\">{}</td><td>{}</td><td class=\"l\">{}</td></tr>",
             esc(c.kind.name()),
-            esc(&c.value.to_string()),
-            esc(&witness_label(&c.witness))
+            esc(c.value),
+            esc(witness_label(&c.witness))
         );
     }
     out.push_str("</tbody>\n</table>\n");
@@ -509,18 +516,18 @@ fn certificate_section(report: Option<&OptimalityReport>) -> String {
                 out,
                 "<p>period {}: <span class=\"accepted\">PROVABLY OPTIMAL</span> \
                  — meets the strongest floor {}</p>",
-                esc(&r.period.to_string()),
-                esc(&best.to_string())
+                esc(r.period),
+                esc(best)
             );
         }
         BoundsVerdict::Gap => {
             let _ = writeln!(
                 out,
                 "<p>period {}: within {} step(s) of the strongest proven floor {} (gap {}%)</p>",
-                esc(&r.period.to_string()),
-                esc(&r.gap.to_string()),
-                esc(&best.to_string()),
-                esc(&format!("{:.1}", r.gap_pct))
+                esc(r.period),
+                esc(r.gap),
+                esc(best),
+                esc(format_args!("{:.1}", r.gap_pct))
             );
         }
         BoundsVerdict::BoundExceeded => {
@@ -528,16 +535,15 @@ fn certificate_section(report: Option<&OptimalityReport>) -> String {
                 out,
                 "<p>period {}: <span class=\"reverted\">BELOW A PROVEN BOUND</span> \
                  — certifier or scheduler bug</p>",
-                esc(&r.period.to_string())
+                esc(r.period)
             );
         }
     }
     let _ = writeln!(
         out,
         "<details><summary>full certificate</summary>\n<pre>{}</pre>\n</details>",
-        esc(&r.render_human())
+        esc(r.render_human())
     );
-    out
 }
 
 /// Renders the complete report document.  `name` resolves node indices
@@ -555,29 +561,23 @@ pub fn render_report(input: &ReportInput<'_>, mut name: impl FnMut(u32) -> Strin
         story.passes_run,
         accepted
     );
-    let sections = [
-        (
-            "schedule",
-            "Schedule: start-up placement and accepted passes",
-            schedule_section(&story, &mut name),
-        ),
-        (
-            "heatmaps",
-            "Link-load heatmaps per accepted phase",
-            heatmaps_section(input.profile, input.machine),
-        ),
-        (
-            "trajectory",
-            "Pass trajectory and ledger diffs",
-            trajectory_section(input.profile, input.machine, &mut name),
-        ),
-        (
-            "certificate",
-            "Optimality certificate",
-            certificate_section(input.certificate),
-        ),
-    ];
-    html::document(input.title, &meta, &sections)
+    let routes = LinkRoutes::new(input.machine);
+    let mut page = html::Page::new(input.title, &meta);
+    page.section(
+        "schedule",
+        "Schedule: start-up placement and accepted passes",
+        |out| schedule_section(out, &story, &mut name),
+    );
+    page.section("heatmaps", "Link-load heatmaps per accepted phase", |out| {
+        heatmaps_section(out, input.profile, input.machine, routes.as_ref())
+    });
+    page.section("trajectory", "Pass trajectory and ledger diffs", |out| {
+        trajectory_section(out, input.profile, routes.as_ref(), &mut name)
+    });
+    page.section("certificate", "Optimality certificate", |out| {
+        certificate_section(out, input.certificate)
+    });
+    page.finish()
 }
 
 #[cfg(test)]
@@ -659,7 +659,8 @@ mod tests {
 
     #[test]
     fn gantt_viewbox_matches_width_and_height() {
-        let svg = gantt_svg("cap", 2, 3, &[], false);
+        let mut svg = String::new();
+        gantt_svg(&mut svg, "cap", 2, 3, &[], false);
         let w = G_LEFT + 3 * CW + 8;
         let h = G_TOP + 2 * RH + 6;
         assert!(svg.contains(&format!(

@@ -22,9 +22,10 @@
 //! structural rules above; the `trace-check` binary (and the CI trace
 //! job) are thin wrappers around it.
 
-use crate::event::Event;
+use crate::event::{json_str, Event};
 use crate::TimedEvent;
 use serde::Value;
+use std::fmt::{self, Write as _};
 
 /// Timestamp domain for [`to_chrome`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,71 +36,64 @@ pub enum Clock {
     Wall,
 }
 
-/// Span-open kinds, used to pair `"B"`/`"E"` events.
-fn open_name(ev: &Event) -> Option<String> {
+/// The record's `ph`: `"B"`/`"E"` for the events that open and close
+/// the startup, pass and whole-run spans, `"i"` for every other event.
+fn phase(ev: &Event) -> &'static str {
     match ev {
-        Event::StartupBegin { .. } => Some("startup".to_string()),
-        Event::CompactBegin { .. } => Some("cyclo_compact".to_string()),
-        Event::PassBegin { pass, .. } => Some(format!("pass {pass}")),
-        _ => None,
+        Event::StartupBegin { .. } | Event::CompactBegin { .. } | Event::PassBegin { .. } => "B",
+        Event::StartupEnd { .. } | Event::CompactEnd { .. } | Event::PassEnd { .. } => "E",
+        _ => "i",
     }
 }
 
-/// Span-close kinds.
-fn close_name(ev: &Event) -> Option<String> {
-    match ev {
-        Event::StartupEnd { .. } => Some("startup".to_string()),
-        Event::CompactEnd { .. } => Some("cyclo_compact".to_string()),
-        Event::PassEnd { pass, .. } => Some(format!("pass {pass}")),
-        _ => None,
+/// The record's `name`: the span name of a `"B"`/`"E"` pair (so the
+/// two match), the event kind for an instant.
+struct RecordName<'a>(&'a Event);
+
+impl fmt::Display for RecordName<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Event::StartupBegin { .. } | Event::StartupEnd { .. } => f.write_str("startup"),
+            Event::CompactBegin { .. } | Event::CompactEnd { .. } => f.write_str("cyclo_compact"),
+            Event::PassBegin { pass, .. } | Event::PassEnd { pass, .. } => write!(f, "pass {pass}"),
+            ev => f.write_str(ev.kind()),
+        }
     }
 }
 
-fn push_obj(out: &mut String, name: &str, ph: &str, ts: u64, args: &Value, scoped: bool) {
-    let mut fields = vec![
-        ("name".to_string(), Value::String(name.to_string())),
-        ("ph".to_string(), Value::String(ph.to_string())),
-        ("ts".to_string(), Value::UInt(ts)),
-        ("pid".to_string(), Value::UInt(1)),
-        ("tid".to_string(), Value::UInt(1)),
-    ];
-    if scoped {
-        fields.push(("s".to_string(), Value::String("t".to_string())));
-    }
-    fields.push(("args".to_string(), args.clone()));
-    // INVARIANT: Value serialization is infallible in the vendored
-    // stand-in (no foreign Serialize impls can reach here).
-    let json = serde_json::to_string(&Value::Object(fields)).unwrap_or_default();
-    out.push_str(&json);
-}
+/// Bytes reserved per record: a `remap.candidate` record, the most
+/// common kind, is ~160 bytes, so a typical trace never regrows.
+const RECORD_BYTES: usize = 176;
 
 /// Renders the event stream as a Chrome-trace JSON array.
 ///
-/// The output always ends with a newline and is a pure function of
-/// `(events, clock)` — with [`Clock::Logical`] it is additionally
-/// independent of the recorded timestamps.
+/// Each record is written straight into one buffer as
+/// `{"name":…,"ph":…,"ts":…,"pid":1,"tid":1[,"s":"t"],"args":{…}}`;
+/// names go through the JSON string escapes, and the args object is
+/// [`Event::write_args`].  The output always ends with a newline and
+/// is a pure function of `(events, clock)` — with [`Clock::Logical`]
+/// it is additionally independent of the recorded timestamps.
 pub fn to_chrome(events: &[TimedEvent], clock: Clock) -> String {
-    let mut out = String::with_capacity(events.len() * 96 + 16);
+    let mut out = String::with_capacity(events.len() * RECORD_BYTES + 16);
     out.push_str("[\n");
-    let mut first = true;
     for (idx, te) in events.iter().enumerate() {
+        if idx > 0 {
+            out.push_str(",\n");
+        }
         let ts = match clock {
             Clock::Logical => idx as u64,
             Clock::Wall => te.ns / 1000,
         };
-        let args = te.event.args();
-        let (name, ph, scoped) = if let Some(n) = open_name(&te.event) {
-            (n, "B", false)
-        } else if let Some(n) = close_name(&te.event) {
-            (n, "E", false)
-        } else {
-            (te.event.kind().to_string(), "i", true)
-        };
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        push_obj(&mut out, &name, ph, ts, &args, scoped);
+        let ph = phase(&te.event);
+        let scope = if ph == "i" { r#","s":"t""# } else { "" };
+        // Writing into a `String` cannot fail.
+        let _ = write!(
+            out,
+            r#"{{"name":{},"ph":"{ph}","ts":{ts},"pid":1,"tid":1{scope},"args":"#,
+            json_str(RecordName(&te.event))
+        );
+        te.event.write_args(&mut out);
+        out.push('}');
     }
     out.push_str("\n]\n");
     out

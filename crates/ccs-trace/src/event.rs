@@ -17,8 +17,7 @@
 //! golden-pinning the stream and byte-identical `--trace` output across
 //! thread counts possible.
 
-use serde::Value;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// The runner-up candidate of a remap placement: the second-best
 /// `(PE, control step)` under the `(impact, cs, comm, pe)` ranking.
@@ -333,73 +332,60 @@ impl Event {
         }
     }
 
-    /// The event's payload as an ordered JSON object (for the Chrome
-    /// trace `args` field and other serializers).
-    pub fn args(&self) -> Value {
-        fn obj(fields: Vec<(&str, Value)>) -> Value {
-            Value::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-        }
-        fn u(x: u32) -> Value {
-            Value::UInt(u64::from(x))
-        }
-        fn u64v(x: u64) -> Value {
-            Value::UInt(x)
-        }
-        fn i(x: i64) -> Value {
-            if x < 0 {
-                Value::Int(x)
-            } else {
-                Value::UInt(x.unsigned_abs())
-            }
-        }
-        match self {
-            Event::StartupBegin { tasks, pes } => obj(vec![("tasks", u(*tasks)), ("pes", u(*pes))]),
+    /// Appends the event's payload to `out` as one compact JSON object
+    /// (the Chrome trace `args` field).  Keys keep the field order;
+    /// integers print as integers, `accepted`/`crossing` as booleans,
+    /// `runner_up` as `null` or an object, and `verdict` as a string
+    /// with serde_json's string escapes.
+    pub fn write_args(&self, out: &mut String) {
+        // Writing into a `String` cannot fail.
+        let _ = match self {
+            Event::StartupBegin { tasks, pes } => write!(out, r#"{{"tasks":{tasks},"pes":{pes}}}"#),
             Event::ReadyPick {
                 cs,
                 rank,
                 node,
                 priority,
-            } => obj(vec![
-                ("cs", u(*cs)),
-                ("rank", u(*rank)),
-                ("node", u(*node)),
-                ("priority", i(*priority)),
-            ]),
+            } => write!(
+                out,
+                r#"{{"cs":{cs},"rank":{rank},"node":{node},"priority":{priority}}}"#
+            ),
             Event::StartupPlace {
                 node,
                 pe,
                 cs,
                 duration,
-            } => obj(vec![
-                ("node", u(*node)),
-                ("pe", u(*pe)),
-                ("cs", u(*cs)),
-                ("duration", u(*duration)),
-            ]),
-            Event::StartupDefer { node, cs } => obj(vec![("node", u(*node)), ("cs", u(*cs))]),
-            Event::StartupEnd { length } => obj(vec![("length", u(*length))]),
+            } => write!(
+                out,
+                r#"{{"node":{node},"pe":{pe},"cs":{cs},"duration":{duration}}}"#
+            ),
+            Event::StartupDefer { node, cs } => write!(out, r#"{{"node":{node},"cs":{cs}}}"#),
+            Event::StartupEnd { length } => write!(out, r#"{{"length":{length}}}"#),
             Event::CompactBegin {
                 tasks,
                 pes,
                 max_passes,
-            } => obj(vec![
-                ("tasks", u(*tasks)),
-                ("pes", u(*pes)),
-                ("max_passes", u(*max_passes)),
-            ]),
+            } => write!(
+                out,
+                r#"{{"tasks":{tasks},"pes":{pes},"max_passes":{max_passes}}}"#
+            ),
             Event::PassBegin {
                 pass,
                 prev_len,
                 rows,
-            } => obj(vec![
-                ("pass", u(*pass)),
-                ("prev_len", u(*prev_len)),
-                ("rows", u(*rows)),
-            ]),
-            Event::Rotate { nodes } => obj(vec![(
-                "nodes",
-                Value::Array(nodes.iter().map(|&n| u(n)).collect()),
-            )]),
+            } => write!(
+                out,
+                r#"{{"pass":{pass},"prev_len":{prev_len},"rows":{rows}}}"#
+            ),
+            Event::Rotate { nodes } => {
+                out.push_str(r#"{"nodes":["#);
+                for (i, n) in nodes.iter().enumerate() {
+                    let sep = if i > 0 { "," } else { "" };
+                    let _ = write!(out, "{sep}{n}");
+                }
+                out.push_str("]}");
+                Ok(())
+            }
             Event::Candidate {
                 node,
                 target,
@@ -408,15 +394,11 @@ impl Event {
                 ub,
                 comm,
                 verdict,
-            } => obj(vec![
-                ("node", u(*node)),
-                ("target", u(*target)),
-                ("pe", u(*pe)),
-                ("lb", i(*lb)),
-                ("ub", i(*ub)),
-                ("comm", u(*comm)),
-                ("verdict", Value::String(verdict.to_string())),
-            ]),
+            } => write!(
+                out,
+                r#"{{"node":{node},"target":{target},"pe":{pe},"lb":{lb},"ub":{ub},"comm":{comm},"verdict":{}}}"#,
+                json_str(verdict)
+            ),
             Event::Placed {
                 node,
                 pe,
@@ -426,53 +408,46 @@ impl Event {
                 impact,
                 comm,
                 runner_up,
-            } => obj(vec![
-                ("node", u(*node)),
-                ("pe", u(*pe)),
-                ("cs", u(*cs)),
-                ("duration", u(*duration)),
-                ("target", u(*target)),
-                ("impact", u(*impact)),
-                ("comm", u(*comm)),
-                (
-                    "runner_up",
-                    match runner_up {
-                        Some(r) => obj(vec![
-                            ("pe", u(r.pe)),
-                            ("cs", u(r.cs)),
-                            ("impact", u(r.impact)),
-                            ("comm", u(r.comm)),
-                        ]),
-                        None => Value::Null,
-                    },
-                ),
-            ]),
-            Event::NoSlot { node, target } => obj(vec![("node", u(*node)), ("target", u(*target))]),
+            } => {
+                let _ = write!(
+                    out,
+                    r#"{{"node":{node},"pe":{pe},"cs":{cs},"duration":{duration},"target":{target},"impact":{impact},"comm":{comm},"runner_up":"#
+                );
+                match runner_up {
+                    Some(r) => write!(
+                        out,
+                        r#"{{"pe":{},"cs":{},"impact":{},"comm":{}}}}}"#,
+                        r.pe, r.cs, r.impact, r.comm
+                    ),
+                    None => {
+                        out.push_str("null}");
+                        Ok(())
+                    }
+                }
+            }
+            Event::NoSlot { node, target } => write!(out, r#"{{"node":{node},"target":{target}}}"#),
             Event::SlackRepair { required, occupied } => {
-                obj(vec![("required", u(*required)), ("occupied", u(*occupied))])
+                write!(out, r#"{{"required":{required},"occupied":{occupied}}}"#)
             }
             Event::PassStats {
                 edges_swept,
                 slots_probed,
                 scratch_reuses,
                 oracle_calls,
-            } => obj(vec![
-                ("edges_swept", u64v(*edges_swept)),
-                ("slots_probed", u64v(*slots_probed)),
-                ("scratch_reuses", u64v(*scratch_reuses)),
-                ("oracle_calls", u64v(*oracle_calls)),
-            ]),
+            } => write!(
+                out,
+                r#"{{"edges_swept":{edges_swept},"slots_probed":{slots_probed},"scratch_reuses":{scratch_reuses},"oracle_calls":{oracle_calls}}}"#
+            ),
             Event::PassEnd {
                 pass,
                 accepted,
                 length,
-            } => obj(vec![
-                ("pass", u(*pass)),
-                ("accepted", Value::Bool(*accepted)),
-                ("length", u(*length)),
-            ]),
+            } => write!(
+                out,
+                r#"{{"pass":{pass},"accepted":{accepted},"length":{length}}}"#
+            ),
             Event::BestSnapshot { pass, length } => {
-                obj(vec![("pass", u(*pass)), ("length", u(*length))])
+                write!(out, r#"{{"pass":{pass},"length":{length}}}"#)
             }
             Event::OccupancySnapshot {
                 pass,
@@ -480,22 +455,18 @@ impl Event {
                 holes,
                 used_pes,
                 length,
-            } => obj(vec![
-                ("pass", u(*pass)),
-                ("busy_cells", u64v(*busy_cells)),
-                ("holes", u64v(*holes)),
-                ("used_pes", u(*used_pes)),
-                ("length", u(*length)),
-            ]),
+            } => write!(
+                out,
+                r#"{{"pass":{pass},"busy_cells":{busy_cells},"holes":{holes},"used_pes":{used_pes},"length":{length}}}"#
+            ),
             Event::CompactEnd {
                 initial,
                 best,
                 passes,
-            } => obj(vec![
-                ("initial", u(*initial)),
-                ("best", u(*best)),
-                ("passes", u(*passes)),
-            ]),
+            } => write!(
+                out,
+                r#"{{"initial":{initial},"best":{best},"passes":{passes}}}"#
+            ),
             Event::EdgeTraffic {
                 edge,
                 src,
@@ -504,24 +475,56 @@ impl Event {
                 dst_pe,
                 hops,
                 volume,
-            } => obj(vec![
-                ("edge", u(*edge)),
-                ("src", u(*src)),
-                ("dst", u(*dst)),
-                ("src_pe", u(*src_pe)),
-                ("dst_pe", u(*dst_pe)),
-                ("hops", u(*hops)),
-                ("volume", u(*volume)),
-                ("cost", u64v(self.traffic_cost())),
-                ("crossing", Value::Bool(src_pe != dst_pe)),
-            ]),
-            Event::PeLoad { pe, tasks, busy } => obj(vec![
-                ("pe", u(*pe)),
-                ("tasks", u(*tasks)),
-                ("busy", u(*busy)),
-            ]),
+            } => write!(
+                out,
+                r#"{{"edge":{edge},"src":{src},"dst":{dst},"src_pe":{src_pe},"dst_pe":{dst_pe},"hops":{hops},"volume":{volume},"cost":{},"crossing":{}}}"#,
+                self.traffic_cost(),
+                src_pe != dst_pe
+            ),
+            Event::PeLoad { pe, tasks, busy } => {
+                write!(out, r#"{{"pe":{pe},"tasks":{tasks},"busy":{busy}}}"#)
+            }
+        };
+    }
+}
+
+/// Formats `x` as a JSON string literal, quotes included, applying the
+/// escapes of `serde_json`'s writer as it formats: `"`, `\`, `\n`,
+/// `\r` and `\t` get their short forms, every other control character
+/// below U+0020 becomes `\u00XX`, and all other text passes through.
+pub(crate) fn json_str<T: fmt::Display>(x: T) -> impl fmt::Display {
+    struct JsonStr<T>(T);
+    /// Escapes each chunk the inner value writes.
+    struct Escape<'a, 'b>(&'a mut fmt::Formatter<'b>);
+    impl fmt::Write for Escape<'_, '_> {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            let mut plain = 0;
+            for (i, b) in s.bytes().enumerate() {
+                if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+                    continue;
+                }
+                self.0.write_str(&s[plain..i])?;
+                match b {
+                    b'"' => self.0.write_str("\\\""),
+                    b'\\' => self.0.write_str("\\\\"),
+                    b'\n' => self.0.write_str("\\n"),
+                    b'\r' => self.0.write_str("\\r"),
+                    b'\t' => self.0.write_str("\\t"),
+                    _ => write!(self.0, "\\u{b:04x}"),
+                }?;
+                plain = i + 1;
+            }
+            self.0.write_str(&s[plain..])
         }
     }
+    impl<T: fmt::Display> fmt::Display for JsonStr<T> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            f.write_str("\"")?;
+            write!(Escape(f), "{}", self.0)?;
+            f.write_str("\"")
+        }
+    }
+    JsonStr(x)
 }
 
 impl fmt::Display for Event {
@@ -651,6 +654,14 @@ impl fmt::Display for Event {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
+
+    /// The appended args object, parsed back with serde_json.
+    fn args(ev: &Event) -> Value {
+        let mut out = String::new();
+        ev.write_args(&mut out);
+        serde_json::from_str(&out).unwrap_or_else(|e| panic!("{out}: {e}"))
+    }
 
     #[test]
     fn display_is_stable_one_liner() {
@@ -694,7 +705,8 @@ mod tests {
             scratch_reuses: 2,
             oracle_calls: 1,
         };
-        let v = ev.args();
+        let v = args(&ev);
+        assert!(v.as_object().is_some());
         assert_eq!(v["edges_swept"].as_u64(), Some(10));
         assert_eq!(ev.kind(), "pass.stats");
     }
@@ -716,7 +728,7 @@ mod tests {
         );
         assert_eq!(ev.kind(), "traffic.edge");
         assert_eq!(ev.traffic_cost(), 6);
-        let v = ev.args();
+        let v = args(&ev);
         assert_eq!(v["cost"].as_u64(), Some(6));
         assert_eq!(v["hops"].as_u64(), Some(2));
 
@@ -762,7 +774,7 @@ mod tests {
         };
         assert_eq!(ev.to_string(), "traffic.pe pe=2 tasks=3 busy=5");
         assert_eq!(ev.kind(), "traffic.pe");
-        assert_eq!(ev.args()["busy"].as_u64(), Some(5));
+        assert_eq!(args(&ev)["busy"].as_u64(), Some(5));
     }
 
     #[test]
@@ -773,6 +785,218 @@ mod tests {
             node: 3,
             priority: -4,
         };
-        assert_eq!(ev.args()["priority"].as_i64(), Some(-4));
+        assert_eq!(args(&ev)["priority"].as_i64(), Some(-4));
+    }
+
+    /// Every variant's exact args bytes: keys in field order, integers
+    /// as integers (negative ones signed), booleans, `null` and nested
+    /// objects, and empty and non-empty arrays.
+    #[test]
+    fn every_variant_writes_its_args_object() {
+        let ru = RunnerUp {
+            pe: 2,
+            cs: 3,
+            impact: 7,
+            comm: 1,
+        };
+        let placed = |runner_up| Event::Placed {
+            node: 0,
+            pe: 1,
+            cs: 2,
+            duration: 1,
+            target: 6,
+            impact: 6,
+            comm: 3,
+            runner_up,
+        };
+        let cases = [
+            (
+                Event::StartupBegin { tasks: 6, pes: 4 },
+                r#"{"tasks":6,"pes":4}"#,
+            ),
+            (
+                Event::ReadyPick {
+                    cs: 1,
+                    rank: 0,
+                    node: 3,
+                    priority: -4,
+                },
+                r#"{"cs":1,"rank":0,"node":3,"priority":-4}"#,
+            ),
+            (
+                Event::StartupPlace {
+                    node: 1,
+                    pe: 0,
+                    cs: 2,
+                    duration: 2,
+                },
+                r#"{"node":1,"pe":0,"cs":2,"duration":2}"#,
+            ),
+            (
+                Event::StartupDefer { node: 2, cs: 2 },
+                r#"{"node":2,"cs":2}"#,
+            ),
+            (Event::StartupEnd { length: 7 }, r#"{"length":7}"#),
+            (
+                Event::CompactBegin {
+                    tasks: 6,
+                    pes: 4,
+                    max_passes: 2,
+                },
+                r#"{"tasks":6,"pes":4,"max_passes":2}"#,
+            ),
+            (
+                Event::PassBegin {
+                    pass: 1,
+                    prev_len: 7,
+                    rows: 1,
+                },
+                r#"{"pass":1,"prev_len":7,"rows":1}"#,
+            ),
+            (Event::Rotate { nodes: vec![] }, r#"{"nodes":[]}"#),
+            (
+                Event::Rotate {
+                    nodes: vec![1, 0, 12],
+                },
+                r#"{"nodes":[1,0,12]}"#,
+            ),
+            (
+                Event::Candidate {
+                    node: 0,
+                    target: 6,
+                    pe: 1,
+                    lb: -3,
+                    ub: -1,
+                    comm: 5,
+                    verdict: Verdict::Leading { cs: 1, impact: 3 },
+                },
+                r#"{"node":0,"target":6,"pe":1,"lb":-3,"ub":-1,"comm":5,"verdict":"leading cs=1 impact=3"}"#,
+            ),
+            (
+                Event::Candidate {
+                    node: 0,
+                    target: 6,
+                    pe: 0,
+                    lb: 1,
+                    ub: 6,
+                    comm: 1,
+                    verdict: Verdict::NoFreeSlot,
+                },
+                r#"{"node":0,"target":6,"pe":0,"lb":1,"ub":6,"comm":1,"verdict":"busy"}"#,
+            ),
+            (
+                placed(Some(ru)),
+                r#"{"node":0,"pe":1,"cs":2,"duration":1,"target":6,"impact":6,"comm":3,"runner_up":{"pe":2,"cs":3,"impact":7,"comm":1}}"#,
+            ),
+            (
+                placed(None),
+                r#"{"node":0,"pe":1,"cs":2,"duration":1,"target":6,"impact":6,"comm":3,"runner_up":null}"#,
+            ),
+            (
+                Event::NoSlot { node: 4, target: 5 },
+                r#"{"node":4,"target":5}"#,
+            ),
+            (
+                Event::SlackRepair {
+                    required: 6,
+                    occupied: 5,
+                },
+                r#"{"required":6,"occupied":5}"#,
+            ),
+            (
+                Event::PassStats {
+                    edges_swept: u64::MAX,
+                    slots_probed: 8,
+                    scratch_reuses: 0,
+                    oracle_calls: 2,
+                },
+                r#"{"edges_swept":18446744073709551615,"slots_probed":8,"scratch_reuses":0,"oracle_calls":2}"#,
+            ),
+            (
+                Event::PassEnd {
+                    pass: 2,
+                    accepted: false,
+                    length: 6,
+                },
+                r#"{"pass":2,"accepted":false,"length":6}"#,
+            ),
+            (
+                Event::BestSnapshot { pass: 1, length: 6 },
+                r#"{"pass":1,"length":6}"#,
+            ),
+            (
+                Event::OccupancySnapshot {
+                    pass: 1,
+                    busy_cells: 8,
+                    holes: 0,
+                    used_pes: 2,
+                    length: 6,
+                },
+                r#"{"pass":1,"busy_cells":8,"holes":0,"used_pes":2,"length":6}"#,
+            ),
+            (
+                Event::CompactEnd {
+                    initial: 7,
+                    best: 5,
+                    passes: 2,
+                },
+                r#"{"initial":7,"best":5,"passes":2}"#,
+            ),
+            (
+                Event::EdgeTraffic {
+                    edge: 4,
+                    src: 0,
+                    dst: 3,
+                    src_pe: 1,
+                    dst_pe: 2,
+                    hops: 2,
+                    volume: 3,
+                },
+                r#"{"edge":4,"src":0,"dst":3,"src_pe":1,"dst_pe":2,"hops":2,"volume":3,"cost":6,"crossing":true}"#,
+            ),
+            (
+                Event::PeLoad {
+                    pe: 2,
+                    tasks: 3,
+                    busy: 5,
+                },
+                r#"{"pe":2,"tasks":3,"busy":5}"#,
+            ),
+        ];
+        for (ev, expected) in &cases {
+            let mut out = String::from("prefix");
+            ev.write_args(&mut out);
+            assert_eq!(out, format!("prefix{expected}"), "{}", ev.kind());
+            // Valid JSON that serde_json writes back byte for byte.
+            assert_eq!(serde_json::to_string(&args(ev)).unwrap(), *expected);
+        }
+    }
+
+    #[test]
+    fn json_str_escapes_like_serde_json_and_round_trips() {
+        let inputs = [
+            "plain",
+            "",
+            "quote \" here",
+            "back\\slash",
+            "line\nfeed",
+            "carriage\rreturn",
+            "tab\there",
+            "bell \u{1} and \u{1f}",
+            "PE\u{2081} — Δ ≥ 3 \u{1F600}",
+            "\"\\\n\r\t\u{1}",
+        ];
+        for s in inputs {
+            let ours = json_str(s).to_string();
+            assert_eq!(ours, serde_json::to_string(&s).unwrap(), "{s:?}");
+            let back: String = serde_json::from_str(&ours).unwrap();
+            assert_eq!(back, s);
+        }
+        assert_eq!(json_str("a\"b").to_string(), r#""a\"b""#);
+        assert_eq!(json_str("\u{1}").to_string(), r#""\u0001""#);
+        assert_eq!(
+            json_str(format_args!("{}{}", "a\\", "\n")).to_string(),
+            r#""a\\\n""#
+        );
     }
 }

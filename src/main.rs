@@ -284,7 +284,8 @@ fn run_schedule(args: ScheduleArgs) -> Result<(), String> {
             sched.padding()
         );
         let pes = u32::try_from(sched.num_pes()).unwrap_or(u32::MAX);
-        let svg = gantt_svg(&caption, pes, sched.length(), &bars, true);
+        let mut svg = String::new();
+        gantt_svg(&mut svg, &caption, pes, sched.length(), &bars, true);
         std::fs::write(path, svg).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("wrote {path}");
     }
