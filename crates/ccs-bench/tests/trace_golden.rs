@@ -5,8 +5,10 @@
 //! runs.
 
 use ccs_core::{cyclo_compact, CompactConfig};
+use ccs_model::NodeId;
 use ccs_topology::Machine;
 use ccs_trace::chrome::{to_chrome, validate_chrome, Clock};
+use ccs_trace::explain::explain_with;
 use ccs_trace::{record, Event};
 
 /// Two passes of the paper example keep the golden readable while
@@ -165,6 +167,42 @@ fn fig1_two_pass_chrome_export_is_golden() {
         actual,
         include_str!("golden/fig1_mesh2x2_two_pass.chrome.json"),
         "Chrome export drifted; if intentional, regenerate the golden with a debug build \
+         of the CLI (see this test's doc comment)"
+    );
+}
+
+/// The exact `--explain` narrative of the same stream, with the
+/// top-5 ledger-diff notes spliced under each accepted pass as the
+/// CLI does.  Debug builds only, for the same `oracle_calls` reason
+/// (the `stats:` lines print it).  The debug CLI prints the same text
+/// after the schedule table, which is how to regenerate the file after
+/// an intentional narrative or scheduler change:
+///
+/// ```text
+/// cyclosched workloads fig1 > fig1.csdfg
+/// cyclosched schedule fig1.csdfg --machine mesh:2x2 --passes 2 --explain \
+///     | sed -n '/^cyclo-compact:/,$p' \
+///     > crates/ccs-bench/tests/golden/fig1_mesh2x2_two_pass.explain.txt
+/// ```
+#[cfg(debug_assertions)]
+#[test]
+fn fig1_two_pass_explain_is_golden() {
+    let g = ccs_workloads::paper::fig1_example();
+    let machine = Machine::mesh(2, 2);
+    let events = record_stream();
+    let name = |n: u32| g.name(NodeId::from_index(n as usize)).to_string();
+    let profile = ccs_profile::build(&events, &machine);
+    let notes = ccs_profile::pass_diff_notes(&profile, &machine, 5, name);
+    let actual = explain_with(&events, name, |pass| {
+        notes
+            .iter()
+            .find(|(p, _)| *p == pass)
+            .map(|(_, note)| note.clone())
+    });
+    assert_eq!(
+        actual,
+        include_str!("golden/fig1_mesh2x2_two_pass.explain.txt"),
+        "explain narrative drifted; if intentional, regenerate the golden with a debug build \
          of the CLI (see this test's doc comment)"
     );
 }

@@ -69,17 +69,16 @@ pub struct PassRecord {
     pub wall_ms: f64,
 }
 
-impl PassRecord {
-    /// Serializes the record, including the non-deterministic
-    /// `wall_ms` field only when `wall_clock` is `true`.
-    ///
-    /// Default artifacts (`Serialize`, which delegates here with
-    /// `wall_clock = false`) stay byte-identical across runs and
-    /// machines so they can be diffed and golden-pinned; consumers that
-    /// explicitly opt into wall time (`--trace-clock wall`) get the
-    /// extra field.
-    pub fn to_value_with_clock(&self, wall_clock: bool) -> Value {
-        let mut fields = vec![
+// Manual impls: the vendored serde derive handles named-field structs
+// only via `Serialize`/`Deserialize` on every field, and `NodeId`
+// deliberately has no serde surface (schedules serialize raw indices).
+//
+// `Serialize` deliberately omits `wall_ms`, so every export stays
+// byte-identical across runs and machines; `Deserialize` reads the
+// field when outside input carries it.
+impl Serialize for PassRecord {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
             ("pass".to_string(), Value::UInt(self.pass as u64)),
             (
                 "rotated".to_string(),
@@ -92,24 +91,7 @@ impl PassRecord {
             ),
             ("length".to_string(), Value::UInt(u64::from(self.length))),
             ("reverted".to_string(), Value::Bool(self.reverted)),
-        ];
-        if wall_clock {
-            fields.push(("wall_ms".to_string(), Value::Float(self.wall_ms)));
-        }
-        Value::Object(fields)
-    }
-}
-
-// Manual impls: the vendored serde derive handles named-field structs
-// only via `Serialize`/`Deserialize` on every field, and `NodeId`
-// deliberately has no serde surface (schedules serialize raw indices).
-//
-// `Serialize` deliberately omits `wall_ms`: every default export stays
-// deterministic (see `to_value_with_clock`); `Deserialize` tolerates
-// both shapes.
-impl Serialize for PassRecord {
-    fn to_value(&self) -> Value {
-        self.to_value_with_clock(false)
+        ])
     }
 }
 
@@ -469,11 +451,16 @@ mod tests {
             assert_eq!(back.length, rec.length);
             assert_eq!(back.reverted, rec.reverted);
             assert_eq!(back.wall_ms, 0.0);
-            // Explicit wall-clock opt-in round-trips the field.
-            let vw = rec.to_value_with_clock(true);
-            let backw = PassRecord::from_value(&vw).unwrap();
-            assert!((backw.wall_ms - rec.wall_ms).abs() < 1e-9);
         }
+        // Records that carry `wall_ms` load it.
+        let v = Value::Object(vec![
+            ("pass".to_string(), Value::UInt(2)),
+            ("rotated".to_string(), Value::Array(vec![])),
+            ("length".to_string(), Value::UInt(4)),
+            ("reverted".to_string(), Value::Bool(true)),
+            ("wall_ms".to_string(), Value::Float(1.5)),
+        ]);
+        assert_eq!(PassRecord::from_value(&v).unwrap().wall_ms, 1.5);
         // Older serialized records without `wall_ms` still load.
         let v = Value::Object(vec![
             ("pass".to_string(), Value::UInt(1)),
@@ -509,7 +496,7 @@ mod tests {
         ));
         let places = events
             .iter()
-            .filter(|t| matches!(t.event, ccs_trace::Event::Placed { .. }))
+            .filter(|t| matches!(t.event, ccs_trace::Event::Placed(_)))
             .count();
         let rotated: usize = traced
             .history

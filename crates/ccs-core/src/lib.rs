@@ -117,7 +117,6 @@ mod proptests {
                 passes: 12,
                 remap: RemapConfig {
                     mode: RemapMode::WithoutRelaxation,
-                    max_growth: 0,
                     rows_per_pass: 1,
                     ..Default::default()
                 },

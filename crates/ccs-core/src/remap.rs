@@ -12,7 +12,7 @@ use ccs_model::{Csdfg, NodeId};
 use ccs_retiming::{rotate_in_place, unrotate_in_place};
 use ccs_schedule::{required_length, Schedule, Slot};
 use ccs_topology::{Machine, Pe};
-use ccs_trace::{Event, Off, Probe, RunnerUp, Tls, Verdict};
+use ccs_trace::{Candidate, Event, Off, PassStats, Placed, Probe, RunnerUp, Tls, Verdict};
 use rayon::prelude::*;
 
 /// Raw `u32` index of a node, for event payloads.  (Node indices are
@@ -23,34 +23,6 @@ pub(crate) fn nid(v: NodeId) -> u32 {
     u32::try_from(v.index()).unwrap_or(u32::MAX)
 }
 
-/// Per-pass hot-path counters behind [`Event::PassStats`].  Only
-/// maintained when the probe is active — every increment is gated on
-/// `P::ACTIVE`, so the disabled path carries no bookkeeping.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct Counters {
-    /// Resolved edges swept by the candidate sweep (per PE × target).
-    pub edges_swept: u64,
-    /// Candidate slots probed via `earliest_free`.
-    pub slots_probed: u64,
-    /// Per-node scratch resolutions reused across targets.
-    pub scratch_reuses: u64,
-    /// Invariant-oracle invocations (0 unless the oracle is compiled
-    /// in; see `oracle::ENABLED`).
-    pub oracle_calls: u64,
-}
-
-impl Counters {
-    /// The corresponding [`Event::PassStats`] payload.
-    pub fn stats_event(self) -> Event {
-        Event::PassStats {
-            edges_swept: self.edges_swept,
-            slots_probed: self.slots_probed,
-            scratch_reuses: self.scratch_reuses,
-            oracle_calls: self.oracle_calls,
-        }
-    }
-}
-
 /// Remapping policy (Definition 4.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum RemapMode {
@@ -59,8 +31,8 @@ pub enum RemapMode {
     /// the previous schedule kept (this is what makes Theorem 4.4 —
     /// monotone non-increase — hold).
     WithoutRelaxation,
-    /// Allow intermediate growth (bounded by
-    /// [`RemapConfig::max_growth`]); the driver keeps the best schedule
+    /// Allow intermediate growth (at most `MAX_GROWTH` control steps
+    /// beyond the previous length); the driver keeps the best schedule
     /// seen, so temporary growth can unlock shorter schedules later.
     #[default]
     WithRelaxation,
@@ -86,14 +58,15 @@ pub enum ScanPolicy {
     Reference,
 }
 
+/// With relaxation: how many control steps beyond the previous length
+/// the intermediate schedule may grow.
+const MAX_GROWTH: u32 = 8;
+
 /// Options for a rotate-remap pass.
 #[derive(Clone, Copy, Debug)]
 pub struct RemapConfig {
     /// Relaxation policy.
     pub mode: RemapMode,
-    /// With relaxation: how many control steps beyond the previous
-    /// length the intermediate schedule may grow.
-    pub max_growth: u32,
     /// How many leading schedule rows to rotate per pass (the paper
     /// rotates one; larger values are the multi-row extension — bigger
     /// moves per pass, coarser search).  Clamped to the current
@@ -102,13 +75,15 @@ pub struct RemapConfig {
     /// Candidate-scan strategy (see [`ScanPolicy`]).
     pub scan: ScanPolicy,
     /// Minimum machine size (in PEs) before the unprobed engine scan
-    /// fans the PE range out across rayon workers.  The default is
-    /// deliberately above every in-repo machine: the vendored rayon
-    /// stand-in spawns a fresh thread scope per call, so fan-out only
-    /// pays once a single scan outweighs thread spawn-up — lower it
-    /// explicitly for very wide machines (or to exercise the parallel
-    /// path in tests; results are byte-identical at any threshold and
-    /// thread count).
+    /// fans the PE range out across rayon workers, when there is more
+    /// than one.  The vendored rayon stand-in spawns a fresh thread
+    /// scope per call, so fan-out only pays once a single scan
+    /// outweighs thread spawn-up.  The default of 128 does not clear
+    /// every in-repo machine: perfbench's `manype-compact` schedules
+    /// on up to 1,024 PEs, and its jobs on 128 or more skip the chunk
+    /// path only because they run at one rayon thread (its
+    /// `core.parallel_scan_x` probe is what takes it).  Results are
+    /// byte-identical at any threshold and thread count.
     pub parallel_pes: u32,
 }
 
@@ -116,7 +91,6 @@ impl Default for RemapConfig {
     fn default() -> Self {
         RemapConfig {
             mode: RemapMode::default(),
-            max_growth: 8,
             rows_per_pass: 1,
             scan: ScanPolicy::default(),
             parallel_pes: 128,
@@ -212,7 +186,10 @@ pub(crate) fn remap_probed<P: Probe>(
     config: RemapConfig,
     probe: &mut P,
 ) -> InPlaceOutcome {
-    let mut counters = Counters::default();
+    // The pass's hot-path counters, emitted as its `PassStats` record.
+    // Every increment is gated on `P::ACTIVE`, so the disabled path
+    // carries no bookkeeping.
+    let mut stats = PassStats::default();
     // Connectivity is a construction-time property (cached, O(1));
     // past this point the hot path reads the hop table branch-free.
     debug_assert!(
@@ -222,7 +199,7 @@ pub(crate) fn remap_probed<P: Probe>(
     );
     crate::oracle::verify("rotate_remap_in_place: entry", g, machine, sched);
     if P::ACTIVE {
-        counters.oracle_calls += u64::from(crate::oracle::ENABLED);
+        stats.oracle_calls += u64::from(crate::oracle::ENABLED);
     }
     let prev_len = sched.length();
     let rows = config.rows_per_pass.clamp(1, prev_len.max(1));
@@ -266,7 +243,7 @@ pub(crate) fn remap_probed<P: Probe>(
     // Targets to try, in order of preference: one step shorter first.
     let targets: Vec<u32> = match config.mode {
         RemapMode::WithoutRelaxation => vec![prev_len.saturating_sub(1).max(1), prev_len],
-        RemapMode::WithRelaxation => (0..=config.max_growth + 1)
+        RemapMode::WithRelaxation => (0..=MAX_GROWTH + 1)
             .map(|d| (prev_len.saturating_sub(1).max(1)) + d)
             .collect(),
     };
@@ -286,7 +263,7 @@ pub(crate) fn remap_probed<P: Probe>(
         let mut attempts: u64 = 0;
         for &target in &targets {
             if P::ACTIVE {
-                counters.scratch_reuses += u64::from(attempts > 0);
+                stats.scratch_reuses += u64::from(attempts > 0);
                 attempts += 1;
             }
             let sweep = Sweep {
@@ -297,14 +274,14 @@ pub(crate) fn remap_probed<P: Probe>(
                 duration,
                 target,
             };
-            if let Some(found) = best_position(&sweep, config, probe, &mut counters) {
+            if let Some(found) = best_position(&sweep, config, probe, &mut stats) {
                 sched
                     .place(v, found.pe, found.cs, duration)
                     // INVARIANT: best_position only returns slots that
                     // earliest_free reported free for `duration`.
                     .expect("position checked free");
                 if P::ACTIVE {
-                    probe.emit(Event::Placed {
+                    probe.emit(Event::Placed(Placed {
                         node: nid(v),
                         pe: found.pe.0,
                         cs: found.cs,
@@ -313,7 +290,7 @@ pub(crate) fn remap_probed<P: Probe>(
                         impact: found.impact,
                         comm: found.comm,
                         runner_up: found.runner_up,
-                    });
+                    }));
                 }
                 continue 'remap;
             }
@@ -344,8 +321,8 @@ pub(crate) fn remap_probed<P: Probe>(
             // every edge's communication lands after this pass.
             crate::traffic::emit_edge_traffic(g, machine, sched, probe);
             if P::ACTIVE {
-                counters.oracle_calls += u64::from(crate::oracle::ENABLED);
-                probe.emit(counters.stats_event());
+                stats.oracle_calls += u64::from(crate::oracle::ENABLED);
+                probe.emit(Event::PassStats(stats));
             }
             return InPlaceOutcome {
                 rotated,
@@ -374,8 +351,8 @@ pub(crate) fn remap_probed<P: Probe>(
     unrotate_in_place(g, &rotated);
     crate::oracle::verify("rotate_remap_in_place: rollback", g, machine, sched);
     if P::ACTIVE {
-        counters.oracle_calls += u64::from(crate::oracle::ENABLED);
-        probe.emit(counters.stats_event());
+        stats.oracle_calls += u64::from(crate::oracle::ENABLED);
+        probe.emit(Event::PassStats(stats));
     }
     InPlaceOutcome {
         rotated,
@@ -577,8 +554,8 @@ struct Sweep<'a> {
 /// discard too — so winner and tie-breaks are bit-identical.
 ///
 /// Under an active probe every PE emits an [`Event::Candidate`] with
-/// its `AN` window and verdict, the counters tally edges swept and
-/// slots probed, and the second-best key is tracked for the
+/// its `AN` window and verdict, `stats` tallies edges swept and slots
+/// probed, and the second-best key is tracked for the
 /// placement's `runner_up`.  [`best_position`] never prunes then, so
 /// the events describe every PE.
 fn scan_span<P: Probe>(
@@ -587,7 +564,7 @@ fn scan_span<P: Probe>(
     hi: usize,
     prune: bool,
     probe: &mut P,
-    counters: &mut Counters,
+    stats: &mut PassStats,
 ) -> (Option<CandKey>, Option<CandKey>) {
     let Sweep {
         machine,
@@ -601,7 +578,7 @@ fn scan_span<P: Probe>(
     let dur = i64::from(duration);
     let span = hi - lo;
     if P::ACTIVE {
-        counters.edges_swept += (span * (scratch.ins.len() + scratch.outs.len())) as u64;
+        stats.edges_swept += (span * (scratch.ins.len() + scratch.outs.len())) as u64;
     }
     // Lower bound on CB(v) per PE from placed predecessors (Lemma 4.2)
     // and upper bound on CE(v) from placed successors and the target,
@@ -633,7 +610,7 @@ fn scan_span<P: Probe>(
         let p = lo + i;
         if lb > ub {
             if P::ACTIVE {
-                probe.emit(Event::Candidate {
+                probe.emit(Event::Candidate(Candidate {
                     node,
                     target,
                     pe: Pe::from_index(p).0,
@@ -641,7 +618,7 @@ fn scan_span<P: Probe>(
                     ub,
                     comm: scratch.comm[p],
                     verdict: Verdict::Infeasible,
-                });
+                }));
             }
             continue;
         }
@@ -659,12 +636,12 @@ fn scan_span<P: Probe>(
         }
         let cs = table.earliest_free(pe, from, duration);
         if P::ACTIVE {
-            counters.slots_probed += 1;
+            stats.slots_probed += 1;
         }
         let ce_v = i64::from(cs) + dur - 1;
         if ce_v > ub {
             if P::ACTIVE {
-                probe.emit(Event::Candidate {
+                probe.emit(Event::Candidate(Candidate {
                     node,
                     target,
                     pe: pe.0,
@@ -672,7 +649,7 @@ fn scan_span<P: Probe>(
                     ub,
                     comm,
                     verdict: Verdict::NoFreeSlot,
-                });
+                }));
             }
             continue;
         }
@@ -698,7 +675,7 @@ fn scan_span<P: Probe>(
         let key = (impact, cs, comm, pe.0);
         let leads = best.is_none_or(|b| key < b);
         if P::ACTIVE {
-            probe.emit(Event::Candidate {
+            probe.emit(Event::Candidate(Candidate {
                 node,
                 target,
                 pe: pe.0,
@@ -710,7 +687,7 @@ fn scan_span<P: Probe>(
                 } else {
                     Verdict::Feasible { cs, impact }
                 },
-            });
+            }));
             // The displaced best (or the losing candidate) competes
             // for the runner-up slot.
             let contender = if leads { best } else { Some(key) };
@@ -741,7 +718,7 @@ fn parallel_scan(sweep: &Sweep<'_>) -> Option<CandKey> {
         .collect();
     let bests: Vec<Option<CandKey>> = spans
         .into_par_iter()
-        .map(|(lo, hi)| scan_span(sweep, lo, hi, true, &mut Off, &mut Counters::default()).0)
+        .map(|(lo, hi)| scan_span(sweep, lo, hi, true, &mut Off, &mut PassStats::default()).0)
         .collect();
     bests.into_iter().flatten().min()
 }
@@ -759,7 +736,7 @@ fn best_position<P: Probe>(
     sweep: &Sweep<'_>,
     config: RemapConfig,
     probe: &mut P,
-    counters: &mut Counters,
+    stats: &mut PassStats,
 ) -> Option<Placement> {
     let n = sweep.machine.num_pes();
     let prune = !P::ACTIVE && config.scan == ScanPolicy::Engine;
@@ -767,7 +744,7 @@ fn best_position<P: Probe>(
         if prune && n >= config.parallel_pes as usize && rayon::current_num_threads() > 1 {
             (parallel_scan(sweep), None)
         } else {
-            scan_span(sweep, 0, n, prune, probe, counters)
+            scan_span(sweep, 0, n, prune, probe, stats)
         };
     let (impact, cs, comm, pe) = best?;
     Some(Placement {
@@ -836,7 +813,6 @@ mod tests {
         let mut graph = g;
         let cfg = RemapConfig {
             mode: RemapMode::WithoutRelaxation,
-            max_growth: 0,
             rows_per_pass: 1,
             ..Default::default()
         };

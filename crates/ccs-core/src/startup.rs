@@ -15,7 +15,7 @@ use crate::remap::nid;
 use ccs_model::{timing, Csdfg, ModelError, NodeId};
 use ccs_schedule::{required_length, Schedule};
 use ccs_topology::{Machine, Pe};
-use ccs_trace::{Event, Off, Probe, Tls};
+use ccs_trace::{Event, Off, Probe, StartupPlace, Tls};
 
 /// Start-up scheduler options.
 #[derive(Clone, Copy, Debug, Default)]
@@ -115,12 +115,12 @@ pub(crate) fn startup_probed<P: Probe>(
                         // verified free at `cs` for the full duration.
                         .expect("best_slot_at returned a free processor");
                     if P::ACTIVE {
-                        probe.emit(Event::StartupPlace {
+                        probe.emit(Event::StartupPlace(StartupPlace {
                             node: nid(node),
                             pe: pe.0,
                             cs,
                             duration: g.time(node),
-                        });
+                        }));
                     }
                     unscheduled -= 1;
                     for e in g.intra_iter_out_deps(node) {

@@ -23,7 +23,7 @@ use crate::remap::nid;
 use ccs_model::Csdfg;
 use ccs_schedule::Schedule;
 use ccs_topology::Machine;
-use ccs_trace::{Event, Probe};
+use ccs_trace::{EdgeTraffic, Event, PeLoad, Probe};
 
 /// Emits one [`Event::EdgeTraffic`] per dependence edge of `g` whose
 /// endpoints are both placed in `sched`, in `g.deps()` order.
@@ -45,7 +45,7 @@ pub(crate) fn emit_edge_traffic<P: Probe>(
                 continue;
             };
             let hops = machine.try_distance(su.pe, sv.pe).unwrap_or(u32::MAX);
-            probe.emit(Event::EdgeTraffic {
+            probe.emit(Event::EdgeTraffic(EdgeTraffic {
                 edge: u32::try_from(e.index()).unwrap_or(u32::MAX),
                 src: nid(u),
                 dst: nid(v),
@@ -53,7 +53,7 @@ pub(crate) fn emit_edge_traffic<P: Probe>(
                 dst_pe: sv.pe.0,
                 hops,
                 volume: g.volume(e),
-            });
+            }));
         }
     }
 }
@@ -72,11 +72,11 @@ pub(crate) fn emit_pe_loads<P: Probe>(sched: &Schedule, probe: &mut P) {
             busy[p] = busy[p].saturating_add(slot.duration);
         }
         for p in 0..n {
-            probe.emit(Event::PeLoad {
+            probe.emit(Event::PeLoad(PeLoad {
                 pe: u32::try_from(p).unwrap_or(u32::MAX),
                 tasks: tasks[p],
                 busy: busy[p],
-            });
+            }));
         }
     }
 }
@@ -118,12 +118,12 @@ mod tests {
         emit_edge_traffic(&g, &m, &sched, &mut Rec(&mut rec));
         assert_eq!(rec.events.len(), g.deps().count());
         for te in &rec.events {
-            let Event::EdgeTraffic {
+            let Event::EdgeTraffic(EdgeTraffic {
                 src_pe,
                 dst_pe,
                 hops,
                 ..
-            } = te.event
+            }) = te.event
             else {
                 panic!("unexpected event kind");
             };
@@ -146,9 +146,9 @@ mod tests {
         assert_eq!(rec.events.len(), m.num_pes());
         let (mut tasks, mut busy) = (0u32, 0u32);
         for te in &rec.events {
-            let Event::PeLoad {
+            let Event::PeLoad(PeLoad {
                 tasks: t, busy: b, ..
-            } = te.event
+            }) = te.event
             else {
                 panic!("unexpected event kind");
             };

@@ -246,18 +246,6 @@ impl Csdfg {
     pub fn intra_iter_out_deps(&self, v: NodeId) -> impl Iterator<Item = EdgeId> + '_ {
         self.out_deps(v).filter(|&e| self.delay(e) == 0)
     }
-
-    /// Maps node names to ids for a whole slice at once (test helper
-    /// ergonomics).
-    pub fn lookup_all(&self, names: &[&str]) -> Result<Vec<NodeId>, ModelError> {
-        names
-            .iter()
-            .map(|n| {
-                self.task_by_name(n)
-                    .ok_or_else(|| ModelError::UnknownTask((*n).into()))
-            })
-            .collect()
-    }
 }
 
 impl fmt::Display for Csdfg {
@@ -367,16 +355,6 @@ mod tests {
         let e = g.out_deps(a).next().unwrap();
         g.set_delay(e, 5);
         assert_eq!(g.delay(e), 5);
-    }
-
-    #[test]
-    fn lookup_all_reports_unknown() {
-        let (g, a, b) = two_node_loop();
-        assert_eq!(g.lookup_all(&["A", "B"]).unwrap(), vec![a, b]);
-        assert!(matches!(
-            g.lookup_all(&["A", "Q"]),
-            Err(ModelError::UnknownTask(_))
-        ));
     }
 
     #[test]

@@ -73,56 +73,6 @@ pub fn unfold(g: &Csdfg, f: u32) -> Csdfg {
     out
 }
 
-/// Extracts the sub-graph of everything that (transitively) feeds the
-/// `keep` tasks — dead-code elimination for lowered kernels and a
-/// slicing tool for large graphs.  Edge directions and delays are
-/// preserved; tasks with no path to any kept task are dropped.
-///
-/// # Panics
-///
-/// Panics if `keep` contains an id that is not a task of `g`.
-pub fn prune_to(g: &Csdfg, keep: &[NodeId]) -> Csdfg {
-    // Backward reachability over all edges (delayed edges carry data
-    // across iterations; their producers are still needed).
-    let bound = g.task_count();
-    let mut needed = vec![false; bound];
-    let mut stack: Vec<NodeId> = Vec::new();
-    for &v in keep {
-        assert!(
-            g.graph().contains_node(v),
-            "prune_to: {v} is not a task of this graph"
-        );
-        if !needed[v.index()] {
-            needed[v.index()] = true;
-            stack.push(v);
-        }
-    }
-    while let Some(v) = stack.pop() {
-        for u in g.preds(v) {
-            if !needed[u.index()] {
-                needed[u.index()] = true;
-                stack.push(u);
-            }
-        }
-    }
-    let mut out = Csdfg::new();
-    let mut map: BTreeMap<NodeId, NodeId> = BTreeMap::new();
-    for v in g.tasks().filter(|v| needed[v.index()]) {
-        let nv = out
-            .add_task(g.name(v).to_owned(), g.time(v))
-            .expect("names unique");
-        map.insert(v, nv);
-    }
-    for e in g.deps() {
-        let (u, v) = g.endpoints(e);
-        if needed[u.index()] && needed[v.index()] {
-            out.add_dep(map[&u], map[&v], g.delay(e), g.volume(e))
-                .expect("volume >= 1");
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,62 +161,6 @@ mod tests {
             let e = u.graph().find_edge(b, a).unwrap();
             assert_eq!(u.delay(e), 1);
         }
-    }
-
-    #[test]
-    fn prune_drops_unreachable_tails() {
-        // A -> B -> C with a side branch A -> D that nothing keeps.
-        let mut g = Csdfg::new();
-        let a = g.add_task("A", 1).unwrap();
-        let b = g.add_task("B", 1).unwrap();
-        let c = g.add_task("C", 1).unwrap();
-        let d = g.add_task("D", 1).unwrap();
-        g.add_dep(a, b, 0, 1).unwrap();
-        g.add_dep(b, c, 0, 1).unwrap();
-        g.add_dep(a, d, 0, 1).unwrap();
-        g.add_dep(c, a, 1, 1).unwrap();
-        let pruned = prune_to(&g, &[c]);
-        assert_eq!(pruned.task_count(), 3);
-        assert!(pruned.task_by_name("D").is_none());
-        assert!(pruned.check_legal().is_ok());
-        // the loop-carried feed of A is kept
-        let (ca, aa) = (
-            pruned.task_by_name("C").unwrap(),
-            pruned.task_by_name("A").unwrap(),
-        );
-        assert_eq!(pruned.delay(pruned.graph().find_edge(ca, aa).unwrap()), 1);
-    }
-
-    #[test]
-    fn prune_follows_delayed_producers() {
-        // keep consumes X only through a 2-delay edge: X must survive.
-        let mut g = Csdfg::new();
-        let x = g.add_task("X", 1).unwrap();
-        let y = g.add_task("Y", 1).unwrap();
-        g.add_dep(x, y, 2, 1).unwrap();
-        g.add_dep(x, x, 1, 1).unwrap();
-        let pruned = prune_to(&g, &[y]);
-        assert_eq!(pruned.task_count(), 2);
-        assert!(pruned.task_by_name("X").is_some());
-    }
-
-    #[test]
-    fn prune_to_everything_is_identity_shape() {
-        let g = loop2();
-        let keep: Vec<_> = g.tasks().collect();
-        let pruned = prune_to(&g, &keep);
-        assert_eq!(pruned.task_count(), g.task_count());
-        assert_eq!(pruned.dep_count(), g.dep_count());
-        assert_eq!(pruned.total_delay(), g.total_delay());
-    }
-
-    #[test]
-    #[should_panic(expected = "not a task of this graph")]
-    fn prune_rejects_foreign_ids() {
-        let g = loop2();
-        let other = loop2();
-        let foreign = ccs_graph::NodeId::from_index(other.task_count() + 5);
-        let _ = prune_to(&g, &[foreign]);
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! stream into a [`CommProfile`]:
 //!
 //! * a **per-edge traffic ledger** of the final best schedule (who
-//!   talks to whom, over how many hops, at what cost);
+//!   talks to whom, over how many hops, at what cost), whose rows are
+//!   the `traffic.edge` records ([`EdgeTraffic`]) as the trace carries
+//!   them;
 //! * a **hop-weighted link-load matrix** keyed by the machine's
 //!   physical links (deterministic BFS routes from
 //!   [`ccs_topology::RoutingTable`]);
@@ -38,52 +40,26 @@
 pub mod render;
 
 use ccs_topology::{Machine, Pe, RoutingTable};
-use ccs_trace::{Event, Sink, TimedEvent};
+use ccs_trace::{Event, PeLoad, Sink, TimedEvent};
 use serde::Value;
 
-/// One row of the per-edge traffic ledger.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EdgeTraffic {
-    /// Edge index in the graph's edge order.
-    pub edge: u32,
-    /// Producer node.
-    pub src: u32,
-    /// Consumer node.
-    pub dst: u32,
-    /// PE hosting the producer.
-    pub src_pe: u32,
-    /// PE hosting the consumer.
-    pub dst_pe: u32,
-    /// Hop distance between the two PEs.
-    pub hops: u32,
-    /// Data volume of the edge (`c(e)`).
-    pub volume: u32,
-}
+/// One row of the per-edge traffic ledger: the `traffic.edge` record
+/// itself.
+pub use ccs_trace::EdgeTraffic;
 
-impl EdgeTraffic {
-    /// Hop-weighted cost `hops · volume` (saturating).
-    pub fn cost(&self) -> u64 {
-        u64::from(self.hops).saturating_mul(u64::from(self.volume))
-    }
-
-    /// `true` when the edge crosses PEs.
-    pub fn crossing(&self) -> bool {
-        self.src_pe != self.dst_pe
-    }
-
-    fn to_value(self) -> Value {
-        Value::Object(vec![
-            ("edge".to_string(), Value::UInt(u64::from(self.edge))),
-            ("src".to_string(), Value::UInt(u64::from(self.src))),
-            ("dst".to_string(), Value::UInt(u64::from(self.dst))),
-            ("src_pe".to_string(), Value::UInt(u64::from(self.src_pe))),
-            ("dst_pe".to_string(), Value::UInt(u64::from(self.dst_pe))),
-            ("hops".to_string(), Value::UInt(u64::from(self.hops))),
-            ("volume".to_string(), Value::UInt(u64::from(self.volume))),
-            ("cost".to_string(), Value::UInt(self.cost())),
-            ("crossing".to_string(), Value::Bool(self.crossing())),
-        ])
-    }
+/// One ledger row as a JSON object, keys in the profile's order.
+fn edge_value(e: &EdgeTraffic) -> Value {
+    Value::Object(vec![
+        ("edge".to_string(), Value::UInt(u64::from(e.edge))),
+        ("src".to_string(), Value::UInt(u64::from(e.src))),
+        ("dst".to_string(), Value::UInt(u64::from(e.dst))),
+        ("src_pe".to_string(), Value::UInt(u64::from(e.src_pe))),
+        ("dst_pe".to_string(), Value::UInt(u64::from(e.dst_pe))),
+        ("hops".to_string(), Value::UInt(u64::from(e.hops))),
+        ("volume".to_string(), Value::UInt(u64::from(e.volume))),
+        ("cost".to_string(), Value::UInt(e.cost())),
+        ("crossing".to_string(), Value::Bool(e.crossing())),
+    ])
 }
 
 /// Aggregated traffic over one physical machine link.
@@ -357,7 +333,7 @@ impl CommProfile {
             ),
             (
                 "edges".to_string(),
-                Value::Array(self.edges.iter().map(|e| e.to_value()).collect()),
+                Value::Array(self.edges.iter().map(edge_value).collect()),
             ),
             (
                 "links".to_string(),
@@ -391,7 +367,7 @@ impl CommProfile {
 #[derive(Default)]
 pub struct ProfileBuilder {
     cur_edges: Vec<EdgeTraffic>,
-    pe_loads: Vec<(u32, u32, u32)>,
+    pe_loads: Vec<PeLoad>,
     passes: Vec<PassProfile>,
     pass_ledgers: Vec<PassLedger>,
     initial_length: u32,
@@ -513,11 +489,11 @@ impl ProfileBuilder {
         let mut pe_rows: Vec<PeProfile> = self
             .pe_loads
             .iter()
-            .map(|&(pe, tasks, busy)| PeProfile {
-                pe,
-                tasks,
-                busy,
-                idle: self.best_length.saturating_sub(busy),
+            .map(|l| PeProfile {
+                pe: l.pe,
+                tasks: l.tasks,
+                busy: l.busy,
+                idle: self.best_length.saturating_sub(l.busy),
                 ..PeProfile::default()
             })
             .collect();
@@ -557,23 +533,7 @@ impl Sink for ProfileBuilder {
     fn event(&mut self, ev: Event) {
         match ev {
             Event::StartupBegin { .. } | Event::PassBegin { .. } => self.cur_edges.clear(),
-            Event::EdgeTraffic {
-                edge,
-                src,
-                dst,
-                src_pe,
-                dst_pe,
-                hops,
-                volume,
-            } => self.cur_edges.push(EdgeTraffic {
-                edge,
-                src,
-                dst,
-                src_pe,
-                dst_pe,
-                hops,
-                volume,
-            }),
+            Event::EdgeTraffic(t) => self.cur_edges.push(t),
             Event::StartupEnd { length } => {
                 self.initial_length = length;
                 self.best_length = length; // until compaction improves it
@@ -616,7 +576,7 @@ impl Sink for ProfileBuilder {
                     self.cur_edges.clear();
                 }
             }
-            Event::PeLoad { pe, tasks, busy } => self.pe_loads.push((pe, tasks, busy)),
+            Event::PeLoad(l) => self.pe_loads.push(l),
             Event::CompactEnd { initial, best, .. } => {
                 self.initial_length = initial;
                 self.best_length = best;
@@ -718,7 +678,7 @@ mod tests {
     }
 
     fn traffic(edge: u32, src_pe: u32, dst_pe: u32, hops: u32, volume: u32) -> Event {
-        Event::EdgeTraffic {
+        Event::EdgeTraffic(EdgeTraffic {
             edge,
             src: edge,
             dst: edge + 1,
@@ -726,7 +686,7 @@ mod tests {
             dst_pe,
             hops,
             volume,
-        }
+        })
     }
 
     /// The per-call table and linear link scan [`link_loads`] used
@@ -843,21 +803,21 @@ mod tests {
             // Final best snapshot.
             te(traffic(0, 0, 1, 1, 3)),
             te(traffic(1, 1, 1, 0, 4)),
-            te(Event::PeLoad {
+            te(Event::PeLoad(PeLoad {
                 pe: 0,
                 tasks: 1,
                 busy: 2,
-            }),
-            te(Event::PeLoad {
+            })),
+            te(Event::PeLoad(PeLoad {
                 pe: 1,
                 tasks: 2,
                 busy: 3,
-            }),
-            te(Event::PeLoad {
+            })),
+            te(Event::PeLoad(PeLoad {
                 pe: 2,
                 tasks: 0,
                 busy: 0,
-            }),
+            })),
             te(Event::CompactEnd {
                 initial: 6,
                 best: 5,
@@ -1152,11 +1112,11 @@ mod tests {
             te(traffic(0, 0, 2, 2, 5)),
             te(Event::StartupEnd { length: 3 }),
             te(traffic(0, 0, 2, 2, 5)),
-            te(Event::PeLoad {
+            te(Event::PeLoad(PeLoad {
                 pe: 0,
                 tasks: 1,
                 busy: 1,
-            }),
+            })),
             te(Event::CompactEnd {
                 initial: 3,
                 best: 3,

@@ -366,7 +366,7 @@ pub fn render_diff_report(input: &DiffInput<'_>, mut name: impl FnMut(u32) -> St
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccs_trace::Event;
+    use ccs_trace::{EdgeTraffic, Event, StartupPlace};
 
     fn te(event: Event) -> TimedEvent {
         TimedEvent { ns: 0, event }
@@ -375,19 +375,19 @@ mod tests {
     fn run_events(best: u32, rotate_node: u32) -> Vec<TimedEvent> {
         vec![
             te(Event::StartupBegin { tasks: 2, pes: 2 }),
-            te(Event::StartupPlace {
+            te(Event::StartupPlace(StartupPlace {
                 node: 0,
                 pe: 0,
                 cs: 0,
                 duration: 1,
-            }),
-            te(Event::StartupPlace {
+            })),
+            te(Event::StartupPlace(StartupPlace {
                 node: 1,
                 pe: 1,
                 cs: 1,
                 duration: 1,
-            }),
-            te(Event::EdgeTraffic {
+            })),
+            te(Event::EdgeTraffic(EdgeTraffic {
                 edge: 0,
                 src: 0,
                 dst: 1,
@@ -395,7 +395,7 @@ mod tests {
                 dst_pe: 1,
                 hops: 1,
                 volume: 2,
-            }),
+            })),
             te(Event::StartupEnd { length: 3 }),
             te(Event::PassBegin {
                 pass: 1,
@@ -405,7 +405,7 @@ mod tests {
             te(Event::Rotate {
                 nodes: vec![rotate_node],
             }),
-            te(Event::EdgeTraffic {
+            te(Event::EdgeTraffic(EdgeTraffic {
                 edge: 0,
                 src: 0,
                 dst: 1,
@@ -413,13 +413,13 @@ mod tests {
                 dst_pe: 0,
                 hops: 0,
                 volume: 2,
-            }),
+            })),
             te(Event::PassEnd {
                 pass: 1,
                 accepted: true,
                 length: best,
             }),
-            te(Event::EdgeTraffic {
+            te(Event::EdgeTraffic(EdgeTraffic {
                 edge: 0,
                 src: 0,
                 dst: 1,
@@ -427,7 +427,7 @@ mod tests {
                 dst_pe: 0,
                 hops: 0,
                 volume: 2,
-            }),
+            })),
             te(Event::CompactEnd {
                 initial: 3,
                 best,

@@ -7,60 +7,21 @@
 //! This is the report's own fold consumer over `ccs-trace` — a sibling
 //! of the explainer, but structured (it keeps the data, not prose) so
 //! the SVG renderers can place rectangles and attach hover titles.
+//! The story keeps the trace's own records (`StartupPlace`, `Placed`,
+//! `Candidate`), and buffers candidate scans in the same
+//! [`ScanBuffer`] the explainer uses.
 
-use ccs_trace::event::{Event, RunnerUp, Verdict};
+use ccs_trace::event::{Candidate, Event, Placed, ScanBuffer, StartupPlace};
 use ccs_trace::TimedEvent;
-
-/// One node placed by the start-up list scheduler.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StartupPlacement {
-    /// The placed node.
-    pub node: u32,
-    /// Chosen processor.
-    pub pe: u32,
-    /// Start control step.
-    pub cs: u32,
-    /// Execution time (control steps occupied).
-    pub duration: u32,
-}
-
-/// One candidate PE scanned for a re-placement attempt.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CandidateScan {
-    /// Candidate processor.
-    pub pe: u32,
-    /// `AN`-window lower bound.
-    pub lb: i64,
-    /// `AN`-window upper bound.
-    pub ub: i64,
-    /// Communication traffic of this PE choice.
-    pub comm: u32,
-    /// Scan outcome.
-    pub verdict: Verdict,
-}
 
 /// One rotated node successfully re-placed during a pass, with the
 /// candidate scan of the winning target attempt.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Remap {
-    /// The node.
-    pub node: u32,
-    /// Chosen processor.
-    pub pe: u32,
-    /// Start control step.
-    pub cs: u32,
-    /// Execution time.
-    pub duration: u32,
-    /// Target length of the successful attempt.
-    pub target: u32,
-    /// Schedule length the placement forces.
-    pub impact: u32,
-    /// Communication traffic of the placement.
-    pub comm: u32,
-    /// Second-best candidate, if any.
-    pub runner_up: Option<RunnerUp>,
+    /// The re-placement.
+    pub placed: Placed,
     /// Per-PE scan verdicts of the winning attempt, in scan order.
-    pub candidates: Vec<CandidateScan>,
+    pub candidates: Vec<Candidate>,
 }
 
 /// One rotate-remap pass.
@@ -90,7 +51,7 @@ pub struct RunStory {
     /// Processors of the machine.
     pub pes: u32,
     /// The complete start-up placement, in placement order.
-    pub startup: Vec<StartupPlacement>,
+    pub startup: Vec<StartupPlace>,
     /// Start-up schedule length.
     pub startup_length: u32,
     /// Every rotate-remap pass, in pass order.
@@ -112,27 +73,14 @@ impl RunStory {
 pub fn fold(events: &[TimedEvent]) -> RunStory {
     let mut story = RunStory::default();
     let mut cur: Option<PassStory> = None;
-    // Candidate buffer of the attempt currently being scanned, keyed
-    // by (node, target); a Placed/NoSlot event closes the attempt.
-    let mut scan: Vec<CandidateScan> = Vec::new();
-    let mut scan_key: Option<(u32, u32)> = None;
+    let mut scan = ScanBuffer::default();
     for te in events {
         match &te.event {
             Event::StartupBegin { tasks, pes } => {
                 story.tasks = *tasks;
                 story.pes = *pes;
             }
-            Event::StartupPlace {
-                node,
-                pe,
-                cs,
-                duration,
-            } => story.startup.push(StartupPlacement {
-                node: *node,
-                pe: *pe,
-                cs: *cs,
-                duration: *duration,
-            }),
+            Event::StartupPlace(s) => story.startup.push(*s),
             Event::StartupEnd { length } => {
                 story.startup_length = *length;
                 story.best_length = *length;
@@ -153,60 +101,18 @@ pub fn fold(events: &[TimedEvent]) -> RunStory {
                     p.rotated = nodes.clone();
                 }
             }
-            Event::Candidate {
-                node,
-                target,
-                pe,
-                lb,
-                ub,
-                comm,
-                verdict,
-            } => {
-                if scan_key != Some((*node, *target)) {
-                    scan.clear();
-                    scan_key = Some((*node, *target));
-                }
-                scan.push(CandidateScan {
-                    pe: *pe,
-                    lb: *lb,
-                    ub: *ub,
-                    comm: *comm,
-                    verdict: *verdict,
-                });
-            }
-            Event::Placed {
-                node,
-                pe,
-                cs,
-                duration,
-                target,
-                impact,
-                comm,
-                runner_up,
-            } => {
-                let candidates = if scan_key == Some((*node, *target)) {
-                    scan_key = None;
-                    std::mem::take(&mut scan)
-                } else {
-                    Vec::new()
-                };
+            Event::Candidate(c) => scan.push(*c),
+            Event::Placed(placed) => {
+                let candidates = scan.close(placed.node, placed.target).collect();
                 if let Some(p) = cur.as_mut() {
                     p.remaps.push(Remap {
-                        node: *node,
-                        pe: *pe,
-                        cs: *cs,
-                        duration: *duration,
-                        target: *target,
-                        impact: *impact,
-                        comm: *comm,
-                        runner_up: *runner_up,
+                        placed: *placed,
                         candidates,
                     });
                 }
             }
-            Event::NoSlot { .. } => {
-                scan.clear();
-                scan_key = None;
+            Event::NoSlot { node, target } => {
+                scan.close(*node, *target);
                 if let Some(p) = cur.as_mut() {
                     p.no_slots += 1;
                 }
@@ -252,6 +158,7 @@ pub fn fold(events: &[TimedEvent]) -> RunStory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccs_trace::Verdict;
 
     fn te(event: Event) -> TimedEvent {
         TimedEvent { ns: 0, event }
@@ -261,18 +168,18 @@ mod tests {
     fn folds_startup_and_passes() {
         let events = vec![
             te(Event::StartupBegin { tasks: 2, pes: 2 }),
-            te(Event::StartupPlace {
+            te(Event::StartupPlace(StartupPlace {
                 node: 0,
                 pe: 0,
                 cs: 0,
                 duration: 1,
-            }),
-            te(Event::StartupPlace {
+            })),
+            te(Event::StartupPlace(StartupPlace {
                 node: 1,
                 pe: 1,
                 cs: 1,
                 duration: 2,
-            }),
+            })),
             te(Event::StartupEnd { length: 3 }),
             te(Event::PassBegin {
                 pass: 1,
@@ -280,7 +187,7 @@ mod tests {
                 rows: 1,
             }),
             te(Event::Rotate { nodes: vec![0] }),
-            te(Event::Candidate {
+            te(Event::Candidate(Candidate {
                 node: 0,
                 target: 3,
                 pe: 0,
@@ -288,8 +195,8 @@ mod tests {
                 ub: 1,
                 comm: 0,
                 verdict: Verdict::Infeasible,
-            }),
-            te(Event::Candidate {
+            })),
+            te(Event::Candidate(Candidate {
                 node: 0,
                 target: 3,
                 pe: 1,
@@ -297,8 +204,8 @@ mod tests {
                 ub: 2,
                 comm: 1,
                 verdict: Verdict::Leading { cs: 2, impact: 3 },
-            }),
-            te(Event::Placed {
+            })),
+            te(Event::Placed(Placed {
                 node: 0,
                 pe: 1,
                 cs: 2,
@@ -307,7 +214,7 @@ mod tests {
                 impact: 3,
                 comm: 1,
                 runner_up: None,
-            }),
+            })),
             te(Event::PassEnd {
                 pass: 1,
                 accepted: true,
@@ -328,7 +235,7 @@ mod tests {
         assert!(p.accepted);
         assert_eq!(p.rotated, vec![0]);
         assert_eq!(p.remaps.len(), 1);
-        assert_eq!(p.remaps[0].pe, 1);
+        assert_eq!(p.remaps[0].placed.pe, 1);
         assert_eq!(p.remaps[0].candidates.len(), 2);
         assert_eq!(p.remaps[0].candidates[0].verdict, Verdict::Infeasible);
         assert_eq!(s.accepted_passes().count(), 1);
@@ -342,7 +249,7 @@ mod tests {
                 prev_len: 4,
                 rows: 1,
             }),
-            te(Event::Candidate {
+            te(Event::Candidate(Candidate {
                 node: 0,
                 target: 4,
                 pe: 0,
@@ -350,9 +257,9 @@ mod tests {
                 ub: 3,
                 comm: 0,
                 verdict: Verdict::NoFreeSlot,
-            }),
+            })),
             te(Event::NoSlot { node: 0, target: 4 }),
-            te(Event::Candidate {
+            te(Event::Candidate(Candidate {
                 node: 0,
                 target: 5,
                 pe: 0,
@@ -360,8 +267,8 @@ mod tests {
                 ub: 4,
                 comm: 0,
                 verdict: Verdict::Leading { cs: 1, impact: 5 },
-            }),
-            te(Event::Placed {
+            })),
+            te(Event::Placed(Placed {
                 node: 0,
                 pe: 0,
                 cs: 1,
@@ -370,7 +277,7 @@ mod tests {
                 impact: 5,
                 comm: 0,
                 runner_up: None,
-            }),
+            })),
             te(Event::PassEnd {
                 pass: 1,
                 accepted: false,

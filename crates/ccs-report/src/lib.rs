@@ -175,17 +175,18 @@ pub fn gantt_svg(
 }
 
 fn remap_title(r: &Remap, mut name: impl FnMut(u32) -> String) -> String {
+    let p = &r.placed;
     let mut t = format!(
         "{} -> PE{}, cs {}..{} (target {}, impact {}, comm {})",
-        name(r.node),
-        r.pe + 1,
-        r.cs,
-        r.cs + r.duration,
-        r.target,
-        r.impact,
-        r.comm
+        name(p.node),
+        p.pe + 1,
+        p.cs,
+        p.cs + p.duration,
+        p.target,
+        p.impact,
+        p.comm
     );
-    if let Some(ru) = &r.runner_up {
+    if let Some(ru) = &p.runner_up {
         let _ = write!(t, "\nrunner-up: {ru}");
     }
     if !r.candidates.is_empty() {
@@ -274,11 +275,11 @@ fn pass_strip(out: &mut String, p: &PassStory, pes: u32, mut name: impl FnMut(u3
         .remaps
         .iter()
         .map(|r| Bar {
-            pe: r.pe,
-            cs: r.cs,
-            duration: r.duration,
+            pe: r.placed.pe,
+            cs: r.placed.cs,
+            duration: r.placed.duration,
             rotated: true,
-            label: name(r.node),
+            label: name(r.placed.node),
             title: remap_title(r, &mut name),
         })
         .collect();
@@ -583,7 +584,7 @@ pub fn render_report(input: &ReportInput<'_>, mut name: impl FnMut(u32) -> Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccs_trace::Event;
+    use ccs_trace::{Event, StartupPlace};
 
     fn te(event: Event) -> TimedEvent {
         TimedEvent { ns: 0, event }
@@ -592,18 +593,18 @@ mod tests {
     fn tiny_events() -> Vec<TimedEvent> {
         vec![
             te(Event::StartupBegin { tasks: 2, pes: 2 }),
-            te(Event::StartupPlace {
+            te(Event::StartupPlace(StartupPlace {
                 node: 0,
                 pe: 0,
                 cs: 1,
                 duration: 1,
-            }),
-            te(Event::StartupPlace {
+            })),
+            te(Event::StartupPlace(StartupPlace {
                 node: 1,
                 pe: 1,
                 cs: 2,
                 duration: 1,
-            }),
+            })),
             te(Event::StartupEnd { length: 2 }),
             te(Event::CompactEnd {
                 initial: 2,

@@ -156,12 +156,6 @@ pub fn min_clock_period(g: &Csdfg) -> (u32, Retiming) {
     best
 }
 
-/// Convenience: the retimed graph achieving the minimum clock period.
-pub fn retime_min_period(g: &Csdfg) -> (u32, Csdfg) {
-    let (c, r) = min_clock_period(g);
-    (c, r.apply(g))
-}
-
 #[allow(unused)]
 fn _assert_node_id_used(v: NodeId) {}
 
@@ -263,15 +257,6 @@ mod tests {
         for e in retimed.deps() {
             assert!(retimed.delay(e) >= 1);
         }
-    }
-
-    #[test]
-    fn retime_min_period_returns_retimed_graph() {
-        let (g, _) = loop3();
-        let (c, retimed) = retime_min_period(&g);
-        assert_eq!(clock_period(&retimed), c);
-        // Cycle delay sum invariant.
-        assert_eq!(retimed.total_delay(), g.total_delay());
     }
 
     #[test]

@@ -81,14 +81,6 @@ impl Retiming {
             self.r[v.index()] -= min;
         }
     }
-
-    /// Composes in place: `self := self + other`.
-    pub fn compose(&mut self, other: &Retiming) {
-        assert_eq!(self.r.len(), other.r.len(), "retiming size mismatch");
-        for (a, b) in self.r.iter_mut().zip(&other.r) {
-            *a += b;
-        }
-    }
 }
 
 impl fmt::Display for Retiming {
@@ -353,19 +345,6 @@ mod tests {
         r.normalize(&g);
         assert_eq!(r.get(n[1]), 0);
         assert_eq!(r.get(n[0]), 2);
-    }
-
-    #[test]
-    fn compose_adds_pointwise() {
-        let (g, n) = fig1();
-        let mut r1 = Retiming::zero_for(&g);
-        r1.bump(n[0], 1);
-        let mut r2 = Retiming::zero_for(&g);
-        r2.bump(n[0], 2);
-        r2.bump(n[4], 1);
-        r1.compose(&r2);
-        assert_eq!(r1.get(n[0]), 3);
-        assert_eq!(r1.get(n[4]), 1);
     }
 
     #[test]

@@ -429,13 +429,8 @@ impl Schedule {
         })
     }
 
-    /// Nodes beginning at control step 1 — the paper's rotation set `J`.
-    pub fn first_row(&self) -> Vec<NodeId> {
-        self.rows_upto(1)
-    }
-
     /// Nodes beginning at control step `<= upto` — the rotation set of
-    /// a multi-row rotation pass.
+    /// a rotation pass (`upto = 1` is the paper's set `J`).
     pub fn rows_upto(&self, upto: u32) -> Vec<NodeId> {
         self.placements()
             .filter(|(_, s)| s.start <= upto)
@@ -535,21 +530,10 @@ impl Schedule {
         bits[cell / 64] |= 1 << (cell % 64);
     }
 
-    /// Removes the given nodes and shifts every remaining placement one
-    /// control step earlier — the renumbering that follows a rotation
-    /// (the old row 1 conceptually moves to row `L + 1`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a remaining node starts at control step 1 (the caller
-    /// must remove the whole first row).
-    pub fn drop_and_shift(&mut self, nodes: &[NodeId]) {
-        self.drop_and_shift_by(nodes, 1);
-    }
-
-    /// Generalization of [`Schedule::drop_and_shift`]: removes `nodes`
-    /// and shifts every remaining placement `shift` control steps
-    /// earlier (multi-row rotation).
+    /// Removes `nodes` and shifts every remaining placement `shift`
+    /// control steps earlier — the renumbering that follows a rotation
+    /// of the first `shift` rows (the paper rotates one, and its old
+    /// row 1 conceptually moves to row `L + 1`).
     ///
     /// # Panics
     ///
@@ -846,7 +830,7 @@ mod tests {
         s.place(n(0), Pe(0), 1, 2).unwrap();
         s.place(n(1), Pe(1), 1, 1).unwrap();
         s.place(n(2), Pe(1), 2, 1).unwrap();
-        let mut row = s.first_row();
+        let mut row = s.rows_upto(1);
         row.sort();
         assert_eq!(row, vec![n(0), n(1)]);
     }
@@ -858,7 +842,7 @@ mod tests {
         s.place(n(1), Pe(0), 2, 2).unwrap();
         s.place(n(2), Pe(1), 3, 1).unwrap();
         s.pad_to(9);
-        s.drop_and_shift(&[n(0)]);
+        s.drop_and_shift_by(&[n(0)], 1);
         assert!(!s.is_placed(n(0)));
         assert_eq!(s.cb(n(1)), Some(1));
         assert_eq!(s.ce(n(1)), Some(2));
@@ -908,7 +892,7 @@ mod tests {
         let mut s = Schedule::new(2);
         s.place(n(0), Pe(0), 1, 1).unwrap();
         s.place(n(1), Pe(1), 1, 1).unwrap();
-        s.drop_and_shift(&[n(0)]); // n(1) still at cs1
+        s.drop_and_shift_by(&[n(0)], 1); // n(1) still at cs1
     }
 
     #[test]
@@ -917,7 +901,7 @@ mod tests {
         s.place(n(0), Pe(0), 1, 1).unwrap();
         s.place(n(1), Pe(0), 2, 2).unwrap();
         s.place(n(2), Pe(1), 1, 3).unwrap();
-        s.drop_and_shift(&[n(0), n(2)]);
+        s.drop_and_shift_by(&[n(0), n(2)], 1);
         // After the shift, cs1-2 on pe1 hold node 1; pe2 is empty.
         assert_eq!(s.at(Pe(0), 1), Some(n(1)));
         assert_eq!(s.at(Pe(0), 2), Some(n(1)));
@@ -937,7 +921,7 @@ mod tests {
         s.place(n(2), Pe(1), 3, 1).unwrap();
         let before = s.clone();
         let slot0 = s.slot(n(0)).unwrap();
-        s.drop_and_shift(&[n(0)]);
+        s.drop_and_shift_by(&[n(0)], 1);
         s.shift_later(1);
         s.place(n(0), slot0.pe, slot0.start, slot0.duration)
             .unwrap();

@@ -12,12 +12,10 @@
 //! fragile — one of the questions a deployment would ask.
 
 use crate::report::SelfTimedReport;
-use ccs_model::{Csdfg, NodeId};
+use crate::self_timed::execute;
+use ccs_model::Csdfg;
 use ccs_schedule::Schedule;
 use ccs_topology::Machine;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 
 /// Jitter model: each task instance executes for
 /// `t(v) + uniform(0..=max_jitter)` cycles.
@@ -42,67 +40,7 @@ pub fn run_jittered(
     iterations: u32,
     config: JitterConfig,
 ) -> SelfTimedReport {
-    assert!(iterations > 0, "need at least one iteration");
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut order: Vec<NodeId> = g.tasks().collect();
-    order.sort_by_key(|&v| (sched.cb(v).expect("task placed"), v.index()));
-
-    let mut finish: BTreeMap<(usize, u32), u64> = BTreeMap::new();
-    let mut pe_free = vec![0u64; machine.num_pes()];
-    let mut messages = 0u64;
-    let mut traffic = 0u64;
-    let mut makespan = 0u64;
-    let mut first_iter_end = 0u64;
-
-    for i in 0..iterations {
-        for &v in &order {
-            let pe = sched.pe(v).expect("placed");
-            let mut ready_at = pe_free[pe.index()];
-            for e in g.in_deps(v) {
-                let (u, _) = g.endpoints(e);
-                let k = g.delay(e);
-                if k > i {
-                    continue;
-                }
-                let Some(&f) = finish.get(&(u.index(), i - k)) else {
-                    continue;
-                };
-                let pu = sched.pe(u).expect("placed");
-                let hops = machine.distance(pu, pe);
-                let cost = u64::from(hops) * u64::from(g.volume(e));
-                if hops > 0 {
-                    messages += 1;
-                    traffic += cost;
-                }
-                ready_at = ready_at.max(f + cost);
-            }
-            let jitter = if config.max_jitter == 0 {
-                0
-            } else {
-                rng.gen_range(0..=config.max_jitter)
-            };
-            let end = ready_at + u64::from(g.time(v)) + u64::from(jitter);
-            finish.insert((v.index(), i), end);
-            pe_free[pe.index()] = end;
-            makespan = makespan.max(end);
-        }
-        if i == 0 {
-            first_iter_end = makespan;
-        }
-    }
-
-    let initiation_interval = if iterations == 1 {
-        makespan as f64
-    } else {
-        (makespan - first_iter_end) as f64 / f64::from(iterations - 1)
-    };
-    SelfTimedReport {
-        iterations,
-        makespan,
-        initiation_interval,
-        messages,
-        traffic,
-    }
+    execute(g, machine, sched, iterations, Some(config))
 }
 
 #[cfg(test)]
@@ -141,6 +79,8 @@ mod tests {
         );
         assert_eq!(jit.makespan, base.makespan);
         assert!((jit.initiation_interval - base.initiation_interval).abs() < 1e-9);
+        assert_eq!(jit.messages, base.messages);
+        assert_eq!(jit.traffic, base.traffic);
     }
 
     #[test]

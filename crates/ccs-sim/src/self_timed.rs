@@ -10,10 +10,13 @@
 //! quality, and it converges to the graph's communication-augmented
 //! steady-state rate.
 
+use crate::jitter::JitterConfig;
 use crate::report::SelfTimedReport;
 use ccs_model::{Csdfg, NodeId};
 use ccs_schedule::Schedule;
 use ccs_topology::Machine;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
 /// Executes `iterations` iterations of `g` self-timed, following the
@@ -28,7 +31,24 @@ pub fn run_self_timed(
     sched: &Schedule,
     iterations: u32,
 ) -> SelfTimedReport {
+    execute(g, machine, sched, iterations, None)
+}
+
+/// The self-timed loop behind [`run_self_timed`] and
+/// [`run_jittered`](crate::jitter::run_jittered).  With `jitter`, each
+/// task instance draws its extra latency once, after its inputs are
+/// resolved; a zero `max_jitter` draws nothing.
+pub(crate) fn execute(
+    g: &Csdfg,
+    machine: &Machine,
+    sched: &Schedule,
+    iterations: u32,
+    jitter: Option<JitterConfig>,
+) -> SelfTimedReport {
     assert!(iterations > 0, "need at least one iteration");
+    let mut rng = jitter
+        .filter(|j| j.max_jitter > 0)
+        .map(|j| (StdRng::seed_from_u64(j.seed), j.max_jitter));
     // Global firing order within an iteration: by static CB, ties by
     // node id.  A valid static schedule's CBs form a linear extension
     // of the zero-delay DAG, so same-iteration reads always see their
@@ -69,7 +89,8 @@ pub fn run_self_timed(
                 }
                 ready_at = ready_at.max(f + cost);
             }
-            let end = ready_at + u64::from(g.time(v));
+            let extra = rng.as_mut().map_or(0, |(rng, max)| rng.gen_range(0..=*max));
+            let end = ready_at + u64::from(g.time(v)) + u64::from(extra);
             finish.insert((v.index(), i), end);
             pe_free[pe.index()] = end;
             makespan = makespan.max(end);

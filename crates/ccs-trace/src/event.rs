@@ -8,7 +8,16 @@
 //!   `best_position` (anticipation-function components and rejection
 //!   reasons), `PSL` slack repairs, and per-pass hot-path counters;
 //! * **compact** — driver pass boundaries, best-snapshot updates, and
-//!   slot-occupancy snapshots.
+//!   slot-occupancy snapshots;
+//! * **traffic** — per-edge traffic and per-PE load snapshots.
+//!
+//! The records a consumer keeps — [`StartupPlace`], [`Candidate`],
+//! [`Placed`], [`PassStats`], [`EdgeTraffic`] and [`PeLoad`] — are
+//! declared once, as structs wrapped by the [`Event`] variant of the
+//! same name.  Emitters build them and consumers keep them as they
+//! are, with no look-alike copies.  [`ScanBuffer`] is the one buffer
+//! of an attempt's candidate scan; the explainer and the report fold
+//! both use it.
 //!
 //! Every event is plain data over raw node / PE indices (`u32`), so the
 //! crate depends on nothing but the serde stand-in.  Events are fully
@@ -84,10 +93,154 @@ impl fmt::Display for Verdict {
     }
 }
 
+/// The start-up list scheduler placed a node.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StartupPlace {
+    /// The placed node.
+    pub node: u32,
+    /// Chosen processor.
+    pub pe: u32,
+    /// Start control step.
+    pub cs: u32,
+    /// Execution time (control steps occupied).
+    pub duration: u32,
+}
+
+/// One candidate PE scanned by `best_position` for one node at one
+/// target length, with the anticipation-function components.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Candidate {
+    /// Node being re-placed.
+    pub node: u32,
+    /// Target final schedule length of this attempt.
+    pub target: u32,
+    /// Candidate processor.
+    pub pe: u32,
+    /// Lower bound on `CB(v)` from placed predecessors (`AN(v, p)`).
+    pub lb: i64,
+    /// Upper bound on `CE(v)` from placed successors and the target.
+    pub ub: i64,
+    /// Total communication traffic of this PE choice.
+    pub comm: u32,
+    /// Scan outcome.
+    pub verdict: Verdict,
+}
+
+/// A rotated node was re-placed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Placed {
+    /// The node.
+    pub node: u32,
+    /// Chosen processor.
+    pub pe: u32,
+    /// Start control step.
+    pub cs: u32,
+    /// Execution time.
+    pub duration: u32,
+    /// Target length of the successful attempt.
+    pub target: u32,
+    /// Schedule length this placement forces.
+    pub impact: u32,
+    /// Total communication traffic of the placement.
+    pub comm: u32,
+    /// Second-best candidate, if any other PE was feasible.
+    pub runner_up: Option<RunnerUp>,
+}
+
+/// Per-pass hot-path counters of one rotate-remap pass.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PassStats {
+    /// Resolved edges swept in `best_position` (per PE × target).
+    pub edges_swept: u64,
+    /// Candidate `(PE, target)` slots probed.
+    pub slots_probed: u64,
+    /// Per-node scratch resolutions reused across PEs and targets.
+    pub scratch_reuses: u64,
+    /// Invariant-oracle invocations on this pass's mutations.
+    pub oracle_calls: u64,
+}
+
+/// Where one dependence edge's communication lands on the machine
+/// under the current placement (`M(p_i, p_j) = hops · c(e)`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EdgeTraffic {
+    /// Edge index in the graph's edge order.
+    pub edge: u32,
+    /// Producer node.
+    pub src: u32,
+    /// Consumer node.
+    pub dst: u32,
+    /// Processor hosting the producer.
+    pub src_pe: u32,
+    /// Processor hosting the consumer.
+    pub dst_pe: u32,
+    /// Hop count between the two PEs (0 when co-located).
+    pub hops: u32,
+    /// Data volume carried by the edge (`c(e)`).
+    pub volume: u32,
+}
+
+impl EdgeTraffic {
+    /// Hop-weighted cost `hops · volume` (saturating).
+    pub fn cost(&self) -> u64 {
+        u64::from(self.hops).saturating_mul(u64::from(self.volume))
+    }
+
+    /// `true` when the edge crosses PEs.
+    pub fn crossing(&self) -> bool {
+        self.src_pe != self.dst_pe
+    }
+}
+
+/// How many tasks a processor hosts and how many control-step cells
+/// they occupy.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PeLoad {
+    /// Processor index.
+    pub pe: u32,
+    /// Tasks placed on this PE.
+    pub tasks: u32,
+    /// Occupied control-step cells on this PE.
+    pub busy: u32,
+}
+
+/// The candidate scan of the `best_position` attempt in progress: its
+/// [`Candidate`] records, keyed by `(node, target)`.  The attempt's
+/// [`Event::Placed`] or [`Event::NoSlot`] closes it.
+#[derive(Clone, Debug, Default)]
+pub struct ScanBuffer {
+    key: Option<(u32, u32)>,
+    candidates: Vec<Candidate>,
+}
+
+impl ScanBuffer {
+    /// Buffers `c`.  A candidate of another `(node, target)` starts a
+    /// new attempt, dropping what the buffer held.
+    pub fn push(&mut self, c: Candidate) {
+        if self.key != Some((c.node, c.target)) {
+            self.candidates.clear();
+            self.key = Some((c.node, c.target));
+        }
+        self.candidates.push(c);
+    }
+
+    /// Closes the attempt of `(node, target)`: yields its buffered
+    /// candidates in scan order, or nothing when the buffer holds
+    /// another attempt's.  The buffer is empty afterwards.
+    pub fn close(&mut self, node: u32, target: u32) -> std::vec::Drain<'_, Candidate> {
+        if self.key.take() != Some((node, target)) {
+            self.candidates.clear();
+        }
+        self.candidates.drain(..)
+    }
+}
+
 /// One structured event from the scheduler pipeline.
 ///
 /// Node and PE identifiers are raw indices (0-based); renderers that
 /// want human names resolve them through a caller-provided lookup.
+/// The records a consumer keeps are structs of their own, wrapped by
+/// the variant of the same name.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Event {
     /// Start-up scheduling begins.
@@ -109,16 +262,7 @@ pub enum Event {
         priority: i64,
     },
     /// The start-up scheduler placed a node.
-    StartupPlace {
-        /// The placed node.
-        node: u32,
-        /// Chosen processor.
-        pe: u32,
-        /// Start control step.
-        cs: u32,
-        /// Execution time (control steps occupied).
-        duration: u32,
-    },
+    StartupPlace(StartupPlace),
     /// A ready node could not start at this control step (no feasible
     /// PE under the `cm < cs` rule) and was deferred.
     StartupDefer {
@@ -156,43 +300,10 @@ pub enum Event {
         /// Rotated nodes, in remap order.
         nodes: Vec<u32>,
     },
-    /// One candidate PE scanned by `best_position` for one node at one
-    /// target length, with the anticipation-function components.
-    Candidate {
-        /// Node being re-placed.
-        node: u32,
-        /// Target final schedule length of this attempt.
-        target: u32,
-        /// Candidate processor.
-        pe: u32,
-        /// Lower bound on `CB(v)` from placed predecessors (`AN(v, p)`).
-        lb: i64,
-        /// Upper bound on `CE(v)` from placed successors and the target.
-        ub: i64,
-        /// Total communication traffic of this PE choice.
-        comm: u32,
-        /// Scan outcome.
-        verdict: Verdict,
-    },
+    /// One candidate PE scanned by `best_position`.
+    Candidate(Candidate),
     /// A rotated node was re-placed.
-    Placed {
-        /// The node.
-        node: u32,
-        /// Chosen processor.
-        pe: u32,
-        /// Start control step.
-        cs: u32,
-        /// Execution time.
-        duration: u32,
-        /// Target length of the successful attempt.
-        target: u32,
-        /// Schedule length this placement forces.
-        impact: u32,
-        /// Total communication traffic of the placement.
-        comm: u32,
-        /// Second-best candidate, if any other PE was feasible.
-        runner_up: Option<RunnerUp>,
-    },
+    Placed(Placed),
     /// No PE could host the node at this target length (the remap moves
     /// on to the next target, or gives up and reverts).
     NoSlot {
@@ -210,16 +321,7 @@ pub enum Event {
         occupied: u32,
     },
     /// Per-pass hot-path counters, emitted once per rotate-remap pass.
-    PassStats {
-        /// Resolved edges swept in `best_position` (per PE × target).
-        edges_swept: u64,
-        /// Candidate `(PE, target)` slots probed.
-        slots_probed: u64,
-        /// Per-node scratch resolutions reused across PEs and targets.
-        scratch_reuses: u64,
-        /// Invariant-oracle invocations on this pass's mutations.
-        oracle_calls: u64,
-    },
+    PassStats(PassStats),
     /// A rotate-remap pass ended.
     PassEnd {
         /// 1-based pass number.
@@ -260,37 +362,12 @@ pub enum Event {
         /// Passes actually run.
         passes: u32,
     },
-    /// Per-edge traffic attribution: where one dependence edge's
-    /// communication lands on the machine under the current placement
-    /// (`M(p_i, p_j) = hops · volume`).  Emitted as a full-graph
-    /// snapshot after start-up placement, after every accepted
-    /// rotate-remap pass, and once for the final best schedule.
-    EdgeTraffic {
-        /// Edge index in the graph's edge order.
-        edge: u32,
-        /// Producer node.
-        src: u32,
-        /// Consumer node.
-        dst: u32,
-        /// Processor hosting the producer.
-        src_pe: u32,
-        /// Processor hosting the consumer.
-        dst_pe: u32,
-        /// Hop count between the two PEs (0 when co-located).
-        hops: u32,
-        /// Data volume carried by the edge (`c(e)`).
-        volume: u32,
-    },
-    /// Per-PE load summary of the final best schedule: how many tasks a
-    /// processor hosts and how many control-step cells they occupy.
-    PeLoad {
-        /// Processor index.
-        pe: u32,
-        /// Tasks placed on this PE.
-        tasks: u32,
-        /// Occupied control-step cells on this PE.
-        busy: u32,
-    },
+    /// Per-edge traffic attribution, emitted as a full-graph snapshot
+    /// after start-up placement, after every accepted rotate-remap
+    /// pass, and once for the final best schedule.
+    EdgeTraffic(EdgeTraffic),
+    /// Per-PE load summary of the final best schedule.
+    PeLoad(PeLoad),
 }
 
 impl Event {
@@ -300,35 +377,23 @@ impl Event {
         match self {
             Event::StartupBegin { .. } => "startup.begin",
             Event::ReadyPick { .. } => "startup.pick",
-            Event::StartupPlace { .. } => "startup.place",
+            Event::StartupPlace(_) => "startup.place",
             Event::StartupDefer { .. } => "startup.defer",
             Event::StartupEnd { .. } => "startup.end",
             Event::CompactBegin { .. } => "compact.begin",
             Event::PassBegin { .. } => "pass.begin",
             Event::Rotate { .. } => "pass.rotate",
-            Event::Candidate { .. } => "remap.candidate",
-            Event::Placed { .. } => "remap.place",
+            Event::Candidate(_) => "remap.candidate",
+            Event::Placed(_) => "remap.place",
             Event::NoSlot { .. } => "remap.noslot",
             Event::SlackRepair { .. } => "psl.pad",
-            Event::PassStats { .. } => "pass.stats",
+            Event::PassStats(_) => "pass.stats",
             Event::PassEnd { .. } => "pass.end",
             Event::BestSnapshot { .. } => "compact.best",
             Event::OccupancySnapshot { .. } => "schedule.occupancy",
             Event::CompactEnd { .. } => "compact.end",
-            Event::EdgeTraffic { .. } => "traffic.edge",
-            Event::PeLoad { .. } => "traffic.pe",
-        }
-    }
-
-    /// The hop-weighted communication cost carried by an
-    /// [`Event::EdgeTraffic`] event (`hops · volume`, saturating);
-    /// `0` for every other event kind.
-    pub fn traffic_cost(&self) -> u64 {
-        match self {
-            Event::EdgeTraffic { hops, volume, .. } => {
-                u64::from(*hops).saturating_mul(u64::from(*volume))
-            }
-            _ => 0,
+            Event::EdgeTraffic(_) => "traffic.edge",
+            Event::PeLoad(_) => "traffic.pe",
         }
     }
 
@@ -350,12 +415,12 @@ impl Event {
                 out,
                 r#"{{"cs":{cs},"rank":{rank},"node":{node},"priority":{priority}}}"#
             ),
-            Event::StartupPlace {
+            Event::StartupPlace(StartupPlace {
                 node,
                 pe,
                 cs,
                 duration,
-            } => write!(
+            }) => write!(
                 out,
                 r#"{{"node":{node},"pe":{pe},"cs":{cs},"duration":{duration}}}"#
             ),
@@ -386,7 +451,7 @@ impl Event {
                 out.push_str("]}");
                 Ok(())
             }
-            Event::Candidate {
+            Event::Candidate(Candidate {
                 node,
                 target,
                 pe,
@@ -394,12 +459,12 @@ impl Event {
                 ub,
                 comm,
                 verdict,
-            } => write!(
+            }) => write!(
                 out,
                 r#"{{"node":{node},"target":{target},"pe":{pe},"lb":{lb},"ub":{ub},"comm":{comm},"verdict":{}}}"#,
                 json_str(verdict)
             ),
-            Event::Placed {
+            Event::Placed(Placed {
                 node,
                 pe,
                 cs,
@@ -408,7 +473,7 @@ impl Event {
                 impact,
                 comm,
                 runner_up,
-            } => {
+            }) => {
                 let _ = write!(
                     out,
                     r#"{{"node":{node},"pe":{pe},"cs":{cs},"duration":{duration},"target":{target},"impact":{impact},"comm":{comm},"runner_up":"#
@@ -429,12 +494,12 @@ impl Event {
             Event::SlackRepair { required, occupied } => {
                 write!(out, r#"{{"required":{required},"occupied":{occupied}}}"#)
             }
-            Event::PassStats {
+            Event::PassStats(PassStats {
                 edges_swept,
                 slots_probed,
                 scratch_reuses,
                 oracle_calls,
-            } => write!(
+            }) => write!(
                 out,
                 r#"{{"edges_swept":{edges_swept},"slots_probed":{slots_probed},"scratch_reuses":{scratch_reuses},"oracle_calls":{oracle_calls}}}"#
             ),
@@ -467,21 +532,20 @@ impl Event {
                 out,
                 r#"{{"initial":{initial},"best":{best},"passes":{passes}}}"#
             ),
-            Event::EdgeTraffic {
-                edge,
-                src,
-                dst,
-                src_pe,
-                dst_pe,
-                hops,
-                volume,
-            } => write!(
+            Event::EdgeTraffic(t) => write!(
                 out,
-                r#"{{"edge":{edge},"src":{src},"dst":{dst},"src_pe":{src_pe},"dst_pe":{dst_pe},"hops":{hops},"volume":{volume},"cost":{},"crossing":{}}}"#,
-                self.traffic_cost(),
-                src_pe != dst_pe
+                r#"{{"edge":{},"src":{},"dst":{},"src_pe":{},"dst_pe":{},"hops":{},"volume":{},"cost":{},"crossing":{}}}"#,
+                t.edge,
+                t.src,
+                t.dst,
+                t.src_pe,
+                t.dst_pe,
+                t.hops,
+                t.volume,
+                t.cost(),
+                t.crossing()
             ),
-            Event::PeLoad { pe, tasks, busy } => {
+            Event::PeLoad(PeLoad { pe, tasks, busy }) => {
                 write!(out, r#"{{"pe":{pe},"tasks":{tasks},"busy":{busy}}}"#)
             }
         };
@@ -539,12 +603,12 @@ impl fmt::Display for Event {
                 node,
                 priority,
             } => write!(f, " cs={cs} rank={rank} node=n{node} pf={priority}"),
-            Event::StartupPlace {
+            Event::StartupPlace(StartupPlace {
                 node,
                 pe,
                 cs,
                 duration,
-            } => write!(f, " node=n{node} pe={pe} cs={cs} dur={duration}"),
+            }) => write!(f, " node=n{node} pe={pe} cs={cs} dur={duration}"),
             Event::StartupDefer { node, cs } => write!(f, " node=n{node} cs={cs}"),
             Event::StartupEnd { length } => write!(f, " len={length}"),
             Event::CompactBegin {
@@ -567,7 +631,7 @@ impl fmt::Display for Event {
                 }
                 write!(f, "]")
             }
-            Event::Candidate {
+            Event::Candidate(Candidate {
                 node,
                 target,
                 pe,
@@ -575,11 +639,11 @@ impl fmt::Display for Event {
                 ub,
                 comm,
                 verdict,
-            } => write!(
+            }) => write!(
                 f,
                 " node=n{node} target={target} pe={pe} lb={lb} ub={ub} comm={comm} verdict={verdict}"
             ),
-            Event::Placed {
+            Event::Placed(Placed {
                 node,
                 pe,
                 cs,
@@ -588,7 +652,7 @@ impl fmt::Display for Event {
                 impact,
                 comm,
                 runner_up,
-            } => {
+            }) => {
                 write!(
                     f,
                     " node=n{node} pe={pe} cs={cs} dur={duration} target={target} impact={impact} comm={comm} runner_up="
@@ -602,12 +666,12 @@ impl fmt::Display for Event {
             Event::SlackRepair { required, occupied } => {
                 write!(f, " required={required} occupied={occupied}")
             }
-            Event::PassStats {
+            Event::PassStats(PassStats {
                 edges_swept,
                 slots_probed,
                 scratch_reuses,
                 oracle_calls,
-            } => write!(
+            }) => write!(
                 f,
                 " edges={edges_swept} slots={slots_probed} scratch={scratch_reuses} oracle={oracle_calls}"
             ),
@@ -632,21 +696,22 @@ impl fmt::Display for Event {
                 best,
                 passes,
             } => write!(f, " init={initial} best={best} passes={passes}"),
-            Event::EdgeTraffic {
-                edge,
-                src,
-                dst,
-                src_pe,
-                dst_pe,
-                hops,
-                volume,
-            } => write!(
+            Event::EdgeTraffic(t) => write!(
                 f,
-                " edge=e{edge} n{src}->n{dst} pe={src_pe}->{dst_pe} hops={hops} vol={volume} cost={} crossing={}",
-                self.traffic_cost(),
-                src_pe != dst_pe
+                " edge=e{} n{}->n{} pe={}->{} hops={} vol={} cost={} crossing={}",
+                t.edge,
+                t.src,
+                t.dst,
+                t.src_pe,
+                t.dst_pe,
+                t.hops,
+                t.volume,
+                t.cost(),
+                t.crossing()
             ),
-            Event::PeLoad { pe, tasks, busy } => write!(f, " pe={pe} tasks={tasks} busy={busy}"),
+            Event::PeLoad(PeLoad { pe, tasks, busy }) => {
+                write!(f, " pe={pe} tasks={tasks} busy={busy}")
+            }
         }
     }
 }
@@ -665,7 +730,7 @@ mod tests {
 
     #[test]
     fn display_is_stable_one_liner() {
-        let ev = Event::Placed {
+        let ev = Event::Placed(Placed {
             node: 0,
             pe: 1,
             cs: 2,
@@ -679,7 +744,7 @@ mod tests {
                 impact: 7,
                 comm: 1,
             }),
-        };
+        });
         assert_eq!(
             ev.to_string(),
             "remap.place node=n0 pe=1 cs=2 dur=1 target=6 impact=6 comm=3 runner_up=pe3@cs3(impact=7,comm=1)"
@@ -699,12 +764,12 @@ mod tests {
 
     #[test]
     fn args_are_objects() {
-        let ev = Event::PassStats {
+        let ev = Event::PassStats(PassStats {
             edges_swept: 10,
             slots_probed: 4,
             scratch_reuses: 2,
             oracle_calls: 1,
-        };
+        });
         let v = args(&ev);
         assert!(v.as_object().is_some());
         assert_eq!(v["edges_swept"].as_u64(), Some(10));
@@ -713,7 +778,7 @@ mod tests {
 
     #[test]
     fn edge_traffic_display_and_args() {
-        let ev = Event::EdgeTraffic {
+        let t = EdgeTraffic {
             edge: 4,
             src: 0,
             dst: 3,
@@ -722,17 +787,18 @@ mod tests {
             hops: 2,
             volume: 3,
         };
+        let ev = Event::EdgeTraffic(t);
         assert_eq!(
             ev.to_string(),
             "traffic.edge edge=e4 n0->n3 pe=1->2 hops=2 vol=3 cost=6 crossing=true"
         );
         assert_eq!(ev.kind(), "traffic.edge");
-        assert_eq!(ev.traffic_cost(), 6);
+        assert_eq!((t.cost(), t.crossing()), (6, true));
         let v = args(&ev);
         assert_eq!(v["cost"].as_u64(), Some(6));
         assert_eq!(v["hops"].as_u64(), Some(2));
 
-        let local = Event::EdgeTraffic {
+        let local = EdgeTraffic {
             edge: 0,
             src: 1,
             dst: 2,
@@ -742,15 +808,15 @@ mod tests {
             volume: 9,
         };
         assert_eq!(
-            local.to_string(),
+            Event::EdgeTraffic(local).to_string(),
             "traffic.edge edge=e0 n1->n2 pe=0->0 hops=0 vol=9 cost=0 crossing=false"
         );
-        assert_eq!(local.traffic_cost(), 0);
+        assert_eq!((local.cost(), local.crossing()), (0, false));
     }
 
     #[test]
     fn traffic_cost_saturates() {
-        let ev = Event::EdgeTraffic {
+        let t = EdgeTraffic {
             edge: 0,
             src: 0,
             dst: 1,
@@ -760,18 +826,46 @@ mod tests {
             volume: u32::MAX,
         };
         // u32::MAX² fits in u64, so no saturation needed here — but the
-        // product must not panic and non-traffic events report zero.
-        assert_eq!(ev.traffic_cost(), u64::from(u32::MAX) * u64::from(u32::MAX));
-        assert_eq!(Event::StartupEnd { length: 1 }.traffic_cost(), 0);
+        // product must not panic.
+        assert_eq!(t.cost(), u64::from(u32::MAX) * u64::from(u32::MAX));
+    }
+
+    #[test]
+    fn scan_buffer_keeps_only_the_closed_attempt() {
+        let cand = |node, target, pe| Candidate {
+            node,
+            target,
+            pe,
+            lb: 1,
+            ub: 4,
+            comm: 0,
+            verdict: Verdict::NoFreeSlot,
+        };
+        let mut scan = ScanBuffer::default();
+        scan.push(cand(0, 5, 0));
+        scan.push(cand(0, 5, 1));
+        let pes: Vec<u32> = scan.close(0, 5).map(|c| c.pe).collect();
+        assert_eq!(pes, [0, 1]);
+        assert_eq!(scan.close(0, 5).count(), 0, "closing empties the buffer");
+
+        // A new (node, target) starts a new attempt; closing another
+        // attempt than the buffered one yields nothing and empties it.
+        scan.push(cand(0, 5, 0));
+        scan.push(cand(1, 5, 3));
+        let pes: Vec<u32> = scan.close(1, 5).map(|c| c.pe).collect();
+        assert_eq!(pes, [3]);
+        scan.push(cand(2, 6, 0));
+        assert_eq!(scan.close(2, 7).count(), 0);
+        assert_eq!(scan.close(2, 6).count(), 0);
     }
 
     #[test]
     fn pe_load_display() {
-        let ev = Event::PeLoad {
+        let ev = Event::PeLoad(PeLoad {
             pe: 2,
             tasks: 3,
             busy: 5,
-        };
+        });
         assert_eq!(ev.to_string(), "traffic.pe pe=2 tasks=3 busy=5");
         assert_eq!(ev.kind(), "traffic.pe");
         assert_eq!(args(&ev)["busy"].as_u64(), Some(5));
@@ -799,15 +893,17 @@ mod tests {
             impact: 7,
             comm: 1,
         };
-        let placed = |runner_up| Event::Placed {
-            node: 0,
-            pe: 1,
-            cs: 2,
-            duration: 1,
-            target: 6,
-            impact: 6,
-            comm: 3,
-            runner_up,
+        let placed = |runner_up| {
+            Event::Placed(Placed {
+                node: 0,
+                pe: 1,
+                cs: 2,
+                duration: 1,
+                target: 6,
+                impact: 6,
+                comm: 3,
+                runner_up,
+            })
         };
         let cases = [
             (
@@ -824,12 +920,12 @@ mod tests {
                 r#"{"cs":1,"rank":0,"node":3,"priority":-4}"#,
             ),
             (
-                Event::StartupPlace {
+                Event::StartupPlace(StartupPlace {
                     node: 1,
                     pe: 0,
                     cs: 2,
                     duration: 2,
-                },
+                }),
                 r#"{"node":1,"pe":0,"cs":2,"duration":2}"#,
             ),
             (
@@ -861,7 +957,7 @@ mod tests {
                 r#"{"nodes":[1,0,12]}"#,
             ),
             (
-                Event::Candidate {
+                Event::Candidate(Candidate {
                     node: 0,
                     target: 6,
                     pe: 1,
@@ -869,11 +965,11 @@ mod tests {
                     ub: -1,
                     comm: 5,
                     verdict: Verdict::Leading { cs: 1, impact: 3 },
-                },
+                }),
                 r#"{"node":0,"target":6,"pe":1,"lb":-3,"ub":-1,"comm":5,"verdict":"leading cs=1 impact=3"}"#,
             ),
             (
-                Event::Candidate {
+                Event::Candidate(Candidate {
                     node: 0,
                     target: 6,
                     pe: 0,
@@ -881,7 +977,7 @@ mod tests {
                     ub: 6,
                     comm: 1,
                     verdict: Verdict::NoFreeSlot,
-                },
+                }),
                 r#"{"node":0,"target":6,"pe":0,"lb":1,"ub":6,"comm":1,"verdict":"busy"}"#,
             ),
             (
@@ -904,12 +1000,12 @@ mod tests {
                 r#"{"required":6,"occupied":5}"#,
             ),
             (
-                Event::PassStats {
+                Event::PassStats(PassStats {
                     edges_swept: u64::MAX,
                     slots_probed: 8,
                     scratch_reuses: 0,
                     oracle_calls: 2,
-                },
+                }),
                 r#"{"edges_swept":18446744073709551615,"slots_probed":8,"scratch_reuses":0,"oracle_calls":2}"#,
             ),
             (
@@ -943,7 +1039,7 @@ mod tests {
                 r#"{"initial":7,"best":5,"passes":2}"#,
             ),
             (
-                Event::EdgeTraffic {
+                Event::EdgeTraffic(EdgeTraffic {
                     edge: 4,
                     src: 0,
                     dst: 3,
@@ -951,15 +1047,15 @@ mod tests {
                     dst_pe: 2,
                     hops: 2,
                     volume: 3,
-                },
+                }),
                 r#"{"edge":4,"src":0,"dst":3,"src_pe":1,"dst_pe":2,"hops":2,"volume":3,"cost":6,"crossing":true}"#,
             ),
             (
-                Event::PeLoad {
+                Event::PeLoad(PeLoad {
                     pe: 2,
                     tasks: 3,
                     busy: 5,
-                },
+                }),
                 r#"{"pe":2,"tasks":3,"busy":5}"#,
             ),
         ];

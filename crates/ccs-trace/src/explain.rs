@@ -12,16 +12,34 @@
 //! The renderer is a pure function of the event stream, so its output
 //! is as deterministic as the events themselves.
 
-use crate::event::{Event, Verdict};
+use crate::event::{
+    Candidate, Event, PassStats, PeLoad, Placed, ScanBuffer, StartupPlace, Verdict,
+};
 use crate::TimedEvent;
 use std::fmt::Write as _;
 
-/// Pending candidate-scan lines for one `(node, target)` attempt.
-#[derive(Default)]
-struct Scan {
-    node: u32,
-    target: u32,
-    lines: Vec<String>,
+/// Appends the narrative line of one candidate of a closed attempt.
+fn candidate_line(out: &mut String, c: &Candidate) {
+    let (pe, lb, ub, comm) = (c.pe + 1, c.lb, c.ub, c.comm);
+    let _ = match c.verdict {
+        Verdict::Infeasible => {
+            writeln!(
+                out,
+                "      PE{pe}: rejected — AN bounds cross (lb {lb} > ub {ub})"
+            )
+        }
+        Verdict::NoFreeSlot => {
+            writeln!(out, "      PE{pe}: rejected — no free slot in [{lb}, {ub}]")
+        }
+        Verdict::Feasible { cs, impact } => writeln!(
+            out,
+            "      PE{pe}: feasible @ cs {cs} (impact {impact}, comm {comm}) — outranked"
+        ),
+        Verdict::Leading { cs, impact } => writeln!(
+            out,
+            "      PE{pe}: feasible @ cs {cs} (impact {impact}, comm {comm}) — leading"
+        ),
+    };
 }
 
 /// Renders the decision narrative for `events`.
@@ -49,28 +67,17 @@ pub fn explain_with(
     mut annotate: impl FnMut(u32) -> Option<String>,
 ) -> String {
     let mut out = String::new();
-    // Candidate events for the attempt currently being scanned.  A
-    // `Placed`/`NoSlot` event closes the attempt; `Placed` flushes the
-    // buffered rejections under the placement line.
-    let mut scan = Scan::default();
+    // Candidates of the attempt being scanned; its `Placed`/`NoSlot`
+    // line is followed by them.
+    let mut scan = ScanBuffer::default();
     let mut in_pass = false;
     // Running totals of the current contiguous `traffic.edge` snapshot
     // (edges, crossing edges, hop-weighted cost); flushed as a one-line
     // summary when the snapshot ends.
     let mut traffic: Option<(u32, u32, u64)> = None;
 
-    let flush_scan = |out: &mut String, scan: &mut Scan, keep: bool| {
-        if keep {
-            for line in &scan.lines {
-                out.push_str(line);
-                out.push('\n');
-            }
-        }
-        scan.lines.clear();
-    };
-
     for te in events {
-        if !matches!(te.event, Event::EdgeTraffic { .. }) {
+        if !matches!(te.event, Event::EdgeTraffic(_)) {
             if let Some((edges, crossing, cost)) = traffic.take() {
                 let _ = writeln!(
                     out,
@@ -94,12 +101,12 @@ pub fn explain_with(
                     name(*node)
                 );
             }
-            Event::StartupPlace {
+            Event::StartupPlace(StartupPlace {
                 node,
                 pe,
                 cs,
                 duration,
-            } => {
+            }) => {
                 let _ = writeln!(
                     out,
                     "  place {} -> PE{} @ cs {cs} (dur {duration})",
@@ -138,43 +145,8 @@ pub fn explain_with(
                 let names: Vec<String> = nodes.iter().map(|&n| name(n)).collect();
                 let _ = writeln!(out, "  rotated J = {{{}}}", names.join(", "));
             }
-            Event::Candidate {
-                node,
-                target,
-                pe,
-                lb,
-                ub,
-                comm,
-                verdict,
-            } => {
-                if scan.node != *node || scan.target != *target {
-                    // A new attempt implicitly abandons the previous
-                    // buffer (its outcome event already consumed it).
-                    scan.lines.clear();
-                    scan.node = *node;
-                    scan.target = *target;
-                }
-                let line = match verdict {
-                    Verdict::Infeasible => format!(
-                        "      PE{}: rejected — AN bounds cross (lb {lb} > ub {ub})",
-                        pe + 1
-                    ),
-                    Verdict::NoFreeSlot => format!(
-                        "      PE{}: rejected — no free slot in [{lb}, {ub}]",
-                        pe + 1
-                    ),
-                    Verdict::Feasible { cs, impact } => format!(
-                        "      PE{}: feasible @ cs {cs} (impact {impact}, comm {comm}) — outranked",
-                        pe + 1
-                    ),
-                    Verdict::Leading { cs, impact } => format!(
-                        "      PE{}: feasible @ cs {cs} (impact {impact}, comm {comm}) — leading",
-                        pe + 1
-                    ),
-                };
-                scan.lines.push(line);
-            }
-            Event::Placed {
+            Event::Candidate(c) => scan.push(*c),
+            Event::Placed(Placed {
                 node,
                 pe,
                 cs,
@@ -183,7 +155,7 @@ pub fn explain_with(
                 impact,
                 comm,
                 runner_up,
-            } => {
+            }) => {
                 let _ = writeln!(
                     out,
                     "    {} -> PE{} @ cs {cs} (dur {duration}, target {target}, impact {impact}, comm {comm})",
@@ -205,8 +177,9 @@ pub fn explain_with(
                         let _ = writeln!(out, "      runner-up: none (only feasible slot)");
                     }
                 }
-                let keep = scan.node == *node && scan.target == *target;
-                flush_scan(&mut out, &mut scan, keep);
+                for c in scan.close(*node, *target) {
+                    candidate_line(&mut out, &c);
+                }
             }
             Event::NoSlot { node, target } => {
                 let _ = writeln!(
@@ -214,8 +187,9 @@ pub fn explain_with(
                     "    {}: no slot at target {target} — retrying longer",
                     name(*node)
                 );
-                let keep = scan.node == *node && scan.target == *target;
-                flush_scan(&mut out, &mut scan, keep);
+                for c in scan.close(*node, *target) {
+                    candidate_line(&mut out, &c);
+                }
             }
             Event::SlackRepair { required, occupied } => {
                 let indent = if in_pass { "    " } else { "  " };
@@ -224,12 +198,12 @@ pub fn explain_with(
                     "{indent}PSL pad: occupied {occupied} -> required {required}"
                 );
             }
-            Event::PassStats {
+            Event::PassStats(PassStats {
                 edges_swept,
                 slots_probed,
                 scratch_reuses,
                 oracle_calls,
-            } => {
+            }) => {
                 let _ = writeln!(
                     out,
                     "  stats: {edges_swept} edges swept, {slots_probed} slots probed, {scratch_reuses} scratch reuses, {oracle_calls} oracle calls"
@@ -274,15 +248,13 @@ pub fn explain_with(
                     "compaction done: {initial} -> {best} after {passes} pass(es)"
                 );
             }
-            Event::EdgeTraffic { src_pe, dst_pe, .. } => {
+            Event::EdgeTraffic(t) => {
                 let (edges, crossing, cost) = traffic.get_or_insert((0, 0, 0));
                 *edges += 1;
-                if src_pe != dst_pe {
-                    *crossing += 1;
-                }
-                *cost = cost.saturating_add(te.event.traffic_cost());
+                *crossing += u32::from(t.crossing());
+                *cost = cost.saturating_add(t.cost());
             }
-            Event::PeLoad { pe, tasks, busy } => {
+            Event::PeLoad(PeLoad { pe, tasks, busy }) => {
                 let _ = writeln!(out, "  PE{}: {tasks} task(s), {busy} busy cell(s)", pe + 1);
             }
         }
@@ -299,7 +271,7 @@ pub fn explain_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::RunnerUp;
+    use crate::event::{EdgeTraffic, RunnerUp};
 
     fn timed(events: Vec<Event>) -> Vec<TimedEvent> {
         events
@@ -317,7 +289,7 @@ mod tests {
                 rows: 1,
             },
             Event::Rotate { nodes: vec![0] },
-            Event::Candidate {
+            Event::Candidate(Candidate {
                 node: 0,
                 target: 6,
                 pe: 0,
@@ -325,8 +297,8 @@ mod tests {
                 ub: 1,
                 comm: 0,
                 verdict: Verdict::Infeasible,
-            },
-            Event::Candidate {
+            }),
+            Event::Candidate(Candidate {
                 node: 0,
                 target: 6,
                 pe: 1,
@@ -334,8 +306,8 @@ mod tests {
                 ub: 5,
                 comm: 2,
                 verdict: Verdict::Leading { cs: 3, impact: 6 },
-            },
-            Event::Placed {
+            }),
+            Event::Placed(Placed {
                 node: 0,
                 pe: 1,
                 cs: 3,
@@ -349,7 +321,7 @@ mod tests {
                     impact: 6,
                     comm: 3,
                 }),
-            },
+            }),
             Event::PassEnd {
                 pass: 1,
                 accepted: true,
@@ -367,7 +339,7 @@ mod tests {
     #[test]
     fn no_slot_keeps_rejection_detail() {
         let events = timed(vec![
-            Event::Candidate {
+            Event::Candidate(Candidate {
                 node: 4,
                 target: 5,
                 pe: 0,
@@ -375,7 +347,7 @@ mod tests {
                 ub: 4,
                 comm: 1,
                 verdict: Verdict::NoFreeSlot,
-            },
+            }),
             Event::NoSlot { node: 4, target: 5 },
         ]);
         let text = explain(&events, |n| format!("n{n}"));
@@ -430,7 +402,7 @@ mod tests {
     #[test]
     fn traffic_snapshots_summarize_and_pe_loads_render() {
         let events = timed(vec![
-            Event::EdgeTraffic {
+            Event::EdgeTraffic(EdgeTraffic {
                 edge: 0,
                 src: 0,
                 dst: 1,
@@ -438,8 +410,8 @@ mod tests {
                 dst_pe: 1,
                 hops: 2,
                 volume: 3,
-            },
-            Event::EdgeTraffic {
+            }),
+            Event::EdgeTraffic(EdgeTraffic {
                 edge: 1,
                 src: 1,
                 dst: 2,
@@ -447,12 +419,12 @@ mod tests {
                 dst_pe: 1,
                 hops: 0,
                 volume: 4,
-            },
-            Event::PeLoad {
+            }),
+            Event::PeLoad(PeLoad {
                 pe: 0,
                 tasks: 2,
                 busy: 3,
-            },
+            }),
             Event::CompactEnd {
                 initial: 7,
                 best: 5,

@@ -45,7 +45,10 @@ pub mod event;
 pub mod explain;
 pub mod metrics;
 
-pub use event::{Event, RunnerUp, Verdict};
+pub use event::{
+    Candidate, EdgeTraffic, Event, PassStats, PeLoad, Placed, RunnerUp, ScanBuffer, StartupPlace,
+    Verdict,
+};
 
 use std::cell::RefCell;
 use std::rc::Rc;

@@ -220,50 +220,36 @@ impl Sink for MetricsSink {
                     1,
                 );
             }
-            Event::PassStats {
-                edges_swept,
-                slots_probed,
-                scratch_reuses,
-                oracle_calls,
-            } => {
-                m.add("edges_swept", edges_swept);
-                m.add("slots_probed", slots_probed);
-                m.add("scratch_reuses", scratch_reuses);
-                m.add("oracle_calls", oracle_calls);
+            Event::PassStats(s) => {
+                m.add("edges_swept", s.edges_swept);
+                m.add("slots_probed", s.slots_probed);
+                m.add("scratch_reuses", s.scratch_reuses);
+                m.add("oracle_calls", s.oracle_calls);
             }
             Event::BestSnapshot { .. } => m.add("clones", 1),
             Event::Rotate { nodes } => m.add("rotated_nodes", nodes.len() as u64),
-            Event::Candidate { .. } => m.add("candidates", 1),
-            Event::Placed { .. } => m.add("placements", 1),
+            Event::Candidate(_) => m.add("candidates", 1),
+            Event::Placed(_) => m.add("placements", 1),
             Event::NoSlot { .. } => m.add("no_slots", 1),
             Event::SlackRepair { .. } => m.add("psl_pads", 1),
             Event::ReadyPick { .. } => m.add("ready_picks", 1),
-            Event::StartupPlace { .. } => m.add("startup_placements", 1),
+            Event::StartupPlace(_) => m.add("startup_placements", 1),
             Event::StartupDefer { .. } => m.add("startup_defers", 1),
             Event::OccupancySnapshot { .. } => {}
-            Event::EdgeTraffic {
-                src_pe,
-                dst_pe,
-                volume,
-                hops,
-                ..
-            } => {
+            Event::EdgeTraffic(t) => {
                 m.add("traffic_events", 1);
                 m.add(
-                    if src_pe == dst_pe {
-                        "traffic_local"
-                    } else {
+                    if t.crossing() {
                         "traffic_crossing"
+                    } else {
+                        "traffic_local"
                     },
                     1,
                 );
-                m.add("traffic_volume", u64::from(volume));
-                m.add(
-                    "traffic_cost",
-                    u64::from(hops).saturating_mul(u64::from(volume)),
-                );
+                m.add("traffic_volume", u64::from(t.volume));
+                m.add("traffic_cost", t.cost());
             }
-            Event::PeLoad { busy, .. } => m.add("pe_busy_cells", u64::from(busy)),
+            Event::PeLoad(l) => m.add("pe_busy_cells", u64::from(l.busy)),
         }
     }
 }
@@ -271,6 +257,7 @@ impl Sink for MetricsSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{EdgeTraffic, PassStats, PeLoad};
 
     #[test]
     fn histogram_tracks_bounds_and_mean() {
@@ -299,12 +286,12 @@ mod tests {
             rows: 1,
         });
         sink.event(Event::Rotate { nodes: vec![0, 1] });
-        sink.event(Event::PassStats {
+        sink.event(Event::PassStats(PassStats {
             edges_swept: 7,
             slots_probed: 3,
             scratch_reuses: 1,
             oracle_calls: 2,
-        });
+        }));
         sink.event(Event::BestSnapshot { pass: 1, length: 4 });
         sink.event(Event::PassEnd {
             pass: 1,
@@ -328,7 +315,7 @@ mod tests {
     #[test]
     fn sink_folds_traffic_events() {
         let mut sink = MetricsSink::new();
-        sink.event(Event::EdgeTraffic {
+        sink.event(Event::EdgeTraffic(EdgeTraffic {
             edge: 0,
             src: 0,
             dst: 1,
@@ -336,8 +323,8 @@ mod tests {
             dst_pe: 2,
             hops: 2,
             volume: 3,
-        });
-        sink.event(Event::EdgeTraffic {
+        }));
+        sink.event(Event::EdgeTraffic(EdgeTraffic {
             edge: 1,
             src: 1,
             dst: 2,
@@ -345,12 +332,12 @@ mod tests {
             dst_pe: 1,
             hops: 0,
             volume: 5,
-        });
-        sink.event(Event::PeLoad {
+        }));
+        sink.event(Event::PeLoad(PeLoad {
             pe: 0,
             tasks: 2,
             busy: 4,
-        });
+        }));
         let m = sink.into_metrics();
         assert_eq!(m.counters["traffic_events"], 2);
         assert_eq!(m.counters["traffic_crossing"], 1);
