@@ -30,12 +30,19 @@
 //! `"metrics"` section (per-phase counters + wall-time histograms),
 //! and a metered grid sweep lands as `"cells"` (per-cell counters,
 //! deterministic — the part `bench-report` diffs between reports).
+//! `"artifact_bytes"` records what a recorded `elliptic` run writes on
+//! three machine sizes — the report page, the diff page and the
+//! heatmap SVG, rendered in-process — and `bench-report` gates its
+//! growth.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 use ccs_bench::experiments::random_sweep;
 use ccs_core::{cyclo_compact, CompactConfig};
+use ccs_model::NodeId;
+use ccs_report::diff::{render_diff_report, DiffInput, DiffSide};
+use ccs_report::{render_report, ReportInput};
 use ccs_topology::Machine;
 use ccs_trace::metrics::MetricsSink;
 use ccs_workloads::random::{random_csdfg, RandomGraphConfig};
@@ -90,7 +97,7 @@ fn machine_suite() -> Vec<Machine> {
 /// `report_diff` must claim each section as gated or ungated, and the
 /// assert in `main` keeps this declaration honest against the report
 /// actually assembled.
-const BENCH_SECTIONS: [&str; 12] = [
+const BENCH_SECTIONS: [&str; 13] = [
     "version",
     "seeds",
     "timings_ms",
@@ -100,10 +107,83 @@ const BENCH_SECTIONS: [&str; 12] = [
     "metrics",
     "cells",
     "candidate_scan_speedup",
+    "artifact_bytes",
     "baseline_timings_ms",
     "speedup",
     "fingerprint_mismatches",
 ];
+
+/// Bytes of the artifacts one recorded `elliptic` run writes on each
+/// machine, rendered in-process as the CLI renders them: the
+/// `--report` page, the `--report-diff --diff-policy reference` page
+/// (side B reruns the same machine with the unpruned reference scan)
+/// and the `--heatmap-svg` file.  Pure functions of deterministic
+/// event streams, so the counts are exact.
+fn artifact_bytes() -> Vec<(String, Value)> {
+    let g = ccs_workloads::workload_by_name("elliptic")
+        .expect("catalogue kernel")
+        .build();
+    let name = |n: u32| g.name(NodeId::from_index(n as usize)).to_string();
+    let reference = CompactConfig {
+        remap: ccs_core::RemapConfig {
+            scan: ccs_core::ScanPolicy::Reference,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let mut bytes = Vec::new();
+    for spec in ["mesh:4x4", "hypercube:6", "hypercube:8"] {
+        let m = ccs_topology::parse_spec(spec).expect("machine spec");
+        let ((ra, ea), (rb, eb)) = ccs_trace::record_pair(
+            || cyclo_compact(&g, &m, CompactConfig::default()),
+            || cyclo_compact(&g, &m, reference),
+        );
+        let (ra, rb) = (ra.expect("legal"), rb.expect("legal"));
+        let (pa, pb) = (ccs_profile::build(&ea, &m), ccs_profile::build(&eb, &m));
+        let ca = ccs_bounds::certify_period(&g, &m, ra.best_length);
+        let cb = ccs_bounds::certify_period(&g, &m, rb.best_length);
+        let report = render_report(
+            &ReportInput {
+                title: &format!("elliptic on {}", m.name()),
+                events: &ea,
+                machine: &m,
+                profile: &pa,
+                certificate: Some(&ca),
+            },
+            name,
+        );
+        let label_b = format!("{} (reference policy)", m.name());
+        let diff = render_diff_report(
+            &DiffInput {
+                title: &format!("elliptic: {} vs {label_b}", m.name()),
+                a: DiffSide {
+                    label: m.name(),
+                    events: &ea,
+                    machine: &m,
+                    profile: &pa,
+                    certificate: Some(&ca),
+                },
+                b: DiffSide {
+                    label: &label_b,
+                    events: &eb,
+                    machine: &m,
+                    profile: &pb,
+                    certificate: Some(&cb),
+                },
+            },
+            name,
+        );
+        let svg = ccs_profile::render::heatmap_svg(&pa, ccs_profile::routable(&m));
+        for (what, len) in [
+            ("report", report.len()),
+            ("diff", diff.len()),
+            ("heatmap_svg", svg.len()),
+        ] {
+            bytes.push((format!("elliptic/{spec}/{what}"), Value::UInt(len as u64)));
+        }
+    }
+    bytes
+}
 
 /// Medians `reps` timed runs of `f`, returning (median ms, last output).
 fn time_median<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
@@ -295,6 +375,11 @@ fn main() {
     );
     let cells_value = Value::Array(cells.iter().map(ccs_bench::MeteredCell::to_value).collect());
     assert!(!ccs_trace::installed(), "metered sweep leaked a trace sink");
+    let artifacts = artifact_bytes();
+    assert!(
+        !ccs_trace::installed(),
+        "artifact rendering leaked a trace sink"
+    );
 
     // --- Assemble the report.
     let mut root: Vec<(String, Value)> = vec![
@@ -370,6 +455,7 @@ fn main() {
             "candidate_scan_speedup".into(),
             Value::Object(scan_speedups),
         ),
+        ("artifact_bytes".into(), Value::Object(artifacts)),
     ];
 
     let mut mismatches = 0usize;

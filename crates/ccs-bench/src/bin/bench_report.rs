@@ -104,10 +104,11 @@ fn main() -> ExitCode {
     if trajectory.failed() {
         eprintln!(
             "bench-report: FAILED over [{gated}] — {} drift(s), {} regression(s), \
-             {} gap growth(s) (threshold {max_regression_pct}%)",
+             {} gap growth(s), {} artifact growth(s) (threshold {max_regression_pct}%)",
             trajectory.drifts.len(),
             trajectory.regressions.len(),
-            trajectory.gap_growths.len()
+            trajectory.gap_growths.len(),
+            trajectory.artifact_growths.len()
         );
         ExitCode::FAILURE
     } else {

@@ -8,7 +8,7 @@ use ccs_core::{
 use ccs_model::transform::slowdown;
 use ccs_model::Csdfg;
 use ccs_retiming::iteration_bound;
-use ccs_schedule::validate;
+use ccs_schedule::{validate, Schedule};
 use ccs_sim::{replay_static, run_self_timed};
 use ccs_topology::Machine;
 use ccs_workloads::{random_csdfg, RandomGraphConfig};
@@ -341,7 +341,7 @@ pub fn optimality_gap(count: u64) -> Vec<GapRow> {
             rows.push(GapRow {
                 seed,
                 machine: machine.name().to_string(),
-                optimal: opt.is_proven().then(|| opt.schedule().unwrap().length()),
+                optimal: opt.schedule().map(Schedule::length),
                 startup,
                 compacted,
             });

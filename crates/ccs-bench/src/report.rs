@@ -204,7 +204,6 @@ pub fn grid_cell_view(p: &ProfiledCell) -> GridCellView {
             .iter()
             .map(|(k, v)| (k.clone(), *v))
             .collect(),
-        pes: p.profile.pes,
         edges: p.profile.edges.clone(),
         links: p.profile.links.clone(),
         routable: p.routable,
@@ -383,7 +382,7 @@ fn findings_section(out: &mut String, t: &Trajectory) {
     if !t.failed() {
         out.push_str(
             "<p><span class=\"accepted\">gate passes</span>: fingerprints stable, \
-             no gap growth, no timing regression past the threshold</p>\n",
+             no gap growth, no artifact growth, no timing regression past the threshold</p>\n",
         );
         return;
     }
@@ -404,6 +403,16 @@ fn findings_section(out: &mut String, t: &Trajectory) {
             esc(format_args!(
                 "{}: {:.1}% -> {:.1}% between {} and {}",
                 g.key, g.from_pct, g.to_pct, g.between.0, g.between.1
+            ))
+        );
+    }
+    for g in &t.artifact_growths {
+        let _ = writeln!(
+            out,
+            "<p><span class=\"reverted\">ARTIFACT GROWTH</span> {}</p>",
+            esc(format_args!(
+                "{}: {} -> {} bytes between {} and {}",
+                g.key, g.from, g.to, g.between.0, g.between.1
             ))
         );
     }
@@ -469,6 +478,7 @@ mod tests {
                 .into_iter()
                 .collect(),
             gaps: [("fig1/mesh".to_string(), gap)].into_iter().collect(),
+            artifact_bytes: Default::default(),
         }
     }
 

@@ -12,7 +12,11 @@
 //! * **timing regressions** — any experiment whose median wall time
 //!   grows by more than the caller's threshold between adjacent
 //!   reports (timings are machine-dependent, so the threshold is
-//!   generous by default and CI pins the machine type).
+//!   generous by default and CI pins the machine type);
+//! * **artifact growth** — any artifact (`artifact_bytes`: a report
+//!   page, diff page or heatmap SVG) whose bytes grow by more than
+//!   [`MAX_ARTIFACT_GROWTH_PCT`] between adjacent reports.  The bytes
+//!   are deterministic, so this gate has no noise to allow for.
 //!
 //! The `bench-report` binary renders the trajectory as a table and
 //! exits nonzero when either list is non-empty — the CI drift gate.
@@ -26,7 +30,11 @@ use std::collections::BTreeMap;
 /// the `bench-section-gated` drift pass — together with
 /// [`UNGATED_SECTIONS`] it must cover `BENCH_SECTIONS` exactly
 /// (declared in `bench_hotpath`).
-pub const GATED_SECTIONS: [&str; 3] = ["timings_ms", "fingerprints", "bounds"];
+pub const GATED_SECTIONS: [&str; 4] = ["timings_ms", "fingerprints", "bounds", "artifact_bytes"];
+
+/// Growth of one artifact's bytes, in percent, that the gate allows
+/// between adjacent reports.
+pub const MAX_ARTIFACT_GROWTH_PCT: u64 = 10;
 
 /// BENCH sections deliberately not diffed, with the reason on record:
 ///
@@ -67,6 +75,9 @@ pub struct BenchReport {
     /// `bounds`: schedule key -> optimality gap in percent (empty for
     /// reports predating the `bounds` section).
     pub gaps: BTreeMap<String, f64>,
+    /// `artifact_bytes`: artifact key -> bytes (empty for reports
+    /// predating the section).
+    pub artifact_bytes: BTreeMap<String, u64>,
 }
 
 impl BenchReport {
@@ -112,11 +123,21 @@ impl BenchReport {
                 gaps.insert(k.clone(), pct);
             }
         }
+        let mut artifact_bytes = BTreeMap::new();
+        if let Some(Value::Object(fields)) = v.get("artifact_bytes") {
+            for (k, val) in fields {
+                let bytes = val
+                    .as_u64()
+                    .ok_or_else(|| format!("{label}: artifact_bytes[{k:?}] is not a byte count"))?;
+                artifact_bytes.insert(k.clone(), bytes);
+            }
+        }
         Ok(BenchReport {
             label: label.to_string(),
             timings,
             fingerprints,
             gaps,
+            artifact_bytes,
         })
     }
 }
@@ -166,6 +187,20 @@ pub struct GapGrowth {
     pub to_pct: f64,
 }
 
+/// An artifact whose bytes grew past [`MAX_ARTIFACT_GROWTH_PCT`]
+/// between two adjacent reports.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ArtifactGrowth {
+    /// Artifact key (`workload/machine/artifact`).
+    pub key: String,
+    /// Labels of the two reports the growth happened between.
+    pub between: (String, String),
+    /// Bytes in the earlier report.
+    pub from: u64,
+    /// Bytes in the later report.
+    pub to: u64,
+}
+
 /// The analyzed trajectory over a chronological report sequence.
 #[derive(Clone, Debug, Default)]
 pub struct Trajectory {
@@ -178,12 +213,18 @@ pub struct Trajectory {
     pub regressions: Vec<Regression>,
     /// Every optimality gap that grew between adjacent reports.
     pub gap_growths: Vec<GapGrowth>,
+    /// Every artifact that grew past the budget between adjacent
+    /// reports.
+    pub artifact_growths: Vec<ArtifactGrowth>,
 }
 
 impl Trajectory {
     /// `true` when the gate should fail.
     pub fn failed(&self) -> bool {
-        !self.drifts.is_empty() || !self.regressions.is_empty() || !self.gap_growths.is_empty()
+        !self.drifts.is_empty()
+            || !self.regressions.is_empty()
+            || !self.gap_growths.is_empty()
+            || !self.artifact_growths.is_empty()
     }
 }
 
@@ -220,6 +261,20 @@ pub fn analyze(reports: Vec<BenchReport>, max_regression_pct: f64) -> Trajectory
                         between: (a.label.clone(), b.label.clone()),
                         from_pct: g_a,
                         to_pct: g_b,
+                    });
+                }
+            }
+        }
+        for (key, &from) in &a.artifact_bytes {
+            if let Some(&to) = b.artifact_bytes.get(key) {
+                if u128::from(to) * 100
+                    > u128::from(from) * u128::from(100 + MAX_ARTIFACT_GROWTH_PCT)
+                {
+                    t.artifact_growths.push(ArtifactGrowth {
+                        key: key.clone(),
+                        between: (a.label.clone(), b.label.clone()),
+                        from,
+                        to,
                     });
                 }
             }
@@ -294,6 +349,12 @@ pub fn render(t: &Trajectory) -> String {
             g.key, g.from_pct, g.to_pct, g.between.0, g.between.1
         ));
     }
+    for g in &t.artifact_growths {
+        out.push_str(&format!(
+            "ARTIFACT GROWTH {}: {} -> {} bytes (over +{MAX_ARTIFACT_GROWTH_PCT}%) between {} and {}\n",
+            g.key, g.from, g.to, g.between.0, g.between.1
+        ));
+    }
     for r in &t.regressions {
         out.push_str(&format!(
             "TIMING REGRESSION {}: {:.2} ms -> {:.2} ms (+{:.0}%) between {} and {}\n",
@@ -315,6 +376,7 @@ mod tests {
                 .into_iter()
                 .collect(),
             gaps: [("fig1/mesh".to_string(), 5.0)].into_iter().collect(),
+            artifact_bytes: BTreeMap::new(),
         }
     }
 
@@ -384,6 +446,49 @@ mod tests {
         a.gaps.clear();
         let t = analyze(vec![a, report("b", 10.0, "f"), c], 100.0);
         assert!(!t.failed());
+    }
+
+    #[test]
+    fn artifact_growth_past_the_budget_fails_the_gate() {
+        let v: Value = serde_json::from_str(
+            r#"{"timings_ms":{},"fingerprints":{},
+                "artifact_bytes":{"elliptic/mesh:4x4/report":1000}}"#,
+        )
+        .unwrap();
+        let old = BenchReport::parse("old", &v).unwrap();
+        assert_eq!(old.artifact_bytes["elliptic/mesh:4x4/report"], 1000);
+        let with = |label: &str, bytes: u64| {
+            let mut r = report(label, 10.0, "f");
+            r.artifact_bytes
+                .insert("elliptic/mesh:4x4/report".to_string(), bytes);
+            r
+        };
+        // Exactly +10% passes, one byte more fails; shrinking passes.
+        let t = analyze(vec![with("a", 1000), with("b", 1100), with("c", 10)], 100.0);
+        assert!(!t.failed());
+        let t = analyze(vec![with("a", 1000), with("b", 1101)], 100.0);
+        assert!(t.failed());
+        assert_eq!(t.artifact_growths.len(), 1);
+        assert_eq!(
+            (t.artifact_growths[0].from, t.artifact_growths[0].to),
+            (1000, 1101)
+        );
+        let text = render(&t);
+        assert!(
+            text.contains("ARTIFACT GROWTH elliptic/mesh:4x4/report"),
+            "{text}"
+        );
+        // A report without the section is skipped, like old bounds.
+        let t = analyze(
+            vec![with("a", 1000), report("b", 10.0, "f"), with("c", 5000)],
+            100.0,
+        );
+        assert!(!t.failed());
+        let bad: Value = serde_json::from_str(
+            r#"{"timings_ms":{},"fingerprints":{},"artifact_bytes":{"k":"big"}}"#,
+        )
+        .unwrap();
+        assert!(BenchReport::parse("bad", &bad).is_err());
     }
 
     #[test]

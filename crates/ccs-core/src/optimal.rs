@@ -23,17 +23,22 @@ pub enum OptimalOutcome {
     /// Search completed: this is a provably minimum-length schedule
     /// (under the library's timing rules, without retiming).
     Proven(Schedule),
-    /// The state budget ran out before a feasible `L` was proven
-    /// minimal; the best schedule found so far (if any) is returned.
-    BudgetExhausted(Option<Schedule>),
+    /// The state budget ran out first.  The search runs upward from
+    /// the lower bounds and stops at the first feasible length, so it
+    /// holds no schedule then — only `floor`, the smallest length not
+    /// yet refuted: every shorter one was proven infeasible.
+    BudgetExhausted {
+        /// Smallest length not yet refuted; the optimum is at least this.
+        floor: u32,
+    },
 }
 
 impl OptimalOutcome {
-    /// The schedule, if any was found.
+    /// The proven-optimal schedule; `None` when the budget ran out.
     pub fn schedule(&self) -> Option<&Schedule> {
         match self {
             OptimalOutcome::Proven(s) => Some(s),
-            OptimalOutcome::BudgetExhausted(s) => s.as_ref(),
+            OptimalOutcome::BudgetExhausted { .. } => None,
         }
     }
 
@@ -77,7 +82,6 @@ pub fn optimal_schedule(g: &Csdfg, machine: &Machine, max_states: u64) -> Optima
         .saturating_add(t.critical_path);
 
     let mut budget = max_states;
-    let mut best: Option<Schedule> = None;
     while lower <= upper {
         let mut table = Schedule::new(machine.num_pes());
         match place(g, machine, &order, 0, lower, &mut table, &mut budget) {
@@ -87,11 +91,10 @@ pub fn optimal_schedule(g: &Csdfg, machine: &Machine, max_states: u64) -> Optima
                 return OptimalOutcome::Proven(table);
             }
             SearchResult::Infeasible => lower += 1,
-            SearchResult::OutOfBudget => return OptimalOutcome::BudgetExhausted(best.take()),
+            SearchResult::OutOfBudget => break,
         }
-        let _ = &best; // `best` only set on budget paths in future variants
     }
-    OptimalOutcome::BudgetExhausted(None)
+    OptimalOutcome::BudgetExhausted { floor: lower }
 }
 
 enum SearchResult {
@@ -213,6 +216,25 @@ mod tests {
         let out = optimal_schedule(&g, &m, 1_000_000);
         assert!(out.is_proven());
         assert_eq!(out.schedule().unwrap().length(), 4);
+    }
+
+    #[test]
+    fn budget_exhaustion_reports_the_unrefuted_floor() {
+        // fig1 on a 2x2 mesh needs far more than three placement
+        // attempts: the cut-off holds no schedule, only a floor at
+        // least the iteration-bound/work floor the search starts from.
+        let (g, _, m) = crate::startup::tests::fig1();
+        let out = optimal_schedule(&g, &m, 3);
+        let OptimalOutcome::BudgetExhausted { floor } = out else {
+            panic!("a 3-state budget cannot finish fig1: {out:?}");
+        };
+        assert!(out.schedule().is_none() && !out.is_proven());
+        let work = g.total_time().div_ceil(m.num_pes() as u64);
+        let bound = iteration_bound(&g).map(|b| b.ceil()).unwrap_or(0);
+        assert!(u64::from(floor) >= work.max(bound), "floor {floor}");
+        // With room to finish, the proven optimum is at least that floor.
+        let proven = optimal_schedule(&g, &m, 5_000_000);
+        assert!(proven.schedule().expect("proven").length() >= floor);
     }
 
     #[test]

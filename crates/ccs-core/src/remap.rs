@@ -477,6 +477,14 @@ fn psl(m: i64, ce: i64, cb: i64, k: i64) -> i64 {
     ccs_schedule::psl_value(m, ce, cb, k)
 }
 
+/// The PSL early exit's threshold for an edge of delay `k`: `k · I`
+/// (saturating) against an incumbent of impact `I`, or `i64::MAX` —
+/// never exceeded — without one.
+fn psl_cap(incumbent: Option<CandKey>) -> impl Fn(i64) -> i64 {
+    let impact = incumbent.map(|b| i64::from(b.0));
+    move |k| impact.map_or(i64::MAX, |i| k.saturating_mul(i))
+}
+
 /// The winning placement found by [`best_position`], with the ranking
 /// components the tracing layer reports (`impact`, `comm`) and the
 /// second-best candidate for the `--explain` narrative.
@@ -606,7 +614,7 @@ fn scan_span<P: Probe>(
     let mut best: Option<CandKey> = None;
     // Runner-up for the explain narrative (probe-gated).
     let mut second: Option<CandKey> = None;
-    for (i, (&lb, &ub)) in lb.iter().zip(&ub).enumerate() {
+    'pes: for (i, (&lb, &ub)) in lb.iter().zip(&ub).enumerate() {
         let p = lo + i;
         if lb > ub {
             if P::ACTIVE {
@@ -654,17 +662,30 @@ fn scan_span<P: Probe>(
             continue;
         }
         // Length impact: the node's own end step and the PSL of every
-        // loop-carried edge to a placed neighbour.
+        // loop-carried edge to a placed neighbour.  PSL early exit
+        // (pruned sweeps only): against an incumbent of impact `I`, an
+        // edge whose PSL numerator `x = m + ce - cb + 1` exceeds `k · I`
+        // forces `ceil(x / k) > I`, so the PE loses and is skipped at
+        // once.  An incumbent at `u32::MAX` never exits: impacts
+        // saturate there, so a tie on it is still decided by `cs`.
+        let cap = psl_cap(best.filter(|b| prune && b.0 < u32::MAX));
+        let cb_v = i64::from(cs);
         let mut needed = ce_v;
         for e in &scratch.ins {
             if e.k > 0 {
                 let m = i64::from(machine.dist_row(e.pe)[p] * e.vol);
-                needed = needed.max(psl(m, e.step, i64::from(cs), e.k));
+                if m + e.step - cb_v + 1 > cap(e.k) {
+                    continue 'pes;
+                }
+                needed = needed.max(psl(m, e.step, cb_v, e.k));
             }
         }
         for e in &scratch.outs {
             if e.k > 0 {
                 let m = i64::from(machine.dist_row(e.pe)[p] * e.vol);
+                if m + ce_v - e.step + 1 > cap(e.k) {
+                    continue 'pes;
+                }
                 needed = needed.max(psl(m, ce_v, e.step, e.k));
             }
         }
@@ -954,6 +975,47 @@ mod tests {
         // so every column is 4 * dist_row(0).
         let expect: Vec<u32> = m.dist_row(Pe(0)).iter().map(|&d| d * 4).collect();
         assert_eq!(scratch.comm, expect);
+    }
+
+    #[test]
+    fn psl_early_exit_skips_only_losing_pes() {
+        // u on PE1 at cs 1 feeds v over a delay-2 edge of volume 3 on a
+        // 4-PE line.  PE1 is busy at cs 1, so v lands at cs 2 there:
+        // impact 2, the first incumbent.  On PE2 (1 hop) v starts at
+        // cs 1 and the PSL numerator is x = 3 + 1 - 1 + 1 = 4 = k * I:
+        // ceil(4/2) = 2 ties on impact, so no exit, and cs 1 wins.  On
+        // PE3 (2 hops) x = 7 > 4, so ceil(7/2) = 4 > 2 and the exit
+        // skips it; PE4 (x = 10) likewise.
+        let mut g = Csdfg::new();
+        let u = g.add_task("u", 1).unwrap();
+        let v = g.add_task("v", 1).unwrap();
+        g.add_dep(u, v, 2, 3).unwrap();
+        let m = Machine::linear_array(4);
+        let mut table = Schedule::new(m.num_pes());
+        table.place(u, Pe(0), 1, 1).unwrap();
+        let adj = hoist_adjacency(&g, &[v]);
+        let mut scratch = Scratch::default();
+        scratch.resolve(&adj[0], &table, &m);
+        let sweep = Sweep {
+            machine: &m,
+            table: &table,
+            scratch: &scratch,
+            node: u32::try_from(v.index()).unwrap(),
+            duration: 1,
+            target: 10,
+        };
+        let scan = |prune| scan_span(&sweep, 0, 4, prune, &mut Off, &mut PassStats::default());
+        let (pruned, _) = scan(true);
+        let (full, _) = scan(false);
+        assert_eq!(pruned, full, "the exit never changes the winner");
+        let winner = full.expect("v fits");
+        assert_eq!((winner.0, winner.1, winner.3), (2, 1, 1), "PE2 wins on cs");
+        let cap = psl_cap(Some(winner));
+        assert!(7 > cap(2), "the exit fires on PE3");
+        assert_eq!(cap(2), 4, "x = k * I is a tie, not an exit");
+        assert_eq!(psl_cap(None)(2), i64::MAX, "no incumbent, no exit");
+        let huge = psl_cap(Some((u32::MAX - 1, 0, 0, 0)));
+        assert_eq!(huge(i64::from(u32::MAX)), i64::MAX, "k * I saturates");
     }
 
     #[test]

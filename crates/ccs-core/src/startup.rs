@@ -255,7 +255,7 @@ pub fn legalize(g: &Csdfg, machine: &Machine, sched: &Schedule) -> Schedule {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ccs_schedule::validate;
 

@@ -123,13 +123,33 @@ impl LedgerDelta {
     }
 }
 
+/// A ledger's rows sorted by edge id, so each edge's partner is one
+/// binary search away.  The sort is stable, so a repeated id finds its
+/// first row, as a scan would; ledgers arrive in edge order, which the
+/// sort passes through in linear time.
+struct EdgeIndex<'a>(Vec<&'a EdgeTraffic>);
+
+impl<'a> EdgeIndex<'a> {
+    fn new(ledger: &'a [EdgeTraffic]) -> Self {
+        let mut rows: Vec<&EdgeTraffic> = ledger.iter().collect();
+        rows.sort_by_key(|e| e.edge);
+        EdgeIndex(rows)
+    }
+
+    fn get(&self, edge: u32) -> Option<&'a EdgeTraffic> {
+        let i = self.0.partition_point(|e| e.edge < edge);
+        self.0.get(i).copied().filter(|e| e.edge == edge)
+    }
+}
+
 /// Diffs two edge ledgers (snapshots of the same graph), returning the
 /// rows whose placement or cost changed, ranked by `|Δcost|` descending
 /// and then by edge index — the order a human wants to read them in.
 pub fn diff_ledgers(before: &[EdgeTraffic], after: &[EdgeTraffic]) -> Vec<LedgerDelta> {
+    let index = EdgeIndex::new(before);
     let mut out: Vec<LedgerDelta> = Vec::new();
     for a in after {
-        let Some(b) = before.iter().find(|b| b.edge == a.edge) else {
+        let Some(b) = index.get(a.edge) else {
             continue;
         };
         if b.src_pe != a.src_pe || b.dst_pe != a.dst_pe || b.cost() != a.cost() {
@@ -152,9 +172,10 @@ pub fn one_sided_edges(
     after: &[EdgeTraffic],
 ) -> (Vec<EdgeTraffic>, Vec<EdgeTraffic>) {
     let lone = |xs: &[EdgeTraffic], ys: &[EdgeTraffic]| {
+        let index = EdgeIndex::new(ys);
         let mut out: Vec<EdgeTraffic> = xs
             .iter()
-            .filter(|x| !ys.iter().any(|y| y.edge == x.edge))
+            .filter(|x| index.get(x.edge).is_none())
             .copied()
             .collect();
         out.sort_by_key(|e| e.edge);
@@ -995,6 +1016,72 @@ mod tests {
             only_b.iter().map(|e| e.edge).collect::<Vec<_>>(),
             vec![3, 4]
         );
+    }
+
+    #[test]
+    fn indexed_ledger_diff_matches_the_linear_scan() {
+        // The per-row `find` scans the edge index replaced, as oracles.
+        let diff_by_scan = |before: &[EdgeTraffic], after: &[EdgeTraffic]| {
+            let mut out: Vec<LedgerDelta> = Vec::new();
+            for a in after {
+                let Some(b) = before.iter().find(|b| b.edge == a.edge) else {
+                    continue;
+                };
+                if b.src_pe != a.src_pe || b.dst_pe != a.dst_pe || b.cost() != a.cost() {
+                    out.push(LedgerDelta {
+                        before: *b,
+                        after: *a,
+                    });
+                }
+            }
+            out.sort_by_key(|d| (std::cmp::Reverse(d.delta().unsigned_abs()), d.after.edge));
+            out
+        };
+        let lone_by_scan = |xs: &[EdgeTraffic], ys: &[EdgeTraffic]| {
+            let mut out: Vec<EdgeTraffic> = xs
+                .iter()
+                .filter(|x| !ys.iter().any(|y| y.edge == x.edge))
+                .copied()
+                .collect();
+            out.sort_by_key(|e| e.edge);
+            out
+        };
+        // Ledgers in edge order, out of order, with gaps and with a
+        // repeated id (the first row must win, as in a scan).
+        let mut seed = 7u64;
+        let mut next = |m: u32| {
+            seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            u32::try_from(seed >> 33).unwrap_or(0) % m
+        };
+        for round in 0..40 {
+            let mut ledger = |n: u32| -> Vec<EdgeTraffic> {
+                (0..n)
+                    .map(|i| EdgeTraffic {
+                        edge: if round % 2 == 0 { i } else { next(n + 4) },
+                        src: i,
+                        dst: i + 1,
+                        src_pe: next(4),
+                        dst_pe: next(4),
+                        hops: next(3),
+                        volume: next(5),
+                    })
+                    .collect()
+            };
+            let (before, mut after) = (ledger(12), ledger(12));
+            if round % 3 == 0 {
+                after.reverse();
+            }
+            assert_eq!(
+                diff_ledgers(&before, &after),
+                diff_by_scan(&before, &after),
+                "round {round}"
+            );
+            assert_eq!(
+                one_sided_edges(&before, &after),
+                (lone_by_scan(&before, &after), lone_by_scan(&after, &before)),
+                "round {round}"
+            );
+        }
     }
 
     #[test]

@@ -3,14 +3,14 @@
 //! [`heatmap`] draws the PE-to-PE hop-weighted traffic matrix plus a
 //! per-link load bar chart — a terminal-native view of which parts of
 //! the fabric the schedule actually stresses.  [`heatmap_panel`] is
-//! the rich equivalent: an SVG of the same matrix and link bars,
-//! appended to the caller's buffer — embedded per accepted pass by the
-//! `ccs-report` HTML report, per side by its diff page and per cell by
-//! its sweep grid.  [`heatmap_svg`] wraps it as the standalone file
-//! `cyclosched schedule --heatmap-svg` writes, and
-//! [`delta_heatmap_svg`] appends the signed shift between two ledgers.
-//! Pure functions of their inputs, so the output is as deterministic
-//! as the profile itself.
+//! the rich equivalent and the one SVG heatmap writer: it appends the
+//! same matrix and link bars to the caller's buffer, drawing only the
+//! PEs, cells and links that carry traffic — or, in signed mode, that
+//! shifted from a baseline ledger.  The `ccs-report` pages embed it per
+//! phase, per diff-page side and delta, and per sweep-grid cell;
+//! [`heatmap_svg`] wraps it as the standalone file `cyclosched schedule
+//! --heatmap-svg` writes.  Pure functions of their inputs, so the
+//! output is as deterministic as the profile itself.
 //!
 //! Everything interpolated into SVG/HTML text content goes through
 //! [`esc`] — the one audited escape helper (the `escaped-html-output`
@@ -19,8 +19,7 @@
 //! argument formats, so `esc(format_args!(…))` writes a matrix cell's
 //! title straight into the page without an intermediate `String`.
 
-use crate::CommProfile;
-use crate::{EdgeTraffic, LinkLoad};
+use crate::{diff_ledgers, one_sided_edges, CommProfile, EdgeTraffic, LinkLoad};
 use std::fmt::{self, Write as _};
 
 /// Intensity ramp for the matrix cells, dimmest to brightest.
@@ -170,246 +169,7 @@ fn heat_color(x: u64, max: u64) -> &'static str {
     HEAT[ix as usize]
 }
 
-/// Geometry constants of the SVG heatmap.
-const CELL: u32 = 18;
-const LEFT: u32 = 48;
-const TOP: u32 = 40;
-const BAR_W: u32 = 240;
-const ROW_H: u32 = 16;
-
-/// Rendering options of [`heatmap_panel`], the generic heatmap
-/// renderer behind the embedded, standalone, diff-side, and sweep-grid
-/// panels.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PanelOptions<'a> {
-    /// Whether link loads are meaningful on the profiled machine
-    /// (see [`crate::routable`]); drives the conservation marker.
-    pub routable: bool,
-    /// Adds the `xmlns` attribute so the SVG opens outside HTML.
-    pub standalone: bool,
-    /// Marks the panel as one side of a multi-run diff page
-    /// (`data-side="a"` / `data-side="b"`); `report-check` requires
-    /// conserved traffic on *both* sides when either marker appears.
-    pub side: Option<&'a str>,
-    /// Marks the panel as one sweep-grid cell (`data-cell="<id>"`);
-    /// `report-check` counts these against the grid's declared total.
-    pub cell: Option<&'a str>,
-    /// Compact geometry for grid tiles (smaller cells, shorter bars).
-    pub mini: bool,
-}
-
-/// Geometry of one panel, full-size or mini.
-struct PanelGeometry {
-    cell: u32,
-    left: u32,
-    top: u32,
-    bar_w: u32,
-    row_h: u32,
-    min_w: u32,
-}
-
-impl PanelGeometry {
-    fn of(mini: bool) -> Self {
-        if mini {
-            PanelGeometry {
-                cell: 10,
-                left: 34,
-                top: 28,
-                bar_w: 110,
-                row_h: 12,
-                min_w: 220,
-            }
-        } else {
-            PanelGeometry {
-                cell: CELL,
-                left: LEFT,
-                top: TOP,
-                bar_w: BAR_W,
-                row_h: ROW_H,
-                min_w: 360,
-            }
-        }
-    }
-}
-
-/// Appends one edge ledger and its link loads to `out` as an SVG
-/// heatmap: the PE-to-PE hop-weighted crossing-cost matrix (rows =
-/// source PE, columns = destination PE) plus one load bar per physical
-/// link.  This one renderer draws the report's per-phase panels, the
-/// standalone `--heatmap-svg` file, the diff page's sides and the
-/// sweep grid's tiles; [`PanelOptions`] sets which.
-///
-/// The `<svg>` element carries machine-readable conservation data:
-/// `data-ledger-total` (Σ hop·volume over crossing ledger rows) and
-/// `data-link-total` (Σ volume charged to links).  When
-/// [`PanelOptions::routable`] holds the two are equal by construction
-/// — `report-check` verifies exactly that invariant on every embedded
-/// heatmap.
-pub fn heatmap_panel(
-    out: &mut String,
-    caption: &str,
-    pes: u32,
-    edges: &[EdgeTraffic],
-    links: &[LinkLoad],
-    opts: PanelOptions<'_>,
-) {
-    let PanelOptions {
-        routable,
-        standalone,
-        side,
-        cell,
-        mini,
-    } = opts;
-    let geo = PanelGeometry::of(mini);
-    let n = pes as usize;
-    let ledger_total: u64 = edges
-        .iter()
-        .filter(|e| e.crossing())
-        .map(|e| e.cost())
-        .fold(0u64, u64::saturating_add);
-    let link_total: u64 = links
-        .iter()
-        .map(|l| l.volume)
-        .fold(0u64, u64::saturating_add);
-
-    // Matrix cells: hop-weighted crossing cost per (src PE, dst PE).
-    let mut cells = vec![0u64; n * n];
-    for e in edges {
-        let (s, d) = (e.src_pe as usize, e.dst_pe as usize);
-        if s < n && d < n && e.crossing() {
-            cells[s * n + d] = cells[s * n + d].saturating_add(e.cost());
-        }
-    }
-    let cell_max = cells.iter().copied().max().unwrap_or(0);
-    let link_max = links.iter().map(|l| l.volume).max().unwrap_or(0);
-
-    let (gc, gl, gt, gb, gr) = (geo.cell, geo.left, geo.top, geo.bar_w, geo.row_h);
-    let matrix_h = u32::try_from(n).unwrap_or(0) * gc;
-    let links_h = u32::try_from(links.len()).unwrap_or(0) * gr;
-    let links_top = gt + matrix_h + 24;
-    let width = (gl + u32::try_from(n).unwrap_or(0) * gc + 24)
-        .max(gl + 64 + gb + 72)
-        .max(geo.min_w);
-    let height = links_top + links_h + 16;
-
-    let xmlns = if standalone {
-        r#" xmlns="http://www.w3.org/2000/svg""#
-    } else {
-        ""
-    };
-    let class = if mini { "heatmap mini" } else { "heatmap" };
-    let _ = write!(
-        out,
-        r#"<svg{xmlns} class="{class}" width="{width}" height="{height}" viewBox="0 0 {width} {height}" data-pes="{pes}""#
-    );
-    if let Some(s) = side {
-        let _ = write!(out, r#" data-side="{}""#, esc(s));
-    }
-    if let Some(c) = cell {
-        let _ = write!(out, r#" data-cell="{}""#, esc(c));
-    }
-    let _ = writeln!(
-        out,
-        r#" data-routable="{routable}" data-ledger-total="{ledger_total}" data-link-total="{link_total}" role="img">"#
-    );
-    let (tf, sf) = if mini { (10, 8) } else { (12, 10) };
-    let _ = writeln!(
-        out,
-        r#"  <style>.hm-t{{font:{tf}px monospace;fill:#222}}.hm-s{{font:{sf}px monospace;fill:#555}}.hm-c{{stroke:#ccc;stroke-width:0.5}}</style>"#
-    );
-    let _ = writeln!(
-        out,
-        r#"  <text class="hm-t" x="4" y="15">{}</text>"#,
-        esc(caption)
-    );
-
-    // Matrix: column labels, row labels, one rect per cell with a
-    // hover title naming the (src, dst) pair and its cost.
-    for d in 0..n {
-        let x = gl + u32::try_from(d).unwrap_or(0) * gc + gc / 2;
-        let _ = writeln!(
-            out,
-            r#"  <text class="hm-s" x="{x}" y="{y}" text-anchor="middle">{}</text>"#,
-            esc(d + 1),
-            y = gt - 4
-        );
-    }
-    for s in 0..n {
-        let y = gt + u32::try_from(s).unwrap_or(0) * gc + gc / 2 + 4;
-        let _ = writeln!(
-            out,
-            r#"  <text class="hm-s" x="{x}" y="{y}" text-anchor="end">{}</text>"#,
-            esc(format_args!("PE{}", s + 1)),
-            x = gl - 4
-        );
-        for d in 0..n {
-            let v = cells[s * n + d];
-            let x = gl + u32::try_from(d).unwrap_or(0) * gc;
-            let yy = gt + u32::try_from(s).unwrap_or(0) * gc;
-            let _ = writeln!(
-                out,
-                r#"  <rect class="hm-c" x="{x}" y="{yy}" width="{gc}" height="{gc}" fill="{fill}"><title>{}</title></rect>"#,
-                esc(format_args!("PE{} -> PE{}: cost {v}", s + 1, d + 1)),
-                fill = heat_color(v, cell_max)
-            );
-        }
-    }
-    if cell_max > 0 {
-        let y = gt + matrix_h + 14;
-        let _ = writeln!(
-            out,
-            r#"  <text class="hm-s" x="{gl}" y="{y}">{}</text>"#,
-            esc(format_args!("matrix scale: 0 .. {cell_max}"))
-        );
-    }
-
-    // Per-link load bars, scaled to the hottest link.
-    for (i, l) in links.iter().enumerate() {
-        let y = links_top + u32::try_from(i).unwrap_or(0) * gr;
-        let filled = if link_max == 0 || l.volume == 0 {
-            0
-        } else {
-            let w = l.volume.saturating_mul(u64::from(gb)) / link_max;
-            u32::try_from(w).unwrap_or(gb).clamp(2, gb)
-        };
-        let _ = writeln!(
-            out,
-            r#"  <text class="hm-s" x="{gl}" y="{ty}" text-anchor="end">{}</text>"#,
-            esc(format_args!("PE{}-PE{}", l.a + 1, l.b + 1)),
-            ty = y + 11
-        );
-        let _ = writeln!(
-            out,
-            r#"  <rect x="{bx}" y="{ry}" width="{bw}" height="{bh}" fill="{fill}"><title>{}</title></rect>"#,
-            esc(format_args!(
-                "link PE{}-PE{}: volume {}, {} message(s)",
-                l.a + 1,
-                l.b + 1,
-                l.volume,
-                l.messages
-            )),
-            bx = gl + 8,
-            ry = y + 3,
-            bw = filled.max(1),
-            bh = gr.saturating_sub(6).max(4),
-            fill = if l.volume == 0 {
-                "#eee"
-            } else {
-                heat_color(l.volume, link_max)
-            }
-        );
-        let _ = writeln!(
-            out,
-            r#"  <text class="hm-s" x="{tx}" y="{ty}">{}</text>"#,
-            esc(l.volume),
-            tx = gl + 8 + gb + 8,
-            ty = y + 11
-        );
-    }
-    out.push_str("</svg>\n");
-}
-
-/// Diverging ramp for signed deltas: index 0 is zero, higher indices
+/// Diverging ramp for signed shifts: index 0 is zero, higher indices
 /// hotter.  Blues for removed traffic, reds for added.
 const DIV_NEG: [&str; 5] = ["#ffffff", "#c6dbef", "#9ecae1", "#4292c6", "#084594"];
 const DIV_POS: [&str; 5] = ["#ffffff", "#fdd49e", "#fc8d59", "#d7301f", "#7f0000"];
@@ -427,184 +187,348 @@ fn div_color(v: i64, max: u64) -> &'static str {
     }
 }
 
-/// One row of the per-link delta chart: a link present on either side,
-/// with the signed volume shift `after - before` (a link only one side
-/// has charges its full volume with sign).
-struct LinkDelta {
-    a: u32,
-    b: u32,
-    delta: i64,
-    tag: &'static str,
+/// One side of a heatmap: an edge ledger and the link loads it puts on
+/// the machine.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Traffic<'a> {
+    /// The per-edge ledger.
+    pub edges: &'a [EdgeTraffic],
+    /// Load per physical link, as [`crate::link_loads`] charges it.
+    pub links: &'a [LinkLoad],
 }
 
-fn link_deltas(before: &[LinkLoad], after: &[LinkLoad]) -> Vec<LinkDelta> {
-    let signed = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
-    let mut rows: Vec<LinkDelta> = before
-        .iter()
-        .map(|l| match after.iter().find(|r| (r.a, r.b) == (l.a, l.b)) {
-            Some(r) => LinkDelta {
-                a: l.a,
-                b: l.b,
-                delta: signed(r.volume).saturating_sub(signed(l.volume)),
-                tag: "both",
-            },
-            None => LinkDelta {
-                a: l.a,
-                b: l.b,
-                delta: signed(l.volume).saturating_neg(),
-                tag: "A only",
-            },
-        })
-        .collect();
-    rows.extend(
-        after
-            .iter()
-            .filter(|r| !before.iter().any(|l| (l.a, l.b) == (r.a, r.b)))
-            .map(|r| LinkDelta {
-                a: r.a,
-                b: r.b,
-                delta: signed(r.volume),
-                tag: "B only",
-            }),
-    );
-    rows
+impl CommProfile {
+    /// The final best schedule's ledger and link loads.
+    pub fn traffic(&self) -> Traffic<'_> {
+        Traffic {
+            edges: &self.edges,
+            links: &self.links,
+        }
+    }
 }
 
-/// Appends the signed traffic shift between two edge ledgers to `out`
-/// as an SVG:
-/// a PE-to-PE matrix of `Δcost = cost_B - cost_A` on a diverging ramp
-/// (blues = traffic removed, reds = added), plus one signed bar per
-/// physical link of either machine (links only one side has charge
-/// their full volume with sign).  `pes` spans both runs; the panel is
-/// marked `data-side="delta"` and carries no conservation totals (a
-/// signed difference conserves nothing).
-pub fn delta_heatmap_svg(
+/// Rendering options of [`heatmap_panel`], the one heatmap writer
+/// behind the embedded, standalone, diff-page, and sweep-grid panels.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PanelOptions<'a> {
+    /// Whether link loads are meaningful on the profiled machine
+    /// (see [`crate::routable`]); drives the conservation marker.
+    pub routable: bool,
+    /// Adds the `xmlns` attribute so the SVG opens outside HTML.
+    pub standalone: bool,
+    /// Marks the panel as one side of a multi-run diff page
+    /// (`data-side="a"` / `data-side="b"`); `report-check` requires
+    /// conserved traffic on *both* sides when either marker appears.
+    pub side: Option<&'a str>,
+    /// Marks the panel as one sweep-grid cell (`data-cell="<id>"`);
+    /// `report-check` counts these against the grid's declared total.
+    pub cell: Option<&'a str>,
+    /// Compact geometry for grid tiles (smaller cells, shorter bars).
+    pub mini: bool,
+    /// Signed mode: draw the shift from this baseline to the panel's
+    /// traffic on the diverging ramp, instead of the traffic itself.
+    pub baseline: Option<Traffic<'a>>,
+}
+
+/// Geometry of one panel, full-size or mini.
+struct PanelGeometry {
+    cell: u32,
+    left: u32,
+    top: u32,
+    bar_w: u32,
+    row_h: u32,
+    min_w: u32,
+}
+
+impl PanelGeometry {
+    fn of(mini: bool) -> Self {
+        let (cell, left, top, bar_w, row_h, min_w) = if mini {
+            (10, 34, 28, 110, 12, 220)
+        } else {
+            (18, 48, 40, 240, 16, 360)
+        };
+        PanelGeometry {
+            cell,
+            left,
+            top,
+            bar_w,
+            row_h,
+            min_w,
+        }
+    }
+}
+
+/// Sums signed values by key, in key order; zero sums are kept.
+fn net<K: Ord + Copy>(mut rows: Vec<(K, i64)>) -> Vec<(K, i64)> {
+    rows.sort_unstable_by_key(|r| r.0);
+    let mut out: Vec<(K, i64)> = Vec::with_capacity(rows.len());
+    for (k, v) in rows {
+        match out.last_mut() {
+            Some(last) if last.0 == k => last.1 = last.1.saturating_add(v),
+            _ => out.push((k, v)),
+        }
+    }
+    out
+}
+
+/// Appends one heatmap to `out` as an SVG: the PE-to-PE hop-weighted
+/// crossing-cost matrix (rows = source PE, columns = destination PE)
+/// plus one bar per physical link.  This one writer draws every
+/// heatmap — the report's phase panels, the standalone `--heatmap-svg`
+/// file, the diff page's sides and delta, the sweep grid's tiles;
+/// [`PanelOptions`] sets which.
+///
+/// A panel costs O(traffic), not O(PEs² + links): the matrix spans
+/// only the PEs its non-zero cells name, only those cells get a
+/// `<rect>` (over one backdrop), and only links with non-zero load get
+/// a bar, with one legend line counting the rest.  With
+/// [`PanelOptions::baseline`] every value is the signed shift from the
+/// baseline instead: the cells come from the rows [`diff_ledgers`] and
+/// [`one_sided_edges`] report, the links are matched by endpoints.
+///
+/// The `<svg>` element carries machine-readable conservation data of
+/// the *full* `traffic`, never of what is drawn: `data-ledger-total`
+/// (Σ hop·volume over crossing ledger rows) and `data-link-total`
+/// (Σ volume charged to links).  When [`PanelOptions::routable`] holds
+/// the two are equal by construction — `report-check` verifies exactly
+/// that invariant on every embedded heatmap.
+pub fn heatmap_panel(
     out: &mut String,
     caption: &str,
-    pes: u32,
-    before: &[EdgeTraffic],
-    after: &[EdgeTraffic],
-    before_links: &[LinkLoad],
-    after_links: &[LinkLoad],
+    traffic: Traffic<'_>,
+    opts: PanelOptions<'_>,
 ) {
-    let n = pes as usize;
-    let mut cells = vec![0i64; n * n];
-    let charge = |cells: &mut Vec<i64>, edges: &[EdgeTraffic], sign: i64| {
-        for e in edges {
-            let (s, d) = (e.src_pe as usize, e.dst_pe as usize);
-            if s < n && d < n && e.crossing() {
-                let cost = i64::try_from(e.cost()).unwrap_or(i64::MAX);
-                cells[s * n + d] = cells[s * n + d].saturating_add(sign.saturating_mul(cost));
-            }
+    let PanelOptions {
+        routable,
+        standalone,
+        side,
+        cell,
+        mini,
+        baseline,
+    } = opts;
+    let geo = PanelGeometry::of(mini);
+    let ledger_total: u64 = traffic
+        .edges
+        .iter()
+        .filter(|e| e.crossing())
+        .map(|e| e.cost())
+        .fold(0u64, u64::saturating_add);
+    let link_total: u64 = traffic
+        .links
+        .iter()
+        .map(|l| l.volume)
+        .fold(0u64, u64::saturating_add);
+
+    // Cells keyed by (src PE, dst PE), links by endpoints, each value
+    // with its sign; link rows also keep their message count.
+    let val = |x: u64, sign: i64| sign * i64::try_from(x).unwrap_or(i64::MAX);
+    let charge = |(e, sign): (&EdgeTraffic, i64)| {
+        e.crossing()
+            .then(|| ((e.src_pe, e.dst_pe), val(e.cost(), sign)))
+    };
+    let (cells, links): (Vec<_>, Vec<_>) = match baseline {
+        None => (
+            traffic
+                .edges
+                .iter()
+                .map(|e| (e, 1))
+                .filter_map(charge)
+                .collect(),
+            traffic
+                .links
+                .iter()
+                .map(|l| ((l.a, l.b), val(l.volume, 1), l.messages))
+                .collect(),
+        ),
+        Some(base) => {
+            let moved = diff_ledgers(base.edges, traffic.edges);
+            let (gone, new) = one_sided_edges(base.edges, traffic.edges);
+            let before = moved.iter().map(|d| &d.before).chain(&gone);
+            let after = moved.iter().map(|d| &d.after).chain(&new);
+            let before = before.map(|e| (e, -1));
+            let volumes = base.links.iter().map(|l| (l, -1));
+            let volumes = volumes.chain(traffic.links.iter().map(|l| (l, 1)));
+            let shifts = net(volumes
+                .map(|(l, s)| ((l.a, l.b), val(l.volume, s)))
+                .collect());
+            (
+                before
+                    .chain(after.map(|e| (e, 1)))
+                    .filter_map(charge)
+                    .collect(),
+                shifts.into_iter().map(|(k, v)| (k, v, 0)).collect(),
+            )
         }
     };
-    charge(&mut cells, before, -1);
-    charge(&mut cells, after, 1);
-    let cell_max = cells.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0);
+    let mut cells = net(cells);
+    cells.retain(|c| c.1 != 0);
+    let bars: Vec<&((u32, u32), i64, u64)> = links.iter().filter(|l| l.1 != 0).collect();
 
-    let rows = link_deltas(before_links, after_links);
-    let link_max = rows
-        .iter()
-        .map(|r| r.delta.unsigned_abs())
-        .max()
-        .unwrap_or(0);
+    // Matrix axis: the sorted PEs the drawn cells name.
+    let mut axis: Vec<u32> = cells.iter().flat_map(|&((s, d), _)| [s, d]).collect();
+    axis.sort_unstable();
+    axis.dedup();
+    let at = |pe: u32| u32::try_from(axis.partition_point(|&p| p < pe)).unwrap_or(0);
+    let n = u32::try_from(axis.len()).unwrap_or(0);
+    let signed = baseline.is_some();
+    let color = |v: i64, max: u64| {
+        if signed {
+            div_color(v, max)
+        } else {
+            heat_color(v.unsigned_abs(), max)
+        }
+    };
+    let cell_max = cells.iter().map(|c| c.1.unsigned_abs()).max().unwrap_or(0);
+    let link_max = bars.iter().map(|l| l.1.unsigned_abs()).max().unwrap_or(0);
+    let quiet = links.len() - bars.len();
+    let note = (quiet > 0).then(|| {
+        let what = if signed { "unchanged" } else { "carry no load" };
+        format!("{quiet} of {} link(s) {what}", links.len())
+    });
 
-    let matrix_h = u32::try_from(n).unwrap_or(0) * CELL;
-    let links_h = u32::try_from(rows.len()).unwrap_or(0) * ROW_H;
-    let links_top = TOP + matrix_h + 24;
-    let width = (LEFT + u32::try_from(n).unwrap_or(0) * CELL + 24)
-        .max(LEFT + 64 + BAR_W + 104)
-        .max(360);
-    let height = links_top + links_h + 16;
+    let (gc, gl, gt, gb, gr) = (geo.cell, geo.left, geo.top, geo.bar_w, geo.row_h);
+    let matrix_h = n * gc;
+    let links_top = gt + matrix_h + 24;
+    let rows = u32::try_from(bars.len() + usize::from(note.is_some())).unwrap_or(0);
+    let width = (gl + n * gc + 24).max(gl + 64 + gb + 72).max(geo.min_w);
+    let height = links_top + rows * gr + 16;
 
+    let xmlns = if standalone {
+        r#" xmlns="http://www.w3.org/2000/svg""#
+    } else {
+        ""
+    };
+    let class = match (signed, mini) {
+        (true, _) => "heatmap delta",
+        (false, true) => "heatmap mini",
+        (false, false) => "heatmap",
+    };
+    let _ = write!(
+        out,
+        r#"<svg{xmlns} class="{class}" width="{width}" height="{height}" viewBox="0 0 {width} {height}" data-pes="{n}""#
+    );
+    if let Some(s) = side {
+        let _ = write!(out, r#" data-side="{}""#, esc(s));
+    }
+    if let Some(c) = cell {
+        let _ = write!(out, r#" data-cell="{}""#, esc(c));
+    }
     let _ = writeln!(
         out,
-        r#"<svg class="heatmap delta" width="{width}" height="{height}" viewBox="0 0 {width} {height}" data-pes="{pes}" data-side="delta" data-routable="false" role="img">"#
+        r#" data-routable="{routable}" data-ledger-total="{ledger_total}" data-link-total="{link_total}" role="img">"#
     );
+    let (tf, sf) = if mini { (10, 8) } else { (12, 10) };
     let _ = writeln!(
         out,
-        r#"  <style>.hm-t{{font:12px monospace;fill:#222}}.hm-s{{font:10px monospace;fill:#555}}.hm-c{{stroke:#ccc;stroke-width:0.5}}</style>"#
+        r#"  <style>.hm-t{{font:{tf}px monospace;fill:#222}}.hm-s{{font:{sf}px monospace;fill:#555}}.hm-c{{stroke:#ccc;stroke-width:0.5}}</style>"#
     );
-    let _ = writeln!(
-        out,
-        r#"  <text class="hm-t" x="4" y="15">{}</text>"#,
-        esc(caption)
-    );
-    for d in 0..n {
-        let x = LEFT + u32::try_from(d).unwrap_or(0) * CELL + CELL / 2;
+    let _ = write!(out, r#"  <text class="hm-t" x="4" y="15">{}"#, esc(caption));
+    if signed {
+        let _ = write!(
+            out,
+            "{}",
+            esc(format_args!(
+                " — {} cell(s), {} link(s) changed",
+                cells.len(),
+                bars.len()
+            ))
+        );
+    }
+    out.push_str("</text>\n");
+
+    // Matrix: one backdrop, column and row labels naming the real PEs,
+    // and one rect per non-zero cell with a hover title naming the
+    // (src, dst) pair and its value.
+    if n > 0 {
+        let _ = writeln!(
+            out,
+            r##"  <rect class="hm-c" x="{gl}" y="{gt}" width="{matrix_h}" height="{matrix_h}" fill="#ffffff"/>"##
+        );
+    }
+    for (i, pe) in (0u32..).zip(&axis) {
         let _ = writeln!(
             out,
             r#"  <text class="hm-s" x="{x}" y="{y}" text-anchor="middle">{}</text>"#,
-            esc(d + 1),
-            y = TOP - 4
+            esc(pe + 1),
+            x = gl + i * gc + gc / 2,
+            y = gt - 4
         );
-    }
-    for s in 0..n {
-        let y = TOP + u32::try_from(s).unwrap_or(0) * CELL + CELL / 2 + 4;
         let _ = writeln!(
             out,
             r#"  <text class="hm-s" x="{x}" y="{y}" text-anchor="end">{}</text>"#,
-            esc(format_args!("PE{}", s + 1)),
-            x = LEFT - 4
-        );
-        for d in 0..n {
-            let v = cells[s * n + d];
-            let x = LEFT + u32::try_from(d).unwrap_or(0) * CELL;
-            let yy = TOP + u32::try_from(s).unwrap_or(0) * CELL;
-            let _ = writeln!(
-                out,
-                r#"  <rect class="hm-c" x="{x}" y="{yy}" width="{CELL}" height="{CELL}" fill="{fill}"><title>{}</title></rect>"#,
-                esc(format_args!("PE{} -> PE{}: delta {v:+}", s + 1, d + 1)),
-                fill = div_color(v, cell_max)
-            );
-        }
-    }
-    if cell_max > 0 {
-        let y = TOP + matrix_h + 14;
-        let _ = writeln!(
-            out,
-            r#"  <text class="hm-s" x="{LEFT}" y="{y}">{}</text>"#,
-            esc(format_args!("delta scale: -{cell_max} .. +{cell_max}"))
+            esc(format_args!("PE{}", pe + 1)),
+            x = gl - 4,
+            y = gt + i * gc + gc / 2 + 4
         );
     }
-    for (i, r) in rows.iter().enumerate() {
-        let y = links_top + u32::try_from(i).unwrap_or(0) * ROW_H;
-        let filled = if link_max == 0 || r.delta == 0 {
-            0
+    for &((s, d), v) in &cells {
+        let (what, shown) = if signed {
+            ("delta", format!("{v:+}"))
         } else {
-            let w = r.delta.unsigned_abs().saturating_mul(u64::from(BAR_W)) / link_max;
-            u32::try_from(w).unwrap_or(BAR_W).clamp(2, BAR_W)
+            ("cost", v.to_string())
         };
         let _ = writeln!(
             out,
-            r#"  <text class="hm-s" x="{LEFT}" y="{ty}" text-anchor="end">{}</text>"#,
-            esc(format_args!("PE{}-PE{}", r.a + 1, r.b + 1)),
+            r#"  <rect class="hm-c" x="{x}" y="{y}" width="{gc}" height="{gc}" fill="{fill}"><title>{}</title></rect>"#,
+            esc(format_args!("PE{} -> PE{}: {what} {shown}", s + 1, d + 1)),
+            x = gl + at(d) * gc,
+            y = gt + at(s) * gc,
+            fill = color(v, cell_max)
+        );
+    }
+    if cell_max > 0 {
+        let _ = writeln!(
+            out,
+            r#"  <text class="hm-s" x="{gl}" y="{y}">{}</text>"#,
+            esc(if signed {
+                format!("delta scale: -{cell_max} .. +{cell_max}")
+            } else {
+                format!("matrix scale: 0 .. {cell_max}")
+            }),
+            y = gt + matrix_h + 14
+        );
+    }
+
+    // Link bars, scaled to the largest drawn value, after the legend
+    // line that counts the links left out.
+    if let Some(note) = &note {
+        let _ = writeln!(
+            out,
+            r#"  <text class="hm-s" x="{gl}" y="{y}">{}</text>"#,
+            esc(note),
+            y = links_top + 11
+        );
+    }
+    let first = u32::from(note.is_some());
+    for (i, &&((a, b), v, messages)) in (first..).zip(&bars) {
+        let y = links_top + i * gr;
+        let w = v.unsigned_abs().saturating_mul(u64::from(gb)) / link_max;
+        let (title, label) = if signed {
+            (format!("volume delta {v:+}"), format!("{v:+}"))
+        } else {
+            (format!("volume {v}, {messages} message(s)"), v.to_string())
+        };
+        let _ = writeln!(
+            out,
+            r#"  <text class="hm-s" x="{gl}" y="{ty}" text-anchor="end">{}</text>"#,
+            esc(format_args!("PE{}-PE{}", a + 1, b + 1)),
             ty = y + 11
         );
         let _ = writeln!(
             out,
-            r#"  <rect x="{bx}" y="{ry}" width="{bw}" height="10" fill="{fill}"><title>{}</title></rect>"#,
-            esc(format_args!(
-                "link PE{}-PE{} ({}): volume delta {:+}",
-                r.a + 1,
-                r.b + 1,
-                r.tag,
-                r.delta
-            )),
-            bx = LEFT + 8,
+            r#"  <rect x="{bx}" y="{ry}" width="{bw}" height="{bh}" fill="{fill}"><title>{}</title></rect>"#,
+            esc(format_args!("link PE{}-PE{}: {title}", a + 1, b + 1)),
+            bx = gl + 8,
             ry = y + 3,
-            bw = filled.max(1),
-            fill = if r.delta == 0 {
-                "#eee"
-            } else {
-                div_color(r.delta, link_max)
-            }
+            bw = u32::try_from(w).unwrap_or(gb).clamp(2, gb),
+            bh = gr.saturating_sub(6).max(4),
+            fill = color(v, link_max)
         );
         let _ = writeln!(
             out,
             r#"  <text class="hm-s" x="{tx}" y="{ty}">{}</text>"#,
-            esc(format_args!("{:+} ({})", r.delta, r.tag)),
-            tx = LEFT + 8 + BAR_W + 8,
+            esc(label),
+            tx = gl + 8 + gb + 8,
             ty = y + 11
         );
     }
@@ -623,9 +547,7 @@ pub fn heatmap_svg(p: &CommProfile, routable: bool) -> String {
     heatmap_panel(
         &mut out,
         &caption,
-        p.pes,
-        &p.edges,
-        &p.links,
+        p.traffic(),
         PanelOptions {
             routable,
             standalone: true,
@@ -711,32 +633,10 @@ mod tests {
         assert_eq!(bar(10, 10, 8), "########");
     }
 
-    /// [`heatmap_panel`] into a fresh buffer.
+    /// [`heatmap_panel`] of `p`'s final traffic into a fresh buffer.
     fn panel(caption: &str, p: &CommProfile, opts: PanelOptions<'_>) -> String {
         let mut out = String::new();
-        heatmap_panel(&mut out, caption, p.pes, &p.edges, &p.links, opts);
-        out
-    }
-
-    /// [`delta_heatmap_svg`] into a fresh buffer.
-    fn delta(
-        caption: &str,
-        pes: u32,
-        before: &[EdgeTraffic],
-        after: &[EdgeTraffic],
-        before_links: &[LinkLoad],
-        after_links: &[LinkLoad],
-    ) -> String {
-        let mut out = String::new();
-        delta_heatmap_svg(
-            &mut out,
-            caption,
-            pes,
-            before,
-            after,
-            before_links,
-            after_links,
-        );
+        heatmap_panel(&mut out, caption, p.traffic(), opts);
         out
     }
 
@@ -892,53 +792,161 @@ mod tests {
         });
     }
 
+    /// `profile()` on a longer line: a second crossing edge of cost 0
+    /// and two idle links, so the panel has something to leave out.
+    fn sparse_profile() -> CommProfile {
+        let mut p = profile();
+        p.pes = 5;
+        p.edges.push(EdgeTraffic {
+            edge: 2,
+            src: 2,
+            dst: 0,
+            src_pe: 3,
+            dst_pe: 4,
+            hops: 0,
+            volume: 7,
+        });
+        for a in 2..4 {
+            p.links.push(LinkLoad {
+                a,
+                b: a + 1,
+                volume: 0,
+                messages: 0,
+            });
+        }
+        p
+    }
+
     #[test]
-    fn delta_heatmap_charges_signed_shifts_and_one_sided_links() {
+    fn panel_draws_only_nonzero_cells_and_loaded_links() {
+        let svg = panel("cap", &sparse_profile(), PanelOptions::default());
+        // One cell (PE1 -> PE3) over one backdrop; the matrix spans
+        // PE1 and PE3 only, labelled with their real numbers.
+        assert_eq!(svg.matches("<rect class=\"hm-c\"").count(), 2, "{svg}");
+        assert!(svg.contains("PE1 -&gt; PE3: cost 6"), "{svg}");
+        assert!(svg.contains(r#"data-pes="2""#), "{svg}");
+        assert!(svg.contains(">PE3</text>"), "{svg}");
+        assert!(!svg.contains(">PE2</text>"), "{svg}");
+        assert!(!svg.contains("cost 0"), "{svg}");
+        // Two loaded links drawn, the two idle ones counted instead.
+        assert_eq!(svg.matches("<title>link ").count(), 2, "{svg}");
+        assert!(!svg.contains("volume 0"), "{svg}");
+        assert!(svg.contains("2 of 4 link(s) carry no load"), "{svg}");
+        assert!(!panel("cap", &profile(), PanelOptions::default()).contains("carry no load"));
+    }
+
+    #[test]
+    fn panel_totals_come_from_the_full_traffic() {
+        let mut p = sparse_profile();
+        // An idle link with volume still counts into the link total,
+        // and a crossing edge of cost 0 into nothing.
+        p.links[3].volume = 5;
+        let svg = panel("cap", &p, PanelOptions::default());
+        assert!(svg.contains(r#"data-ledger-total="6""#), "{svg}");
+        assert!(svg.contains(r#"data-link-total="11""#), "{svg}");
+        // A signed panel carries its own traffic's totals, not the shift's.
+        let base = profile();
+        let svg = panel(
+            "pass 2",
+            &p,
+            PanelOptions {
+                routable: true,
+                baseline: Some(base.traffic()),
+                ..PanelOptions::default()
+            },
+        );
+        assert!(svg.contains(r#"data-ledger-total="6""#), "{svg}");
+        assert!(svg.contains(r#"data-link-total="11""#), "{svg}");
+        assert!(svg.contains(r#"data-routable="true""#), "{svg}");
+    }
+
+    #[test]
+    fn signed_panel_draws_only_the_shifts() {
         let p = profile();
-        let mut after = p.edges.clone();
-        // The crossing edge now lands one hop closer: cost 6 -> 3.
-        after[0].dst_pe = 1;
-        after[0].hops = 1;
-        let after_links = vec![LinkLoad {
-            a: 0,
-            b: 1,
-            volume: 3,
-            messages: 1,
-        }];
-        let svg = delta("A vs B", p.pes, &p.edges, &after, &p.links, &after_links);
+        let mut after = p.clone();
+        // The crossing edge now lands one hop closer: cost 6 -> 3, and
+        // link PE2-PE3 goes idle.
+        after.edges[0].dst_pe = 1;
+        after.edges[0].hops = 1;
+        after.links[1].volume = 0;
+        let opts = PanelOptions {
+            baseline: Some(p.traffic()),
+            side: Some("delta"),
+            ..PanelOptions::default()
+        };
+        let svg = panel("A vs B", &after, opts);
         assert!(svg.starts_with("<svg class=\"heatmap delta\""), "{svg}");
         assert!(svg.contains(r#"data-side="delta""#), "{svg}");
-        assert!(svg.contains(r#"data-routable="false""#), "{svg}");
-        // PE1->PE3 loses its 6, PE1->PE2 gains 3.
+        // PE1->PE3 loses its 6, PE1->PE2 gains 3; both cells named.
         assert!(svg.contains("PE1 -&gt; PE3: delta -6"), "{svg}");
         assert!(svg.contains("PE1 -&gt; PE2: delta +3"), "{svg}");
-        // Link PE2-PE3 exists only on side A: charged -3, tagged.
         assert!(
-            svg.contains("link PE2-PE3 (A only): volume delta -3"),
+            svg.contains("A vs B — 2 cell(s), 1 link(s) changed"),
             "{svg}"
         );
-        assert!(
-            svg.contains("link PE1-PE2 (both): volume delta +0"),
-            "{svg}"
-        );
+        assert!(svg.contains("delta scale: -6 .. +6"), "{svg}");
+        // Only the link that moved gets a bar; the other is counted.
+        assert!(svg.contains("link PE2-PE3: volume delta -3"), "{svg}");
+        assert!(!svg.contains("link PE1-PE2"), "{svg}");
+        assert!(svg.contains("1 of 2 link(s) unchanged"), "{svg}");
         let wh = svg
             .split_once(r#"width=""#)
             .and_then(|(_, r)| r.split_once('"'))
             .map(|(w, _)| w.to_string())
             .unwrap_or_default();
         assert!(svg.contains(&format!(r#"viewBox="0 0 {wh} "#)), "{svg}");
-        assert_eq!(
-            svg,
-            delta("A vs B", p.pes, &p.edges, &after, &p.links, &after_links)
-        );
+        assert_eq!(svg, panel("A vs B", &after, opts));
     }
 
     #[test]
-    fn delta_heatmap_of_identical_sides_is_all_zero() {
+    fn signed_panel_of_identical_sides_is_empty_not_missing() {
         let p = profile();
-        let svg = delta("same", p.pes, &p.edges, &p.edges, &p.links, &p.links);
+        let svg = panel(
+            "same",
+            &p,
+            PanelOptions {
+                baseline: Some(p.traffic()),
+                ..PanelOptions::default()
+            },
+        );
+        assert!(svg.contains("same — 0 cell(s), 0 link(s) changed"), "{svg}");
+        assert!(svg.contains(r#"data-pes="0""#), "{svg}");
+        assert!(!svg.contains("<rect"), "{svg}");
         assert!(!svg.contains("delta scale"), "{svg}");
-        assert!(svg.contains("delta +0"), "{svg}");
+        assert!(svg.contains("2 of 2 link(s) unchanged"), "{svg}");
+        assert!(svg.trim_end().ends_with("</svg>"), "{svg}");
+    }
+
+    #[test]
+    fn signed_cells_charge_one_sided_edges() {
+        // An edge only the baseline has is charged as removed, one only
+        // the panel's ledger has as added, exactly as `one_sided_edges`
+        // lists them.
+        let p = profile();
+        let mut after = p.clone();
+        after.edges[0].edge = 9;
+        let svg = panel(
+            "lone",
+            &after,
+            PanelOptions {
+                baseline: Some(p.traffic()),
+                ..PanelOptions::default()
+            },
+        );
+        // -6 and +6 on the same cell cancel: nothing shifted there.
+        assert!(svg.contains("lone — 0 cell(s)"), "{svg}");
+        after.edges[0].dst_pe = 1;
+        after.edges[0].hops = 1;
+        let svg = panel(
+            "lone",
+            &after,
+            PanelOptions {
+                baseline: Some(p.traffic()),
+                ..PanelOptions::default()
+            },
+        );
+        assert!(svg.contains("PE1 -&gt; PE3: delta -6"), "{svg}");
+        assert!(svg.contains("PE1 -&gt; PE2: delta +3"), "{svg}");
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::fold::{self, RunStory};
 use crate::html::{self, esc};
 use crate::{gantt_svg, ledger_comm, names_of, phase_label, Bar, DIFF_TOP_K};
 use ccs_bounds::OptimalityReport;
-use ccs_profile::render::{delta_heatmap_svg, heatmap_panel, PanelOptions};
+use ccs_profile::render::{heatmap_panel, PanelOptions};
 use ccs_profile::{diff_ledgers, one_sided_edges, routable, route_label, CommProfile, EdgeTraffic};
 use ccs_topology::{Machine, RoutingTable};
 use ccs_trace::TimedEvent;
@@ -181,9 +181,7 @@ fn side_heatmap(out: &mut String, side: &DiffSide<'_>, tag: &str) {
             side.profile.initial_length,
             side.profile.best_length
         ),
-        side.profile.pes,
-        &side.profile.edges,
-        &side.profile.links,
+        side.profile.traffic(),
         PanelOptions {
             routable: routable(side.machine),
             side: Some(tag),
@@ -198,14 +196,15 @@ fn heatmaps_section(out: &mut String, input: &DiffInput<'_>) {
     out.push_str("</div>\n<div class=\"col\">\n");
     side_heatmap(out, &input.b, "b");
     out.push_str("</div>\n</div>\n");
-    delta_heatmap_svg(
+    heatmap_panel(
         out,
         "link-load delta (B minus A)",
-        input.a.profile.pes.max(input.b.profile.pes),
-        &input.a.profile.edges,
-        &input.b.profile.edges,
-        &input.a.profile.links,
-        &input.b.profile.links,
+        input.b.profile.traffic(),
+        PanelOptions {
+            side: Some("delta"),
+            baseline: Some(input.a.profile.traffic()),
+            ..PanelOptions::default()
+        },
     );
 }
 

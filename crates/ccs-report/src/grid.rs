@@ -14,7 +14,7 @@
 //!   inputs, byte-identical across thread counts, everything escaped.
 
 use crate::html::{self, esc};
-use ccs_profile::render::{heatmap_panel, PanelOptions};
+use ccs_profile::render::{heatmap_panel, PanelOptions, Traffic};
 use ccs_profile::{EdgeTraffic, LinkLoad};
 use std::fmt::Write as _;
 
@@ -41,8 +41,6 @@ pub struct GridCellView {
     pub gap_pct: f64,
     /// Trace counters of the run, in deterministic (BTree) order.
     pub counters: Vec<(String, u64)>,
-    /// Processor count, for the heatmap matrix.
-    pub pes: u32,
     /// Final best-schedule edge ledger.
     pub edges: Vec<EdgeTraffic>,
     /// Final best-schedule link loads.
@@ -149,9 +147,10 @@ fn tile(out: &mut String, cell: &GridCellView) {
     heatmap_panel(
         out,
         &format!("best schedule: comm over {} link(s)", cell.links.len()),
-        cell.pes,
-        &cell.edges,
-        &cell.links,
+        Traffic {
+            edges: &cell.edges,
+            links: &cell.links,
+        },
         PanelOptions {
             routable: cell.routable,
             cell: Some(&cell.id()),
@@ -196,7 +195,6 @@ mod tests {
             gap,
             gap_pct: pct,
             counters: vec![("scan.candidates".to_string(), 42)],
-            pes: 2,
             edges: vec![EdgeTraffic {
                 edge: 0,
                 src: 0,

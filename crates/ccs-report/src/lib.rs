@@ -10,8 +10,11 @@
 //!    rotate-remap pass showing the rotated nodes' new placements,
 //!    with hover titles naming the candidate scan's `AN`-window
 //!    verdicts for every PE considered.
-//! 2. `#heatmaps` — a link-load heatmap SVG per accepted phase,
-//!    rendered from that phase's edge ledger.
+//! 2. `#heatmaps` — one link-load heatmap SVG per accepted phase,
+//!    sized by the traffic rather than the machine: the start-up
+//!    ledger in full, each later accepted pass as the signed shift
+//!    from the previous accepted phase (only the cells and links that
+//!    changed), and the final best ledger in full.
 //! 3. `#trajectory` — the pass trajectory table (length, comm/compute
 //!    balance) and per-pass ledger diffs: which edges' hop·volume
 //!    moved, where, and by how much.
@@ -33,8 +36,10 @@ pub mod grid;
 pub mod html;
 
 use ccs_bounds::{OptimalityReport, Verdict as BoundsVerdict, Witness};
-use ccs_profile::render::{heatmap_panel, PanelOptions};
-use ccs_profile::{diff_ledgers, link_loads, route_label, CommProfile, EdgeTraffic, LinkRoutes};
+use ccs_profile::render::{heatmap_panel, PanelOptions, Traffic};
+use ccs_profile::{
+    diff_ledgers, link_loads, route_label, CommProfile, EdgeTraffic, LinkRoutes, PassLedger,
+};
 use ccs_topology::Machine;
 use ccs_trace::TimedEvent;
 use fold::{PassStory, Remap, RunStory};
@@ -315,36 +320,61 @@ fn phase_label(pass: u32) -> String {
     }
 }
 
+/// The start-up ledger in full, each later accepted pass as the signed
+/// shift from the previous accepted phase (the edges [`diff_ledgers`]
+/// reports), and the final best ledger in full.  Every panel carries
+/// its own phase's full conservation totals.
 fn heatmaps_section(
     out: &mut String,
     profile: &CommProfile,
     machine: &Machine,
     routes: Option<&LinkRoutes>,
 ) {
-    if profile.pass_ledgers.is_empty() {
+    let Some((first, passes)) = profile.pass_ledgers.split_first() else {
         out.push_str("<p>no accepted phases recorded</p>\n");
         return;
-    }
-    for l in &profile.pass_ledgers {
-        let caption = format!(
+    };
+    let opts = PanelOptions {
+        routable: routes.is_some(),
+        ..PanelOptions::default()
+    };
+    let caption = |l: &PassLedger| {
+        format!(
             "{}: length {}, comm {}",
             phase_label(l.pass),
             l.length,
             ledger_comm(&l.edges)
-        );
+        )
+    };
+    let mut prev_loads = link_loads(machine, routes, &first.edges);
+    let start = Traffic {
+        edges: &first.edges,
+        links: &prev_loads,
+    };
+    heatmap_panel(out, &caption(first), start, opts);
+    let mut prev = first;
+    for l in passes {
         let loads = link_loads(machine, routes, &l.edges);
-        heatmap_panel(
-            out,
-            &caption,
-            profile.pes,
-            &l.edges,
-            &loads,
-            PanelOptions {
-                routable: routes.is_some(),
-                ..PanelOptions::default()
-            },
-        );
+        let shift = PanelOptions {
+            baseline: Some(Traffic {
+                edges: &prev.edges,
+                links: &prev_loads,
+            }),
+            ..opts
+        };
+        let what = format!("{}, shift from {}", caption(l), phase_label(prev.pass));
+        let traffic = Traffic {
+            edges: &l.edges,
+            links: &loads,
+        };
+        heatmap_panel(out, &what, traffic, shift);
+        (prev, prev_loads) = (l, loads);
     }
+    let final_caption = format!(
+        "final best schedule: length {}, comm {}",
+        profile.best_length, profile.total_comm
+    );
+    heatmap_panel(out, &final_caption, profile.traffic(), opts);
 }
 
 fn trajectory_section(

@@ -1,7 +1,9 @@
 //! Golden HTML report for the paper's running example on the 2x2
 //! mesh.  The report is a pure function of the (deterministic) event
 //! stream, the machine, and the certificate — independent of build
-//! profile and thread count — so the exact bytes are pinned.
+//! profile and thread count — so the exact bytes are pinned.  A
+//! many-PE page is held to a byte budget instead: its heatmaps must
+//! follow the traffic, not the machine.
 //!
 //! To regenerate after an intentional renderer or scheduler change:
 //!
@@ -15,16 +17,17 @@ use ccs_report::{check::check_html, render_report, ReportInput};
 use ccs_topology::Machine;
 use std::path::PathBuf;
 
-fn fig1_report(machine: &Machine) -> String {
-    let g = ccs_workloads::paper::fig1_example();
+/// The report of one recorded run of `g` on `machine`, with the
+/// accepted phases the profile kept.
+fn report_of(name: &str, g: &ccs_model::Csdfg, machine: &Machine) -> (String, usize) {
     let (outcome, events) =
-        ccs_trace::record(|| cyclo_compact(&g, machine, CompactConfig::default()));
+        ccs_trace::record(|| cyclo_compact(g, machine, CompactConfig::default()));
     let result = outcome.expect("legal");
     let profile = ccs_profile::build(&events, machine);
-    let certificate = ccs_bounds::certify_period(&g, machine, result.best_length);
-    render_report(
+    let certificate = ccs_bounds::certify_period(g, machine, result.best_length);
+    let html = render_report(
         &ReportInput {
-            title: &format!("fig1 on {}", machine.name()),
+            title: &format!("{name} on {}", machine.name()),
             events: &events,
             machine,
             profile: &profile,
@@ -34,7 +37,12 @@ fn fig1_report(machine: &Machine) -> String {
             g.name(ccs_graph::NodeId::from_index(n as usize))
                 .to_string()
         },
-    )
+    );
+    (html, profile.pass_ledgers.len())
+}
+
+fn fig1_report(machine: &Machine) -> String {
+    report_of("fig1", &ccs_workloads::paper::fig1_example(), machine).0
 }
 
 fn golden_path(name: &str) -> PathBuf {
@@ -189,4 +197,47 @@ fn gantt_bars_lie_inside_their_strips() {
     assert!(bars > 6, "start-up bars plus pass-strip bars, saw {bars}");
     let diff = fig1_diff_report(&machine, &Machine::complete(4));
     assert!(gantt_bars_inside(&diff) >= 12, "both start-up strips");
+}
+
+/// Byte budget of the `elliptic` × `hypercube:6` page: about twice the
+/// 0.71 MB it measures (the parent's page, with one full PE×PE panel
+/// per accepted pass, was 36.4 MB).
+const ELLIPTIC_HYPERCUBE6_BUDGET: usize = 1_500_000;
+
+#[test]
+fn many_pe_report_is_sized_by_the_traffic() {
+    let machine = ccs_topology::parse_spec("hypercube:6").expect("spec");
+    let g = ccs_workloads::workload_by_name("elliptic")
+        .expect("catalogue kernel")
+        .build();
+    let (html, phases) = report_of("elliptic", &g, &machine);
+    check_html(&html).unwrap_or_else(|e| panic!("report fails report-check: {e:?}"));
+    let panels: Vec<&str> = html
+        .split("<svg class=\"heatmap")
+        .skip(1)
+        .map(|p| &p[..p.find("</svg>").expect("closed svg")])
+        .collect();
+    assert_eq!(
+        panels.len(),
+        phases + 1,
+        "one panel per accepted phase plus the final one"
+    );
+    let tasks = g.tasks().count() as u32;
+    for p in &panels {
+        let pes = num_attr(p, "data-pes");
+        assert!(
+            pes <= tasks,
+            "a matrix spans {pes} PEs, more than {tasks} tasks"
+        );
+        assert!(!p.contains(": volume 0,"), "an idle link got a bar");
+        assert!(
+            !p.contains("volume delta +0<"),
+            "an unchanged link got a bar"
+        );
+    }
+    assert!(
+        html.len() < ELLIPTIC_HYPERCUBE6_BUDGET,
+        "page is {} bytes, over its {ELLIPTIC_HYPERCUBE6_BUDGET}-byte budget",
+        html.len()
+    );
 }
