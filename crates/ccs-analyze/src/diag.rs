@@ -29,6 +29,10 @@ pub mod codes {
     /// `u32`, and every chain length, ASAP/ALAP step and `ceil(B)` is
     /// at most that sum, so below it no step arithmetic can overflow.
     pub const TIME_OVERFLOW: &str = "CCS007";
+    /// The dense schedule table would need more than
+    /// `MAX_TABLE_CELLS` cells (`Σ t(v)` steps × PEs): the run would
+    /// allocate gigabytes or abort before scheduling anything.
+    pub const TABLE_TOO_LARGE: &str = "CCS008";
     /// The machine topology is disconnected: some PE pair has no
     /// connecting path, so `M(p_i, p_j)` (Definition 3.5) is undefined.
     pub const MACHINE_DISCONNECTED: &str = "CCS010";

@@ -9,6 +9,7 @@ use ccs_model::spec::CsdfgSpec;
 use ccs_model::{Csdfg, ModelError, NodeId};
 use ccs_retiming::iteration_bound;
 use ccs_schedule::{validate, Schedule, Violation};
+use ccs_topology::spec::MAX_TABLE_CELLS;
 use ccs_topology::{Machine, Pe};
 use std::collections::BTreeMap;
 
@@ -229,10 +230,27 @@ fn degenerate_hops(rows: &[&[u32]]) -> Vec<(Pe, Pe)> {
     bad
 }
 
-/// Graph × machine cross checks: PSL/iteration-bound lower bounds
-/// against single-PE serialization, machine sizing.
+/// Graph × machine cross checks: the schedule-table budget,
+/// PSL/iteration-bound lower bounds against single-PE serialization,
+/// machine sizing.
 pub fn analyze_cross(g: &Csdfg, m: &Machine) -> Report {
     let mut r = Report::new();
+    let serial = g.total_time();
+    let cells = serial.saturating_mul(u64::try_from(m.num_pes()).unwrap_or(u64::MAX));
+    if cells > MAX_TABLE_CELLS {
+        r.push(
+            Diagnostic::error(
+                codes::TABLE_TOO_LARGE,
+                Subject::Machine,
+                format!(
+                    "a schedule table of {serial} steps (Σ t(v)) × {} PEs = {cells} cells \
+                     exceeds the budget of {MAX_TABLE_CELLS} cells",
+                    m.num_pes()
+                ),
+            )
+            .with_suggestion("scale the task times down by a common factor, or use fewer PEs"),
+        );
+    }
     let tasks = g.task_count();
     if tasks > 0 && m.num_pes() > tasks {
         r.push(Diagnostic::warning(
@@ -251,7 +269,6 @@ pub fn analyze_cross(g: &Csdfg, m: &Machine) -> Report {
     if g.task_count() == 0 || g.check_legal().is_err() {
         return r;
     }
-    let serial = g.total_time();
     if let Some(bound) = iteration_bound(g) {
         // Any static schedule satisfies L >= ceil(B) (the PSL bound of
         // the critical cycle, Lemma 4.3 with zero communication); a
@@ -551,6 +568,53 @@ mod tests {
         let g = two_node_loop();
         let r = analyze_cross(&g, &Machine::complete(5));
         assert!(r.warnings().any(|d| d.code == codes::W_MORE_PES_THAN_TASKS));
+    }
+
+    #[test]
+    fn schedule_tables_past_the_cell_budget_are_ccs008() {
+        let pair = |ta: u32, tb: u32| {
+            let mut g = Csdfg::new();
+            let a = g.add_task("A", ta).unwrap();
+            let b = g.add_task("B", tb).unwrap();
+            g.add_dep(a, b, 0, 1).unwrap();
+            g.add_dep(b, a, 2, 1).unwrap();
+            g
+        };
+        let too_large = |g: &Csdfg, spec: &str| {
+            let m = ccs_topology::parse_spec(spec).unwrap();
+            analyze_cross(g, &m)
+                .errors()
+                .any(|d| d.code == codes::TABLE_TOO_LARGE)
+        };
+        // Below CCS007's u32 limit, yet 32 GB of table on four PEs.
+        assert!(too_large(&pair(4_000_000_000, 1), "ring:4"));
+        assert!(too_large(&pair(1_000_000, 1_000_000), "mesh:8x8"));
+        // The budget itself is admitted, one step past it is not.
+        let at = u32::try_from(MAX_TABLE_CELLS / 64).unwrap();
+        assert!(!too_large(&pair(at - 1, 1), "mesh:8x8"));
+        assert!(too_large(&pair(at, 1), "mesh:8x8"));
+        // Every catalogue kernel on the paper machines and the largest
+        // observed ones, and the benchmark's biggest random shapes.
+        let mut machines = Machine::paper_suite();
+        for spec in ["mesh:4x4", "complete:64", "hypercube:6", "mesh:32x32"] {
+            machines.push(ccs_topology::parse_spec(spec).unwrap());
+        }
+        for w in ccs_workloads::all_workloads() {
+            let g = w.build();
+            for m in &machines {
+                let r = analyze_cross(&g, m);
+                assert!(!r.has_errors(), "{} on {}", w.name, m.name());
+            }
+        }
+        for (nodes, spec) in [(96, "mesh:32x32"), (218, "mesh:8x8"), (218, "complete:64")] {
+            let config = ccs_workloads::random::RandomGraphConfig {
+                nodes,
+                back_edges: nodes / 3,
+                ..Default::default()
+            };
+            let g = ccs_workloads::random::random_csdfg(config, 1);
+            assert!(!too_large(&g, spec), "{nodes} nodes on {spec}");
+        }
     }
 
     #[test]

@@ -31,9 +31,9 @@
 //! and a metered grid sweep lands as `"cells"` (per-cell counters,
 //! deterministic — the part `bench-report` diffs between reports).
 //! `"artifact_bytes"` records what a recorded `elliptic` run writes on
-//! three machine sizes — the report page, the diff page and the
-//! heatmap SVG, rendered in-process — and `bench-report` gates its
-//! growth.
+//! three machine sizes — the report page, the diff page, the heatmap
+//! SVG, the `--trace` file and the `--explain` text, rendered
+//! in-process — and `bench-report` gates their growth.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -116,9 +116,10 @@ const BENCH_SECTIONS: [&str; 13] = [
 /// Bytes of the artifacts one recorded `elliptic` run writes on each
 /// machine, rendered in-process as the CLI renders them: the
 /// `--report` page, the `--report-diff --diff-policy reference` page
-/// (side B reruns the same machine with the unpruned reference scan)
-/// and the `--heatmap-svg` file.  Pure functions of deterministic
-/// event streams, so the counts are exact.
+/// (side B reruns the same machine with the unpruned reference scan),
+/// the `--heatmap-svg` file, the `--trace` file (logical clock) and
+/// the `--explain` narrative with its ledger-diff notes.  Pure
+/// functions of deterministic event streams, so the counts are exact.
 fn artifact_bytes() -> Vec<(String, Value)> {
     let g = ccs_workloads::workload_by_name("elliptic")
         .expect("catalogue kernel")
@@ -174,10 +175,14 @@ fn artifact_bytes() -> Vec<(String, Value)> {
             name,
         );
         let svg = ccs_profile::render::heatmap_svg(&pa, ccs_profile::routable(&m));
+        let trace = ccs_trace::chrome::to_chrome(&ea, ccs_trace::chrome::Clock::Logical);
+        let explain = ccs_profile::explain_run(&ea, &pa, &m, name);
         for (what, len) in [
             ("report", report.len()),
             ("diff", diff.len()),
             ("heatmap_svg", svg.len()),
+            ("trace", trace.len()),
+            ("explain", explain.len()),
         ] {
             bytes.push((format!("elliptic/{spec}/{what}"), Value::UInt(len as u64)));
         }

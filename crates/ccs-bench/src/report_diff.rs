@@ -14,7 +14,8 @@
 //!   reports (timings are machine-dependent, so the threshold is
 //!   generous by default and CI pins the machine type);
 //! * **artifact growth** — any artifact (`artifact_bytes`: a report
-//!   page, diff page or heatmap SVG) whose bytes grow by more than
+//!   page, diff page, heatmap SVG, trace file or explain text) whose
+//!   bytes grow by more than
 //!   [`MAX_ARTIFACT_GROWTH_PCT`] between adjacent reports.  The bytes
 //!   are deterministic, so this gate has no noise to allow for.
 //!

@@ -8,14 +8,14 @@ use ccs_core::{cyclo_compact, CompactConfig};
 use ccs_model::NodeId;
 use ccs_topology::Machine;
 use ccs_trace::chrome::{to_chrome, validate_chrome, Clock};
-use ccs_trace::explain::explain_with;
 use ccs_trace::{record, Event};
 
 /// Two passes of the paper example keep the golden readable while
 /// still covering startup, rotation, candidate scans, placements,
 /// stats, occupancy, the best-snapshot path, and the traffic ledger
-/// snapshots (per accepted schedule + the final authoritative one
-/// before `compact.end`, with per-PE loads).
+/// (the start-up snapshot, the rows each accepted pass moved, and the
+/// final authoritative snapshot before `compact.end`, with per-PE
+/// loads).
 fn two_pass_config() -> CompactConfig {
     CompactConfig {
         passes: 2,
@@ -88,13 +88,7 @@ remap.place node=n0 pe=1 cs=1 dur=1 target=6 impact=3 comm=5 runner_up=pe3@cs1(i
 traffic.edge edge=e0 n0->n1 pe=1->0 hops=1 vol=1 cost=1 crossing=true
 traffic.edge edge=e1 n0->n2 pe=1->1 hops=0 vol=1 cost=0 crossing=false
 traffic.edge edge=e2 n0->n4 pe=1->0 hops=1 vol=1 cost=1 crossing=true
-traffic.edge edge=e3 n1->n3 pe=0->0 hops=0 vol=1 cost=0 crossing=false
-traffic.edge edge=e4 n1->n4 pe=0->0 hops=0 vol=2 cost=0 crossing=false
-traffic.edge edge=e5 n2->n4 pe=1->0 hops=1 vol=1 cost=1 crossing=true
 traffic.edge edge=e6 n3->n0 pe=0->1 hops=1 vol=3 cost=3 crossing=true
-traffic.edge edge=e7 n3->n5 pe=0->0 hops=0 vol=2 cost=0 crossing=false
-traffic.edge edge=e8 n4->n5 pe=0->0 hops=0 vol=1 cost=0 crossing=false
-traffic.edge edge=e9 n5->n4 pe=0->0 hops=0 vol=1 cost=0 crossing=false
 pass.stats edges=16 slots=4 scratch=0 oracle=2
 pass.end pass=1 accepted=true len=6
 schedule.occupancy pass=1 busy=8 holes=0 used_pes=2 len=6
@@ -116,11 +110,7 @@ traffic.edge edge=e1 n0->n2 pe=0->1 hops=1 vol=1 cost=1 crossing=true
 traffic.edge edge=e2 n0->n4 pe=0->0 hops=0 vol=1 cost=0 crossing=false
 traffic.edge edge=e3 n1->n3 pe=2->0 hops=1 vol=1 cost=1 crossing=true
 traffic.edge edge=e4 n1->n4 pe=2->0 hops=1 vol=2 cost=2 crossing=true
-traffic.edge edge=e5 n2->n4 pe=1->0 hops=1 vol=1 cost=1 crossing=true
 traffic.edge edge=e6 n3->n0 pe=0->0 hops=0 vol=3 cost=0 crossing=false
-traffic.edge edge=e7 n3->n5 pe=0->0 hops=0 vol=2 cost=0 crossing=false
-traffic.edge edge=e8 n4->n5 pe=0->0 hops=0 vol=1 cost=0 crossing=false
-traffic.edge edge=e9 n5->n4 pe=0->0 hops=0 vol=1 cost=0 crossing=false
 pass.stats edges=24 slots=8 scratch=0 oracle=2
 pass.end pass=2 accepted=true len=5
 schedule.occupancy pass=2 busy=8 holes=0 used_pes=3 len=5
@@ -192,13 +182,7 @@ fn fig1_two_pass_explain_is_golden() {
     let events = record_stream();
     let name = |n: u32| g.name(NodeId::from_index(n as usize)).to_string();
     let profile = ccs_profile::build(&events, &machine);
-    let notes = ccs_profile::pass_diff_notes(&profile, &machine, 5, name);
-    let actual = explain_with(&events, name, |pass| {
-        notes
-            .iter()
-            .find(|(p, _)| *p == pass)
-            .map(|(_, note)| note.clone())
-    });
+    let actual = ccs_profile::explain_run(&events, &profile, &machine, name);
     assert_eq!(
         actual,
         include_str!("golden/fig1_mesh2x2_two_pass.explain.txt"),

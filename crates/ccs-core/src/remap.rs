@@ -317,9 +317,9 @@ pub(crate) fn remap_probed<P: Probe>(
             }
             sched.pad_to(required);
             crate::oracle::verify("rotate_remap_in_place: accepted remap", g, machine, sched);
-            // Attribution snapshot of the accepted placement: where
-            // every edge's communication lands after this pass.
-            crate::traffic::emit_edge_traffic(g, machine, sched, probe);
+            // Attribution delta of the accepted placement: the edges
+            // whose communication this pass moved to another PE pair.
+            crate::traffic::emit_moved_edge_traffic(g, machine, sched, &saved, probe);
             if P::ACTIVE {
                 stats.oracle_calls += u64::from(crate::oracle::ENABLED);
                 probe.emit(Event::PassStats(stats));

@@ -1,37 +1,55 @@
-//! Per-edge traffic attribution snapshots.
+//! Per-edge traffic attribution.
 //!
 //! The paper's cost model charges every dependence edge `e = (u, v)`
 //! a communication cost `M(PE(u), PE(v)) = hops · c(e)`.  The trace
-//! layer makes that charge *observable*: [`emit_edge_traffic`] walks
-//! the graph in deterministic edge order and emits one
-//! [`Event::EdgeTraffic`] per edge whose endpoints are both placed,
-//! recording where the edge's communication lands on the machine under
-//! the current placement.  Snapshots are emitted
+//! layer makes that charge *observable* as [`Event::EdgeTraffic`]
+//! rows, each recording where one edge's communication lands on the
+//! machine under the current placement:
 //!
-//! * after start-up placement (the initial traffic picture),
-//! * after every **accepted** rotate-remap pass (how remapping moved
-//!   traffic), and
-//! * once for the final best schedule (the authoritative ledger the
-//!   `ccs-profile` crate folds into a `CommProfile`), followed by
-//!   [`emit_pe_loads`] per-PE load summaries.
+//! * [`emit_edge_traffic`] writes a full snapshot, one row per edge in
+//!   `g.deps()` order, after start-up placement (the initial traffic
+//!   picture) and once for the final best schedule (the authoritative
+//!   ledger the `ccs-profile` crate folds into a `CommProfile`),
+//!   followed by [`emit_pe_loads`] per-PE load summaries;
+//! * [`emit_moved_edge_traffic`] writes the delta of an **accepted**
+//!   rotate-remap pass: only the edges whose `(src PE, dst PE)` pair
+//!   the pass changed.  A pass remaps only its rotation set `J`, so
+//!   only edges incident to `J` can move; most passes move few edges
+//!   or none.
 //!
-//! Both helpers gate all work on `P::ACTIVE`, so the `Off` probe
-//! compiles them away entirely — the uninstrumented hot path never
-//! iterates edges for tracing.
+//! Consumers upsert every row into one running ledger
+//! (`ccs_trace::TrafficLedger`), which then holds the full ledger of
+//! each phase.  The helpers gate all work on `P::ACTIVE`, so the `Off`
+//! probe compiles them away entirely — the uninstrumented hot path
+//! never iterates edges for tracing.
 
 use crate::remap::nid;
-use ccs_model::Csdfg;
-use ccs_schedule::Schedule;
-use ccs_topology::Machine;
+use ccs_model::{Csdfg, EdgeId, NodeId};
+use ccs_schedule::{Schedule, Slot};
+use ccs_topology::{Machine, Pe};
 use ccs_trace::{EdgeTraffic, Event, PeLoad, Probe};
 
-/// Emits one [`Event::EdgeTraffic`] per dependence edge of `g` whose
-/// endpoints are both placed in `sched`, in `g.deps()` order.
+/// The row of edge `e` with its endpoints on `src_pe` and `dst_pe`.
 ///
 /// `hops` is the machine distance between the hosting PEs
 /// (`u32::MAX` when the machine is disconnected between them — the
 /// validator rejects such placements, so this is a sentinel, not a
 /// cost).
+fn edge_row(g: &Csdfg, machine: &Machine, e: EdgeId, src_pe: Pe, dst_pe: Pe) -> EdgeTraffic {
+    let (u, v) = g.endpoints(e);
+    EdgeTraffic {
+        edge: u32::try_from(e.index()).unwrap_or(u32::MAX),
+        src: nid(u),
+        dst: nid(v),
+        src_pe: src_pe.0,
+        dst_pe: dst_pe.0,
+        hops: machine.try_distance(src_pe, dst_pe).unwrap_or(u32::MAX),
+        volume: g.volume(e),
+    }
+}
+
+/// Emits one [`Event::EdgeTraffic`] per dependence edge of `g` whose
+/// endpoints are both placed in `sched`, in `g.deps()` order.
 pub(crate) fn emit_edge_traffic<P: Probe>(
     g: &Csdfg,
     machine: &Machine,
@@ -41,19 +59,49 @@ pub(crate) fn emit_edge_traffic<P: Probe>(
     if P::ACTIVE {
         for e in g.deps() {
             let (u, v) = g.endpoints(e);
-            let (Some(su), Some(sv)) = (sched.slot(u), sched.slot(v)) else {
+            let (Some(pu), Some(pv)) = (sched.pe(u), sched.pe(v)) else {
                 continue;
             };
-            let hops = machine.try_distance(su.pe, sv.pe).unwrap_or(u32::MAX);
-            probe.emit(Event::EdgeTraffic(EdgeTraffic {
-                edge: u32::try_from(e.index()).unwrap_or(u32::MAX),
-                src: nid(u),
-                dst: nid(v),
-                src_pe: su.pe.0,
-                dst_pe: sv.pe.0,
-                hops,
-                volume: g.volume(e),
-            }));
+            probe.emit(Event::EdgeTraffic(edge_row(g, machine, e, pu, pv)));
+        }
+    }
+}
+
+/// Emits the [`Event::EdgeTraffic`] delta of an accepted pass: one row
+/// per edge whose endpoint PE pair in `sched` differs from its pair
+/// before the pass, in `g.deps()` order.
+///
+/// `saved` holds the slots the rotated nodes had before the pass; every
+/// other node kept its PE (the pass only shifted it in time), so only
+/// edges incident to a saved node are examined.
+pub(crate) fn emit_moved_edge_traffic<P: Probe>(
+    g: &Csdfg,
+    machine: &Machine,
+    sched: &Schedule,
+    saved: &[(NodeId, Slot)],
+    probe: &mut P,
+) {
+    if P::ACTIVE {
+        let mut before: Vec<(NodeId, Pe)> = saved.iter().map(|&(v, s)| (v, s.pe)).collect();
+        before.sort_unstable_by_key(|&(v, _)| v);
+        let mut edges: Vec<EdgeId> = before
+            .iter()
+            .flat_map(|&(v, _)| g.in_deps(v).chain(g.out_deps(v)))
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        let pe_before = |v: NodeId| match before.binary_search_by_key(&v, |&(w, _)| w) {
+            Ok(i) => Some(before[i].1),
+            Err(_) => sched.pe(v),
+        };
+        for e in edges {
+            let (u, v) = g.endpoints(e);
+            let (Some(pu), Some(pv)) = (sched.pe(u), sched.pe(v)) else {
+                continue;
+            };
+            if (pe_before(u), pe_before(v)) != (Some(pu), Some(pv)) {
+                probe.emit(Event::EdgeTraffic(edge_row(g, machine, e, pu, pv)));
+            }
         }
     }
 }

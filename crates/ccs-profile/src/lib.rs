@@ -5,9 +5,11 @@
 //! The scheduler's whole premise is that schedule quality is governed
 //! by *where communication lands*: every dependence edge `e = (u, v)`
 //! pays `M(PE(u), PE(v)) = hops · c(e)` control steps.  The trace
-//! layer (`ccs-trace`) emits per-edge attribution snapshots
-//! (`traffic.edge` / `traffic.pe` events); this crate folds that
-//! stream into a [`CommProfile`]:
+//! layer (`ccs-trace`) emits per-edge attribution rows (`traffic.edge`:
+//! full snapshots at start-up and for the final best schedule, and per
+//! accepted pass only the edges it moved) and per-PE loads
+//! (`traffic.pe`).  This crate upserts the rows into one running
+//! [`TrafficLedger`] and folds the stream into a [`CommProfile`]:
 //!
 //! * a **per-edge traffic ledger** of the final best schedule (who
 //!   talks to whom, over how many hops, at what cost), whose rows are
@@ -28,11 +30,12 @@
 //! heatmap for `cyclosched schedule --profile out.json --heatmap`, and
 //! the SVG heatmap embedded by `ccs-report` / `--heatmap-svg`).
 //!
-//! Beyond the final ledger, the builder retains the full edge snapshot
-//! of every *accepted* phase ([`PassLedger`]); [`diff_ledgers`] turns
-//! two snapshots into a ranked list of [`LedgerDelta`] rows ("which
-//! edges' hop·volume moved, where, and by how much") consumed by the
-//! HTML report and the `--explain` narrative.
+//! Beyond the final ledger, the builder retains the full ledger of
+//! every *accepted* phase ([`PassLedger`]), as the running ledger
+//! stands at its `pass.end`; [`diff_ledgers`] turns two ledgers into a
+//! ranked list of [`LedgerDelta`] rows ("which edges' hop·volume
+//! moved, where, and by how much") consumed by the HTML report and the
+//! `--explain` narrative ([`explain_run`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -40,7 +43,7 @@
 pub mod render;
 
 use ccs_topology::{Machine, Pe, RoutingTable};
-use ccs_trace::{Event, PeLoad, Sink, TimedEvent};
+use ccs_trace::{Event, PeLoad, Sink, TimedEvent, TrafficLedger};
 use serde::Value;
 
 /// One row of the per-edge traffic ledger: the `traffic.edge` record
@@ -86,21 +89,21 @@ impl LinkLoad {
     }
 }
 
-/// The complete edge snapshot of one accepted phase: the start-up
+/// The complete edge ledger of one accepted phase: the start-up
 /// schedule (`pass` 0) or one accepted rotate-remap pass.
 ///
-/// Reverted passes emit no snapshot, so they never appear here.  The
-/// ledgers feed the per-pass heatmaps and ledger diffs of the HTML
-/// report; they are deliberately *not* part of the profile's JSON
-/// export (the `version: 1` schema is pinned by golden tests and
-/// `profile-check`).
+/// A reverted pass leaves the previous accepted phase's placement in
+/// place, so it never appears here.  The ledgers feed the per-pass
+/// heatmaps and ledger diffs of the HTML report; they are deliberately
+/// *not* part of the profile's JSON export (the `version: 1` schema is
+/// pinned by golden tests and `profile-check`).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PassLedger {
     /// Phase number: 0 = start-up, `k` = rotate-remap pass `k`.
     pub pass: u32,
     /// Schedule length after the phase.
     pub length: u32,
-    /// The full per-edge snapshot, in the graph's edge order.
+    /// The full per-edge ledger, in the graph's edge order.
     pub edges: Vec<EdgeTraffic>,
 }
 
@@ -242,9 +245,9 @@ impl PeProfile {
 /// Comm/compute balance of one phase: the start-up schedule (`pass` 0)
 /// or one rotate-remap pass.
 ///
-/// Reverted passes emit no attribution snapshot (the schedule rolled
-/// back to its pre-pass state), so their traffic fields are zero and
-/// `accepted` is `false`.
+/// A reverted pass rolled the schedule back to the previous accepted
+/// phase, so its traffic fields repeat that phase's and `accepted` is
+/// `false`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PassProfile {
     /// Phase number: 0 = start-up, `k` = rotate-remap pass `k`.
@@ -306,7 +309,7 @@ pub struct CommProfile {
     pub pe_rows: Vec<PeProfile>,
     /// Comm/compute balance per phase (`pass` 0 = start-up).
     pub passes: Vec<PassProfile>,
-    /// Full edge snapshots of the accepted phases, in pass order.
+    /// Full edge ledgers of the accepted phases, in pass order.
     /// Not part of the JSON export — see [`PassLedger`].
     pub pass_ledgers: Vec<PassLedger>,
 }
@@ -380,14 +383,16 @@ impl CommProfile {
 /// Folds the event stream into a [`CommProfile`].
 ///
 /// Install one as a sink (it implements [`Sink`]) or feed it a
-/// recorded stream via [`build`].  The builder tracks the stream's
-/// phase brackets: each `traffic.edge` snapshot belongs to the
-/// start-up schedule, one rotate-remap pass, or (after the last pass)
-/// the final best schedule, whose snapshot becomes the authoritative
-/// ledger.
+/// recorded stream via [`build`].  Every `traffic.edge` row is upserted
+/// into one running [`TrafficLedger`]; the builder reads it at the
+/// stream's phase brackets: at `startup.end`, at every `pass.end`, and
+/// at `compact.end`, after the final best-schedule snapshot, where it
+/// becomes the authoritative ledger.
 #[derive(Default)]
 pub struct ProfileBuilder {
-    cur_edges: Vec<EdgeTraffic>,
+    ledger: TrafficLedger,
+    /// The ledger as it stood at `compact.end`.
+    final_ledger: Vec<EdgeTraffic>,
     pe_loads: Vec<PeLoad>,
     passes: Vec<PassProfile>,
     pass_ledgers: Vec<PassLedger>,
@@ -498,10 +503,31 @@ impl ProfileBuilder {
         ProfileBuilder::default()
     }
 
+    /// The phase row of the ledger as it stands.
+    fn phase(&self, pass: u32, accepted: bool, length: u32) -> PassProfile {
+        PassProfile {
+            pass,
+            accepted,
+            length,
+            comm: self.ledger.cost(),
+            crossing: self.ledger.crossing(),
+            local: self.ledger.local(),
+        }
+    }
+
+    /// Keeps the full ledger of an accepted phase.
+    fn keep_ledger(&mut self, pass: u32, length: u32) {
+        self.pass_ledgers.push(PassLedger {
+            pass,
+            length,
+            edges: self.ledger.rows().to_vec(),
+        });
+    }
+
     /// Consumes the builder, resolving link routes against `machine`
     /// (the machine the profiled run was scheduled on).
     pub fn finish(self, machine: &Machine) -> CommProfile {
-        let edges = self.cur_edges;
+        let edges = self.final_ledger;
         let (total_comm, crossing_edges, local_edges) = fold(&edges);
         let links = link_loads(machine, LinkRoutes::new(machine).as_ref(), &edges);
 
@@ -553,60 +579,36 @@ impl ProfileBuilder {
 impl Sink for ProfileBuilder {
     fn event(&mut self, ev: Event) {
         match ev {
-            Event::StartupBegin { .. } | Event::PassBegin { .. } => self.cur_edges.clear(),
-            Event::EdgeTraffic(t) => self.cur_edges.push(t),
+            Event::StartupBegin { .. } | Event::EdgeTraffic(_) => self.ledger.observe(&ev),
             Event::StartupEnd { length } => {
                 self.initial_length = length;
                 self.best_length = length; // until compaction improves it
-                let (comm, crossing, local) = fold(&self.cur_edges);
-                self.passes.push(PassProfile {
-                    pass: 0,
-                    accepted: true,
-                    length,
-                    comm,
-                    crossing,
-                    local,
-                });
-                self.pass_ledgers.push(PassLedger {
-                    pass: 0,
-                    length,
-                    edges: std::mem::take(&mut self.cur_edges),
-                });
+                self.passes.push(self.phase(0, true, length));
+                self.keep_ledger(0, length);
             }
+            // A reverted pass left the previous accepted phase's
+            // placement in place, and its row reports that ledger.
             Event::PassEnd {
                 pass,
                 accepted,
                 length,
             } => {
-                let (comm, crossing, local) = fold(&self.cur_edges);
-                self.passes.push(PassProfile {
-                    pass,
-                    accepted,
-                    length,
-                    comm,
-                    crossing,
-                    local,
-                });
+                self.passes.push(self.phase(pass, accepted, length));
                 if accepted {
-                    self.pass_ledgers.push(PassLedger {
-                        pass,
-                        length,
-                        edges: std::mem::take(&mut self.cur_edges),
-                    });
-                } else {
-                    self.cur_edges.clear();
+                    self.keep_ledger(pass, length);
                 }
             }
             Event::PeLoad(l) => self.pe_loads.push(l),
             Event::CompactEnd { initial, best, .. } => {
                 self.initial_length = initial;
                 self.best_length = best;
-                // cur_edges now holds the final best-schedule snapshot;
-                // finish() adopts it as the ledger.
+                // The final best-schedule snapshot precedes this event.
+                self.final_ledger = self.ledger.rows().to_vec();
             }
             // The communication profile needs only traffic, load, and
             // phase boundaries.  Everything else is deliberately
             // skipped (`cargo xtask lint` keeps this list honest):
+            // EVENT-IGNORED: PassBegin — a phase closes at PassEnd; the ledger carries over.
             // EVENT-IGNORED: ReadyPick — startup heuristic detail, no traffic.
             // EVENT-IGNORED: StartupPlace — placement narrative; fold.rs renders it.
             // EVENT-IGNORED: StartupDefer — placement narrative, no traffic.
@@ -690,6 +692,23 @@ pub fn pass_diff_notes(
     notes
 }
 
+/// The `cyclosched schedule --explain` narrative of one recorded run:
+/// [`ccs_trace::explain::explain_with`] over `events`, with the top-5
+/// [`pass_diff_notes`] of `p` spliced under each accepted pass.
+pub fn explain_run(
+    events: &[TimedEvent],
+    p: &CommProfile,
+    machine: &Machine,
+    name: impl Fn(u32) -> String,
+) -> String {
+    let notes = pass_diff_notes(p, machine, 5, &name);
+    ccs_trace::explain::explain_with(events, &name, |pass| {
+        notes
+            .iter()
+            .find(|(p, _)| *p == pass)
+            .map(|(_, note)| note.clone())
+    })
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -814,8 +833,8 @@ mod tests {
                 prev_len: 6,
                 rows: 1,
             }),
+            // The pass's delta: only edge 0 moved.
             te(traffic(0, 0, 1, 1, 3)),
-            te(traffic(1, 1, 1, 0, 4)),
             te(Event::PassEnd {
                 pass: 1,
                 accepted: true,
@@ -856,6 +875,10 @@ mod tests {
         assert_eq!(p.passes[0].pass, 0);
         assert_eq!(p.passes[0].comm, 6);
         assert_eq!(p.passes[1].comm, 3);
+        // The delta upserts into the start-up ledger: edge 1 carries over.
+        assert_eq!(p.pass_ledgers[1].edges.len(), 2);
+        assert_eq!(p.pass_ledgers[1].edges[0].dst_pe, 1);
+        assert_eq!(p.pass_ledgers[1].edges[1], p.pass_ledgers[0].edges[1]);
         // linear 3 has links (0,1) and (1,2); edge 0 crosses 0->1.
         assert_eq!(p.links.len(), 2);
         assert_eq!(p.links[0].volume, 3);
@@ -872,28 +895,46 @@ mod tests {
     }
 
     #[test]
-    fn reverted_pass_records_zero_traffic() {
-        let m = Machine::linear_array(2);
+    fn reverted_pass_reports_the_ledger_it_leaves_in_place() {
+        let m = Machine::linear_array(3);
         let events = vec![
+            te(Event::StartupBegin { tasks: 3, pes: 3 }),
+            te(traffic(0, 0, 2, 2, 3)),
+            te(traffic(1, 1, 1, 0, 4)),
+            te(Event::StartupEnd { length: 6 }),
             te(Event::PassBegin {
                 pass: 1,
-                prev_len: 4,
+                prev_len: 6,
+                rows: 1,
+            }),
+            te(traffic(0, 0, 1, 1, 3)),
+            te(Event::PassEnd {
+                pass: 1,
+                accepted: true,
+                length: 5,
+            }),
+            te(Event::PassBegin {
+                pass: 2,
+                prev_len: 5,
                 rows: 1,
             }),
             te(Event::PassEnd {
-                pass: 1,
+                pass: 2,
                 accepted: false,
-                length: 4,
+                length: 5,
             }),
         ];
         let p = build(&events, &m);
-        assert_eq!(p.passes.len(), 1);
-        assert!(!p.passes[0].accepted);
-        assert_eq!(p.passes[0].comm, 0);
-        assert!(
-            p.pass_ledgers.is_empty(),
-            "reverted passes keep no ledger snapshot"
+        assert_eq!(p.passes.len(), 3);
+        let traffic = |r: &PassProfile| (r.comm, r.crossing, r.local);
+        assert!(!p.passes[2].accepted);
+        assert_eq!(traffic(&p.passes[1]), (3, 1, 1));
+        assert_eq!(
+            traffic(&p.passes[2]),
+            traffic(&p.passes[1]),
+            "a reverted pass carries the previous accepted phase's totals"
         );
+        assert_eq!(p.pass_ledgers.len(), 2, "reverted passes keep no ledger");
     }
 
     #[test]

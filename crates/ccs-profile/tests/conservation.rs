@@ -5,11 +5,18 @@
 //! recomputes `M(PE(u), PE(v)) = hops · c(e)` straight from the graph,
 //! machine, and table.  If they ever disagree, either the emission
 //! sites or the cost model drifted.
+//!
+//! The per-pass ledgers obey the same law: a replay of the driver loop
+//! recomputes every accepted phase's ledger from scratch, which the
+//! start-up snapshot plus the recorded pass deltas must rebuild.
 
 use ccs_core::compact::{cyclo_compact, CompactConfig};
+use ccs_core::{rotate_remap_in_place, startup_schedule, RemapConfig, RemapMode};
 use ccs_model::Csdfg;
 use ccs_schedule::checker::edge_comm_cost;
+use ccs_schedule::Schedule;
 use ccs_topology::Machine;
+use ccs_trace::{EdgeTraffic, Event};
 use proptest::prelude::*;
 
 fn arb_csdfg() -> impl Strategy<Value = Csdfg> {
@@ -40,6 +47,26 @@ fn arb_machine() -> impl Strategy<Value = Machine> {
         Just(Machine::mesh(2, 2)),
         Just(Machine::hypercube(2)),
     ]
+}
+
+/// Independent oracle: the full ledger of `(g, s)` on `m`, one row per
+/// edge in edge order.
+fn ledger_of(g: &Csdfg, m: &Machine, s: &Schedule) -> Vec<EdgeTraffic> {
+    g.deps()
+        .map(|e| {
+            let (u, v) = g.endpoints(e);
+            let (pu, pv) = (s.pe(u).expect("placed"), s.pe(v).expect("placed"));
+            EdgeTraffic {
+                edge: e.index() as u32,
+                src: u.index() as u32,
+                dst: v.index() as u32,
+                src_pe: pu.0,
+                dst_pe: pv.0,
+                hops: m.distance(pu, pv),
+                volume: g.volume(e),
+            }
+        })
+        .collect()
 }
 
 /// Independent oracle: comm cost of the final (graph, schedule) pair.
@@ -94,5 +121,80 @@ proptest! {
         prop_assert_eq!(tasks, result.graph.task_count() as u64);
         let busy: u64 = profile.pe_rows.iter().map(|r| u64::from(r.busy)).sum();
         prop_assert_eq!(busy, profile.compute);
+    }
+
+    #[test]
+    fn pass_deltas_rebuild_the_replayed_ledgers(
+        g in arb_csdfg(),
+        m in arb_machine(),
+        mode in prop_oneof![Just(RemapMode::WithRelaxation), Just(RemapMode::WithoutRelaxation)],
+        rows_per_pass in 1u32..3,
+        stop_on_revert in 0u32..2,
+    ) {
+        let config = CompactConfig {
+            passes: 24,
+            remap: RemapConfig {
+                mode,
+                rows_per_pass,
+                ..RemapConfig::default()
+            },
+            stop_on_revert: stop_on_revert == 1,
+            ..CompactConfig::default()
+        };
+        let (result, events) = ccs_trace::record(|| cyclo_compact(&g, &m, config).unwrap());
+        let profile = ccs_profile::build(&events, &m);
+
+        // Replay the driver loop untraced and recompute each accepted
+        // phase's ledger from (graph, machine, schedule).
+        let mut graph = g.clone();
+        let mut sched = startup_schedule(&g, &m, config.startup).unwrap();
+        let mut ledgers = vec![ledger_of(&graph, &m, &sched)];
+        for _ in 0..config.passes {
+            let out = rotate_remap_in_place(&mut graph, &m, &mut sched, config.remap);
+            if !out.reverted {
+                ledgers.push(ledger_of(&graph, &m, &sched));
+            } else if config.stop_on_revert {
+                break;
+            }
+        }
+        prop_assert_eq!(profile.pass_ledgers.len(), ledgers.len());
+        for (kept, replayed) in profile.pass_ledgers.iter().zip(&ledgers) {
+            prop_assert_eq!(&kept.edges, replayed);
+        }
+        prop_assert_eq!(&profile.edges, &ledger_of(&result.graph, &m, &result.schedule));
+
+        // Each accepted pass recorded exactly the rows it changed, in
+        // edge order, each with an endpoint in its rotation set; a
+        // reverted pass recorded none.
+        let (mut rotated, mut delta, mut deltas) = (Vec::new(), Vec::new(), Vec::new());
+        let mut in_pass = false;
+        for te in &events {
+            match &te.event {
+                Event::PassBegin { .. } => in_pass = true,
+                Event::Rotate { nodes } => rotated = nodes.clone(),
+                Event::EdgeTraffic(t) if in_pass => {
+                    prop_assert!(rotated.contains(&t.src) || rotated.contains(&t.dst));
+                    delta.push(*t);
+                }
+                Event::PassEnd { accepted, .. } => {
+                    in_pass = false;
+                    if *accepted {
+                        deltas.push(std::mem::take(&mut delta));
+                    }
+                    prop_assert!(delta.is_empty());
+                }
+                _ => {}
+            }
+        }
+        prop_assert_eq!(deltas.len() + 1, ledgers.len());
+        for (delta, pair) in deltas.iter().zip(ledgers.windows(2)) {
+            let moved: Vec<EdgeTraffic> = pair[1]
+                .iter()
+                .zip(&pair[0])
+                .filter(|(after, before)| after != before)
+                .map(|(after, _)| *after)
+                .collect();
+            prop_assert_eq!(delta, &moved);
+        }
     }
 }

@@ -21,12 +21,12 @@
 pub mod clock_period;
 pub mod iteration_bound;
 mod retiming;
-pub mod wd;
+#[cfg(test)]
+mod wd;
 
 pub use clock_period::{critical_chain, min_clock_period};
 pub use iteration_bound::{critical_cycle, iteration_bound, Ratio};
 pub use retiming::{epilogue, prologue, rotate, rotate_in_place, unrotate_in_place, Retiming};
-pub use wd::{min_clock_period_wd, WdMatrices};
 
 #[cfg(test)]
 mod proptests {

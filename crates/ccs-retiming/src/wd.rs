@@ -1,6 +1,7 @@
 //! The Leiserson–Saxe `W`/`D` matrices and the matrix-based minimum
-//! clock-period retiming (`OPT1`), cross-checking the iterative `FEAS`
-//! implementation in [`clock_period`](crate::clock_period).
+//! clock-period retiming (`OPT1`): the test oracle of the iterative
+//! `FEAS` implementation in [`clock_period`](crate::clock_period).
+//! `O(V^3)` time and `O(V^2)` memory, so it is compiled for tests only.
 //!
 //! For nodes `u, v` connected by some path:
 //!

@@ -29,6 +29,15 @@ fn err(msg: impl Into<String>) -> SpecError {
 /// benches and benchmark workloads build has 1024 PEs (4 MiB).
 pub const MAX_PES: usize = 4096;
 
+/// The most schedule-table cells a graph × machine pair may need,
+/// counted as `Σ t(v)` (the single-PE serial length) steps × PEs.  The
+/// text table `cyclosched schedule` prints holds every cell, measured
+/// at about 31 bytes of peak memory a cell (`DESIGN.md` §9), so a run
+/// at the budget peaks near 1 GB.  Pass A rejects a pair past it with
+/// `CCS008` before anything allocates.  The benchmark's largest jobs
+/// need under 300,000 cells.
+pub const MAX_TABLE_CELLS: u64 = 1 << 25;
+
 /// Parses a machine specification:
 ///
 /// | spec | machine |

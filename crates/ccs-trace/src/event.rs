@@ -9,7 +9,9 @@
 //!   reasons), `PSL` slack repairs, and per-pass hot-path counters;
 //! * **compact** — driver pass boundaries, best-snapshot updates, and
 //!   slot-occupancy snapshots;
-//! * **traffic** — per-edge traffic and per-PE load snapshots.
+//! * **traffic** — per-edge traffic (full snapshots at start-up and for
+//!   the final best schedule, per-pass deltas in between) and per-PE
+//!   load snapshots.
 //!
 //! The records a consumer keeps — [`StartupPlace`], [`Candidate`],
 //! [`Placed`], [`PassStats`], [`EdgeTraffic`] and [`PeLoad`] — are
@@ -17,7 +19,9 @@
 //! same name.  Emitters build them and consumers keep them as they
 //! are, with no look-alike copies.  [`ScanBuffer`] is the one buffer
 //! of an attempt's candidate scan; the explainer and the report fold
-//! both use it.
+//! both use it.  [`TrafficLedger`] is the one fold of the
+//! `traffic.edge` rows; the explainer, the metrics sink and the
+//! communication profile read their traffic from it.
 //!
 //! Every event is plain data over raw node / PE indices (`u32`), so the
 //! crate depends on nothing but the serde stand-in.  Events are fully
@@ -192,6 +196,80 @@ impl EdgeTraffic {
     }
 }
 
+/// The running per-edge ledger of one run's `traffic.edge` stream: one
+/// row per edge id, in edge order, with its totals kept up to date.
+///
+/// Start-up and the final best schedule emit full snapshots, and each
+/// accepted pass emits only the edges whose PE pair it moved (see
+/// [`Event::EdgeTraffic`]), so folding every row in as an upsert holds
+/// the full ledger of the latest phase at all times.  This is the one
+/// fold of that stream: the explainer, the metrics sink and the
+/// communication profile all read their traffic from it.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct TrafficLedger {
+    /// Rows sorted by edge id, one per id.
+    rows: Vec<EdgeTraffic>,
+    crossing: u32,
+    /// Exact: the saturating reads happen in [`TrafficLedger::cost`].
+    cost: u128,
+    volume: u64,
+}
+
+impl TrafficLedger {
+    /// Folds one event: `startup.begin` starts a new run's ledger and
+    /// each `traffic.edge` upserts its edge's row.  Every other event
+    /// leaves the ledger as it is.
+    pub fn observe(&mut self, ev: &Event) {
+        match ev {
+            Event::StartupBegin { .. } => *self = TrafficLedger::default(),
+            Event::EdgeTraffic(t) => self.upsert(*t),
+            _ => {}
+        }
+    }
+
+    /// Replaces the row of `row.edge`, or adds it in edge order.
+    pub fn upsert(&mut self, row: EdgeTraffic) {
+        let at = self.rows.partition_point(|r| r.edge < row.edge);
+        match self.rows.get_mut(at) {
+            Some(old) if old.edge == row.edge => {
+                self.crossing -= u32::from(old.crossing());
+                self.cost -= u128::from(old.cost());
+                self.volume -= u64::from(old.volume);
+                *old = row;
+            }
+            _ => self.rows.insert(at, row),
+        }
+        self.crossing += u32::from(row.crossing());
+        self.cost += u128::from(row.cost());
+        self.volume += u64::from(row.volume);
+    }
+
+    /// The rows, in edge order.
+    pub fn rows(&self) -> &[EdgeTraffic] {
+        &self.rows
+    }
+
+    /// Edges that cross PEs.
+    pub fn crossing(&self) -> u32 {
+        self.crossing
+    }
+
+    /// Edges local to one PE.
+    pub fn local(&self) -> u32 {
+        u32::try_from(self.rows.len()).unwrap_or(u32::MAX) - self.crossing
+    }
+
+    /// Total hop-weighted cost `Σ hops · volume` (saturating).
+    pub fn cost(&self) -> u64 {
+        u64::try_from(self.cost).unwrap_or(u64::MAX)
+    }
+
+    /// Total data volume `Σ c(e)`.
+    pub fn volume(&self) -> u64 {
+        self.volume
+    }
+}
+
 /// How many tasks a processor hosts and how many control-step cells
 /// they occupy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -362,9 +440,14 @@ pub enum Event {
         /// Passes actually run.
         passes: u32,
     },
-    /// Per-edge traffic attribution, emitted as a full-graph snapshot
-    /// after start-up placement, after every accepted rotate-remap
-    /// pass, and once for the final best schedule.
+    /// Per-edge traffic attribution.  Start-up placement and the final
+    /// best schedule emit a full snapshot, one row per edge in edge
+    /// order.  Each accepted rotate-remap pass emits only the edges
+    /// whose `(src_pe, dst_pe)` pair differs from the previous accepted
+    /// phase, in edge order, and a pass that moves no edge emits none;
+    /// every such edge has an endpoint in the pass's rotation set.  A
+    /// reverted pass emits nothing.  Fold the rows as upserts
+    /// ([`TrafficLedger`]) to rebuild the full ledger of each phase.
     EdgeTraffic(EdgeTraffic),
     /// Per-PE load summary of the final best schedule.
     PeLoad(PeLoad),
@@ -828,6 +911,43 @@ mod tests {
         // u32::MAX² fits in u64, so no saturation needed here — but the
         // product must not panic.
         assert_eq!(t.cost(), u64::from(u32::MAX) * u64::from(u32::MAX));
+    }
+
+    #[test]
+    fn ledger_upserts_by_edge_and_keeps_totals_exact() {
+        let row = |edge, src_pe, dst_pe, hops, volume| EdgeTraffic {
+            edge,
+            src: edge,
+            dst: edge + 1,
+            src_pe,
+            dst_pe,
+            hops,
+            volume,
+        };
+        let totals = |l: &TrafficLedger| (l.crossing(), l.local(), l.cost(), l.volume());
+        let mut ledger = TrafficLedger::default();
+        for r in [row(2, 0, 1, 1, 5), row(0, 0, 0, 0, 2), row(1, 1, 0, 2, 3)] {
+            ledger.observe(&Event::EdgeTraffic(r));
+        }
+        let ids: Vec<u32> = ledger.rows().iter().map(|r| r.edge).collect();
+        assert_eq!(ids, vec![0, 1, 2], "rows stay in edge order");
+        assert_eq!(totals(&ledger), (2, 1, 11, 10));
+        // A moved edge replaces its row and its share of every total.
+        ledger.observe(&Event::EdgeTraffic(row(1, 0, 0, 0, 3)));
+        assert_eq!(ledger.rows().len(), 3);
+        assert_eq!(totals(&ledger), (1, 2, 5, 10));
+        // Totals past u64 read saturated, and fall back exactly.
+        let huge = row(3, 0, 1, u32::MAX, u32::MAX);
+        ledger.upsert(huge);
+        ledger.upsert(EdgeTraffic { edge: 4, ..huge });
+        assert_eq!(ledger.cost(), u64::MAX);
+        ledger.upsert(row(4, 0, 0, 0, 1));
+        assert_eq!(ledger.cost(), 5 + huge.cost());
+        // Other events leave it alone; a new run starts it empty.
+        ledger.observe(&Event::StartupEnd { length: 3 });
+        assert_eq!(ledger.rows().len(), 5);
+        ledger.observe(&Event::StartupBegin { tasks: 1, pes: 1 });
+        assert_eq!(ledger, TrafficLedger::default());
     }
 
     #[test]

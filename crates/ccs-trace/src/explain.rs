@@ -9,11 +9,16 @@
 //! reverted.  The `cyclosched schedule --explain` flag pipes the
 //! recorded stream of a real run through this renderer.
 //!
+//! A `traffic:` line totals the running [`TrafficLedger`] after
+//! start-up, after every accepted pass and for the final best
+//! schedule.  An accepted pass carries only the `traffic.edge` rows of
+//! the edges it moved, often none, and still gets its line.
+//!
 //! The renderer is a pure function of the event stream, so its output
 //! is as deterministic as the events themselves.
 
 use crate::event::{
-    Candidate, Event, PassStats, PeLoad, Placed, ScanBuffer, StartupPlace, Verdict,
+    Candidate, Event, PassStats, PeLoad, Placed, ScanBuffer, StartupPlace, TrafficLedger, Verdict,
 };
 use crate::TimedEvent;
 use std::fmt::Write as _;
@@ -40,6 +45,17 @@ fn candidate_line(out: &mut String, c: &Candidate) {
             "      PE{pe}: feasible @ cs {cs} (impact {impact}, comm {comm}) — leading"
         ),
     };
+}
+
+/// Appends the one-line summary of `ledger`.
+fn traffic_line(out: &mut String, ledger: &TrafficLedger) {
+    let _ = writeln!(
+        out,
+        "  traffic: {} edge(s), {} crossing, comm cost {}",
+        ledger.rows().len(),
+        ledger.crossing(),
+        ledger.cost()
+    );
 }
 
 /// Renders the decision narrative for `events`.
@@ -71,20 +87,17 @@ pub fn explain_with(
     // line is followed by them.
     let mut scan = ScanBuffer::default();
     let mut in_pass = false;
-    // Running totals of the current contiguous `traffic.edge` snapshot
-    // (edges, crossing edges, hop-weighted cost); flushed as a one-line
-    // summary when the snapshot ends.
-    let mut traffic: Option<(u32, u32, u64)> = None;
+    let mut ledger = TrafficLedger::default();
+    // A full snapshot (start-up or final, outside any pass) is being
+    // read; its `traffic:` line follows its last row.
+    let mut snapshot = false;
 
-    for te in events {
-        if !matches!(te.event, Event::EdgeTraffic(_)) {
-            if let Some((edges, crossing, cost)) = traffic.take() {
-                let _ = writeln!(
-                    out,
-                    "  traffic: {edges} edge(s), {crossing} crossing, comm cost {cost}"
-                );
-            }
+    for (i, te) in events.iter().enumerate() {
+        if snapshot && !matches!(te.event, Event::EdgeTraffic(_)) {
+            snapshot = false;
+            traffic_line(&mut out, &ledger);
         }
+        ledger.observe(&te.event);
         match &te.event {
             Event::StartupBegin { tasks, pes } => {
                 let _ = writeln!(out, "startup: {tasks} tasks on {pes} PEs");
@@ -204,6 +217,15 @@ pub fn explain_with(
                 scratch_reuses,
                 oracle_calls,
             }) => {
+                // The stats record is the last event of a pass, so the
+                // next one says whether its placement stands.
+                let accepted = matches!(
+                    events.get(i + 1).map(|t| &t.event),
+                    Some(Event::PassEnd { accepted: true, .. })
+                );
+                if accepted && !ledger.rows().is_empty() {
+                    traffic_line(&mut out, &ledger);
+                }
                 let _ = writeln!(
                     out,
                     "  stats: {edges_swept} edges swept, {slots_probed} slots probed, {scratch_reuses} scratch reuses, {oracle_calls} oracle calls"
@@ -248,22 +270,14 @@ pub fn explain_with(
                     "compaction done: {initial} -> {best} after {passes} pass(es)"
                 );
             }
-            Event::EdgeTraffic(t) => {
-                let (edges, crossing, cost) = traffic.get_or_insert((0, 0, 0));
-                *edges += 1;
-                *crossing += u32::from(t.crossing());
-                *cost = cost.saturating_add(t.cost());
-            }
+            Event::EdgeTraffic(_) => snapshot |= !in_pass,
             Event::PeLoad(PeLoad { pe, tasks, busy }) => {
                 let _ = writeln!(out, "  PE{}: {tasks} task(s), {busy} busy cell(s)", pe + 1);
             }
         }
     }
-    if let Some((edges, crossing, cost)) = traffic.take() {
-        let _ = writeln!(
-            out,
-            "  traffic: {edges} edge(s), {crossing} crossing, comm cost {cost}"
-        );
+    if snapshot {
+        traffic_line(&mut out, &ledger);
     }
     out
 }
@@ -437,5 +451,62 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("PE1: 2 task(s), 3 busy cell(s)"), "{text}");
+    }
+
+    #[test]
+    fn every_accepted_pass_prints_the_running_ledger() {
+        let row = |edge, dst_pe, hops| {
+            Event::EdgeTraffic(EdgeTraffic {
+                edge,
+                src: edge,
+                dst: edge + 1,
+                src_pe: 0,
+                dst_pe,
+                hops,
+                volume: 2,
+            })
+        };
+        let pass = |pass, accepted, rows: Vec<Event>| {
+            let mut evs = vec![Event::PassBegin {
+                pass,
+                prev_len: 4,
+                rows: 1,
+            }];
+            evs.extend(rows);
+            evs.push(Event::PassStats(PassStats::default()));
+            evs.push(Event::PassEnd {
+                pass,
+                accepted,
+                length: 4,
+            });
+            evs
+        };
+        let mut events = vec![
+            Event::StartupBegin { tasks: 3, pes: 2 },
+            row(0, 1, 1),
+            row(1, 0, 0),
+            Event::StartupEnd { length: 4 },
+        ];
+        events.extend(pass(1, true, vec![row(1, 1, 1)]));
+        events.extend(pass(2, false, vec![]));
+        events.extend(pass(3, true, vec![]));
+        let text = explain(&timed(events), |n| format!("n{n}"));
+        let lines: Vec<&str> = text.lines().collect();
+        let at = |needle: &str| lines.iter().position(|l| l.contains(needle)).unwrap();
+        assert_eq!(
+            lines[at("startup done") - 1],
+            "  traffic: 2 edge(s), 1 crossing, comm cost 2"
+        );
+        // The moved edge shows in pass 1; pass 3 moved none and repeats
+        // the ledger; the reverted pass 2 prints no line.
+        for p in [1, 3] {
+            let end = at(&format!("pass {p} accepted"));
+            assert_eq!(
+                lines[end - 2],
+                "  traffic: 2 edge(s), 2 crossing, comm cost 4",
+                "{text}"
+            );
+        }
+        assert_eq!(text.matches("traffic:").count(), 3, "{text}");
     }
 }

@@ -47,7 +47,7 @@ pub mod metrics;
 
 pub use event::{
     Candidate, EdgeTraffic, Event, PassStats, PeLoad, Placed, RunnerUp, ScanBuffer, StartupPlace,
-    Verdict,
+    TrafficLedger, Verdict,
 };
 
 use std::cell::RefCell;

@@ -12,7 +12,7 @@
 //! determinism contract: the same schedule always emits the same event
 //! stream, while wall time stays an artifact of the observation.
 
-use crate::event::Event;
+use crate::event::{Event, TrafficLedger};
 use crate::Sink;
 use serde::Value;
 use std::collections::BTreeMap;
@@ -149,10 +149,16 @@ impl Metrics {
 /// * startup / pass / compact begin-end pairs are timed with the
 ///   sink's own [`Instant`] clock into the `startup_wall_ms`,
 ///   `pass_wall_ms`, and `compact_wall_ms` histograms, and accepted vs.
-///   reverted passes count into `passes_accepted` / `passes_reverted`.
+///   reverted passes count into `passes_accepted` / `passes_reverted`;
+/// * `traffic.edge` rows count into `traffic_events` and upsert into a
+///   [`TrafficLedger`]; at each `compact.end` the final ledger's
+///   crossing and local edges, volume and hop-weighted cost add into
+///   `traffic_crossing`, `traffic_local`, `traffic_volume` and
+///   `traffic_cost` (once per run, not once per snapshot).
 pub struct MetricsSink {
     /// The accumulated registry.
     pub metrics: Metrics,
+    ledger: TrafficLedger,
     startup_t0: Option<Instant>,
     pass_t0: Option<Instant>,
     compact_t0: Option<Instant>,
@@ -163,6 +169,7 @@ impl MetricsSink {
     pub fn new() -> Self {
         MetricsSink {
             metrics: Metrics::new(),
+            ledger: TrafficLedger::default(),
             startup_t0: None,
             pass_t0: None,
             compact_t0: None,
@@ -187,6 +194,7 @@ fn ms_since(t0: Option<Instant>) -> Option<f64> {
 
 impl Sink for MetricsSink {
     fn event(&mut self, ev: Event) {
+        self.ledger.observe(&ev);
         let m = &mut self.metrics;
         match ev {
             // CLOCK: the MetricsSink is a sanctioned sink — the three
@@ -204,6 +212,11 @@ impl Sink for MetricsSink {
                 if let Some(ms) = ms_since(self.compact_t0.take()) {
                     m.observe("compact_wall_ms", ms);
                 }
+                let l = &self.ledger;
+                m.add("traffic_crossing", u64::from(l.crossing()));
+                m.add("traffic_local", u64::from(l.local()));
+                m.add("traffic_volume", l.volume());
+                m.add("traffic_cost", l.cost());
             }
             // CLOCK: sanctioned sink (see above).
             Event::PassBegin { .. } => self.pass_t0 = Some(Instant::now()),
@@ -236,19 +249,7 @@ impl Sink for MetricsSink {
             Event::StartupPlace(_) => m.add("startup_placements", 1),
             Event::StartupDefer { .. } => m.add("startup_defers", 1),
             Event::OccupancySnapshot { .. } => {}
-            Event::EdgeTraffic(t) => {
-                m.add("traffic_events", 1);
-                m.add(
-                    if t.crossing() {
-                        "traffic_crossing"
-                    } else {
-                        "traffic_local"
-                    },
-                    1,
-                );
-                m.add("traffic_volume", u64::from(t.volume));
-                m.add("traffic_cost", t.cost());
-            }
+            Event::EdgeTraffic(_) => m.add("traffic_events", 1),
             Event::PeLoad(l) => m.add("pe_busy_cells", u64::from(l.busy)),
         }
     }
@@ -313,37 +314,44 @@ mod tests {
     }
 
     #[test]
-    fn sink_folds_traffic_events() {
+    fn sink_counts_rows_and_describes_the_final_ledger() {
+        let row = |edge, dst_pe, hops, volume| {
+            Event::EdgeTraffic(EdgeTraffic {
+                edge,
+                src: edge,
+                dst: edge + 1,
+                src_pe: 0,
+                dst_pe,
+                hops,
+                volume,
+            })
+        };
         let mut sink = MetricsSink::new();
-        sink.event(Event::EdgeTraffic(EdgeTraffic {
-            edge: 0,
-            src: 0,
-            dst: 1,
-            src_pe: 0,
-            dst_pe: 2,
-            hops: 2,
-            volume: 3,
-        }));
-        sink.event(Event::EdgeTraffic(EdgeTraffic {
-            edge: 1,
-            src: 1,
-            dst: 2,
-            src_pe: 1,
-            dst_pe: 1,
-            hops: 0,
-            volume: 5,
-        }));
+        sink.event(Event::StartupBegin { tasks: 3, pes: 3 });
+        sink.event(row(0, 2, 2, 3));
+        sink.event(row(1, 0, 0, 5));
+        sink.event(Event::StartupEnd { length: 4 });
+        // One pass moved edge 0 next door; the final snapshot repeats
+        // both rows.
+        sink.event(row(0, 1, 1, 3));
+        sink.event(row(0, 1, 1, 3));
+        sink.event(row(1, 0, 0, 5));
         sink.event(Event::PeLoad(PeLoad {
             pe: 0,
             tasks: 2,
             busy: 4,
         }));
+        sink.event(Event::CompactEnd {
+            initial: 4,
+            best: 3,
+            passes: 1,
+        });
         let m = sink.into_metrics();
-        assert_eq!(m.counters["traffic_events"], 2);
+        assert_eq!(m.counters["traffic_events"], 5);
         assert_eq!(m.counters["traffic_crossing"], 1);
         assert_eq!(m.counters["traffic_local"], 1);
         assert_eq!(m.counters["traffic_volume"], 8);
-        assert_eq!(m.counters["traffic_cost"], 6);
+        assert_eq!(m.counters["traffic_cost"], 3);
         assert_eq!(m.counters["pe_busy_cells"], 4);
     }
 

@@ -321,15 +321,9 @@ fn run_schedule(args: ScheduleArgs) -> Result<(), String> {
     };
     if args.explain {
         let p = profile.as_ref().expect("explain builds the profile");
-        let notes = cyclosched::profile::pass_diff_notes(p, &machine, 5, name);
         print!(
             "{}",
-            cyclosched::trace::explain::explain_with(&events, name, |pass| {
-                notes
-                    .iter()
-                    .find(|(p, _)| *p == pass)
-                    .map(|(_, note)| note.clone())
-            })
+            cyclosched::profile::explain_run(&events, p, &machine, name)
         );
     }
     if let Some(path) = &args.trace {

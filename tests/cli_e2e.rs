@@ -125,6 +125,27 @@ fn task_times_that_overflow_control_steps_are_rejected() {
 }
 
 #[test]
+fn schedule_tables_past_the_cell_budget_are_rejected_before_allocating() {
+    // Below the CCS007 limit, but the dense table would take 32 GB on
+    // `ring:4` (the run aborted) and ~2 GB on `mesh:8x8`.
+    for (graph, machine) in [
+        (
+            "node A t=4000000000\nnode B t=1\nedge A -> B d=0 c=1\nedge B -> A d=2 c=1\n",
+            "ring:4",
+        ),
+        (
+            "node A t=1000000\nnode B t=1000000\nedge A -> B d=0 c=1\nedge B -> A d=2 c=1\n",
+            "mesh:8x8",
+        ),
+    ] {
+        let out = run_with_stdin(&["schedule", "-", "--machine", machine], graph);
+        assert_eq!(out.status.code(), Some(1), "{machine}");
+        let err = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(err.contains("CCS008"), "{machine} stderr: {err}");
+    }
+}
+
+#[test]
 fn compile_then_schedule_pipeline() {
     let kernel = "y = y[i-1]*k + x;\n";
     let compiled = stdout_of(&run_with_stdin(&["compile", "-"], kernel));
