@@ -33,6 +33,9 @@ pub mod codes {
     /// `MAX_TABLE_CELLS` cells (`Σ t(v)` steps × PEs): the run would
     /// allocate gigabytes or abort before scheduling anything.
     pub const TABLE_TOO_LARGE: &str = "CCS008";
+    /// The graph has no tasks: there is no loop body to schedule, and
+    /// every period, bound and certificate of it would read 0.
+    pub const EMPTY_GRAPH: &str = "CCS009";
     /// The machine topology is disconnected: some PE pair has no
     /// connecting path, so `M(p_i, p_j)` (Definition 3.5) is undefined.
     pub const MACHINE_DISCONNECTED: &str = "CCS010";

@@ -22,11 +22,21 @@ pub fn analyze(g: &Csdfg, m: &Machine) -> Report {
     r
 }
 
-/// CSDFG well-formedness (paper §2): zero-delay cycles, degenerate
-/// times/volumes, zero-delay self-edges, isolated nodes, fragmented
-/// graphs, redundant parallel edges.
+/// CSDFG well-formedness (paper §2): no tasks at all, zero-delay
+/// cycles, degenerate times/volumes, zero-delay self-edges, isolated
+/// nodes, fragmented graphs, redundant parallel edges.
 pub fn analyze_graph(g: &Csdfg) -> Report {
     let mut r = Report::new();
+    if g.task_count() == 0 {
+        r.push(
+            Diagnostic::error(
+                codes::EMPTY_GRAPH,
+                Subject::Graph,
+                "the graph has no tasks: there is no loop body to schedule",
+            )
+            .with_suggestion("declare at least one task with a `node NAME t=N` line"),
+        );
+    }
 
     // Errors first. Zero-delay self-edges are the smallest zero-delay
     // cycles; report them individually before the generic cycle check.
@@ -316,6 +326,13 @@ pub fn analyze_cross(g: &Csdfg, m: &Machine) -> Report {
 /// cleanly, the graph-level checks of [`analyze_graph`] run too.
 pub fn analyze_spec(spec: &CsdfgSpec) -> Report {
     let mut r = Report::new();
+    if spec.nodes.is_empty() {
+        r.push(Diagnostic::error(
+            codes::EMPTY_GRAPH,
+            Subject::Graph,
+            "the spec has no tasks: there is no loop body to schedule",
+        ));
+    }
     let mut names: BTreeMap<&str, usize> = BTreeMap::new();
     for n in &spec.nodes {
         *names.entry(n.name.as_str()).or_insert(0) += 1;
@@ -457,6 +474,20 @@ mod tests {
         let m = Machine::mesh(2, 1);
         let r = analyze(&g, &m);
         assert!(r.is_clean(), "{}", r.render_human());
+    }
+
+    #[test]
+    fn a_graph_with_no_tasks_is_ccs009() {
+        let r = analyze_graph(&Csdfg::new());
+        let codes_seen: Vec<_> = r.errors().map(|d| d.code).collect();
+        assert_eq!(codes_seen, [codes::EMPTY_GRAPH]);
+        let r = analyze_spec(&CsdfgSpec::default());
+        let codes_seen: Vec<_> = r.errors().map(|d| d.code).collect();
+        assert_eq!(codes_seen, [codes::EMPTY_GRAPH]);
+        // One task is enough.
+        let mut g = Csdfg::new();
+        g.add_task("A", 1).unwrap();
+        assert!(!analyze_graph(&g).has_errors());
     }
 
     #[test]

@@ -33,7 +33,9 @@
 //! `"artifact_bytes"` records what a recorded `elliptic` run writes on
 //! three machine sizes — the report page, the diff page, the heatmap
 //! SVG, the `--trace` file and the `--explain` text, rendered
-//! in-process — and `bench-report` gates their growth.
+//! in-process — plus the report, trace and explain bytes of `fig1` on
+//! `mesh:4x2`, a run that stops at its proven floor, and
+//! `bench-report` gates their growth.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -186,6 +188,34 @@ fn artifact_bytes() -> Vec<(String, Value)> {
         ] {
             bytes.push((format!("elliptic/{spec}/{what}"), Value::UInt(len as u64)));
         }
+    }
+    // No `elliptic` run above meets its floor; `fig1` on `mesh:4x2`
+    // does on pass 16 of 64, so these keys carry the stop.
+    let g = ccs_workloads::paper::fig1_example();
+    let name = |n: u32| g.name(NodeId::from_index(n as usize)).to_string();
+    let m = Machine::mesh(4, 2);
+    let (r, events) = ccs_trace::record(|| cyclo_compact(&g, &m, CompactConfig::default()));
+    let r = r.expect("legal");
+    let profile = ccs_profile::build(&events, &m);
+    let certificate = ccs_bounds::certify_period(&g, &m, r.best_length);
+    let report = render_report(
+        &ReportInput {
+            title: &format!("fig1 on {}", m.name()),
+            events: &events,
+            machine: &m,
+            profile: &profile,
+            certificate: Some(&certificate),
+        },
+        name,
+    );
+    let trace = ccs_trace::chrome::to_chrome(&events, ccs_trace::chrome::Clock::Logical);
+    let explain = ccs_profile::explain_run(&events, &profile, &m, name);
+    for (what, len) in [
+        ("report", report.len()),
+        ("trace", trace.len()),
+        ("explain", explain.len()),
+    ] {
+        bytes.push((format!("fig1/mesh:4x2/{what}"), Value::UInt(len as u64)));
     }
     bytes
 }

@@ -129,7 +129,7 @@ traffic.pe pe=0 tasks=4 busy=5
 traffic.pe pe=1 tasks=1 busy=1
 traffic.pe pe=2 tasks=1 busy=2
 traffic.pe pe=3 tasks=0 busy=0
-compact.end init=7 best=5 passes=2";
+compact.end init=7 best=5 passes=2 floor=3";
     let stream = render_stream().join("\n");
     assert_eq!(
         stream, golden,

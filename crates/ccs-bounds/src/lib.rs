@@ -36,9 +36,9 @@
 #![forbid(unsafe_code)]
 
 use ccs_model::analysis::weak_components;
-use ccs_model::{Csdfg, EdgeId};
+use ccs_model::{Csdfg, EdgeId, NodeId};
 use ccs_retiming::clock_period::{critical_chain, min_clock_period};
-use ccs_retiming::{critical_cycle, Ratio};
+use ccs_retiming::{critical_cycle, iteration_bound, Ratio};
 use ccs_schedule::Schedule;
 use ccs_topology::{routing, Machine, Pe};
 use serde::{Serialize, Value};
@@ -270,6 +270,28 @@ fn cycle_ratio_bound(g: &Csdfg) -> Option<Certificate> {
     })
 }
 
+/// The tasks with their times, heaviest first; ties by node id for a
+/// deterministic witness.
+fn heaviest_first(g: &Csdfg) -> Vec<(u32, NodeId)> {
+    let mut times: Vec<(u32, NodeId)> = g.tasks().map(|v| (g.time(v), v)).collect();
+    times.sort_by_key(|&(t, v)| (std::cmp::Reverse(t), v));
+    times
+}
+
+/// The value of bound (b) for total compute `w` on `p >= 1` PEs, over
+/// the non-empty `times` in [`heaviest_first`] order.
+fn resource_value(w: u64, p: usize, times: &[(u32, NodeId)]) -> u64 {
+    let usable = p.min(times.len());
+    let value = div_ceil(w, usable as u64).max(u64::from(times[0].0));
+    // Pigeonhole: with more tasks than PEs, two of the P+1 heaviest
+    // tasks share a PE, so the period holds both of them.
+    if times.len() > p {
+        value.max(u64::from(times[p - 1].0) + u64::from(times[p].0))
+    } else {
+        value
+    }
+}
+
 /// Bound (b): compute capacity with per-PE refinements.
 fn resource_bound(g: &Csdfg, m: &Machine) -> Option<Certificate> {
     let n = g.task_count();
@@ -278,35 +300,46 @@ fn resource_bound(g: &Csdfg, m: &Machine) -> Option<Certificate> {
     }
     let w: u64 = g.total_time();
     let p = m.num_pes().max(1);
-    let usable = p.min(n);
-    let mut times: Vec<(u32, ccs_model::NodeId)> = g.tasks().map(|v| (g.time(v), v)).collect();
-    // Heaviest first; ties by node id for a deterministic witness.
-    times.sort_by_key(|&(t, v)| (std::cmp::Reverse(t), v));
-    let heaviest = times[0];
-    let mut value = div_ceil(w, usable as u64).max(u64::from(heaviest.0));
-    // Pigeonhole: with more tasks than PEs, two of the P+1 heaviest
-    // tasks share a PE, so the period holds both of them.
-    let mut shared_pair = None;
-    if n > p {
-        let pair = u64::from(times[p - 1].0) + u64::from(times[p].0);
-        if pair > value {
-            value = pair;
-        }
-        shared_pair = Some((
+    let times = heaviest_first(g);
+    let shared_pair = (n > p).then(|| {
+        (
             g.name(times[p - 1].1).to_string(),
             g.name(times[p].1).to_string(),
-        ));
-    }
+        )
+    });
     Some(Certificate {
         kind: BoundKind::Resource,
-        value,
+        value: resource_value(w, p, &times),
         witness: Witness::Resource {
             total_compute: w,
-            usable_pes: usable,
-            heaviest: g.name(heaviest.1).to_string(),
+            usable_pes: p.min(n),
+            heaviest: g.name(times[0].1).to_string(),
             shared_pair,
         },
     })
+}
+
+/// The floor cheap enough to check inside the compaction loop: the
+/// larger of the cycle-ratio bound `ceil(B)` and the resource bound,
+/// as bare values with no witness, or 0 for a graph with no tasks.
+///
+/// Both values are the ones [`compute_bounds`] certifies for those two
+/// kinds, computed by the same code.  A schedule of this length is
+/// optimal over every legal retiming of `g`, which is why
+/// `cyclo_compact` stops there.  The critical-path and communication
+/// bounds are left out: they cost a minimum-period search and
+/// all-pairs delay distances.
+///
+/// # Panics
+///
+/// Panics if `g` is illegal (zero-delay cycle), like [`compute_bounds`].
+pub fn cheap_floor(g: &Csdfg, m: &Machine) -> u64 {
+    let cycle_ratio = iteration_bound(g).map_or(0, Ratio::ceil);
+    if g.task_count() == 0 {
+        return cycle_ratio;
+    }
+    let resource = resource_value(g.total_time(), m.num_pes().max(1), &heaviest_first(g));
+    cycle_ratio.max(resource)
 }
 
 /// Bound (c): the minimum clock period over all legal retimings, with
@@ -910,6 +943,41 @@ mod tests {
         let h = rep.render_human();
         assert!(h.contains("PROVABLY OPTIMAL"), "{h}");
         assert!(h.contains("<- binding"), "{h}");
+    }
+
+    #[test]
+    fn cheap_floor_is_the_larger_of_cycle_ratio_and_resource() {
+        let mut machines = Machine::paper_suite();
+        machines.extend([
+            Machine::mesh(2, 2),
+            Machine::complete(64),
+            Machine::hypercube(6),
+        ]);
+        for w in ccs_workloads::all_workloads() {
+            let g = w.build();
+            for m in &machines {
+                let set = compute_bounds(&g, m);
+                let value = |k| set.get(k).map_or(0, |c| c.value);
+                let floor = cheap_floor(&g, m);
+                assert_eq!(
+                    floor,
+                    value(BoundKind::CycleRatio).max(value(BoundKind::Resource)),
+                    "{} on {}",
+                    w.name,
+                    m.name()
+                );
+                assert!(floor <= set.best_value());
+            }
+        }
+        // Acyclic: the resource bound alone, here its pigeonhole pair
+        // 3 + 3 over ceil(10 / 2) and the heaviest task 4; no tasks:
+        // nothing.
+        let mut g = Csdfg::new();
+        for (i, t) in [4u32, 3, 3].iter().enumerate() {
+            g.add_task(format!("T{i}"), *t).unwrap();
+        }
+        assert_eq!(cheap_floor(&g, &Machine::linear_array(2)), 6);
+        assert_eq!(cheap_floor(&Csdfg::new(), &Machine::linear_array(2)), 0);
     }
 
     #[test]

@@ -13,7 +13,9 @@ use std::time::Instant;
 /// Options for [`cyclo_compact`].
 #[derive(Clone, Copy, Debug)]
 pub struct CompactConfig {
-    /// Maximum number of rotate-remap passes (the paper's `z`).
+    /// Maximum number of rotate-remap passes (the paper's `z`).  The
+    /// run stops earlier once the best schedule meets its proven floor
+    /// (see [`Compaction::floor`]).
     pub passes: usize,
     /// Start-up scheduler options.
     pub startup: StartupConfig,
@@ -149,6 +151,11 @@ pub struct Compaction {
     pub initial_length: u32,
     /// Length of the best schedule.
     pub best_length: u32,
+    /// The proven floor the run stops at: `ccs_bounds::cheap_floor` of
+    /// the input, the larger of the cycle-ratio and resource bounds.
+    /// No legal retiming of the input has a shorter schedule, so once
+    /// `best_length <= floor` no pass is run.
+    pub floor: u32,
     /// Per-pass telemetry.
     pub history: Vec<PassRecord>,
 }
@@ -162,7 +169,9 @@ impl Compaction {
 
 /// Runs start-up scheduling followed by up to `config.passes`
 /// rotate-remap passes, returning the best schedule seen (paper's
-/// `Cyclo-Compact(G, z)`).
+/// `Cyclo-Compact(G, z)`).  No pass runs once the best schedule meets
+/// its proven floor ([`Compaction::floor`]): the best schedule is
+/// replaced only by a strictly shorter one, and none exists.
 ///
 /// # Errors
 ///
@@ -175,17 +184,20 @@ pub fn cyclo_compact(
     // One dispatch per run; the probe is threaded through startup and
     // every pass, so the uninstrumented path never re-checks the sink.
     if ccs_trace::installed() {
-        compact_probed(g, machine, config, &mut Tls)
+        compact_probed(g, machine, config, None, &mut Tls)
     } else {
-        compact_probed(g, machine, config, &mut Off)
+        compact_probed(g, machine, config, None, &mut Off)
     }
 }
 
-/// [`cyclo_compact`] instrumented against probe `P`.
+/// [`cyclo_compact`] instrumented against probe `P`.  `floor`
+/// replaces the proven floor when given; only tests pass one (0, so
+/// that no run with tasks stops early).
 pub(crate) fn compact_probed<P: Probe>(
     g: &Csdfg,
     machine: &Machine,
     config: CompactConfig,
+    floor: Option<u32>,
     probe: &mut P,
 ) -> Result<Compaction, ModelError> {
     if P::ACTIVE {
@@ -197,6 +209,10 @@ pub(crate) fn compact_probed<P: Probe>(
     }
     let initial = startup_probed(g, machine, config.startup, probe)?;
     let initial_length = initial.length();
+    // Proven after start-up, which returns an error for an illegal
+    // graph where the bound would panic.
+    let floor = floor
+        .unwrap_or_else(|| u32::try_from(ccs_bounds::cheap_floor(g, machine)).unwrap_or(u32::MAX));
 
     let mut cur_sched = initial.clone();
     let mut cur_graph = g.clone();
@@ -208,6 +224,10 @@ pub(crate) fn compact_probed<P: Probe>(
 
     let mut passes_run: u32 = 0;
     for pass in 1..=config.passes {
+        // Stop at the proof: the best schedule meets a proven floor.
+        if best_sched.length() <= floor {
+            break;
+        }
         let prev_len = cur_sched.length();
         if P::ACTIVE {
             probe.emit(Event::PassBegin {
@@ -300,6 +320,7 @@ pub(crate) fn compact_probed<P: Probe>(
             initial: initial_length,
             best: best_length,
             passes: passes_run,
+            floor,
         });
     }
     Ok(Compaction {
@@ -309,6 +330,7 @@ pub(crate) fn compact_probed<P: Probe>(
         initial,
         initial_length,
         best_length,
+        floor,
         history,
     })
 }
@@ -414,6 +436,22 @@ mod tests {
         let result = cyclo_compact(&g, &m, cfg).unwrap();
         assert_eq!(result.best_length, result.initial_length);
         assert!(result.history.is_empty());
+    }
+
+    #[test]
+    fn stops_once_the_best_meets_the_floor() {
+        let (g, _, m) = fig1();
+        let result = cyclo_compact(&g, &m, CompactConfig::default()).unwrap();
+        // ceil(B) = 3 binds; the best first reaches it on pass 16.
+        assert_eq!((result.best_length, result.floor), (3, 3));
+        assert_eq!(result.history.len(), 16);
+        assert_eq!(result.history.last().map(|r| r.length), Some(3));
+        // With the floor at 0 the loop runs all 64 passes to the same
+        // result.
+        let full = compact_probed(&g, &m, CompactConfig::default(), Some(0), &mut Off).unwrap();
+        assert_eq!(full.history.len(), 64);
+        assert_eq!(full.schedule, result.schedule);
+        assert_eq!(full.retiming, result.retiming);
     }
 
     #[test]

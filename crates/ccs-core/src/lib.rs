@@ -184,6 +184,69 @@ mod proptests {
         }
 
         #[test]
+        fn stopping_at_the_floor_changes_only_the_pass_count(
+            g in arb_csdfg(),
+            m in arb_machine(),
+            mode in prop_oneof![Just(RemapMode::WithRelaxation), Just(RemapMode::WithoutRelaxation)],
+            rows_per_pass in 1u32..3,
+            stop_on_revert in 0u32..2,
+        ) {
+            // The stop against the same loop with the floor at 0, which
+            // a graph with tasks never meets: same result, and a
+            // history cut where the best first meets the floor.
+            let config = CompactConfig {
+                passes: 24,
+                remap: RemapConfig { mode, rows_per_pass, ..Default::default() },
+                stop_on_revert: stop_on_revert == 1,
+                ..Default::default()
+            };
+            let full = compact::compact_probed(&g, &m, config, Some(0), &mut ccs_trace::Off).unwrap();
+            let stop = cyclo_compact(&g, &m, config).unwrap();
+            prop_assert_eq!(u64::from(stop.floor), ccs_bounds::cheap_floor(&g, &m));
+            prop_assert_eq!(&stop.schedule, &full.schedule);
+            prop_assert_eq!(&stop.retiming, &full.retiming);
+            for e in g.deps() {
+                prop_assert_eq!(stop.graph.delay(e), full.graph.delay(e));
+            }
+            prop_assert_eq!(&stop.initial, &full.initial);
+            prop_assert_eq!(stop.initial_length, full.initial_length);
+            prop_assert_eq!(stop.best_length, full.best_length);
+            let mut best = full.initial_length;
+            let cut = full
+                .history
+                .iter()
+                .position(|rec| {
+                    let met = best <= stop.floor;
+                    if !rec.reverted {
+                        best = best.min(rec.length);
+                    }
+                    met
+                })
+                .unwrap_or(full.history.len());
+            prop_assert_eq!(stop.history.len(), cut);
+            for (a, b) in stop.history.iter().zip(&full.history) {
+                prop_assert_eq!(a.pass, b.pass);
+                prop_assert_eq!(&a.rotated, &b.rotated);
+                prop_assert_eq!(a.length, b.length);
+                prop_assert_eq!(a.reverted, b.reverted);
+            }
+            // A recorded run stops at the same pass, and says so.
+            let (recorded, events) = ccs_trace::record(|| cyclo_compact(&g, &m, config).unwrap());
+            prop_assert_eq!(recorded.history.len(), stop.history.len());
+            prop_assert_eq!(&recorded.schedule, &stop.schedule);
+            let end = events.last().map(|t| t.event.clone());
+            prop_assert_eq!(
+                end,
+                Some(ccs_trace::Event::CompactEnd {
+                    initial: stop.initial_length,
+                    best: stop.best_length,
+                    passes: u32::try_from(stop.history.len()).unwrap(),
+                    floor: stop.floor,
+                })
+            );
+        }
+
+        #[test]
         fn baselines_are_valid(g in arb_csdfg(), m in arb_machine()) {
             let bl = baselines::oblivious_list_scheduling(&g, &m).unwrap();
             prop_assert!(validate(&g, &m, &bl.schedule).is_ok());

@@ -291,6 +291,9 @@ pub struct CommProfile {
     pub initial_length: u32,
     /// Best schedule length.
     pub best_length: u32,
+    /// The proven floor the run stops at (`compact.end`); the run met
+    /// it when `best_length <= floor`.
+    pub floor: u32,
     /// Total compute cells of the best schedule (Σ task durations).
     pub compute: u64,
     /// Total hop-weighted comm cost of the best schedule.
@@ -345,6 +348,7 @@ impl CommProfile {
                 "best_length".to_string(),
                 Value::UInt(u64::from(self.best_length)),
             ),
+            ("floor".to_string(), Value::UInt(u64::from(self.floor))),
             ("compute".to_string(), Value::UInt(self.compute)),
             ("total_comm".to_string(), Value::UInt(self.total_comm)),
             (
@@ -398,6 +402,7 @@ pub struct ProfileBuilder {
     pass_ledgers: Vec<PassLedger>,
     initial_length: u32,
     best_length: u32,
+    floor: u32,
 }
 
 /// A routable machine's deterministic BFS routes plus an index from
@@ -563,6 +568,7 @@ impl ProfileBuilder {
             pes: u32::try_from(machine.num_pes()).unwrap_or(u32::MAX),
             initial_length: self.initial_length,
             best_length: self.best_length,
+            floor: self.floor,
             compute,
             total_comm,
             crossing_edges,
@@ -599,9 +605,15 @@ impl Sink for ProfileBuilder {
                 }
             }
             Event::PeLoad(l) => self.pe_loads.push(l),
-            Event::CompactEnd { initial, best, .. } => {
+            Event::CompactEnd {
+                initial,
+                best,
+                floor,
+                ..
+            } => {
                 self.initial_length = initial;
                 self.best_length = best;
+                self.floor = floor;
                 // The final best-schedule snapshot precedes this event.
                 self.final_ledger = self.ledger.rows().to_vec();
             }
@@ -862,6 +874,7 @@ mod tests {
                 initial: 6,
                 best: 5,
                 passes: 1,
+                floor: 1,
             }),
         ];
         let p = build(&events, &m);
@@ -970,6 +983,7 @@ mod tests {
                 initial: 6,
                 best: 5,
                 passes: 2,
+                floor: 1,
             }),
         ];
         let p = build(&events, &m);
@@ -1215,6 +1229,7 @@ mod tests {
                 initial: 6,
                 best: 5,
                 passes: 1,
+                floor: 1,
             }),
         ];
         let p = build(&events, &m);
@@ -1249,6 +1264,7 @@ mod tests {
                 initial: 3,
                 best: 3,
                 passes: 0,
+                floor: 3,
             }),
         ];
         let a = build(&events, &m).to_json_pretty();
@@ -1268,6 +1284,7 @@ mod tests {
                 initial: 2,
                 best: 2,
                 passes: 0,
+                floor: 2,
             }),
         ];
         let p = build(&events, &m);

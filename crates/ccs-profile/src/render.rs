@@ -567,6 +567,7 @@ mod tests {
             pes: 3,
             initial_length: 6,
             best_length: 5,
+            floor: 3,
             compute: 5,
             total_comm: 6,
             crossing_edges: 1,

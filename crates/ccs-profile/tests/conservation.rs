@@ -145,13 +145,22 @@ proptest! {
         let profile = ccs_profile::build(&events, &m);
 
         // Replay the driver loop untraced and recompute each accepted
-        // phase's ledger from (graph, machine, schedule).
+        // phase's ledger from (graph, machine, schedule).  Like the
+        // driver, the replay stops before any pass once the best length
+        // meets the proven floor.
+        let floor = ccs_bounds::cheap_floor(&g, &m);
+        prop_assert_eq!(u64::from(result.floor), floor);
         let mut graph = g.clone();
         let mut sched = startup_schedule(&g, &m, config.startup).unwrap();
+        let mut best = sched.length();
         let mut ledgers = vec![ledger_of(&graph, &m, &sched)];
         for _ in 0..config.passes {
+            if u64::from(best) <= floor {
+                break;
+            }
             let out = rotate_remap_in_place(&mut graph, &m, &mut sched, config.remap);
             if !out.reverted {
+                best = best.min(sched.length());
                 ledgers.push(ledger_of(&graph, &m, &sched));
             } else if config.stop_on_revert {
                 break;

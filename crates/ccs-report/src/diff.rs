@@ -431,6 +431,7 @@ mod tests {
                 initial: 3,
                 best,
                 passes: 1,
+                floor: 1,
             }),
         ]
     }

@@ -132,6 +132,7 @@ pub fn fold(events: &[TimedEvent]) -> RunStory {
                 initial,
                 best,
                 passes,
+                floor: _,
             } => {
                 story.startup_length = *initial;
                 story.best_length = *best;
@@ -224,6 +225,7 @@ mod tests {
                 initial: 3,
                 best: 3,
                 passes: 1,
+                floor: 1,
             }),
         ];
         let s = fold(&events);

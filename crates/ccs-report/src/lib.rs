@@ -16,8 +16,9 @@
 //!    from the previous accepted phase (only the cells and links that
 //!    changed), and the final best ledger in full.
 //! 3. `#trajectory` — the pass trajectory table (length, comm/compute
-//!    balance) and per-pass ledger diffs: which edges' hop·volume
-//!    moved, where, and by how much.
+//!    balance), a line saying the run stopped when its best length met
+//!    the proven floor, and per-pass ledger diffs: which edges'
+//!    hop·volume moved, where, and by how much.
 //! 4. `#certificate` — the schedule graded against the proven period
 //!    floors, witnesses inline.
 //!
@@ -405,6 +406,14 @@ fn trajectory_section(
         );
     }
     out.push_str("</tbody>\n</table>\n");
+    if profile.best_length <= profile.floor {
+        let _ = writeln!(
+            out,
+            "<p>compaction stopped: length {} meets the proven floor {}</p>",
+            esc(profile.best_length),
+            esc(profile.floor)
+        );
+    }
     let _ = writeln!(
         out,
         "<p>compute {} cells, best-schedule comm {} (hop-weighted)</p>",
@@ -640,6 +649,7 @@ mod tests {
                 initial: 2,
                 best: 2,
                 passes: 0,
+                floor: 2,
             }),
         ]
     }
@@ -667,6 +677,20 @@ mod tests {
         }
         assert!(html.contains("start-up schedule (pass 0): length 2"));
         assert!(html.contains("no certificate was computed"));
+        assert!(html.contains("<p>compaction stopped: length 2 meets the proven floor 2</p>"));
+        let mut above = profile.clone();
+        above.floor = 1;
+        let html = render_report(
+            &ReportInput {
+                title: "tiny on line2",
+                events: &events,
+                machine: &m,
+                profile: &above,
+                certificate: None,
+            },
+            |n| format!("n{n}"),
+        );
+        assert!(!html.contains("compaction stopped"));
     }
 
     #[test]

@@ -619,48 +619,59 @@ impl Schedule {
     }
 
     /// Renders the table in the paper's layout (`cs` rows, `pe`
-    /// columns), labelling tasks via `name`.
-    pub fn render(&self, mut name: impl FnMut(NodeId) -> String) -> String {
+    /// columns), labelling tasks via `name`.  The text of
+    /// [`Schedule::write_table`].
+    pub fn render(&self, name: impl FnMut(NodeId) -> String) -> String {
+        let mut out = Vec::new();
+        // Writing into a `Vec` cannot fail.
+        let _ = self.write_table(&mut out, name);
+        String::from_utf8(out)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
+    }
+
+    /// Writes the table in the paper's layout (`cs` rows, `pe`
+    /// columns) to `out`, one row at a time, labelling tasks via
+    /// `name`.  It holds one label a task, never the whole table, so a
+    /// long schedule on many PEs streams in a few megabytes.  Each
+    /// column is as wide as its longest label or its `peN` heading;
+    /// each label is centred.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `out` returns.
+    pub fn write_table(
+        &self,
+        out: &mut impl std::io::Write,
+        mut name: impl FnMut(NodeId) -> String,
+    ) -> std::io::Result<()> {
         let len = self.length();
-        let mut cells: Vec<Vec<String>> = vec![vec![String::new(); self.num_pes]; len as usize];
+        let heads: Vec<String> = (1..=self.num_pes).map(|p| format!("pe{p}")).collect();
+        let mut widths: Vec<usize> = heads.iter().map(String::len).collect();
+        let mut labels = vec![String::new(); self.slots.len()];
         for (node, slot) in self.placements() {
             let label = name(node);
-            for cs in slot.start..=slot.end() {
-                cells[(cs - 1) as usize][slot.pe.index()] = label.clone();
-            }
-        }
-        let mut widths: Vec<usize> = (0..self.num_pes)
-            .map(|p| {
-                cells
-                    .iter()
-                    .map(|row| row[p].len())
-                    .chain(std::iter::once(format!("pe{}", p + 1).len()))
-                    .max()
-                    .unwrap_or(3)
-            })
-            .collect();
-        for w in &mut widths {
-            *w = (*w).max(3);
+            let w = &mut widths[slot.pe.index()];
+            *w = (*w).max(label.len());
+            labels[node.index()] = label;
         }
         let cs_w = format!("{len}").len().max(2);
-        let mut out = String::new();
-        use std::fmt::Write as _;
-        let _ = write!(out, "{:>cs_w$} |", "cs");
-        for (p, w) in widths.iter().enumerate() {
-            let _ = write!(out, " {:^w$}", format!("pe{}", p + 1));
+        write!(out, "{:>cs_w$} |", "cs")?;
+        for (head, w) in heads.iter().zip(&widths) {
+            write!(out, " {head:^w$}")?;
         }
-        out.push('\n');
         let total: usize = cs_w + 2 + widths.iter().map(|w| w + 1).sum::<usize>();
-        out.push_str(&"-".repeat(total));
-        out.push('\n');
-        for (i, row) in cells.iter().enumerate() {
-            let _ = write!(out, "{:>cs_w$} |", i + 1);
+        writeln!(out, "\n{}", "-".repeat(total))?;
+        for cs in 1..=len {
+            write!(out, "{cs:>cs_w$} |")?;
             for (p, w) in widths.iter().enumerate() {
-                let _ = write!(out, " {:^w$}", row[p]);
+                let label = self
+                    .at(Pe::from_index(p), cs)
+                    .map_or("", |v| labels[v.index()].as_str());
+                write!(out, " {label:^w$}")?;
             }
-            out.push('\n');
+            writeln!(out)?;
         }
-        out
+        Ok(())
     }
 }
 
@@ -733,9 +744,108 @@ impl Deserialize for Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn n(i: usize) -> NodeId {
         NodeId::from_index(i)
+    }
+
+    /// The text table built the first way, one `String` a cell: the
+    /// oracle [`Schedule::write_table`] must match byte for byte.
+    fn render_cells(s: &Schedule, mut name: impl FnMut(NodeId) -> String) -> String {
+        let len = s.length();
+        let mut cells: Vec<Vec<String>> = vec![vec![String::new(); s.num_pes()]; len as usize];
+        for (node, slot) in s.placements() {
+            let label = name(node);
+            for cs in slot.start..=slot.end() {
+                cells[(cs - 1) as usize][slot.pe.index()] = label.clone();
+            }
+        }
+        let mut widths: Vec<usize> = (0..s.num_pes())
+            .map(|p| {
+                cells
+                    .iter()
+                    .map(|row| row[p].len())
+                    .chain(std::iter::once(format!("pe{}", p + 1).len()))
+                    .max()
+                    .unwrap_or(3)
+            })
+            .collect();
+        for w in &mut widths {
+            *w = (*w).max(3);
+        }
+        let cs_w = format!("{len}").len().max(2);
+        let mut out = String::new();
+        use std::fmt::Write as _;
+        let _ = write!(out, "{:>cs_w$} |", "cs");
+        for (p, w) in widths.iter().enumerate() {
+            let _ = write!(out, " {:^w$}", format!("pe{}", p + 1));
+        }
+        out.push('\n');
+        let total: usize = cs_w + 2 + widths.iter().map(|w| w + 1).sum::<usize>();
+        out.push_str(&"-".repeat(total));
+        out.push('\n');
+        for (i, row) in cells.iter().enumerate() {
+            let _ = write!(out, "{:>cs_w$} |", i + 1);
+            for (p, w) in widths.iter().enumerate() {
+                let _ = write!(out, " {:^w$}", row[p]);
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random tables: 1-12 PEs, up to 40 tasks of 1-6 steps placed
+        /// at or after a random step, labels of 0-13 bytes (some with
+        /// a two-byte character, where byte and char widths differ),
+        /// and trailing padding.
+        #[test]
+        fn write_table_matches_the_cell_renderer(
+            pes in 1usize..13,
+            tasks in proptest::collection::vec((0usize..12, 1u32..7, 1u32..9, 0usize..14), 0..40),
+            pad in 0u32..5,
+        ) {
+            let mut s = Schedule::new(pes);
+            for (i, &(pe, duration, from, _)) in tasks.iter().enumerate() {
+                let pe = Pe::from_index(pe % pes);
+                let start = s.earliest_free(pe, from, duration);
+                s.place(n(i), pe, start, duration).unwrap();
+            }
+            s.pad_to(s.length() + pad);
+            let label = |v: NodeId| {
+                let k = tasks[v.index()].3;
+                let accent = if k % 3 == 0 { "\u{e9}" } else { "" };
+                format!("{}{accent}", "ab".repeat(k / 2))
+            };
+            prop_assert_eq!(s.render(label), render_cells(&s, label));
+        }
+    }
+
+    /// The catalogue kernels' names and times, list-placed on 1, 2, 8
+    /// and 16 PEs.
+    #[test]
+    fn write_table_matches_the_cell_renderer_on_the_catalogue() {
+        for w in ccs_workloads::all_workloads() {
+            let g = w.build();
+            for pes in [1usize, 2, 8, 16] {
+                let mut s = Schedule::new(pes);
+                for (i, v) in g.tasks().enumerate() {
+                    let pe = Pe::from_index(i % pes);
+                    let start = s.earliest_free(pe, 1 + (i as u32 % 3), g.time(v));
+                    s.place(v, pe, start, g.time(v)).unwrap();
+                }
+                let name = |v: NodeId| g.name(v).to_string();
+                assert_eq!(
+                    s.render(name),
+                    render_cells(&s, name),
+                    "{} on {pes}",
+                    w.name
+                );
+            }
+        }
     }
 
     #[test]

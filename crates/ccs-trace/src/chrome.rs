@@ -226,6 +226,7 @@ mod tests {
                 initial: 5,
                 best: 4,
                 passes: 1,
+                floor: 1,
             },
         ])
     }

@@ -439,6 +439,9 @@ pub enum Event {
         best: u32,
         /// Passes actually run.
         passes: u32,
+        /// The proven floor of the input (cycle-ratio and resource
+        /// bounds).  The driver runs no pass once `best <= floor`.
+        floor: u32,
     },
     /// Per-edge traffic attribution.  Start-up placement and the final
     /// best schedule emit a full snapshot, one row per edge in edge
@@ -611,9 +614,10 @@ impl Event {
                 initial,
                 best,
                 passes,
+                floor,
             } => write!(
                 out,
-                r#"{{"initial":{initial},"best":{best},"passes":{passes}}}"#
+                r#"{{"initial":{initial},"best":{best},"passes":{passes},"floor":{floor}}}"#
             ),
             Event::EdgeTraffic(t) => write!(
                 out,
@@ -778,7 +782,8 @@ impl fmt::Display for Event {
                 initial,
                 best,
                 passes,
-            } => write!(f, " init={initial} best={best} passes={passes}"),
+                floor,
+            } => write!(f, " init={initial} best={best} passes={passes} floor={floor}"),
             Event::EdgeTraffic(t) => write!(
                 f,
                 " edge=e{} n{}->n{} pe={}->{} hops={} vol={} cost={} crossing={}",
@@ -1155,8 +1160,9 @@ mod tests {
                     initial: 7,
                     best: 5,
                     passes: 2,
+                    floor: 3,
                 },
-                r#"{"initial":7,"best":5,"passes":2}"#,
+                r#"{"initial":7,"best":5,"passes":2,"floor":3}"#,
             ),
             (
                 Event::EdgeTraffic(EdgeTraffic {

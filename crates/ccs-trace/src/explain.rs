@@ -14,6 +14,10 @@
 //! schedule.  An accepted pass carries only the `traffic.edge` rows of
 //! the edges it moved, often none, and still gets its line.
 //!
+//! The closing `compaction done:` line adds `length L meets the proven
+//! floor F` when the best length reached the floor `compact.end`
+//! carries: that is where the driver stopped.
+//!
 //! The renderer is a pure function of the event stream, so its output
 //! is as deterministic as the events themselves.
 
@@ -264,11 +268,16 @@ pub fn explain_with(
                 initial,
                 best,
                 passes,
+                floor,
             } => {
-                let _ = writeln!(
+                let _ = write!(
                     out,
                     "compaction done: {initial} -> {best} after {passes} pass(es)"
                 );
+                if best <= floor {
+                    let _ = write!(out, "; length {best} meets the proven floor {floor}");
+                }
+                out.push('\n');
             }
             Event::EdgeTraffic(_) => snapshot |= !in_pass,
             Event::PeLoad(PeLoad { pe, tasks, busy }) => {
@@ -375,6 +384,26 @@ mod tests {
     }
 
     #[test]
+    fn the_closing_line_names_a_floor_the_run_met() {
+        let end = |best, floor| {
+            explain(
+                &timed(vec![Event::CompactEnd {
+                    initial: 7,
+                    best,
+                    passes: 13,
+                    floor,
+                }]),
+                |n| format!("n{n}"),
+            )
+        };
+        assert_eq!(
+            end(3, 3),
+            "compaction done: 7 -> 3 after 13 pass(es); length 3 meets the proven floor 3\n"
+        );
+        assert_eq!(end(4, 3), "compaction done: 7 -> 4 after 13 pass(es)\n");
+    }
+
+    #[test]
     fn annotations_splice_under_accepted_passes_only() {
         let events = timed(vec![
             Event::PassEnd {
@@ -443,6 +472,7 @@ mod tests {
                 initial: 7,
                 best: 5,
                 passes: 2,
+                floor: 1,
             },
         ]);
         let text = explain(&events, |n| format!("n{n}"));

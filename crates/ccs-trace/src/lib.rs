@@ -302,6 +302,7 @@ mod tests {
                     initial: 2,
                     best: 2,
                     passes: 0,
+                    floor: 2,
                 });
                 "b"
             },

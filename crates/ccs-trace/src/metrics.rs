@@ -303,6 +303,7 @@ mod tests {
             initial: 5,
             best: 4,
             passes: 1,
+            floor: 1,
         });
         let m = sink.into_metrics();
         assert_eq!(m.counters["edges_swept"], 7);
@@ -345,6 +346,7 @@ mod tests {
             initial: 4,
             best: 3,
             passes: 1,
+            floor: 1,
         });
         let m = sink.into_metrics();
         assert_eq!(m.counters["traffic_events"], 5);

@@ -227,6 +227,12 @@ MACHINE SPECS:
 Graphs use the textual format: `node A t=1` / `edge A -> B d=0 c=1`.
 Kernels use the loop language: `y = y[i-1]*k + x;` (see `compile`).
 
+SCHEDULING:
+  --passes N     run up to N rotate-remap passes (default 64), stopping
+                 once the best schedule meets the proven floor (the
+                 larger of the cycle-ratio and resource bounds): no
+                 later pass can shorten it
+
 OBSERVABILITY:
   --trace FILE   export the scheduler's decision stream as Chrome-trace
                  JSON (open in chrome://tracing or ui.perfetto.dev);

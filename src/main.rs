@@ -11,7 +11,7 @@ use cyclosched::model::parser as graph_parser;
 use cyclosched::prelude::*;
 use cyclosched::report::{gantt_svg, Bar};
 use cyclosched::topology::parse_spec;
-use std::io::Read;
+use std::io::{Read, Write};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -212,6 +212,9 @@ fn run_schedule(args: ScheduleArgs) -> Result<(), String> {
         (schedule_a(), Vec::new())
     };
     let mut result = outcome.map_err(|e| format!("scheduling failed: {e}"))?;
+    // Whether compaction stopped at its proven floor; read before
+    // `--refine` rebinds the schedule.
+    let at_floor = result.best_length <= result.floor;
     if args.refine {
         let refined =
             cyclosched::core::refine::refine_binding(&result.graph, &machine, &result.schedule, 16);
@@ -236,13 +239,23 @@ fn run_schedule(args: ScheduleArgs) -> Result<(), String> {
     );
     if !result.history.is_empty() {
         let accepted = result.history.iter().filter(|r| !r.reverted).count();
+        let stop = if at_floor {
+            format!(", stopped at the proven floor {}", result.floor)
+        } else {
+            String::new()
+        };
         // The time covers start-up as well, so it is not split per pass.
         eprintln!(
-            "passes: {} run ({} accepted, {} reverted) in {:.2} ms",
+            "passes: {} run ({} accepted, {} reverted) in {:.2} ms{stop}",
             result.history.len(),
             accepted,
             result.history.len() - accepted,
             schedule_ms
+        );
+    } else if at_floor {
+        eprintln!(
+            "passes: 0 run (start-up meets the proven floor {})",
+            result.floor
         );
     }
     if args.csv {
@@ -251,10 +264,14 @@ fn run_schedule(args: ScheduleArgs) -> Result<(), String> {
             cyclosched::schedule::to_csv(&result.graph, &result.schedule)
         );
     } else {
-        print!(
-            "{}",
-            result.schedule.render(|v| result.graph.name(v).to_string())
-        );
+        // Row by row into a buffered stdout: the table is never held
+        // in memory, which matters for long schedules on many PEs.
+        let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+        result
+            .schedule
+            .write_table(&mut out, |v| result.graph.name(v).to_string())
+            .and_then(|()| out.flush())
+            .map_err(|e| format!("writing the schedule table: {e}"))?;
     }
     if let Some(path) = &args.svg {
         let sched = &result.schedule;

@@ -146,6 +146,65 @@ fn schedule_tables_past_the_cell_budget_are_rejected_before_allocating() {
 }
 
 #[test]
+fn graphs_with_no_tasks_are_rejected() {
+    // Before CCS009 these scheduled at period 0, ran 64 passes over an
+    // empty rotation set and certified period 0 as optimal.
+    for text in ["", "\n\n", "# no tasks here\n   # nor here\n"] {
+        for args in [
+            &["schedule", "-", "--machine", "ring:4"][..],
+            &["schedule", "-", "--machine", "ring:4", "--certify"][..],
+            &["bound", "-"][..],
+            &["simulate", "-", "--machine", "ring:4"][..],
+        ] {
+            let out = run_with_stdin(args, text);
+            assert_eq!(out.status.code(), Some(1), "{args:?} on {text:?}");
+            let err = String::from_utf8_lossy(&out.stderr).to_string();
+            assert!(err.contains("CCS009"), "{args:?} on {text:?}: {err}");
+            assert!(out.stdout.is_empty(), "{args:?} on {text:?}");
+        }
+    }
+}
+
+#[test]
+fn compaction_stops_at_the_proven_floor() {
+    let workload = |name: &str| stdout_of(&bin().args(["workloads", name]).output().unwrap());
+    // `fir` starts at its floor: no pass runs, and the line says why.
+    let out = run_with_stdin(&["schedule", "-", "--machine", "ring:8"], &workload("fir"));
+    let err = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(err.contains("start-up 11 -> compacted 11"), "{err}");
+    assert!(
+        err.contains("passes: 0 run (start-up meets the proven floor 11)"),
+        "{err}"
+    );
+    // `fig1` reaches period 3, its cycle-ratio floor, on pass 13 and
+    // stops there instead of running all 64.
+    let fig1 = workload("fig1");
+    let out = run_with_stdin(
+        &["schedule", "-", "--machine", "ring:8", "--explain"],
+        &fig1,
+    );
+    let err = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(err.contains("start-up 7 -> compacted 3"), "{err}");
+    assert!(err.contains("passes: 13 run ("), "{err}");
+    assert!(err.contains(", stopped at the proven floor 3"), "{err}");
+    let text = stdout_of(&out);
+    assert!(
+        text.contains(
+            "compaction done: 7 -> 3 after 13 pass(es); length 3 meets the proven floor 3\n"
+        ),
+        "{text}"
+    );
+    // A run that never meets its floor keeps the old line.
+    let out = run_with_stdin(
+        &["schedule", "-", "--machine", "mesh:2x2", "--passes", "2"],
+        &fig1,
+    );
+    let err = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(err.contains("passes: 2 run ("), "{err}");
+    assert!(!err.contains("floor"), "{err}");
+}
+
+#[test]
 fn compile_then_schedule_pipeline() {
     let kernel = "y = y[i-1]*k + x;\n";
     let compiled = stdout_of(&run_with_stdin(&["compile", "-"], kernel));
