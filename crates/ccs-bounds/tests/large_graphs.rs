@@ -6,7 +6,9 @@
 //! iteration bound, its critical-cycle witness, the minimum clock
 //! period and the zero-delay chain left at that period are pinned, so
 //! any change to the cycle-ratio or `FEAS` kernels that moves an
-//! answer or a witness fails here by name.
+//! answer or a witness fails here by name.  A second table pins each
+//! graph's communication certificate on three 64-PE machines, so a
+//! crossing-edge search that settles a tie on another edge fails too.
 
 use ccs_bounds::{compute_bounds, BoundKind, Witness};
 use ccs_topology::Machine;
@@ -69,5 +71,74 @@ const PINNED: [&str; 12] = [
 fn large_graph_bounds_and_witnesses_are_pinned() {
     for (i, expected) in PINNED.iter().enumerate() {
         assert_eq!(describe(i), *expected, "graph {i}");
+    }
+}
+
+/// The three 64-PE machines the communication certificates are pinned
+/// on.  Each has a one-hop link, so a pin names the crossing edge that
+/// the bound's tie-break picks, not a machine-specific hop count.
+const COMM_MACHINES: [&str; 3] = ["mesh:8x8", "complete:64", "hypercube:6"];
+
+/// One line per graph: the whole communication certificate (value,
+/// binding PE count, both floors, crossing edge and route) on each of
+/// [`COMM_MACHINES`].
+fn describe_communication(i: usize) -> String {
+    let g = graph(i);
+    let cells: Vec<String> = COMM_MACHINES
+        .iter()
+        .map(|spec| {
+            let m = ccs_topology::parse_spec(spec).expect("machine spec");
+            let b = compute_bounds(&g, &m);
+            let c = b.get(BoundKind::Communication).expect("non-empty");
+            match &c.witness {
+                Witness::Cut {
+                    pes_used,
+                    compute_floor,
+                    comm_floor,
+                    edge,
+                    route,
+                } => {
+                    let edge = edge
+                        .as_ref()
+                        .map_or("-".to_string(), |(u, v)| format!("{u}->{v}"));
+                    let route: Vec<String> = route.iter().map(u32::to_string).collect();
+                    format!(
+                        "{spec} {} pes {pes_used} compute {compute_floor} comm {comm_floor} \
+                         edge {edge} route [{}]",
+                        c.value,
+                        route.join(" ")
+                    )
+                }
+                w => panic!("expected a cut witness, got {w:?}"),
+            }
+        })
+        .collect();
+    format!("n{}: {}", SIZES[i], cells.join("; "))
+}
+
+/// One line per `SIZES` entry, recorded with the all-pairs min-delay
+/// matrix that preceded the pruned crossing-edge search.  The crossing
+/// floor is 1 on every graph, so each pin checks the tie-break: the
+/// first edge in `deps()` order whose floor is 1 (`v30->v37` on n110,
+/// not the first edge of the graph).
+const PINNED_COMMUNICATION: [&str; 12] = [
+    "n100: mesh:8x8 4 pes 51 compute 4 comm 1 edge v0->v1 route [0 1]; complete:64 4 pes 51 compute 4 comm 1 edge v0->v1 route [0 1]; hypercube:6 4 pes 51 compute 4 comm 1 edge v0->v1 route [0 1]",
+    "n110: mesh:8x8 4 pes 54 compute 4 comm 1 edge v30->v37 route [0 1]; complete:64 4 pes 54 compute 4 comm 1 edge v30->v37 route [0 1]; hypercube:6 4 pes 54 compute 4 comm 1 edge v30->v37 route [0 1]",
+    "n120: mesh:8x8 4 pes 63 compute 4 comm 1 edge v0->v1 route [0 1]; complete:64 4 pes 63 compute 4 comm 1 edge v0->v1 route [0 1]; hypercube:6 4 pes 63 compute 4 comm 1 edge v0->v1 route [0 1]",
+    "n130: mesh:8x8 4 pes 64 compute 4 comm 1 edge v0->v1 route [0 1]; complete:64 4 pes 64 compute 4 comm 1 edge v0->v1 route [0 1]; hypercube:6 4 pes 64 compute 4 comm 1 edge v0->v1 route [0 1]",
+    "n140: mesh:8x8 5 pes 55 compute 5 comm 1 edge v0->v1 route [0 1]; complete:64 5 pes 55 compute 5 comm 1 edge v0->v1 route [0 1]; hypercube:6 5 pes 55 compute 5 comm 1 edge v0->v1 route [0 1]",
+    "n150: mesh:8x8 5 pes 61 compute 5 comm 1 edge v0->v1 route [0 1]; complete:64 5 pes 61 compute 5 comm 1 edge v0->v1 route [0 1]; hypercube:6 5 pes 61 compute 5 comm 1 edge v0->v1 route [0 1]",
+    "n160: mesh:8x8 5 pes 61 compute 5 comm 1 edge v0->v1 route [0 1]; complete:64 5 pes 61 compute 5 comm 1 edge v0->v1 route [0 1]; hypercube:6 5 pes 61 compute 5 comm 1 edge v0->v1 route [0 1]",
+    "n170: mesh:8x8 6 pes 61 compute 6 comm 1 edge v0->v1 route [0 1]; complete:64 6 pes 61 compute 6 comm 1 edge v0->v1 route [0 1]; hypercube:6 6 pes 61 compute 6 comm 1 edge v0->v1 route [0 1]",
+    "n180: mesh:8x8 6 pes 64 compute 6 comm 1 edge v28->v65 route [0 1]; complete:64 6 pes 64 compute 6 comm 1 edge v28->v65 route [0 1]; hypercube:6 6 pes 64 compute 6 comm 1 edge v28->v65 route [0 1]",
+    "n190: mesh:8x8 6 pes 63 compute 6 comm 1 edge v0->v1 route [0 1]; complete:64 6 pes 63 compute 6 comm 1 edge v0->v1 route [0 1]; hypercube:6 6 pes 63 compute 6 comm 1 edge v0->v1 route [0 1]",
+    "n200: mesh:8x8 7 pes 57 compute 7 comm 1 edge v1->v10 route [0 1]; complete:64 7 pes 57 compute 7 comm 1 edge v1->v10 route [0 1]; hypercube:6 7 pes 57 compute 7 comm 1 edge v1->v10 route [0 1]",
+    "n218: mesh:8x8 7 pes 62 compute 7 comm 1 edge v0->v1 route [0 1]; complete:64 7 pes 62 compute 7 comm 1 edge v0->v1 route [0 1]; hypercube:6 7 pes 62 compute 7 comm 1 edge v0->v1 route [0 1]",
+];
+
+#[test]
+fn large_graph_communication_certificates_are_pinned() {
+    for (i, expected) in PINNED_COMMUNICATION.iter().enumerate() {
+        assert_eq!(describe_communication(i), *expected, "graph {i}");
     }
 }
