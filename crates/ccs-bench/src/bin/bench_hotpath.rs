@@ -23,6 +23,10 @@
 //! schedules; the per-machine ratio, i.e. what pruning buys, is
 //! reported as `candidate_scan_speedup`.
 //!
+//! A `certify/*` size tier times `certify_period` on the 1,000-,
+//! 4,000- and 8,000-task one-SCC chains on `mesh:4x4` and fingerprints
+//! each certificate's JSON.
+//!
 //! All timed sections run with **no trace sink installed** (asserted),
 //! so the numbers measure the uninstrumented hot path.  A separate,
 //! untimed instrumented run afterwards feeds a
@@ -144,7 +148,7 @@ fn artifact_bytes() -> Vec<(String, Value)> {
         let (ra, rb) = (ra.expect("legal"), rb.expect("legal"));
         let (pa, pb) = (ccs_profile::build(&ea, &m), ccs_profile::build(&eb, &m));
         let ca = ccs_bounds::certify_period(&g, &m, ra.best_length);
-        let cb = ccs_bounds::certify_period(&g, &m, rb.best_length);
+        let cb = ccs_bounds::grade(ca.bounds.clone(), rb.best_length);
         let report = render_report(
             &ReportInput {
                 title: &format!("elliptic on {}", m.name()),
@@ -364,6 +368,22 @@ fn main() {
         timings.insert(format!("candidate_scan/{slug}/reference"), t_ref);
         prints.insert(format!("candidate_scan/{slug}"), fp);
         scan_speedups.push((slug.into(), Value::Float(t_ref / t_eng)));
+    }
+
+    // --- Certificate size tier: the bound family on one-SCC chains of
+    // 1,000-8,000 tasks, graded at the serial period `W`.  The
+    // fingerprint hashes the certificate JSON, so a bound value, witness
+    // or verdict that moves fails the baseline comparison.
+    let mesh4x4 = Machine::mesh(4, 4);
+    for nodes in [1000, 4000, 8000] {
+        let g = ccs_workloads::scc_chain(nodes, 1);
+        let period = u32::try_from(g.total_time()).expect("W fits a period");
+        let (t, report) = time_median(reps, || ccs_bounds::certify_period(&g, &mesh4x4, period));
+        let key = format!("certify/scc_chain_{nodes}/mesh4x4");
+        let mut h = Fnv::new();
+        h.write(report.to_json_pretty().as_bytes());
+        timings.insert(key.clone(), t);
+        prints.insert(key, format!("{:016x}", h.0));
     }
 
     let (t, _) = time_median(reps, || {

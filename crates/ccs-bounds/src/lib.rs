@@ -35,6 +35,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use ccs_graph::algo::scc::tarjan_scc;
 use ccs_model::analysis::weak_components;
 use ccs_model::{Csdfg, EdgeId, NodeId};
 use ccs_retiming::clock_period::{critical_chain, min_clock_period};
@@ -327,8 +328,9 @@ fn resource_bound(g: &Csdfg, m: &Machine) -> Option<Certificate> {
 /// kinds, computed by the same code.  A schedule of this length is
 /// optimal over every legal retiming of `g`, which is why
 /// `cyclo_compact` stops there.  The critical-path and communication
-/// bounds are left out: they cost a minimum-period search and
-/// all-pairs delay distances.
+/// bounds are left out: the first costs a minimum-period search, and
+/// the second is cheap (an SCC-pruned crossing-edge search) but binds
+/// in none of the 50 catalogue cells of `CERTIFY_expected.json`.
 ///
 /// # Panics
 ///
@@ -361,50 +363,140 @@ fn critical_path_bound(g: &Csdfg) -> Option<Certificate> {
     })
 }
 
-/// The maximum delay any *legal* retiming can place on each edge:
-/// `d(e) + min-delay-path(dst -> src)`, or `None` when the edge lies
-/// on no cycle (retiming can pipeline it arbitrarily deep).
+/// The cheapest crossing floor at hop distance `hop`: the minimum over
+/// the non-self edges `e = u -> v` of `ceil(span / (k_max + 1)).max(1)`,
+/// with `span = hop · c(e) + t(u) + t(v)`, and the first such edge in
+/// `deps()` order on ties.  `None` when every edge is a self edge.
 ///
-/// Legality (`d_r(e) >= 0` everywhere) is a difference-constraint
-/// system whose optimum is the shortest path under delay weights; for
-/// an edge on a cycle this is exactly the minimum cycle delay through
-/// it, which the retiming invariant caps.
-fn max_retimed_delays(g: &Csdfg) -> Vec<Option<u64>> {
+/// `k_max(e) = d(e) + dist(v -> u)` is the most delays any *legal*
+/// retiming can place on `e`.  Legality (`d_r(e) >= 0` everywhere) is a
+/// difference-constraint system whose optimum is the shortest path under
+/// delay weights; for an edge on a cycle this is exactly the minimum
+/// cycle delay through it, which the retiming invariant caps.  An edge
+/// whose endpoints lie in different SCCs is on no cycle, so retiming can
+/// pipeline it arbitrarily deep: its floor is 1 and it needs no search.
+///
+/// The other edges are visited in `(lower bound, deps index)` order, and
+/// the scan stops at the first one that cannot beat the incumbent.  A
+/// shortest path `v -> u` is simple, so it uses no edge into `v` (`e`
+/// included) and every other edge of the SCC at most once: `k_max(e)` is
+/// at most the SCC's total delay, which bounds the floor from below.
+/// The exact `k_max` comes from one Dijkstra per consumer `v`, confined
+/// to `v`'s SCC and stopped once the producers of all of `v`'s pending
+/// in-edges are settled; it settles all of those edges at once.  No
+/// node is searched from twice, and one distance row is reused, so
+/// memory stays O(n + m).
+fn cheapest_crossing(g: &Csdfg, hop: u64) -> Option<(u64, EdgeId)> {
     let graph = g.graph();
     let n = graph.node_count();
-    // All-pairs min-delay distances via repeated Dijkstra (delay
-    // weights are non-negative; graphs in this domain are small).
-    let mut dist = vec![vec![u64::MAX; n]; n];
-    for src in g.tasks() {
-        let d = &mut dist[src.index()];
-        d[src.index()] = 0;
-        let mut heap = std::collections::BinaryHeap::new();
-        heap.push(std::cmp::Reverse((0u64, src)));
-        while let Some(std::cmp::Reverse((du, u))) = heap.pop() {
-            if du > d[u.index()] {
-                continue;
-            }
-            for e in graph.out_edges(u) {
-                let v = graph.edge_target(e);
-                let cand = du.saturating_add(u64::from(g.delay(e)));
-                if cand < d[v.index()] {
-                    d[v.index()] = cand;
-                    heap.push(std::cmp::Reverse((cand, v)));
+    let mut comp = vec![0usize; n];
+    let sccs = tarjan_scc(graph);
+    for (c, members) in sccs.iter().enumerate() {
+        for v in members {
+            comp[v.index()] = c;
+        }
+    }
+    let mut scc_delay = vec![0u64; sccs.len()];
+    for e in g.deps() {
+        let (u, v) = g.endpoints(e);
+        if comp[u.index()] == comp[v.index()] {
+            let d = &mut scc_delay[comp[u.index()]];
+            *d = d.saturating_add(u64::from(g.delay(e)));
+        }
+    }
+    let span = |e: EdgeId| {
+        let (u, v) = g.endpoints(e);
+        hop * u64::from(g.volume(e)) + u64::from(g.time(u)) + u64::from(g.time(v))
+    };
+    // ceil(span / (k_max + 1)); unbounded pipelining still leaves at
+    // least one control step.
+    let floor = |e: EdgeId, k_max: u64| div_ceil(span(e), k_max.saturating_add(1)).max(1);
+    let lower_bound = |e: EdgeId| floor(e, scc_delay[comp[g.endpoints(e).1.index()]]);
+
+    // The incumbent `(floor, deps index)`, seeded by the first edge on
+    // no cycle (`usize::MAX`: none yet), and the edges inside an SCC in
+    // visiting order.
+    let mut best = (u64::MAX, usize::MAX);
+    let mut candidates: Vec<(u64, usize)> = Vec::new();
+    for e in g.deps() {
+        let (u, v) = g.endpoints(e);
+        if u == v {
+            continue; // a self edge can never cross PEs
+        }
+        if comp[u.index()] != comp[v.index()] {
+            best = best.min((1, e.index()));
+        } else {
+            candidates.push((lower_bound(e), e.index()));
+        }
+    }
+    candidates.sort_unstable();
+
+    let mut searched = vec![false; n];
+    let mut dist = vec![u64::MAX; n];
+    let mut wanted = vec![false; n];
+    let mut touched: Vec<NodeId> = Vec::new();
+    let mut pending: Vec<EdgeId> = Vec::new();
+    let mut heap = std::collections::BinaryHeap::new();
+    for &(lb, ix) in &candidates {
+        if (lb, ix) >= best {
+            break; // sorted: no later candidate can beat it either
+        }
+        let (_, v) = g.endpoints(EdgeId::from_index(ix));
+        if searched[v.index()] {
+            continue; // settled with the rest of `v`'s in-edges
+        }
+        searched[v.index()] = true;
+        let c = comp[v.index()];
+        pending.clear();
+        let mut targets = 0usize;
+        for e in g.in_deps(v) {
+            let u = g.endpoints(e).0;
+            if u != v && comp[u.index()] == c && (lower_bound(e), e.index()) < best {
+                pending.push(e);
+                if !wanted[u.index()] {
+                    wanted[u.index()] = true;
+                    targets += 1;
                 }
             }
         }
-    }
-    g.deps()
-        .map(|e| {
-            let (u, v) = g.endpoints(e);
-            let back = dist[v.index()][u.index()];
-            if back == u64::MAX {
-                None
-            } else {
-                Some(u64::from(g.delay(e)) + back)
+        // Every producer is in `v`'s SCC, so the search settles them all.
+        dist[v.index()] = 0;
+        touched.push(v);
+        heap.push(std::cmp::Reverse((0u64, v)));
+        while let Some(std::cmp::Reverse((dx, x))) = heap.pop() {
+            if dx > dist[x.index()] {
+                continue;
             }
-        })
-        .collect()
+            if wanted[x.index()] {
+                wanted[x.index()] = false;
+                targets -= 1;
+                if targets == 0 {
+                    break;
+                }
+            }
+            for e in graph.out_edges(x) {
+                let y = graph.edge_target(e);
+                let cand = dx.saturating_add(u64::from(g.delay(e)));
+                if comp[y.index()] == c && cand < dist[y.index()] {
+                    if dist[y.index()] == u64::MAX {
+                        touched.push(y);
+                    }
+                    dist[y.index()] = cand;
+                    heap.push(std::cmp::Reverse((cand, y)));
+                }
+            }
+        }
+        for &e in &pending {
+            let u = g.endpoints(e).0;
+            let k_max = u64::from(g.delay(e)).saturating_add(dist[u.index()]);
+            best = best.min((floor(e, k_max), e.index()));
+        }
+        for x in touched.drain(..) {
+            dist[x.index()] = u64::MAX;
+        }
+        heap.clear();
+    }
+    (best.1 != usize::MAX).then(|| (best.0, EdgeId::from_index(best.1)))
 }
 
 /// Bound (d): the communication-aware serialization/crossing floor.
@@ -417,8 +509,14 @@ fn max_retimed_delays(g: &Csdfg) -> Vec<Option<u64>> {
 /// most delays any retiming can place on that edge.  The bound is the
 /// minimum over `p` of the worst of the two terms, so it can prove
 /// "parallelism cannot pay for its communication" without ever
-/// overcharging a serial schedule.
-fn communication_bound(g: &Csdfg, m: &Machine) -> Option<Certificate> {
+/// overcharging a serial schedule.  `crossing` finds the cheapest
+/// crossing edge ([`cheapest_crossing`]; tests pass the all-pairs
+/// oracle).
+fn communication_bound(
+    g: &Csdfg,
+    m: &Machine,
+    crossing: fn(&Csdfg, u64) -> Option<(u64, EdgeId)>,
+) -> Option<Certificate> {
     let n = g.task_count();
     if n == 0 {
         return None;
@@ -442,26 +540,7 @@ fn communication_bound(g: &Csdfg, m: &Machine) -> Option<Certificate> {
 
     // Cheapest crossing floor over all non-self edges, with each
     // edge's delay maximized over legal retimings.
-    let mut cross: Option<(u64, EdgeId)> = None;
-    if let Some(hop) = min_hop {
-        let max_delay = max_retimed_delays(g);
-        for (ix, e) in g.deps().enumerate() {
-            let (u, v) = g.endpoints(e);
-            if u == v {
-                continue; // a self edge can never cross PEs
-            }
-            let span = hop * u64::from(g.volume(e)) + u64::from(g.time(u)) + u64::from(g.time(v));
-            let floor = match max_delay[ix] {
-                // ceil(span / (k_max + 1)); unbounded pipelining still
-                // leaves at least one control step.
-                Some(k) => div_ceil(span, k + 1).max(1),
-                None => 1,
-            };
-            if cross.map(|(c, _)| floor < c).unwrap_or(true) {
-                cross = Some((floor, e));
-            }
-        }
-    }
+    let cross = min_hop.and_then(|hop| crossing(g, hop));
 
     let mut best: Option<(u64, usize, u64, u64, Option<EdgeId>)> = None;
     for p in 1..=p_max {
@@ -532,7 +611,7 @@ pub fn compute_bounds(g: &Csdfg, m: &Machine) -> BoundSet {
     certs.extend(cycle_ratio_bound(g));
     certs.extend(resource_bound(g, m));
     certs.extend(critical_path_bound(g));
-    certs.extend(communication_bound(g, m));
+    certs.extend(communication_bound(g, m, cheapest_crossing));
     BoundSet { certs }
 }
 
@@ -682,7 +761,13 @@ impl Serialize for OptimalityReport {
 /// proven over all of its legal retimings, so any rotation the
 /// scheduler performed is covered).
 pub fn certify_period(g: &Csdfg, m: &Machine, period: u32) -> OptimalityReport {
-    let bounds = compute_bounds(g, m);
+    grade(compute_bounds(g, m), period)
+}
+
+/// Grades an achieved period against an already computed bound family,
+/// so two schedules of one `(graph, machine)` pair share one
+/// [`compute_bounds`].
+pub fn grade(bounds: BoundSet, period: u32) -> OptimalityReport {
     let best = bounds.best_value();
     let achieved = u64::from(period);
     let (verdict, gap) = if achieved < best {
@@ -714,6 +799,139 @@ pub fn certify(g: &Csdfg, m: &Machine, s: &Schedule) -> OptimalityReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The all-pairs oracle for [`cheapest_crossing`]: a full n×n
+    /// min-delay matrix with one Dijkstra per node, then every non-self
+    /// edge in `deps()` order, keeping the first strict minimum.
+    fn all_pairs_crossing(g: &Csdfg, hop: u64) -> Option<(u64, EdgeId)> {
+        let graph = g.graph();
+        let n = graph.node_count();
+        let mut dist = vec![vec![u64::MAX; n]; n];
+        for src in g.tasks() {
+            let d = &mut dist[src.index()];
+            d[src.index()] = 0;
+            let mut heap = std::collections::BinaryHeap::new();
+            heap.push(std::cmp::Reverse((0u64, src)));
+            while let Some(std::cmp::Reverse((du, u))) = heap.pop() {
+                if du > d[u.index()] {
+                    continue;
+                }
+                for e in graph.out_edges(u) {
+                    let v = graph.edge_target(e);
+                    let cand = du.saturating_add(u64::from(g.delay(e)));
+                    if cand < d[v.index()] {
+                        d[v.index()] = cand;
+                        heap.push(std::cmp::Reverse((cand, v)));
+                    }
+                }
+            }
+        }
+        let mut cross: Option<(u64, EdgeId)> = None;
+        for e in g.deps() {
+            let (u, v) = g.endpoints(e);
+            if u == v {
+                continue;
+            }
+            let span = hop * u64::from(g.volume(e)) + u64::from(g.time(u)) + u64::from(g.time(v));
+            let back = dist[v.index()][u.index()];
+            let floor = if back == u64::MAX {
+                1
+            } else {
+                div_ceil(span, u64::from(g.delay(e)) + back + 1).max(1)
+            };
+            if cross.map(|(c, _)| floor < c).unwrap_or(true) {
+                cross = Some((floor, e));
+            }
+        }
+        cross
+    }
+
+    /// Random legal graphs in blocks: edges that run backward stay
+    /// inside their block and carry a delay, so each block holds its own
+    /// SCCs, blocks join by forward edges, and zero-delay edges only run
+    /// forward.  Self edges, and `u32::MAX` delays and volumes, occur.
+    fn arb_graph() -> impl Strategy<Value = Csdfg> {
+        (2usize..14, 1usize..6).prop_flat_map(|(n, block)| {
+            let times = proptest::collection::vec(1u32..4, n);
+            let delay = prop_oneof![0u32..4, 0u32..2, Just(u32::MAX)];
+            let volume = prop_oneof![1u32..5, Just(u32::MAX)];
+            let edges = proptest::collection::vec((0..n, 0..n, delay, volume), 0..n * 3);
+            (times, edges).prop_map(move |(times, edges)| {
+                let mut g = Csdfg::new();
+                let ids: Vec<_> = times
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &t)| g.add_task(format!("v{i}"), t).unwrap())
+                    .collect();
+                for (a, b, d, c) in edges {
+                    let (a, b) = if a > b && a / block != b / block {
+                        (b, a)
+                    } else {
+                        (a, b)
+                    };
+                    let delay = if a < b { d } else { d.max(1) };
+                    g.add_dep(ids[a], ids[b], delay, c).unwrap();
+                }
+                g
+            })
+        })
+    }
+
+    fn arb_machine() -> impl Strategy<Value = Machine> {
+        prop_oneof![
+            (2usize..6).prop_map(Machine::linear_array),
+            (3usize..7).prop_map(Machine::ring),
+            (2usize..5).prop_map(Machine::complete),
+            Just(Machine::mesh(2, 2)),
+            // Every pair 0 hops apart: the crossing floor has no
+            // volume term.
+            (2usize..5).prop_map(Machine::ideal),
+            // One PE, no link: no split, so no crossing term.
+            Just(Machine::linear_array(1)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn pruned_crossing_search_matches_the_all_pairs_oracle(
+            g in arb_graph(),
+            m in arb_machine(),
+        ) {
+            prop_assert_eq!(
+                communication_bound(&g, &m, cheapest_crossing),
+                communication_bound(&g, &m, all_pairs_crossing)
+            );
+            for hop in [0, 1, 2, u64::from(u32::MAX)] {
+                prop_assert_eq!(cheapest_crossing(&g, hop), all_pairs_crossing(&g, hop));
+            }
+        }
+    }
+
+    #[test]
+    fn pruned_crossing_search_matches_the_oracle_on_kernels_and_chains() {
+        let mut graphs: Vec<(String, Csdfg)> = ccs_workloads::all_workloads()
+            .iter()
+            .map(|w| (w.name.to_string(), w.build()))
+            .collect();
+        for seed in 0..3 {
+            graphs.push((
+                format!("scc_chain seed {seed}"),
+                ccs_workloads::scc_chain(300, seed),
+            ));
+        }
+        for (name, g) in &graphs {
+            for hop in [0, 1] {
+                assert_eq!(
+                    cheapest_crossing(g, hop),
+                    all_pairs_crossing(g, hop),
+                    "{name} at hop {hop}"
+                );
+            }
+        }
+    }
 
     /// The paper's running example (Figure 1(b) shape): A(1) -> B(2)
     /// -> A with one delay on the back edge.

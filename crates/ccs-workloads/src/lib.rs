@@ -7,7 +7,8 @@
 //! * [`filters`] — the Table 11 applications (fifth-order elliptic
 //!   wave filter, lattice filter) plus FIR, IIR-biquad and the HAL
 //!   differential-equation solver;
-//! * [`random`] — a seeded random legal-CSDFG generator for sweeps;
+//! * [`random`] — seeded random legal-CSDFG generators for sweeps and
+//!   for the one-SCC size tier;
 //! * [`catalog`] — a name -> constructor registry for harness code.
 
 #![warn(missing_docs)]
@@ -21,4 +22,4 @@ pub mod random;
 
 pub use catalog::{all as all_workloads, by_name as workload_by_name, Workload};
 pub use filters::OpTimes;
-pub use random::{random_csdfg, RandomGraphConfig};
+pub use random::{random_csdfg, scc_chain, RandomGraphConfig};

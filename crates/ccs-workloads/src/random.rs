@@ -83,6 +83,41 @@ pub fn random_csdfg(config: RandomGraphConfig, seed: u64) -> Csdfg {
     g
 }
 
+/// One strongly connected chain of `nodes` tasks, the size tier of the
+/// certificate benchmarks: tasks `v0 .. v{n-1}` with times in `1..=3`,
+/// chain edges `v{i} -> v{i+1}` with one delay on every 7th, `nodes / 2`
+/// random edges (zero-delay forward, 1-3 delays backward), and the back
+/// edge `v{n-1} -> v0` with one delay, which puts every task on one
+/// cycle.  Volumes are in `1..=3`.  Deterministic in `seed`.
+pub fn scc_chain(nodes: usize, seed: u64) -> Csdfg {
+    assert!(nodes >= 2, "need at least two nodes");
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut g = Csdfg::new();
+    let ids: Vec<_> = (0..nodes)
+        .map(|i| {
+            let t = rng.gen_range(1..=3);
+            g.add_task(format!("v{i}"), t).expect("unique names")
+        })
+        .collect();
+    for i in 1..nodes {
+        let delay = u32::from(i % 7 == 0);
+        let vol = rng.gen_range(1..=3);
+        g.add_dep(ids[i - 1], ids[i], delay, vol)
+            .expect("volume >= 1");
+    }
+    for _ in 0..nodes / 2 {
+        let a = rng.gen_range(0..nodes);
+        let b = (a + rng.gen_range(1..nodes)) % nodes;
+        let delay = if a < b { 0 } else { rng.gen_range(1..=3) };
+        let vol = rng.gen_range(1..=3);
+        g.add_dep(ids[a], ids[b], delay, vol).expect("volume >= 1");
+    }
+    g.add_dep(ids[nodes - 1], ids[0], 1, 1)
+        .expect("volume >= 1");
+    debug_assert!(g.check_legal().is_ok());
+    g
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,5 +186,21 @@ mod tests {
             assert!((1..=2).contains(&g.volume(e)));
             assert!(g.delay(e) <= 2);
         }
+    }
+
+    #[test]
+    fn scc_chain_is_one_legal_scc() {
+        for nodes in [2, 3, 50] {
+            let g = scc_chain(nodes, 5);
+            assert!(g.check_legal().is_ok(), "{nodes}");
+            assert_eq!(g.task_count(), nodes);
+            assert_eq!(g.dep_count(), nodes - 1 + nodes / 2 + 1);
+            let sccs = ccs_graph::algo::scc::tarjan_scc(g.graph());
+            assert_eq!(sccs.len(), 1, "{nodes}");
+        }
+        assert_eq!(
+            ccs_model::parser::write(&scc_chain(40, 3)),
+            ccs_model::parser::write(&scc_chain(40, 3))
+        );
     }
 }

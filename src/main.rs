@@ -412,8 +412,12 @@ fn run_schedule(args: ScheduleArgs) -> Result<(), String> {
         validate(&result_b.graph, &machine_b, &result_b.schedule)
             .map_err(|v| format!("internal error: invalid side-B schedule: {v:?}"))?;
         let profile_b = cyclosched::profile::build(&events_b, &machine_b);
-        let certificate_b =
-            cyclosched::bounds::certify_period(&g, &machine_b, result_b.best_length);
+        // Without `--diff-machine` side B ran on side A's machine, so it
+        // is graded against side A's bounds.
+        let certificate_b = match (&args.diff_machine, &certificate) {
+            (None, Some(a)) => cyclosched::bounds::grade(a.bounds.clone(), result_b.best_length),
+            _ => cyclosched::bounds::certify_period(&g, &machine_b, result_b.best_length),
+        };
         let label_a = machine.name().to_string();
         let label_b = match args.diff_policy {
             Some(p) => format!("{} ({} policy)", machine_b.name(), p.name()),

@@ -204,6 +204,31 @@ fn compaction_stops_at_the_proven_floor() {
     assert!(!err.contains("floor"), "{err}");
 }
 
+/// `--certify` on the 8,000-node one-SCC chain under a 64 MB address
+/// space.  `--certify`, `--report` and `--report-diff` all run the bound
+/// family, so its memory has to stay linear in the graph: an n×n delay
+/// matrix needs 512 MB here, and its allocation aborts the run.
+#[cfg(target_os = "linux")]
+#[test]
+fn certify_on_an_8k_node_scc_fits_in_64_mb() {
+    let dir = std::env::temp_dir().join(format!("ccs_certify_8k_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("chain8000.csdfg");
+    let g = cyclosched::workloads::scc_chain(8000, 1);
+    std::fs::write(&path, cyclosched::model::parser::write(&g)).unwrap();
+    let out = Command::new("sh")
+        .arg("-c")
+        .arg(r#"ulimit -v 65536; exec "$0" schedule "$1" --machine mesh:4x4 --csv --certify --passes 1"#)
+        .arg(env!("CARGO_BIN_EXE_cyclosched"))
+        .arg(&path)
+        .output()
+        .expect("spawn sh");
+    std::fs::remove_dir_all(&dir).ok();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {err}");
+    assert!(err.contains("note[CCS04"), "stderr: {err}");
+}
+
 #[test]
 fn compile_then_schedule_pipeline() {
     let kernel = "y = y[i-1]*k + x;\n";
