@@ -850,12 +850,16 @@ mod tests {
     /// Random legal graphs in blocks: edges that run backward stay
     /// inside their block and carry a delay, so each block holds its own
     /// SCCs, blocks join by forward edges, and zero-delay edges only run
-    /// forward.  Self edges, and `u32::MAX` delays and volumes, occur.
+    /// forward.  A third of the graphs get no ring, a third a ring per
+    /// block (several SCCs), a third one ring through every task (one
+    /// SCC); the rings come first in `deps()` order, so their edges are
+    /// searched before a later edge between SCCs can end the scan.
+    /// Self edges, and `u32::MAX` delays and volumes, occur.
     fn arb_graph() -> impl Strategy<Value = Csdfg> {
-        (2usize..14, 1usize..6).prop_flat_map(|(n, block)| {
+        (2usize..14, 2usize..6, 0usize..3).prop_flat_map(|(n, block, rings)| {
             let times = proptest::collection::vec(1u32..4, n);
-            let delay = prop_oneof![0u32..4, 0u32..2, Just(u32::MAX)];
-            let volume = prop_oneof![1u32..5, Just(u32::MAX)];
+            let delay = (0u32..3, 0u32..8).prop_map(|(d, r)| if r == 0 { u32::MAX } else { d });
+            let volume = (1u32..30, 0u32..8).prop_map(|(c, r)| if r == 0 { u32::MAX } else { c });
             let edges = proptest::collection::vec((0..n, 0..n, delay, volume), 0..n * 3);
             (times, edges).prop_map(move |(times, edges)| {
                 let mut g = Csdfg::new();
@@ -864,6 +868,17 @@ mod tests {
                     .enumerate()
                     .map(|(i, &t)| g.add_task(format!("v{i}"), t).unwrap())
                     .collect();
+                let span = [0, block, n][rings];
+                if span > 1 {
+                    for ring in ids.chunks(span) {
+                        for w in ring.windows(2) {
+                            g.add_dep(w[0], w[1], 0, 2).unwrap();
+                        }
+                        if ring.len() > 1 {
+                            g.add_dep(ring[ring.len() - 1], ring[0], 1, 2).unwrap();
+                        }
+                    }
+                }
                 for (a, b, d, c) in edges {
                     let (a, b) = if a > b && a / block != b / block {
                         (b, a)
