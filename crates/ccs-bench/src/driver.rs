@@ -376,6 +376,36 @@ mod tests {
         assert!(!ccs_trace::installed());
     }
 
+    /// The profile a [`Tee`] folds live equals [`ccs_profile::build`]
+    /// over a recorded run of the same cell, story included.
+    #[test]
+    fn live_profiles_equal_the_replayed_folds() {
+        let workloads: Vec<Workload> = ccs_workloads::all_workloads()
+            .into_iter()
+            .filter(|w| w.name == "fig1" || w.name == "elliptic")
+            .collect();
+        let machines = Machine::paper_suite();
+        let configs = vec![CompactConfig::default()];
+        let live = compact_grid_profiled(&workloads, &machines, &configs);
+        assert_eq!(live.len(), 2 * machines.len());
+        let mut cells = live.iter();
+        let mut remaps = 0;
+        for w in &workloads {
+            let g = w.build();
+            for m in &machines {
+                let cell = cells.next().expect("one cell per pair");
+                let (_, events) = ccs_trace::record(|| cyclo_compact(&g, m, configs[0]));
+                let replayed = ccs_profile::build(&events, m);
+                assert!(cell.profile == replayed, "{} on {}", w.name, m.name());
+                remaps += replayed
+                    .remap_passes()
+                    .map(|p| p.remaps.len())
+                    .sum::<usize>();
+            }
+        }
+        assert!(remaps > 0, "the runs re-place rotated nodes");
+    }
+
     #[test]
     fn compact_grid_matches_sequential_loop() {
         let workloads: Vec<Workload> = ccs_workloads::all_workloads()

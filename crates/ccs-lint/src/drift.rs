@@ -9,9 +9,9 @@
 //!
 //! * [`RULE_EVENT`] — every `ccs-trace` `Event` variant is either
 //!   matched (`Event::Variant`) or explicitly waived
-//!   (`// EVENT-IGNORED: Variant — reason`) by each event-stream
-//!   fold (`ccs-profile`'s `ProfileBuilder`, `ccs-report`'s
-//!   `fold`);
+//!   (`// EVENT-IGNORED: Variant — reason`) by the structured fold of
+//!   the event stream (`ccs-profile`'s `ProfileBuilder`), and a waiver
+//!   names a variant the fold does not match;
 //! * [`RULE_DIAG`] — every `CCS0xx` / `CCSWxx` code string declared
 //!   by `ccs-analyze` (and the schedule-violation codes it wraps from
 //!   `ccs-schedule::checker`) appears in the `DESIGN.md` diagnostic
@@ -39,10 +39,7 @@ pub const RULE_BENCH: &str = "bench-section-gated";
 /// The file declaring the `Event` enum.
 const EVENT_DECL: &str = "crates/ccs-trace/src/event.rs";
 /// The event-stream folds that must consume (or waive) every variant.
-const EVENT_CONSUMERS: [&str; 2] = [
-    "crates/ccs-profile/src/lib.rs",
-    "crates/ccs-report/src/fold.rs",
-];
+const EVENT_CONSUMERS: [&str; 1] = ["crates/ccs-profile/src/lib.rs"];
 /// Files owning diagnostic-code string literals.
 const DIAG_ROOT: &str = "crates/ccs-analyze/src";
 /// The schedule-violation codes wrapped by `ccs-analyze` live here.
@@ -85,6 +82,14 @@ fn event_consumed(files: &[(String, String)], out: &mut Vec<Finding>) {
     }
     for consumer_rel in EVENT_CONSUMERS {
         let Some((c_rel, c_text)) = file(files, consumer_rel) else {
+            out.push(Finding {
+                file: consumer_rel.to_string(),
+                line: 0,
+                rule: RULE_EVENT,
+                message: "the event fold named in `EVENT_CONSUMERS` is missing; \
+                          the drift pass is blind — restore the file or update the list"
+                    .to_string(),
+            });
             continue;
         };
         let consumer = SourceFile::new(c_rel, c_text);
@@ -106,19 +111,21 @@ fn event_consumed(files: &[(String, String)], out: &mut Vec<Finding>) {
             }
         }
         // Stale waivers: an EVENT-IGNORED naming a variant that no
-        // longer exists (or that the fold now matches) rots silently.
+        // longer exists, or that the fold now matches, rots silently.
         for (name, line) in &ignored {
-            if !variants.iter().any(|(v, _)| v == name) {
-                out.push(Finding {
-                    file: consumer_rel.to_string(),
-                    line: *line,
-                    rule: RULE_EVENT,
-                    message: format!(
-                        "`EVENT-IGNORED: {name}` names no current `Event` \
-                         variant; delete or update the waiver"
-                    ),
-                });
-            }
+            let stale = if !variants.iter().any(|(v, _)| v == name) {
+                "names no current `Event` variant"
+            } else if mentions_in_code(&consumer, &format!("Event::{name}")) {
+                "names a variant the fold matches"
+            } else {
+                continue;
+            };
+            out.push(Finding {
+                file: consumer_rel.to_string(),
+                line: *line,
+                rule: RULE_EVENT,
+                message: format!("`EVENT-IGNORED: {name}` {stale}; delete or update the waiver"),
+            });
         }
     }
 }
@@ -433,11 +440,10 @@ mod tests {
         let files = ws(&[
             (super::EVENT_DECL, EVENT_SRC),
             (super::EVENT_CONSUMERS[0], consumer_handles_two),
-            (super::EVENT_CONSUMERS[1], consumer_handles_two),
         ]);
         let f = drift_passes(&files, "");
         let event_findings: Vec<&Finding> = f.iter().filter(|f| f.rule == RULE_EVENT).collect();
-        assert_eq!(event_findings.len(), 2, "{event_findings:?}");
+        assert_eq!(event_findings.len(), 1, "{event_findings:?}");
         assert!(event_findings[0].message.contains("Gamma"));
 
         let with_waiver = format!(
@@ -446,11 +452,40 @@ mod tests {
         let files = ws(&[
             (super::EVENT_DECL, EVENT_SRC),
             (super::EVENT_CONSUMERS[0], &with_waiver),
-            (super::EVENT_CONSUMERS[1], &with_waiver),
         ]);
         assert!(drift_passes(&files, "")
             .iter()
             .all(|f| f.rule != RULE_EVENT));
+    }
+
+    #[test]
+    fn missing_consumer_file_is_a_finding() {
+        let files = ws(&[(super::EVENT_DECL, EVENT_SRC)]);
+        let f = drift_passes(&files, "");
+        assert!(
+            f.iter().any(|f| f.rule == RULE_EVENT
+                && f.file == super::EVENT_CONSUMERS[0]
+                && f.message.contains("missing")),
+            "{f:?}"
+        );
+        // Without the declaration there is nothing to check against.
+        assert!(drift_passes(&[], "").iter().all(|f| f.rule != RULE_EVENT));
+    }
+
+    #[test]
+    fn waiver_of_a_matched_variant_is_a_finding() {
+        let consumer = "// EVENT-IGNORED: Beta — matched below after all\nfn fold(ev: Event) {\n    match ev {\n        Event::Alpha { .. } => {}\n        Event::Beta(_) => {}\n        Event::Gamma => {}\n    }\n}\n";
+        let files = ws(&[
+            (super::EVENT_DECL, EVENT_SRC),
+            (super::EVENT_CONSUMERS[0], consumer),
+        ]);
+        let f: Vec<Finding> = drift_passes(&files, "")
+            .into_iter()
+            .filter(|f| f.rule == RULE_EVENT)
+            .collect();
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].line, 1);
+        assert!(f[0].message.contains("the fold matches"), "{f:?}");
     }
 
     #[test]

@@ -22,7 +22,15 @@
 //!   sent and received;
 //! * **per-pass comm/compute balance** — how crossing traffic and
 //!   total comm cost evolve from the start-up schedule through every
-//!   accepted compaction pass.
+//!   accepted compaction pass;
+//! * **the pass story** — the start-up placement, and per pass the
+//!   rotation set `J`, each re-placement with the candidate scan
+//!   (`AN`-window verdicts per PE) of its winning attempt, and the
+//!   failed attempts, which the HTML report draws.
+//!
+//! [`ProfileBuilder`] is the one structured fold of a recorded run:
+//! the report pages read everything from its [`CommProfile`] and never
+//! walk the stream themselves.
 //!
 //! The profile is a pure function of the (deterministic) event stream,
 //! so its JSON export is byte-identical across runs and thread counts
@@ -43,7 +51,9 @@
 pub mod render;
 
 use ccs_topology::{Machine, Pe, RoutingTable};
-use ccs_trace::{Event, PeLoad, Sink, TimedEvent, TrafficLedger};
+use ccs_trace::{
+    Candidate, Event, PeLoad, Placed, ScanBuffer, Sink, StartupPlace, TimedEvent, TrafficLedger,
+};
 use serde::Value;
 
 /// One row of the per-edge traffic ledger: the `traffic.edge` record
@@ -103,8 +113,30 @@ pub struct PassLedger {
     pub pass: u32,
     /// Schedule length after the phase.
     pub length: u32,
+    /// Total hop-weighted comm cost of the ledger.
+    pub comm: u64,
     /// The full per-edge ledger, in the graph's edge order.
     pub edges: Vec<EdgeTraffic>,
+}
+
+/// One accepted phase against the previous accepted phase: what the
+/// `--explain` notes and the report's trajectory section both print.
+#[derive(Clone, Debug)]
+pub struct PhaseDiff<'a> {
+    /// The previous accepted phase.
+    pub prev: &'a PassLedger,
+    /// The accepted phase.
+    pub cur: &'a PassLedger,
+    /// The rows [`diff_ledgers`] reports between the two.
+    pub deltas: Vec<LedgerDelta>,
+}
+
+impl PhaseDiff<'_> {
+    /// Signed change of the total comm cost.
+    pub fn shift(&self) -> i64 {
+        i64::try_from(self.cur.comm).unwrap_or(i64::MAX)
+            - i64::try_from(self.prev.comm).unwrap_or(i64::MAX)
+    }
 }
 
 /// One changed row between two edge ledgers: the same dependence edge
@@ -242,13 +274,25 @@ impl PeProfile {
     }
 }
 
-/// Comm/compute balance of one phase: the start-up schedule (`pass` 0)
-/// or one rotate-remap pass.
+/// One rotated node re-placed during a pass, with the candidate scan
+/// of its winning target attempt.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Remap {
+    /// The re-placement.
+    pub placed: Placed,
+    /// Per-PE scan verdicts of the winning attempt, in scan order.
+    pub candidates: Vec<Candidate>,
+}
+
+/// One phase of the run: the start-up schedule (`pass` 0) or one
+/// rotate-remap pass, with its comm/compute balance and, for a pass,
+/// its story.
 ///
 /// A reverted pass rolled the schedule back to the previous accepted
-/// phase, so its traffic fields repeat that phase's and `accepted` is
-/// `false`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// phase, so its traffic fields repeat that phase's, `length` is the
+/// restored pre-pass length, and `accepted` is `false`.  The story
+/// fields stay empty on the start-up row.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PassProfile {
     /// Phase number: 0 = start-up, `k` = rotate-remap pass `k`.
     pub pass: u32,
@@ -262,10 +306,18 @@ pub struct PassProfile {
     pub crossing: u32,
     /// Edges local to one PE.
     pub local: u32,
+    /// Schedule length entering the pass.
+    pub prev_len: u32,
+    /// The rotation set `J`, in remap order.
+    pub rotated: Vec<u32>,
+    /// Successful re-placements, in placement order.
+    pub remaps: Vec<Remap>,
+    /// Failed `(node, target)` attempts (the remap retried longer).
+    pub no_slots: u32,
 }
 
 impl PassProfile {
-    fn to_value(self) -> Value {
+    fn to_value(&self) -> Value {
         Value::Object(vec![
             ("pass".to_string(), Value::UInt(u64::from(self.pass))),
             ("accepted".to_string(), Value::Bool(self.accepted)),
@@ -287,6 +339,12 @@ pub struct CommProfile {
     pub machine: String,
     /// Number of processors.
     pub pes: u32,
+    /// Tasks scheduled.
+    pub tasks: u32,
+    /// The start-up placement, in placement order.
+    pub startup: Vec<StartupPlace>,
+    /// Passes actually run.
+    pub passes_run: u32,
     /// Start-up schedule length.
     pub initial_length: u32,
     /// Best schedule length.
@@ -310,28 +368,30 @@ pub struct CommProfile {
     pub links: Vec<LinkLoad>,
     /// Per-PE load/traffic rows, in PE order.
     pub pe_rows: Vec<PeProfile>,
-    /// Comm/compute balance per phase (`pass` 0 = start-up).
+    /// Comm/compute balance and story per phase (`pass` 0 = start-up).
     pub passes: Vec<PassProfile>,
     /// Full edge ledgers of the accepted phases, in pass order.
     /// Not part of the JSON export — see [`PassLedger`].
     pub pass_ledgers: Vec<PassLedger>,
 }
 
-fn fold(edges: &[EdgeTraffic]) -> (u64, u32, u32) {
-    let mut comm = 0u64;
-    let (mut crossing, mut local) = (0u32, 0u32);
-    for e in edges {
-        comm = comm.saturating_add(e.cost());
-        if e.crossing() {
-            crossing += 1;
-        } else {
-            local += 1;
-        }
-    }
-    (comm, crossing, local)
-}
-
 impl CommProfile {
+    /// The rotate-remap pass rows, in pass order: every phase but the
+    /// start-up.
+    pub fn remap_passes(&self) -> impl Iterator<Item = &PassProfile> {
+        self.passes.iter().filter(|p| p.pass > 0)
+    }
+
+    /// Each accepted phase against the previous accepted phase, in pass
+    /// order.
+    pub fn phase_diffs(&self) -> impl Iterator<Item = PhaseDiff<'_>> {
+        self.pass_ledgers.windows(2).map(|pair| PhaseDiff {
+            prev: &pair[0],
+            cur: &pair[1],
+            deltas: diff_ledgers(&pair[0].edges, &pair[1].edges),
+        })
+    }
+
     /// Serializes the profile as an ordered JSON object.  Every field
     /// is a pure function of the event stream and the machine, so the
     /// output is deterministic.
@@ -384,25 +444,29 @@ impl CommProfile {
     }
 }
 
-/// Folds the event stream into a [`CommProfile`].
+/// Folds the event stream into a [`CommProfile`]: the one structured
+/// fold of a recorded run.
 ///
 /// Install one as a sink (it implements [`Sink`]) or feed it a
-/// recorded stream via [`build`].  Every `traffic.edge` row is upserted
-/// into one running [`TrafficLedger`]; the builder reads it at the
-/// stream's phase brackets: at `startup.end`, at every `pass.end`, and
-/// at `compact.end`, after the final best-schedule snapshot, where it
-/// becomes the authoritative ledger.
+/// recorded stream via [`build`]; both go through
+/// [`ProfileBuilder::observe`].  Every `traffic.edge` row is upserted
+/// into one running [`TrafficLedger`]; the builder reads the ledger and
+/// its totals at the stream's phase brackets: at `startup.end`, at
+/// every `pass.end`, and at `compact.end`, after the final
+/// best-schedule snapshot, where it becomes the authoritative ledger.
+/// Between `pass.begin` and `pass.end` it keeps the pass's story, with
+/// each attempt's candidate scan buffered in a [`ScanBuffer`].
 #[derive(Default)]
 pub struct ProfileBuilder {
     ledger: TrafficLedger,
-    /// The ledger as it stood at `compact.end`.
-    final_ledger: Vec<EdgeTraffic>,
     pe_loads: Vec<PeLoad>,
-    passes: Vec<PassProfile>,
-    pass_ledgers: Vec<PassLedger>,
-    initial_length: u32,
-    best_length: u32,
-    floor: u32,
+    /// The story of the pass in progress.
+    open: PassProfile,
+    /// The candidate scan of the attempt in progress.
+    scan: ScanBuffer,
+    /// What the stream says; [`ProfileBuilder::finish`] adds what
+    /// needs the machine.
+    profile: CommProfile,
 }
 
 /// A routable machine's deterministic BFS routes plus an index from
@@ -508,33 +572,115 @@ impl ProfileBuilder {
         ProfileBuilder::default()
     }
 
-    /// The phase row of the ledger as it stands.
-    fn phase(&self, pass: u32, accepted: bool, length: u32) -> PassProfile {
-        PassProfile {
-            pass,
-            accepted,
-            length,
-            comm: self.ledger.cost(),
-            crossing: self.ledger.crossing(),
-            local: self.ledger.local(),
+    /// Folds one event.  [`Sink::event`] and [`build`] both call it.
+    pub fn observe(&mut self, ev: &Event) {
+        let p = &mut self.profile;
+        match ev {
+            Event::StartupBegin { tasks, .. } => {
+                p.tasks = *tasks;
+                self.ledger.observe(ev);
+            }
+            Event::EdgeTraffic(_) => self.ledger.observe(ev),
+            Event::StartupPlace(s) => p.startup.push(*s),
+            Event::StartupEnd { length } => {
+                p.initial_length = *length;
+                p.best_length = *length; // until compaction improves it
+                self.close_phase(PassProfile {
+                    accepted: true,
+                    length: *length,
+                    ..PassProfile::default()
+                });
+            }
+            Event::PassBegin { pass, prev_len, .. } => {
+                self.open = PassProfile {
+                    pass: *pass,
+                    prev_len: *prev_len,
+                    ..PassProfile::default()
+                };
+            }
+            Event::Rotate { nodes } => self.open.rotated.clone_from(nodes),
+            Event::Candidate(c) => self.scan.push(*c),
+            Event::Placed(placed) => {
+                let candidates = self.scan.close(placed.node, placed.target).collect();
+                self.open.remaps.push(Remap {
+                    placed: *placed,
+                    candidates,
+                });
+            }
+            Event::NoSlot { node, target } => {
+                self.scan.close(*node, *target);
+                self.open.no_slots += 1;
+            }
+            // A reverted pass left the previous accepted phase's
+            // placement in place, and its row reports that ledger.
+            Event::PassEnd {
+                pass,
+                accepted,
+                length,
+            } => {
+                let row = PassProfile {
+                    pass: *pass,
+                    accepted: *accepted,
+                    length: *length,
+                    ..std::mem::take(&mut self.open)
+                };
+                self.close_phase(row);
+            }
+            Event::PeLoad(l) => self.pe_loads.push(*l),
+            Event::CompactEnd {
+                initial,
+                best,
+                passes,
+                floor,
+            } => {
+                p.initial_length = *initial;
+                p.best_length = *best;
+                p.passes_run = *passes;
+                p.floor = *floor;
+                // The final best-schedule snapshot precedes this event.
+                p.edges = self.ledger.rows().to_vec();
+                p.total_comm = self.ledger.cost();
+                p.crossing_edges = self.ledger.crossing();
+                p.local_edges = self.ledger.local();
+            }
+            // The profile keeps traffic, load, placements and phase
+            // boundaries.  Everything else is deliberately skipped
+            // (`cargo xtask lint` keeps this list honest):
+            // EVENT-IGNORED: ReadyPick — start-up heuristic detail; the pick arrives as StartupPlace.
+            // EVENT-IGNORED: StartupDefer — defers surface as later StartupPlace rows.
+            // EVENT-IGNORED: CompactBegin — config echo; totals come from CompactEnd.
+            // EVENT-IGNORED: SlackRepair — repair detail; the padded length arrives on PassEnd.
+            // EVENT-IGNORED: PassStats — hot-path counters; MetricsSink keeps them.
+            // EVENT-IGNORED: BestSnapshot — length trajectory; PassEnd carries it too.
+            // EVENT-IGNORED: OccupancySnapshot — occupancy grid; load arrives as PeLoad.
+            _ => {}
         }
     }
 
-    /// Keeps the full ledger of an accepted phase.
-    fn keep_ledger(&mut self, pass: u32, length: u32) {
-        self.pass_ledgers.push(PassLedger {
-            pass,
-            length,
-            edges: self.ledger.rows().to_vec(),
-        });
+    /// Closes a phase with the running ledger's totals; an accepted
+    /// phase also keeps the full ledger.
+    fn close_phase(&mut self, mut row: PassProfile) {
+        row.comm = self.ledger.cost();
+        row.crossing = self.ledger.crossing();
+        row.local = self.ledger.local();
+        if row.accepted {
+            self.profile.pass_ledgers.push(PassLedger {
+                pass: row.pass,
+                length: row.length,
+                comm: row.comm,
+                edges: self.ledger.rows().to_vec(),
+            });
+        }
+        self.profile.passes.push(row);
     }
 
     /// Consumes the builder, resolving link routes against `machine`
     /// (the machine the profiled run was scheduled on).
     pub fn finish(self, machine: &Machine) -> CommProfile {
-        let edges = self.final_ledger;
-        let (total_comm, crossing_edges, local_edges) = fold(&edges);
-        let links = link_loads(machine, LinkRoutes::new(machine).as_ref(), &edges);
+        let mut p = self.profile;
+        p.machine = machine.name().to_string();
+        p.pes = u32::try_from(machine.num_pes()).unwrap_or(u32::MAX);
+        p.links = link_loads(machine, LinkRoutes::new(machine).as_ref(), &p.edges);
 
         // Per-PE rows: loads from the traffic.pe events, send/recv
         // from the ledger.
@@ -545,12 +691,12 @@ impl ProfileBuilder {
                 pe: l.pe,
                 tasks: l.tasks,
                 busy: l.busy,
-                idle: self.best_length.saturating_sub(l.busy),
+                idle: p.best_length.saturating_sub(l.busy),
                 ..PeProfile::default()
             })
             .collect();
         pe_rows.sort_by_key(|r| r.pe);
-        for e in &edges {
+        for e in &p.edges {
             if !e.crossing() {
                 continue;
             }
@@ -561,80 +707,15 @@ impl ProfileBuilder {
                 row.recv = row.recv.saturating_add(e.cost());
             }
         }
-        let compute = pe_rows.iter().map(|r| u64::from(r.busy)).sum();
-
-        CommProfile {
-            machine: machine.name().to_string(),
-            pes: u32::try_from(machine.num_pes()).unwrap_or(u32::MAX),
-            initial_length: self.initial_length,
-            best_length: self.best_length,
-            floor: self.floor,
-            compute,
-            total_comm,
-            crossing_edges,
-            local_edges,
-            edges,
-            links,
-            pe_rows,
-            passes: self.passes,
-            pass_ledgers: self.pass_ledgers,
-        }
+        p.compute = pe_rows.iter().map(|r| u64::from(r.busy)).sum();
+        p.pe_rows = pe_rows;
+        p
     }
 }
 
 impl Sink for ProfileBuilder {
     fn event(&mut self, ev: Event) {
-        match ev {
-            Event::StartupBegin { .. } | Event::EdgeTraffic(_) => self.ledger.observe(&ev),
-            Event::StartupEnd { length } => {
-                self.initial_length = length;
-                self.best_length = length; // until compaction improves it
-                self.passes.push(self.phase(0, true, length));
-                self.keep_ledger(0, length);
-            }
-            // A reverted pass left the previous accepted phase's
-            // placement in place, and its row reports that ledger.
-            Event::PassEnd {
-                pass,
-                accepted,
-                length,
-            } => {
-                self.passes.push(self.phase(pass, accepted, length));
-                if accepted {
-                    self.keep_ledger(pass, length);
-                }
-            }
-            Event::PeLoad(l) => self.pe_loads.push(l),
-            Event::CompactEnd {
-                initial,
-                best,
-                floor,
-                ..
-            } => {
-                self.initial_length = initial;
-                self.best_length = best;
-                self.floor = floor;
-                // The final best-schedule snapshot precedes this event.
-                self.final_ledger = self.ledger.rows().to_vec();
-            }
-            // The communication profile needs only traffic, load, and
-            // phase boundaries.  Everything else is deliberately
-            // skipped (`cargo xtask lint` keeps this list honest):
-            // EVENT-IGNORED: PassBegin — a phase closes at PassEnd; the ledger carries over.
-            // EVENT-IGNORED: ReadyPick — startup heuristic detail, no traffic.
-            // EVENT-IGNORED: StartupPlace — placement narrative; fold.rs renders it.
-            // EVENT-IGNORED: StartupDefer — placement narrative, no traffic.
-            // EVENT-IGNORED: CompactBegin — config echo; bounds come from CompactEnd.
-            // EVENT-IGNORED: Rotate — per-pass detail below this profile's grain.
-            // EVENT-IGNORED: Candidate — scan detail below this profile's grain.
-            // EVENT-IGNORED: Placed — scan detail below this profile's grain.
-            // EVENT-IGNORED: NoSlot — scan detail below this profile's grain.
-            // EVENT-IGNORED: SlackRepair — repair detail, traffic arrives as EdgeTraffic.
-            // EVENT-IGNORED: PassStats — derived counters; the profile re-derives its own.
-            // EVENT-IGNORED: BestSnapshot — length trajectory; PassEnd carries it too.
-            // EVENT-IGNORED: OccupancySnapshot — occupancy grid; load arrives as PeLoad.
-            _ => {}
-        }
+        self.observe(&ev);
     }
 }
 
@@ -642,7 +723,7 @@ impl Sink for ProfileBuilder {
 pub fn build(events: &[TimedEvent], machine: &Machine) -> CommProfile {
     let mut b = ProfileBuilder::new();
     for te in events {
-        b.event(te.event.clone());
+        b.observe(&te.event);
     }
     b.finish(machine)
 }
@@ -652,8 +733,8 @@ pub fn build(events: &[TimedEvent], machine: &Machine) -> CommProfile {
 /// cost or placement changed relative to the previous accepted phase,
 /// with before→after hop routes.  Returns `(pass, note)` pairs; the
 /// note is pre-indented to sit under the explainer's `pass N accepted`
-/// line.  Shares [`diff_ledgers`] with the HTML report, so the two
-/// always tell the same story.
+/// line.  Reads [`CommProfile::phase_diffs`], as the HTML report's
+/// trajectory section does, so the two always tell the same story.
 pub fn pass_diff_notes(
     p: &CommProfile,
     machine: &Machine,
@@ -663,18 +744,16 @@ pub fn pass_diff_notes(
     use std::fmt::Write as _;
     let routes = routable(machine).then(|| RoutingTable::new(machine));
     let mut notes = Vec::new();
-    for pair in p.pass_ledgers.windows(2) {
-        let (prev, cur) = (&pair[0], &pair[1]);
-        let deltas = diff_ledgers(&prev.edges, &cur.edges);
-        let (prev_comm, _, _) = fold(&prev.edges);
-        let (cur_comm, _, _) = fold(&cur.edges);
+    for diff in p.phase_diffs() {
+        let (prev, cur, deltas) = (diff.prev, diff.cur, &diff.deltas);
         let mut note = String::new();
-        let shift = i64::try_from(cur_comm).unwrap_or(i64::MAX)
-            - i64::try_from(prev_comm).unwrap_or(i64::MAX);
         let _ = writeln!(
             note,
-            "  ledger diff vs pass {}: comm {prev_comm} -> {cur_comm} ({shift:+}), {} of {} edge(s) moved",
+            "  ledger diff vs pass {}: comm {} -> {} ({:+}), {} of {} edge(s) moved",
             prev.pass,
+            prev.comm,
+            cur.comm,
+            diff.shift(),
             deltas.len(),
             cur.edges.len()
         );
@@ -724,9 +803,145 @@ pub fn explain_run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccs_trace::Verdict;
 
     fn te(event: Event) -> TimedEvent {
         TimedEvent { ns: 0, event }
+    }
+
+    #[test]
+    fn folds_the_pass_story() {
+        let m = Machine::linear_array(2);
+        let events = vec![
+            te(Event::StartupBegin { tasks: 2, pes: 2 }),
+            te(Event::StartupPlace(StartupPlace {
+                node: 0,
+                pe: 0,
+                cs: 1,
+                duration: 1,
+            })),
+            te(Event::StartupPlace(StartupPlace {
+                node: 1,
+                pe: 1,
+                cs: 2,
+                duration: 2,
+            })),
+            te(Event::StartupEnd { length: 3 }),
+            te(Event::PassBegin {
+                pass: 1,
+                prev_len: 3,
+                rows: 1,
+            }),
+            te(Event::Rotate { nodes: vec![0] }),
+            te(Event::Candidate(Candidate {
+                node: 0,
+                target: 3,
+                pe: 0,
+                lb: 2,
+                ub: 1,
+                comm: 0,
+                verdict: Verdict::Infeasible,
+            })),
+            te(Event::Candidate(Candidate {
+                node: 0,
+                target: 3,
+                pe: 1,
+                lb: 0,
+                ub: 2,
+                comm: 1,
+                verdict: Verdict::Leading { cs: 2, impact: 3 },
+            })),
+            te(Event::Placed(Placed {
+                node: 0,
+                pe: 1,
+                cs: 2,
+                duration: 1,
+                target: 3,
+                impact: 3,
+                comm: 1,
+                runner_up: None,
+            })),
+            te(Event::PassEnd {
+                pass: 1,
+                accepted: true,
+                length: 3,
+            }),
+            te(Event::CompactEnd {
+                initial: 3,
+                best: 3,
+                passes: 1,
+                floor: 1,
+            }),
+        ];
+        let p = build(&events, &m);
+        assert_eq!((p.tasks, p.pes, p.passes_run), (2, 2, 1));
+        assert_eq!(p.startup.len(), 2);
+        assert_eq!(p.startup[1].duration, 2);
+        assert_eq!(p.passes.len(), 2);
+        let start = &p.passes[0];
+        assert!(start.rotated.is_empty() && start.remaps.is_empty());
+        let passes: Vec<&PassProfile> = p.remap_passes().collect();
+        assert_eq!(passes.len(), 1, "the start-up row is no remap pass");
+        let pass = passes[0];
+        assert!(pass.accepted);
+        assert_eq!((pass.pass, pass.prev_len, pass.length), (1, 3, 3));
+        assert_eq!(pass.rotated, vec![0]);
+        assert_eq!(pass.remaps.len(), 1);
+        assert_eq!(pass.remaps[0].placed.pe, 1);
+        assert_eq!(pass.remaps[0].candidates.len(), 2);
+        assert_eq!(pass.remaps[0].candidates[0].verdict, Verdict::Infeasible);
+    }
+
+    #[test]
+    fn failed_attempts_clear_the_scan_buffer() {
+        let m = Machine::linear_array(1);
+        let cand = |target, ub, verdict| {
+            te(Event::Candidate(Candidate {
+                node: 0,
+                target,
+                pe: 0,
+                lb: 0,
+                ub,
+                comm: 0,
+                verdict,
+            }))
+        };
+        let events = vec![
+            te(Event::PassBegin {
+                pass: 1,
+                prev_len: 4,
+                rows: 1,
+            }),
+            cand(4, 3, Verdict::NoFreeSlot),
+            te(Event::NoSlot { node: 0, target: 4 }),
+            cand(5, 4, Verdict::Leading { cs: 1, impact: 5 }),
+            te(Event::Placed(Placed {
+                node: 0,
+                pe: 0,
+                cs: 1,
+                duration: 1,
+                target: 5,
+                impact: 5,
+                comm: 0,
+                runner_up: None,
+            })),
+            te(Event::PassEnd {
+                pass: 1,
+                accepted: false,
+                length: 4,
+            }),
+        ];
+        let p = build(&events, &m);
+        let pass = p.remap_passes().next().expect("one pass");
+        assert_eq!(pass.no_slots, 1);
+        assert_eq!(pass.remaps.len(), 1);
+        assert_eq!(
+            pass.remaps[0].candidates.len(),
+            1,
+            "only the winning target's scan survives"
+        );
+        assert_eq!(pass.remaps[0].candidates[0].ub, 4);
+        assert!(!pass.accepted);
     }
 
     fn traffic(edge: u32, src_pe: u32, dst_pe: u32, hops: u32, volume: u32) -> Event {

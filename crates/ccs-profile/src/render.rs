@@ -606,9 +606,7 @@ mod tests {
                     messages: 1,
                 },
             ],
-            pe_rows: Vec::new(),
-            passes: Vec::new(),
-            pass_ledgers: Vec::new(),
+            ..CommProfile::default()
         }
     }
 

@@ -8,7 +8,9 @@
 //!
 //! The per-pass ledgers obey the same law: a replay of the driver loop
 //! recomputes every accepted phase's ledger from scratch, which the
-//! start-up snapshot plus the recorded pass deltas must rebuild.
+//! start-up snapshot plus the recorded pass deltas must rebuild.  The
+//! same replay checks the pass story the profile keeps: the start-up
+//! placement, and each pass's rotation set, outcome and lengths.
 
 use ccs_core::compact::{cyclo_compact, CompactConfig};
 use ccs_core::{rotate_remap_in_place, startup_schedule, RemapConfig, RemapMode};
@@ -152,13 +154,29 @@ proptest! {
         prop_assert_eq!(u64::from(result.floor), floor);
         let mut graph = g.clone();
         let mut sched = startup_schedule(&g, &m, config.startup).unwrap();
+        let mut kept: Vec<_> = profile
+            .startup
+            .iter()
+            .map(|s| (s.node, s.pe, s.cs, s.duration))
+            .collect();
+        kept.sort_unstable();
+        let mut slots: Vec<_> = sched
+            .placements()
+            .map(|(v, s)| (v.index() as u32, s.pe.0, s.start, s.duration))
+            .collect();
+        slots.sort_unstable();
+        prop_assert_eq!(kept, slots);
         let mut best = sched.length();
         let mut ledgers = vec![ledger_of(&graph, &m, &sched)];
+        let mut passes = Vec::new();
         for _ in 0..config.passes {
             if u64::from(best) <= floor {
                 break;
             }
+            let prev_len = sched.length();
             let out = rotate_remap_in_place(&mut graph, &m, &mut sched, config.remap);
+            let rotated: Vec<u32> = out.rotated.iter().map(|v| v.index() as u32).collect();
+            passes.push((rotated, !out.reverted, prev_len, sched.length()));
             if !out.reverted {
                 best = best.min(sched.length());
                 ledgers.push(ledger_of(&graph, &m, &sched));
@@ -166,6 +184,11 @@ proptest! {
                 break;
             }
         }
+        let story: Vec<_> = profile
+            .remap_passes()
+            .map(|p| (p.rotated.clone(), p.accepted, p.prev_len, p.length))
+            .collect();
+        prop_assert_eq!(story, passes);
         prop_assert_eq!(profile.pass_ledgers.len(), ledgers.len());
         for (kept, replayed) in profile.pass_ledgers.iter().zip(&ledgers) {
             prop_assert_eq!(&kept.edges, replayed);

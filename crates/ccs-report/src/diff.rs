@@ -21,9 +21,8 @@
 //! of the inputs, no wall-clock content, every interpolation through
 //! [`crate::html::esc`].
 
-use crate::fold::{self, RunStory};
 use crate::html::{self, esc};
-use crate::{gantt_svg, ledger_comm, names_of, phase_label, Bar, DIFF_TOP_K};
+use crate::{gantt_svg, names_of, phase_label, Bar, DIFF_TOP_K};
 use ccs_bounds::OptimalityReport;
 use ccs_profile::render::{heatmap_panel, PanelOptions};
 use ccs_profile::{diff_ledgers, one_sided_edges, routable, route_label, CommProfile, EdgeTraffic};
@@ -35,11 +34,12 @@ use std::fmt::Write as _;
 pub struct DiffSide<'a> {
     /// Short run label ("mesh:2x2", "complete:4 (reference scan)", …).
     pub label: &'a str,
-    /// The recorded event stream of this run.
+    /// The recorded event stream of this run.  Not read: the page is
+    /// drawn from `profile`, the fold of this stream.
     pub events: &'a [TimedEvent],
     /// The machine this run targeted.
     pub machine: &'a Machine,
-    /// The communication profile folded from the same events.
+    /// The communication profile folded from this run's events.
     pub profile: &'a CommProfile,
     /// The optimality certificate for the achieved period, if graded.
     pub certificate: Option<&'a OptimalityReport>,
@@ -57,20 +57,19 @@ pub struct DiffInput<'a> {
 
 /// First pass number whose rotation set differs between the runs, if
 /// any: the point where the two schedules stop telling the same story.
-fn divergence_pass(a: &RunStory, b: &RunStory) -> Option<u32> {
-    let len = a.passes.len().max(b.passes.len());
-    for i in 0..len {
-        match (a.passes.get(i), b.passes.get(i)) {
-            (Some(pa), Some(pb)) => {
-                if pa.rotated != pb.rotated {
-                    return Some(pa.pass.min(pb.pass));
+fn divergence_pass(a: &CommProfile, b: &CommProfile) -> Option<u32> {
+    let (mut pa, mut pb) = (a.remap_passes(), b.remap_passes());
+    loop {
+        match (pa.next(), pb.next()) {
+            (Some(x), Some(y)) => {
+                if x.rotated != y.rotated {
+                    return Some(x.pass.min(y.pass));
                 }
             }
             (Some(p), None) | (None, Some(p)) => return Some(p.pass),
-            (None, None) => unreachable!("index below max of both lengths"),
+            (None, None) => return None,
         }
     }
-    None
 }
 
 /// One side's column of the schedule panel: the start-up Gantt plus a
@@ -78,12 +77,12 @@ fn divergence_pass(a: &RunStory, b: &RunStory) -> Option<u32> {
 fn side_schedule(
     out: &mut String,
     side: &DiffSide<'_>,
-    story: &RunStory,
     diverge: Option<u32>,
     mut name: impl FnMut(u32) -> String,
 ) {
+    let profile = side.profile;
     let _ = writeln!(out, "<h3>{}</h3>", esc(side.label));
-    let bars: Vec<Bar> = story
+    let bars: Vec<Bar> = profile
         .startup
         .iter()
         .map(|s| {
@@ -106,9 +105,9 @@ fn side_schedule(
         .collect();
     gantt_svg(
         out,
-        &format!("start-up (pass 0): length {}", story.startup_length),
-        story.pes,
-        story.startup_length,
+        &format!("start-up (pass 0): length {}", profile.initial_length),
+        profile.pes,
+        profile.initial_length,
         &bars,
         false,
     );
@@ -116,7 +115,7 @@ fn side_schedule(
         "<table>\n<thead><tr><th>pass</th><th class=\"l\">outcome</th><th>length</th>\
          <th class=\"l\">rotated J</th></tr></thead>\n<tbody>\n",
     );
-    for p in &story.passes {
+    for p in profile.remap_passes() {
         let outcome = if p.accepted {
             "<span class=\"accepted\">accepted</span>"
         } else {
@@ -140,19 +139,13 @@ fn side_schedule(
     let _ = writeln!(
         out,
         "<p>best length {} after {} pass(es)</p>",
-        esc(story.best_length),
-        esc(story.passes_run)
+        esc(profile.best_length),
+        esc(profile.passes_run)
     );
 }
 
-fn schedule_section(
-    out: &mut String,
-    input: &DiffInput<'_>,
-    sa: &RunStory,
-    sb: &RunStory,
-    mut name: impl FnMut(u32) -> String,
-) {
-    let diverge = divergence_pass(sa, sb);
+fn schedule_section(out: &mut String, input: &DiffInput<'_>, mut name: impl FnMut(u32) -> String) {
+    let diverge = divergence_pass(input.a.profile, input.b.profile);
     match diverge {
         Some(d) => {
             let _ = writeln!(
@@ -165,9 +158,9 @@ fn schedule_section(
         None => out.push_str("<p>the runs rotate identical node sets in every pass</p>\n"),
     }
     out.push_str("<div class=\"cols\">\n<div class=\"col\">\n");
-    side_schedule(out, &input.a, sa, diverge, &mut name);
+    side_schedule(out, &input.a, diverge, &mut name);
     out.push_str("</div>\n<div class=\"col\">\n");
-    side_schedule(out, &input.b, sb, diverge, &mut name);
+    side_schedule(out, &input.b, diverge, &mut name);
     out.push_str("</div>\n</div>\n");
 }
 
@@ -230,7 +223,7 @@ fn ledger_section(out: &mut String, input: &DiffInput<'_>, mut name: impl FnMut(
     let (lone_a, lone_b) = one_sided_edges(ea, eb);
     let routes_a = routable(input.a.machine).then(|| RoutingTable::new(input.a.machine));
     let routes_b = routable(input.b.machine).then(|| RoutingTable::new(input.b.machine));
-    let (ca, cb) = (ledger_comm(ea), ledger_comm(eb));
+    let (ca, cb) = (input.a.profile.total_comm, input.b.profile.total_comm);
     let shift = i64::try_from(cb).unwrap_or(i64::MAX) - i64::try_from(ca).unwrap_or(i64::MAX);
 
     let _ = writeln!(
@@ -326,23 +319,22 @@ fn certificate_section(out: &mut String, input: &DiffInput<'_>) {
 /// node indices to human names; both runs schedule the same workload,
 /// so one resolver serves both sides.
 pub fn render_diff_report(input: &DiffInput<'_>, mut name: impl FnMut(u32) -> String) -> String {
-    let sa = fold::fold(input.a.events);
-    let sb = fold::fold(input.b.events);
+    let (pa, pb) = (input.a.profile, input.b.profile);
     let meta = format!(
         "A = {} ({}): best {}; B = {} ({}): best {} — {} task(s)",
         input.a.label,
         input.a.machine.name(),
-        sa.best_length,
+        pa.best_length,
         input.b.label,
         input.b.machine.name(),
-        sb.best_length,
-        sa.tasks
+        pb.best_length,
+        pa.tasks
     );
     let mut page = html::Page::new(input.title, &meta);
     page.section(
         "schedule",
         "Schedule: start-up placements and pass outcomes, side by side",
-        |out| schedule_section(out, input, &sa, &sb, &mut name),
+        |out| schedule_section(out, input, &mut name),
     );
     page.section(
         "heatmaps",

@@ -18,7 +18,7 @@
 //! declared once, as structs wrapped by the [`Event`] variant of the
 //! same name.  Emitters build them and consumers keep them as they
 //! are, with no look-alike copies.  [`ScanBuffer`] is the one buffer
-//! of an attempt's candidate scan; the explainer and the report fold
+//! of an attempt's candidate scan; the explainer and the profile fold
 //! both use it.  [`TrafficLedger`] is the one fold of the
 //! `traffic.edge` rows; the explainer, the metrics sink and the
 //! communication profile read their traffic from it.

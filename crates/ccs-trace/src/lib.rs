@@ -26,11 +26,12 @@
 //!   (`cyclosched schedule --explain`);
 //! * [`metrics`] — counters + histograms registry serialized into the
 //!   `bench_hotpath` report;
-//! * the `ccs-profile` crate — folds the per-edge traffic attribution
-//!   events (`traffic.edge` / `traffic.pe`) into a `CommProfile`
-//!   (`cyclosched schedule --profile out.json [--heatmap]`);
-//! * the `ccs-report` crate — folds a recorded stream into the HTML
-//!   flight-recorder report (`cyclosched schedule --report out.html`).
+//! * the `ccs-profile` crate — the one structured fold: the per-edge
+//!   traffic attribution events (`traffic.edge` / `traffic.pe`), the
+//!   start-up placement and each pass's story go into a `CommProfile`
+//!   (`cyclosched schedule --profile out.json [--heatmap]`), which the
+//!   `ccs-report` crate renders as the HTML flight-recorder report
+//!   (`cyclosched schedule --report out.html`).
 //!
 //! Sinks are **thread-local or explicitly threaded**: install one in
 //! the thread that runs the scheduler, or pass a sink through
