@@ -9,7 +9,9 @@
 //! ```
 //!
 //! * `--json PATH` — write the machine-readable report (timings in ms,
-//!   schedule lengths, placement fingerprints) to `PATH`.
+//!   schedule lengths, placement fingerprints) to `PATH`.  Every
+//!   compaction also records a `{key}#retimed` fingerprint of the
+//!   delays of its returned graph and its retiming.
 //! * `--baseline PATH` — also read a previous report from `PATH`,
 //!   embed its timings as `baseline_timings_ms`, compute per-experiment
 //!   `speedup`, and fail (exit 1) if any schedule fingerprint differs.
@@ -85,6 +87,27 @@ fn fingerprint(s: &ccs_schedule::Schedule) -> String {
         h.write_u64(u64::from(slot.duration));
     }
     format!("{:016x}", h.0)
+}
+
+/// Stable fingerprint of what a compaction returns besides its
+/// schedule: the delay of every edge of [`ccs_core::Compaction::graph`]
+/// (edge-id order) and the retiming of every task (node-id order).
+fn retimed_fingerprint(r: &ccs_core::Compaction) -> String {
+    let mut h = Fnv::new();
+    for e in r.graph.deps() {
+        h.write_u64(u64::from(r.graph.delay(e)));
+    }
+    for v in r.graph.tasks() {
+        h.write(&r.retiming.get(v).to_le_bytes());
+    }
+    format!("{:016x}", h.0)
+}
+
+/// Records both fingerprints of compaction `r` under `key`: the
+/// schedule's, and the retimed graph's as `{key}#retimed`.
+fn insert_prints(prints: &mut BTreeMap<String, String>, key: &str, r: &ccs_core::Compaction) {
+    prints.insert(key.to_string(), fingerprint(&r.schedule));
+    prints.insert(format!("{key}#retimed"), retimed_fingerprint(r));
 }
 
 fn machine_suite() -> Vec<Machine> {
@@ -284,7 +307,7 @@ fn main() {
             };
             bounds.insert(key.clone(), (bv, bk, r.best_length));
             lengths.insert(key.clone(), (r.initial_length, r.best_length));
-            prints.insert(key, fingerprint(&r.schedule));
+            insert_prints(&mut prints, &key, &r);
         }
     }
 
@@ -317,7 +340,7 @@ fn main() {
         cyclo_compact(&big, &mesh, CompactConfig::default()).expect("legal")
     });
     timings.insert("compact_mesh8x8_64n".into(), t);
-    prints.insert("compact_mesh8x8_64n".into(), fingerprint(&r.schedule));
+    insert_prints(&mut prints, "compact_mesh8x8_64n", &r);
     lengths.insert("random64/mesh8x8".into(), (r.initial_length, r.best_length));
 
     let wide = Machine::complete(32);
@@ -325,9 +348,31 @@ fn main() {
         cyclo_compact(&big, &wide, CompactConfig::default()).expect("legal")
     });
     timings.insert("compact_complete32_64n".into(), t);
-    prints.insert("compact_complete32_64n".into(), fingerprint(&r.schedule));
+    insert_prints(&mut prints, "compact_complete32_64n", &r);
     lengths.insert(
         "random64/complete32".into(),
+        (r.initial_length, r.best_length),
+    );
+
+    // Size tier for the compaction loop: a 200-node graph shaped like
+    // perfbench `large-certify`'s (`nodes / 3` back edges, forward
+    // density `8 / nodes`) on `mesh:8x8`, one of its machines.
+    let large = random_csdfg(
+        RandomGraphConfig {
+            nodes: 200,
+            back_edges: 66,
+            forward_density: 0.04,
+            ..Default::default()
+        },
+        7,
+    );
+    let (t, r) = time_median(reps, || {
+        cyclo_compact(&large, &mesh, CompactConfig::default()).expect("legal")
+    });
+    timings.insert("compact_mesh8x8_200n".into(), t);
+    insert_prints(&mut prints, "compact_mesh8x8_200n", &r);
+    lengths.insert(
+        "random200/mesh8x8".into(),
         (r.initial_length, r.best_length),
     );
 
