@@ -4,7 +4,7 @@ use crate::remap::{nid, remap_probed, RemapConfig, RemapMode};
 use crate::startup::{startup_probed, StartupConfig};
 use ccs_model::{Csdfg, ModelError, NodeId};
 use ccs_retiming::Retiming;
-use ccs_schedule::Schedule;
+use ccs_schedule::{PslLedger, Schedule};
 use ccs_topology::Machine;
 use ccs_trace::{Event, Off, Probe, Tls};
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -214,11 +214,14 @@ pub(crate) fn compact_probed<P: Probe>(
     let floor = floor
         .unwrap_or_else(|| u32::try_from(ccs_bounds::cheap_floor(g, machine)).unwrap_or(u32::MAX));
 
+    // The working graph is always `retiming.apply(g)`, so the best
+    // pair is snapshotted as its retiming alone and its graph is built
+    // once, after the loop.
     let mut cur_sched = initial.clone();
     let mut cur_graph = g.clone();
     let mut retiming = Retiming::zero_for(g);
+    let mut ledger = PslLedger::new(&cur_graph, machine, &cur_sched);
     let mut best_sched = initial.clone();
-    let mut best_graph = g.clone();
     let mut best_retiming = retiming.clone();
     let mut history = Vec::with_capacity(config.passes);
 
@@ -240,9 +243,17 @@ pub(crate) fn compact_probed<P: Probe>(
         // field — read for recorded runs only, and excluded from
         // fingerprints and ledger diffs.
         let t0 = P::ACTIVE.then(Instant::now);
-        // The pass mutates the working pair in place; a reverted pass
-        // restores it, so nothing is cloned on the per-pass hot path.
-        let out = remap_probed(&mut cur_graph, machine, &mut cur_sched, config.remap, probe);
+        // The pass mutates the working pair and its PSL ledger in
+        // place; a reverted pass restores all three, so nothing is
+        // cloned on the per-pass hot path.
+        let out = remap_probed(
+            &mut cur_graph,
+            machine,
+            &mut cur_sched,
+            &mut ledger,
+            config.remap,
+            probe,
+        );
         let wall_ms = t0.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e3);
         passes_run += 1;
         if !out.reverted {
@@ -289,11 +300,11 @@ pub(crate) fn compact_probed<P: Probe>(
                 length: occ.length,
             });
         }
-        // Snapshot only on improvement — the single remaining clone.
+        // Snapshot only on improvement, into the best pair's own
+        // allocations.
         if cur_sched.length() < best_sched.length() {
-            best_sched = cur_sched.clone();
-            best_graph = cur_graph.clone();
-            best_retiming = retiming.clone();
+            best_sched.clone_from(&cur_sched);
+            best_retiming.clone_from(&retiming);
             if P::ACTIVE {
                 probe.emit(Event::BestSnapshot {
                     pass: u32::try_from(pass).unwrap_or(u32::MAX),
@@ -304,6 +315,7 @@ pub(crate) fn compact_probed<P: Probe>(
     }
 
     let best_length = best_sched.length();
+    let best_graph = best_retiming.apply(g);
     // Bound oracle (paranoid/debug builds): the best validated
     // schedule must never beat a statically proven lower bound of the
     // *input* graph — the bounds are retiming-invariant, so every

@@ -6,7 +6,8 @@
 //! checker.  A failed validation aborts immediately with the stage
 //! name and every violation's stable `CCS02x` code, so a scheduler bug
 //! surfaces at the mutation that introduced it instead of as a wrong
-//! number three layers later.
+//! number three layers later.  The slack a pass repairs from its `PSL`
+//! ledger is checked the same way, against a full `required_length`.
 //!
 //! The oracle is compiled in whenever `debug_assertions` are on (so
 //! every `cargo test` exercises it for free) or the `paranoid` cargo
@@ -55,6 +56,27 @@ pub fn verify(stage: &str, g: &Csdfg, machine: &Machine, sched: &Schedule) {
     #[cfg(not(any(debug_assertions, feature = "paranoid")))]
     {
         let _ = (stage, g, machine, sched);
+    }
+}
+
+/// Cross-checks the minimum legal length a pass read off its `PSL`
+/// ledger against [`ccs_schedule::required_length`], which recomputes
+/// it from every task and edge, and panics with the stage name if they
+/// differ.  Compiled to a no-op unless [`ENABLED`].
+#[inline]
+pub fn verify_required(stage: &str, g: &Csdfg, machine: &Machine, sched: &Schedule, required: u32) {
+    #[cfg(any(debug_assertions, feature = "paranoid"))]
+    {
+        let full = ccs_schedule::required_length(g, machine, sched);
+        assert_eq!(
+            required, full,
+            "ledger oracle tripped at `{stage}`: the PSL ledger reads {required}, \
+             required_length reads {full}"
+        );
+    }
+    #[cfg(not(any(debug_assertions, feature = "paranoid")))]
+    {
+        let _ = (stage, g, machine, sched, required);
     }
 }
 

@@ -10,7 +10,7 @@
 
 use ccs_model::{Csdfg, NodeId};
 use ccs_retiming::{rotate_in_place, unrotate_in_place};
-use ccs_schedule::{required_length, Schedule, Slot};
+use ccs_schedule::{PslLedger, Schedule, Slot};
 use ccs_topology::{Machine, Pe};
 use ccs_trace::{Candidate, Event, Off, PassStats, Placed, Probe, RunnerUp, Tls, Verdict};
 use rayon::prelude::*;
@@ -160,29 +160,40 @@ pub fn rotate_remap(
 ///
 /// `sched` must be a valid schedule of `g` on `machine` (callers in
 /// this crate always pass validated schedules; debug builds re-assert).
+///
+/// A lone pass builds the `PSL` ledger of `(g, sched)` first, which
+/// costs one [`ccs_schedule::required_length`]; the driver keeps one
+/// ledger across all its passes instead.
 pub fn rotate_remap_in_place(
     g: &mut Csdfg,
     machine: &Machine,
     sched: &mut Schedule,
     config: RemapConfig,
 ) -> InPlaceOutcome {
+    let mut ledger = PslLedger::new(g, machine, sched);
     // One dispatch per pass: with no sink installed the `Off` probe
     // monomorphizes every instrumentation site away and this is the
     // exact pre-tracing code path.
     if ccs_trace::installed() {
-        remap_probed(g, machine, sched, config, &mut Tls)
+        remap_probed(g, machine, sched, &mut ledger, config, &mut Tls)
     } else {
-        remap_probed(g, machine, sched, config, &mut Off)
+        remap_probed(g, machine, sched, &mut ledger, config, &mut Off)
     }
 }
 
 /// [`rotate_remap_in_place`] instrumented against probe `P` (the
 /// driver threads one probe through the whole run so dispatch happens
 /// once per `cyclo_compact`, not once per pass).
+///
+/// `ledger` must hold the `PSL` of every edge of `(g, sched)`.  The
+/// pass refreshes the edges incident to its rotation set, the only
+/// ones whose delay, PE pair or step difference it changes, and leaves
+/// the ledger describing the pair it returns, accepted or reverted.
 pub(crate) fn remap_probed<P: Probe>(
     g: &mut Csdfg,
     machine: &Machine,
     sched: &mut Schedule,
+    ledger: &mut PslLedger,
     config: RemapConfig,
     probe: &mut P,
 ) -> InPlaceOutcome {
@@ -307,8 +318,23 @@ pub(crate) fn remap_probed<P: Probe>(
 
     if !failed {
         // Cover the projected schedule lengths by appending empty steps.
-        let required = required_length(g, machine, sched);
+        // Every other edge kept its PSL: both endpoints moved up by
+        // `rows` steps, and its delay and PE pair are unchanged.
+        for &v in &rotated {
+            for e in g.in_deps(v).chain(g.out_deps(v)) {
+                ledger.refresh(g, machine, sched, e);
+            }
+        }
+        let required = ledger.required(sched);
+        crate::oracle::verify_required(
+            "rotate_remap_in_place: slack repair",
+            g,
+            machine,
+            sched,
+            required,
+        );
         if config.mode != RemapMode::WithoutRelaxation || required <= prev_len {
+            ledger.commit();
             if P::ACTIVE && required > sched.length() {
                 probe.emit(Event::SlackRepair {
                     required,
@@ -334,7 +360,8 @@ pub(crate) fn remap_probed<P: Probe>(
     // Roll back in place: un-place whatever was re-placed so far (some
     // rotated nodes may not have been when the remap failed), undo the
     // renumbering shift, restore the saved first rows and the original
-    // padding, and un-rotate the graph.
+    // padding, un-rotate the graph and restore the refreshed PSLs.
+    ledger.rollback();
     for &(v, _) in &saved {
         sched.remove(v);
     }

@@ -9,8 +9,9 @@
 //! The per-pass ledgers obey the same law: a replay of the driver loop
 //! recomputes every accepted phase's ledger from scratch, which the
 //! start-up snapshot plus the recorded pass deltas must rebuild.  The
-//! same replay checks the pass story the profile keeps: the start-up
-//! placement, and each pass's rotation set, outcome and lengths.
+//! same replay checks the pass story the profile keeps (the start-up
+//! placement, and each pass's rotation set, outcome and lengths) and
+//! the graph and retiming the driver returns.
 
 use ccs_core::compact::{cyclo_compact, CompactConfig};
 use ccs_core::{rotate_remap_in_place, startup_schedule, RemapConfig, RemapMode};
@@ -130,7 +131,7 @@ proptest! {
         g in arb_csdfg(),
         m in arb_machine(),
         mode in prop_oneof![Just(RemapMode::WithRelaxation), Just(RemapMode::WithoutRelaxation)],
-        rows_per_pass in 1u32..3,
+        rows_per_pass in 1u32..4,
         stop_on_revert in 0u32..2,
     ) {
         let config = CompactConfig {
@@ -149,7 +150,9 @@ proptest! {
         // Replay the driver loop untraced and recompute each accepted
         // phase's ledger from (graph, machine, schedule).  Like the
         // driver, the replay stops before any pass once the best length
-        // meets the proven floor.
+        // meets the proven floor.  It also snapshots its working graph
+        // and retiming on every improvement, which the driver builds
+        // from the best retiming alone.
         let floor = ccs_bounds::cheap_floor(&g, &m);
         prop_assert_eq!(u64::from(result.floor), floor);
         let mut graph = g.clone();
@@ -167,6 +170,8 @@ proptest! {
         slots.sort_unstable();
         prop_assert_eq!(kept, slots);
         let mut best = sched.length();
+        let mut retiming = vec![0i64; g.task_count()];
+        let (mut best_graph, mut best_retiming) = (graph.clone(), retiming.clone());
         let mut ledgers = vec![ledger_of(&graph, &m, &sched)];
         let mut passes = Vec::new();
         for _ in 0..config.passes {
@@ -178,12 +183,25 @@ proptest! {
             let rotated: Vec<u32> = out.rotated.iter().map(|v| v.index() as u32).collect();
             passes.push((rotated, !out.reverted, prev_len, sched.length()));
             if !out.reverted {
-                best = best.min(sched.length());
+                for v in &out.rotated {
+                    retiming[v.index()] += 1;
+                }
+                if sched.length() < best {
+                    best = sched.length();
+                    best_graph = graph.clone();
+                    best_retiming = retiming.clone();
+                }
                 ledgers.push(ledger_of(&graph, &m, &sched));
             } else if config.stop_on_revert {
                 break;
             }
         }
+        prop_assert_eq!(best, result.best_length);
+        for e in g.deps() {
+            prop_assert_eq!(best_graph.delay(e), result.graph.delay(e));
+        }
+        let returned: Vec<i64> = g.tasks().map(|v| result.retiming.get(v)).collect();
+        prop_assert_eq!(best_retiming, returned);
         let story: Vec<_> = profile
             .remap_passes()
             .map(|p| (p.rotated.clone(), p.accepted, p.prev_len, p.length))

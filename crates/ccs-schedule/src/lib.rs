@@ -10,8 +10,9 @@
 //!   renumbering, padding with empty control steps, and a
 //!   pretty-printer reproducing the paper's table layout;
 //! * [`checker`] — intra-iteration precedence with communication
-//!   costs, the projected schedule length `PSL` (Lemma 4.3), and the
-//!   full validator.
+//!   costs, the projected schedule length `PSL` (Lemma 4.3), the
+//!   per-edge `PSL` ledger the compaction passes repair, and the full
+//!   validator.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -20,7 +21,9 @@ pub mod checker;
 pub mod stats;
 mod table;
 
-pub use checker::{edge_comm_cost, psl, psl_value, required_length, validate, Violation};
+pub use checker::{
+    edge_comm_cost, psl, psl_value, required_length, validate, PslLedger, Violation,
+};
 pub use stats::{stats, to_csv, ScheduleStats};
 pub use table::{Occupancy, Schedule, Slot, TableError};
 

@@ -121,6 +121,33 @@ fn next_occupied(bits: &[u64], from_cell: u32) -> Option<u32> {
     }
 }
 
+/// Shifts the bitset `bits` down by `shift` cells, so bit `c` takes
+/// the old bit `c + shift`, and keeps its first `words` words.  The
+/// cells shifted out must be free, and the bits past the old row must
+/// be clear, so none past the new row are set.
+fn shift_bits_down(bits: &mut Vec<u64>, shift: usize, words: usize) {
+    let (skip, offset) = (shift / 64, shift % 64);
+    for i in 0..words {
+        let lo = bits[i + skip] >> offset;
+        let hi = match bits.get(i + skip + 1) {
+            Some(&next) if offset > 0 => next << (64 - offset),
+            _ => 0,
+        };
+        bits[i] = lo | hi;
+    }
+    bits.truncate(words);
+}
+
+/// The 0-based index of the first clear bit in `bits`: the first free
+/// cell of a row whose bitset has no ghost bits.
+fn first_free_cell(bits: &[u64]) -> u32 {
+    let full = bits.iter().take_while(|&&w| w == u64::MAX).count();
+    let ones = bits.get(full).map_or(0, |w| w.trailing_ones());
+    // INVARIANT: rows are far shorter than u32::MAX cells (see
+    // `next_occupied`), so the cell index fits a u32.
+    u32::try_from(full * 64).expect("bitset shorter than u32::MAX words") + ones
+}
+
 /// A static schedule for one loop iteration: every task gets a
 /// processor and a 1-based start control step; the table repeats every
 /// [`Schedule::length`] steps.
@@ -129,7 +156,7 @@ fn next_occupied(bits: &[u64], from_cell: u32) -> Option<u32> {
 /// cyclo-compaction appends empty control steps when the projected
 /// schedule length `PSL` demands more room than the occupied rows
 /// (§4), which [`Schedule::pad_to`] models.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Schedule {
     num_pes: usize,
     /// Node raw index -> slot; dense, grown on demand.
@@ -549,8 +576,7 @@ impl Schedule {
             return;
         }
         // Validate in node-id order (matching the sparse original's
-        // panic site), then shift every slot in place and rebuild the
-        // occupancy rows in one sweep — no remove/re-place churn.
+        // panic site) before touching any row, then shift every slot.
         for (i, s) in self.slots.iter().enumerate() {
             if let Some(s) = s {
                 assert!(
@@ -565,7 +591,26 @@ impl Schedule {
             s.start -= shift;
         }
         self.occupied_end = self.occupied_end.saturating_sub(shift);
-        self.rebuild_rows();
+        // Nothing starts in the first `shift` rows any more, so their
+        // cells are free on every PE: drop them off the front of each
+        // row and its bitset, and rescan the cursor.
+        let shift = shift as usize;
+        for ((row, bits), cursor) in self
+            .rows
+            .iter_mut()
+            .zip(&mut self.bits)
+            .zip(&mut self.first_free)
+        {
+            debug_assert!(row.iter().take(shift).all(|&c| c == FREE));
+            if row.len() <= shift {
+                row.clear();
+                bits.clear();
+            } else {
+                row.drain(..shift);
+                shift_bits_down(bits, shift, bit_words(row.len()));
+            }
+            *cursor = first_free_cell(bits) + 1;
+        }
         self.padding = 0;
     }
 
@@ -672,6 +717,35 @@ impl Schedule {
             writeln!(out)?;
         }
         Ok(())
+    }
+}
+
+/// Field-wise, so that [`Clone::clone_from`] reuses the target's slot
+/// list, rows and bitsets: the compaction driver snapshots its best
+/// schedule into the same table on every improvement.
+impl Clone for Schedule {
+    fn clone(&self) -> Self {
+        Schedule {
+            num_pes: self.num_pes,
+            slots: self.slots.clone(),
+            placed: self.placed,
+            occupied_end: self.occupied_end,
+            rows: self.rows.clone(),
+            bits: self.bits.clone(),
+            first_free: self.first_free.clone(),
+            padding: self.padding,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.num_pes = source.num_pes;
+        self.slots.clone_from(&source.slots);
+        self.placed = source.placed;
+        self.occupied_end = source.occupied_end;
+        self.rows.clone_from(&source.rows);
+        self.bits.clone_from(&source.bits);
+        self.first_free.clone_from(&source.first_free);
+        self.padding = source.padding;
     }
 }
 
