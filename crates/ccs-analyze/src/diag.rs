@@ -43,6 +43,11 @@ pub mod codes {
     /// `hops(a, b) != hops(b, a)` (impossible for BFS-built machines,
     /// checked as defense in depth for externally supplied ones).
     pub const HOP_TABLE_DEGENERATE: &str = "CCS011";
+    /// `Σ t(v) + diameter × max_v Σ c(e)`, the sum over the non-self
+    /// edges at `v`, reaches `u32::MAX`: a hop × volume cost or a
+    /// node's per-PE traffic column could overflow `u32`, and so could
+    /// an end step within `Σ t(v)` plus a cost.
+    pub const COMM_OVERFLOW: &str = "CCS012";
 
     // CCS020..CCS026 are schedule-validity codes owned by
     // `ccs_schedule::checker::Violation::code` and re-emitted here.

@@ -240,9 +240,9 @@ fn degenerate_hops(rows: &[&[u32]]) -> Vec<(Pe, Pe)> {
     bad
 }
 
-/// Graph × machine cross checks: the schedule-table budget,
-/// PSL/iteration-bound lower bounds against single-PE serialization,
-/// machine sizing.
+/// Graph × machine cross checks: the schedule-table and
+/// communication-cost budgets, PSL/iteration-bound lower bounds
+/// against single-PE serialization, machine sizing.
 pub fn analyze_cross(g: &Csdfg, m: &Machine) -> Report {
     let mut r = Report::new();
     let serial = g.total_time();
@@ -260,6 +260,36 @@ pub fn analyze_cross(g: &Csdfg, m: &Machine) -> Report {
             )
             .with_suggestion("scale the task times down by a common factor, or use fewer PEs"),
         );
+    }
+    // The scheduler and the validator compute every hop × volume cost,
+    // each node's per-PE traffic column (the sum of its non-self edges'
+    // costs) and end steps plus a cost in u32.  A cost is at most
+    // `diameter × c(e)`, and `c(e)` at most the traffic of either
+    // endpoint, so below this budget no cost or column overflows, and
+    // neither does an end step within `Σ t(v)` plus a cost.
+    let heaviest = g
+        .tasks()
+        .map(|v| (node_traffic(g, v), std::cmp::Reverse(v)))
+        .max();
+    if let Some((traffic, std::cmp::Reverse(v))) = heaviest {
+        let budget = serial + u64::from(m.diameter()) * traffic;
+        if budget >= u64::from(u32::MAX) {
+            r.push(
+                Diagnostic::error(
+                    codes::COMM_OVERFLOW,
+                    Subject::Node(g.name(v).to_string()),
+                    format!(
+                        "Σ t(v) ({serial}) + diameter ({}) × the volume of this task's edges ({traffic}) \
+                         = {budget} is not below {}: communication costs would overflow u32",
+                        m.diameter(),
+                        u32::MAX
+                    ),
+                )
+                .with_suggestion(
+                    "scale the volumes down by a common factor, or use a machine with a smaller diameter",
+                ),
+            );
+        }
     }
     let tasks = g.task_count();
     if tasks > 0 && m.num_pes() > tasks {
@@ -318,6 +348,18 @@ pub fn analyze_cross(g: &Csdfg, m: &Machine) -> Report {
         }
     }
     r
+}
+
+/// The summed volume of `v`'s non-self edges, in and out.
+fn node_traffic(g: &Csdfg, v: NodeId) -> u64 {
+    g.in_deps(v)
+        .chain(g.out_deps(v))
+        .filter(|&e| {
+            let (a, b) = g.endpoints(e);
+            a != b
+        })
+        .map(|e| u64::from(g.volume(e)))
+        .sum()
 }
 
 /// Spec-level well-formedness: the checks that `CsdfgSpec::build`
@@ -646,6 +688,65 @@ mod tests {
             let g = ccs_workloads::random::random_csdfg(config, 1);
             assert!(!too_large(&g, spec), "{nodes} nodes on {spec}");
         }
+    }
+
+    #[test]
+    fn communication_costs_past_u32_are_ccs012() {
+        // A feeds B, C, D and E over edges of volume `c`, which feed F,
+        // which feeds A back over one delay.
+        let fan = |c: u32| {
+            let mut g = Csdfg::new();
+            let ids: Vec<_> = ["A", "B", "C", "D", "E", "F"]
+                .iter()
+                .map(|n| g.add_task(*n, 1).unwrap())
+                .collect();
+            for &mid in &ids[1..5] {
+                g.add_dep(ids[0], mid, 0, c).unwrap();
+                g.add_dep(mid, ids[5], 0, 1).unwrap();
+            }
+            g.add_dep(ids[5], ids[0], 1, 1).unwrap();
+            g
+        };
+        let overflows = |g: &Csdfg, spec: &str| {
+            let m = ccs_topology::parse_spec(spec).unwrap();
+            let r = analyze_cross(g, &m);
+            let hits: Vec<_> = r
+                .errors()
+                .filter(|d| d.code == codes::COMM_OVERFLOW)
+                .collect();
+            assert!(hits.len() <= 1, "{spec}: {hits:?}");
+            hits.first()
+                .map(|d| assert_eq!(d.subject, Subject::Node("A".into()), "{spec}"))
+                .is_some()
+        };
+        // Two hops × 2^31 wraps to 0 in a release build, which placed
+        // B, D and E two hops from A for free.
+        assert!(overflows(&fan(1 << 31), "mesh:4x4"));
+        assert!(overflows(&fan((1 << 31) - 1), "mesh:4x4"));
+        // No PE pair is a hop apart on one PE.
+        assert!(!overflows(&fan(1 << 31), "complete:1"));
+        // One edge of volume u32::MAX one hop long.
+        let mut g = Csdfg::new();
+        let a = g.add_task("A", 1).unwrap();
+        let b = g.add_task("B", 1).unwrap();
+        g.add_dep(a, b, 0, u32::MAX).unwrap();
+        assert!(overflows(&g, "linear:2"));
+        assert!(!overflows(&g, "linear:1"));
+        // The budget itself: Σ t = 2 plus one hop × (u32::MAX - 3)
+        // sums to u32::MAX - 1, which is admitted; one more unit of
+        // volume at A reaches u32::MAX.
+        let mut g = Csdfg::new();
+        let a = g.add_task("A", 1).unwrap();
+        let b = g.add_task("B", 1).unwrap();
+        g.add_dep(a, b, 0, u32::MAX - 3).unwrap();
+        assert!(!overflows(&g, "linear:2"));
+        g.add_dep(b, a, 1, 1).unwrap();
+        assert!(overflows(&g, "linear:2"));
+        // Self edges cost nothing wherever they land.
+        let mut g = Csdfg::new();
+        let a = g.add_task("A", 1).unwrap();
+        g.add_dep(a, a, 1, u32::MAX).unwrap();
+        assert!(!overflows(&g, "linear:2"));
     }
 
     #[test]

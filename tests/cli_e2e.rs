@@ -146,6 +146,32 @@ fn schedule_tables_past_the_cell_budget_are_rejected_before_allocating() {
 }
 
 #[test]
+fn communication_costs_past_u32_are_rejected() {
+    // Two hops × 2^31 wrapped to 0 in a release build: A landed on PE 3
+    // with B, D and E two hops away at length 5, and the validator
+    // passed it with the same wrapped product.  A debug build panicked.
+    let mut fan =
+        String::from("node A t=1\nnode B t=1\nnode C t=1\nnode D t=1\nnode E t=1\nnode F t=1\n");
+    for mid in ["B", "C", "D", "E"] {
+        fan.push_str(&format!(
+            "edge A -> {mid} d=0 c=2147483648\nedge {mid} -> F d=0 c=1\n"
+        ));
+    }
+    fan.push_str("edge F -> A d=1 c=1\n");
+    for args in [
+        &["schedule", "-", "--machine", "mesh:4x4"][..],
+        &["schedule", "-", "--machine", "mesh:4x4", "--certify"][..],
+    ] {
+        let out = run_with_stdin(args, &fan);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(err.contains("CCS012"), "{args:?} stderr: {err}");
+    }
+    let out = run_with_stdin(&["schedule", "-", "--machine", "complete:1"], &fan);
+    assert_eq!(out.status.code(), Some(0));
+}
+
+#[test]
 fn graphs_with_no_tasks_are_rejected() {
     // Before CCS009 these scheduled at period 0, ran 64 passes over an
     // empty rotation set and certified period 0 as optimal.
