@@ -38,7 +38,7 @@
 use ccs_graph::algo::scc::tarjan_scc;
 use ccs_model::analysis::weak_components;
 use ccs_model::{Csdfg, EdgeId, NodeId};
-use ccs_retiming::clock_period::{critical_chain, min_clock_period};
+use ccs_retiming::clock_period::{critical_chain, min_clock_period_above};
 use ccs_retiming::{critical_cycle, iteration_bound, Ratio};
 use ccs_schedule::Schedule;
 use ccs_topology::{routing, Machine, Pe};
@@ -258,9 +258,10 @@ fn div_ceil(a: u64, b: u64) -> u64 {
     a.div_ceil(b)
 }
 
-/// Bound (a): the integer iteration bound with its critical cycle.
-fn cycle_ratio_bound(g: &Csdfg) -> Option<Certificate> {
-    let (ratio, cycle) = critical_cycle(g)?;
+/// Bound (a): the integer iteration bound with its critical cycle,
+/// from `critical_cycle(g)`.
+fn cycle_ratio_bound(g: &Csdfg, critical: Option<(Ratio, Vec<NodeId>)>) -> Option<Certificate> {
+    let (ratio, cycle) = critical?;
     Some(Certificate {
         kind: BoundKind::CycleRatio,
         value: ratio.ceil(),
@@ -345,12 +346,13 @@ pub fn cheap_floor(g: &Csdfg, m: &Machine) -> u64 {
 }
 
 /// Bound (c): the minimum clock period over all legal retimings, with
-/// the chain that remains at the optimum.
-fn critical_path_bound(g: &Csdfg) -> Option<Certificate> {
+/// the chain that remains at the optimum.  `ratio` is the iteration
+/// bound of `g`, the floor the period search starts from.
+fn critical_path_bound(g: &Csdfg, ratio: Option<Ratio>) -> Option<Certificate> {
     if g.task_count() == 0 {
         return None;
     }
-    let (period, r) = min_clock_period(g);
+    let (period, r) = min_clock_period_above(g, ratio);
     let retimed = r.apply(g);
     let chain = critical_chain(&retimed);
     Some(Certificate {
@@ -607,10 +609,14 @@ pub fn compute_bounds(g: &Csdfg, m: &Machine) -> BoundSet {
         g.check_legal().is_ok(),
         "bounds undefined: graph has a zero-delay cycle"
     );
+    // One policy iteration serves both the cycle-ratio bound and the
+    // critical-path search's floor.
+    let critical = critical_cycle(g);
+    let ratio = critical.as_ref().map(|&(ratio, _)| ratio);
     let mut certs = Vec::with_capacity(4);
-    certs.extend(cycle_ratio_bound(g));
+    certs.extend(cycle_ratio_bound(g, critical));
     certs.extend(resource_bound(g, m));
-    certs.extend(critical_path_bound(g));
+    certs.extend(critical_path_bound(g, ratio));
     certs.extend(communication_bound(g, m, cheapest_crossing));
     BoundSet { certs }
 }

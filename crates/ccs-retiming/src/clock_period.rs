@@ -7,7 +7,7 @@
 //! that rotation-based compaction can be compared against when
 //! resources and communication are ignored.
 
-use crate::iteration_bound::iteration_bound;
+use crate::iteration_bound::{iteration_bound, Ratio};
 use crate::retiming::Retiming;
 use ccs_model::{Csdfg, NodeId};
 
@@ -134,8 +134,15 @@ pub fn feasible(g: &Csdfg, c: u32) -> Option<Retiming> {
 /// deterministic, so the witness is the one the minimum period yields
 /// whichever way the minimum is found.
 pub fn min_clock_period(g: &Csdfg) -> (u32, Retiming) {
+    min_clock_period_above(g, iteration_bound(g))
+}
+
+/// [`min_clock_period`] for a caller that already holds the iteration
+/// bound of `g` (`None` for an acyclic graph), so the floor costs no
+/// second policy iteration.  `bound` must be `iteration_bound(g)`.
+pub fn min_clock_period_above(g: &Csdfg, bound: Option<Ratio>) -> (u32, Retiming) {
     let heaviest = g.tasks().map(|v| g.time(v)).max().unwrap_or(0);
-    let ratio_floor = iteration_bound(g).map_or(0, |b| u32::try_from(b.ceil()).unwrap_or(u32::MAX));
+    let ratio_floor = bound.map_or(0, |b| u32::try_from(b.ceil()).unwrap_or(u32::MAX));
     let floor = heaviest.max(ratio_floor);
     if let Some(r) = feasible(g, floor) {
         return (floor, r);

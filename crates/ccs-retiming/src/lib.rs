@@ -24,7 +24,7 @@ mod retiming;
 #[cfg(test)]
 mod wd;
 
-pub use clock_period::{critical_chain, min_clock_period};
+pub use clock_period::{critical_chain, min_clock_period, min_clock_period_above};
 pub use iteration_bound::{critical_cycle, iteration_bound, Ratio};
 pub use retiming::{epilogue, prologue, rotate, rotate_in_place, unrotate_in_place, Retiming};
 
