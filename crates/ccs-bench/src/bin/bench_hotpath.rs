@@ -29,6 +29,12 @@
 //! 4,000- and 8,000-task one-SCC chains on `mesh:4x4` and fingerprints
 //! each certificate's JSON.
 //!
+//! A big-machine tier times what a job on `mesh:32x32` pays for its
+//! machine: `machine/mesh32x32` parses the spec and runs the Pass A
+//! machine checks (fingerprinting their diagnostics), and
+//! `compact_mesh32x32_96n` builds the machine and compacts a 96-node
+//! graph shaped like perfbench `manype-compact`'s on it.
+//!
 //! All timed sections run with **no trace sink installed** (asserted),
 //! so the numbers measure the uninstrumented hot path.  A separate,
 //! untimed instrumented run afterwards feeds a
@@ -373,6 +379,41 @@ fn main() {
     insert_prints(&mut prints, "compact_mesh8x8_200n", &r);
     lengths.insert(
         "random200/mesh8x8".into(),
+        (r.initial_length, r.best_length),
+    );
+
+    // --- Big-machine tier: a 1,024-PE mesh.  Each rep builds its own
+    // machine, as a job does, so the timings include whatever the
+    // machine costs to build and to read.
+    let (t, (machine, report)) = time_median(reps, || {
+        let m = ccs_topology::parse_spec("mesh:32x32").expect("valid spec");
+        let report = ccs_analyze::analyze_machine(&m);
+        (m, report)
+    });
+    timings.insert("machine/mesh32x32".into(), t);
+    let mut h = Fnv::new();
+    h.write(machine.to_string().as_bytes());
+    h.write(report.render_human().as_bytes());
+    prints.insert("machine/mesh32x32".into(), format!("{:016x}", h.0));
+    // A graph shaped like perfbench `manype-compact`'s largest
+    // (`nodes / 3` back edges, forward density 0.03).
+    let manype = random_csdfg(
+        RandomGraphConfig {
+            nodes: 96,
+            back_edges: 32,
+            forward_density: 0.03,
+            ..Default::default()
+        },
+        7,
+    );
+    let (t, r) = time_median(reps, || {
+        let m = ccs_topology::parse_spec("mesh:32x32").expect("valid spec");
+        cyclo_compact(&manype, &m, CompactConfig::default()).expect("legal")
+    });
+    timings.insert("compact_mesh32x32_96n".into(), t);
+    insert_prints(&mut prints, "compact_mesh32x32_96n", &r);
+    lengths.insert(
+        "random96/mesh32x32".into(),
         (r.initial_length, r.best_length),
     );
 
