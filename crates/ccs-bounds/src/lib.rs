@@ -528,17 +528,10 @@ fn communication_bound(
     let components = weak_components(g);
 
     // Cheapest possible hop distance between two *distinct* PEs that
-    // can talk at all; `None` when no such pair exists (then any
-    // crossing is illegal and every split is infeasible).  Each link
-    // is a shortest path between two distinct PEs (1 hop, or 0 on the
-    // ideal machine), and a pair with no link between them is at least
-    // as far apart, so the minimum over the links is the minimum over
-    // all pairs.
-    let min_hop: Option<u64> = m
-        .links()
-        .iter()
-        .map(|&(a, b)| u64::from(m.distance(Pe::from_index(a), Pe::from_index(b))))
-        .min();
+    // can talk at all; `None` when no such pair exists, on a machine
+    // without links (then any crossing is illegal and every split is
+    // infeasible).
+    let min_hop: Option<u64> = (!m.links().is_empty()).then(|| u64::from(m.min_hop()));
 
     // Cheapest crossing floor over all non-self edges, with each
     // edge's delay maximized over legal retimings.
@@ -567,20 +560,15 @@ fn communication_bound(
         (g.name(u).to_string(), g.name(v).to_string())
     });
     let route = match (edge, min_hop) {
-        (Some(_), Some(_)) => {
+        (Some(_), Some(hop)) => {
             // A hop-optimal route witnessing `min_hop`: the first pair
             // in row-major order at that distance, routed the way the
-            // traffic ledger's `RoutingTable` would route it.
-            let mut pair: Option<(Pe, Pe)> = None;
-            'outer: for a in m.pes() {
-                for (j, &d) in m.dist_row(a).iter().enumerate() {
-                    if j != a.index() && u64::from(d) == min_hop.unwrap_or(0) {
-                        pair = Some((a, Pe::from_index(j)));
-                        break 'outer;
-                    }
-                }
-            }
-            pair.map(|(a, b)| routing::route(m, a, b).iter().map(|p| p.0).collect())
+            // traffic ledger's `RoutingTable` would route it.  The
+            // search stops at the first PE with such a partner.
+            let at_min = |a: Pe, b: Pe| a != b && m.try_distance(a, b).map(u64::from) == Some(hop);
+            m.pes()
+                .find_map(|a| m.pes().find(|&b| at_min(a, b)).map(|b| (a, b)))
+                .map(|(a, b)| routing::route(m, a, b).iter().map(|p| p.0).collect())
                 .unwrap_or_default()
         }
         _ => Vec::new(),

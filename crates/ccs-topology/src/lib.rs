@@ -5,14 +5,16 @@
 //! completely connected, 2-D mesh, n-cube — plus torus, star and binary
 //! tree as extensions, all reduced to one uniform abstraction:
 //!
-//! * [`Machine`] — a set of PEs, an undirected link list, and all-pairs
+//! * [`Machine`] — a set of PEs, an undirected link list, and their
 //!   hop distances, exposing the paper's communication function
 //!   `M(p_i, p_j) = hops * volume` as [`Machine::comm_cost`].  The
-//!   regular builders fill the distance table from
-//!   [`builders::closed_form`]'s analytic formulas; the binary tree,
-//!   random machines and user link lists ([`Machine::from_links`]) get
-//!   it from per-source BFS, which the tests use as the reference.
-//!   Connectivity and diameter are computed once, at construction;
+//!   regular builders answer distances from
+//!   [`builders::closed_form`]'s analytic formulas and fill a PE's hop
+//!   row the first time it is read; the binary tree, random machines
+//!   and user link lists ([`Machine::from_links`]) fill every row by
+//!   per-source BFS, which the tests use as the reference.
+//!   Connectivity, diameter and the smallest hop are computed once, at
+//!   construction;
 //! * [`RoutingTable`] and [`routing::route`] — deterministic
 //!   shortest-path routes for the contention simulator, the traffic
 //!   ledger and the communication bound's witness.
@@ -30,7 +32,7 @@ mod pe;
 pub mod routing;
 pub mod spec;
 
-pub use machine::Machine;
+pub use machine::{HopScan, Machine};
 pub use pe::Pe;
 pub use routing::RoutingTable;
 pub use spec::{parse_spec, random_machine};

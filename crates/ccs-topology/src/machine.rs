@@ -1,8 +1,10 @@
-//! The target machine: a set of PEs plus a hop-distance matrix.
+//! The target machine: a set of PEs plus their hop distances.
 
+use crate::builders::{closed_form, Shape};
 use crate::pe::Pe;
 use crate::routing::Adjacency;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A target parallel machine.
 ///
@@ -11,8 +13,15 @@ use std::fmt;
 /// with volume `m` from `p_i` to `p_j` costs
 /// `M(p_i, p_j) = hops(p_i, p_j) * m` control steps, zero when
 /// `p_i == p_j`.  A `Machine` therefore only needs the undirected link
-/// set and the all-pairs hop distances derived from it: closed forms
-/// for the regular builders, per-source BFS for [`Machine::from_links`].
+/// set and the hop distances derived from it: closed forms for the
+/// regular builders, per-source BFS for [`Machine::from_links`].
+///
+/// A closed-form machine answers [`Machine::distance`] from its
+/// formula and fills a PE's hop row the first time
+/// [`Machine::dist_row`] reads it, so a job pays for the rows of the
+/// PEs it places tasks on, not for `PEs²` entries.  A BFS machine
+/// fills every row at construction: its connectivity and diameter
+/// need all of them.
 ///
 /// ```
 /// use ccs_topology::{Machine, Pe};
@@ -22,12 +31,17 @@ use std::fmt;
 /// assert_eq!(m.comm_cost(Pe(0), Pe(3), 3), 6);
 /// assert_eq!(m.comm_cost(Pe(2), Pe(2), 9), 0);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct Machine {
     name: String,
     n: usize,
-    /// Row-major `n*n` hop distances. `u32::MAX` = unreachable.
-    dist: Vec<u32>,
+    /// The closed form of the hop distances; `None` for a BFS machine.
+    shape: Option<Shape>,
+    /// One hop row per PE, each filled at most once by
+    /// [`Machine::dist_row`].  `u32::MAX` = unreachable.  A cell, not
+    /// a plain vector, so that rayon workers sharing `&Machine` can
+    /// fill rows.
+    rows: Box<[OnceLock<Box<[u32]>>]>,
     /// Undirected links, each stored once with `a < b`.
     links: Vec<(usize, usize)>,
     /// Cached at construction: `true` when every PE can reach every
@@ -38,13 +52,15 @@ pub struct Machine {
     /// Cached at construction: the largest finite hop distance, read
     /// by [`Machine::diameter`].
     diameter: u32,
+    /// Cached at construction: read by [`Machine::min_hop`].
+    min_hop: u32,
 }
 
 impl Machine {
     /// Builds a machine from an explicit undirected link list.
     ///
     /// Links are deduplicated; self-links are ignored.  Distances come
-    /// from per-source BFS.
+    /// from per-source BFS, one row per PE, all filled here.
     ///
     /// # Panics
     ///
@@ -54,51 +70,67 @@ impl Machine {
         let links = normalize_links(n, links);
         let adj = Adjacency::new(n, &links);
         let (mut parent, mut queue) = (vec![0; n], Vec::with_capacity(n));
-        Machine::with_rows(name, n, links, |src, row| {
-            // `queue` lists the PEs the search reached, each after its
-            // parent; PEs of other partitions stay unreachable.
-            adj.bfs(src, &mut parent, &mut queue);
-            row.fill(u32::MAX);
-            row[src] = 0;
-            for &v in &queue[1..] {
-                row[v as usize] = row[parent[v as usize] as usize] + 1;
-            }
-        })
-    }
-
-    /// Builds a machine from a normalized, duplicate-free link list
-    /// (each link once, `a < b`) and a hop-table row filler:
-    /// `fill_row(p, row)` writes the distances from PE `p` into the
-    /// zeroed `row`.  Connectivity and diameter are folded from each
-    /// row right after it is filled, while it is still in cache.
-    pub(crate) fn with_rows(
-        name: impl Into<String>,
-        n: usize,
-        links: Vec<(usize, usize)>,
-        mut fill_row: impl FnMut(usize, &mut [u32]),
-    ) -> Self {
-        assert!(n > 0, "a machine needs at least one PE");
-        let mut dist = vec![0u32; n * n];
         // `d + 1` wraps the unreachable marker to 0, so the smallest
         // shifted entry is 0 exactly when some pair is unreachable and
         // the largest is one more than the largest finite distance
         // (at least 1: every row has its zero diagonal).
         let (mut lo, mut hi) = (u32::MAX, 0);
-        for (src, row) in dist.chunks_exact_mut(n).enumerate() {
-            fill_row(src, row);
-            for &d in row.iter() {
-                let shifted = d.wrapping_add(1);
-                lo = lo.min(shifted);
-                hi = hi.max(shifted);
-            }
-        }
+        let rows = (0..n)
+            .map(|src| {
+                // `queue` lists the PEs the search reached, each after
+                // its parent; PEs of other partitions stay unreachable.
+                adj.bfs(src, &mut parent, &mut queue);
+                let mut row = vec![u32::MAX; n].into_boxed_slice();
+                row[src] = 0;
+                for &v in &queue[1..] {
+                    row[v as usize] = row[parent[v as usize] as usize] + 1;
+                }
+                for &d in row.iter() {
+                    let shifted = d.wrapping_add(1);
+                    lo = lo.min(shifted);
+                    hi = hi.max(shifted);
+                }
+                OnceLock::from(row)
+            })
+            .collect();
         Machine {
             name: name.into(),
             n,
-            dist,
+            shape: None,
+            rows,
+            min_hop: u32::from(!links.is_empty()),
             links,
             connected: lo != 0,
             diameter: hi - 1,
+        }
+    }
+
+    /// A regular machine: a normalized, duplicate-free link list (each
+    /// link once, `a < b`), the closed form `shape` of its distances
+    /// and their largest value.  Every closed form is connected, and
+    /// every link joins PEs one hop apart, except on the ideal machine,
+    /// where every hop is 0.  No row is filled yet.
+    pub(crate) fn closed_form(
+        name: impl Into<String>,
+        n: usize,
+        links: Vec<(usize, usize)>,
+        shape: Shape,
+        diameter: u32,
+    ) -> Self {
+        assert!(n > 0, "a machine needs at least one PE");
+        let min_hop = match shape {
+            Shape::Ideal => 0,
+            _ => u32::from(!links.is_empty()),
+        };
+        Machine {
+            name: name.into(),
+            n,
+            shape: Some(shape),
+            rows: (0..n).map(|_| OnceLock::new()).collect(),
+            links,
+            connected: true,
+            diameter,
+            min_hop,
         }
     }
 
@@ -117,7 +149,7 @@ impl Machine {
                 links.push((a, b));
             }
         }
-        Machine::with_rows(format!("Ideal {n}"), n, links, |_, _| {})
+        Machine::closed_form(format!("Ideal {n}"), n, links, Shape::Ideal, 0)
     }
 
     /// Machine name (e.g. `"2-D Mesh 4x2"`).
@@ -138,15 +170,14 @@ impl Machine {
 
     /// Hop distance between two PEs (0 for `a == b`).
     ///
-    /// Connectivity is a *construction-time* property: it is computed
-    /// once when the hop table is built and exposed through the O(1)
-    /// [`Machine::is_connected`], which schedulers check at entry.
-    /// The hot path here is therefore a branch-free table read in
-    /// release builds; debug builds still panic on a cross-partition
-    /// query so misuse surfaces in tests.
+    /// Connectivity is a *construction-time* property, exposed
+    /// through the O(1) [`Machine::is_connected`], which schedulers
+    /// check at entry.  A closed-form machine evaluates its formula
+    /// and fills no row; a BFS machine reads its row.  Debug builds
+    /// panic on a cross-partition query so misuse surfaces in tests.
     #[inline]
     pub fn distance(&self, a: Pe, b: Pe) -> u32 {
-        let d = self.dist[a.index() * self.n + b.index()];
+        let d = self.hop(a, b);
         debug_assert!(
             d != u32::MAX,
             "machine {:?} is disconnected between {a} and {b}",
@@ -155,9 +186,19 @@ impl Machine {
         d
     }
 
+    /// The hop distance from `a` to `b`, `u32::MAX` when unreachable.
+    #[inline]
+    fn hop(&self, a: Pe, b: Pe) -> u32 {
+        match self.shape {
+            Some(shape) => shape.distance(a, b),
+            None => self.dist_row(a)[b.index()],
+        }
+    }
+
     /// The full hop-distance row of `from`: `dist_row(p)[q.index()]`
     /// is `distance(p, q)`.  Distances are symmetric (links are
     /// undirected), so one row serves both send and receive costs.
+    /// The first read of a closed-form machine's row fills it.
     ///
     /// This is the bulk entry point of the candidate-scan engine: the
     /// remapper hoists one row per resolved edge and scales it by the
@@ -171,8 +212,68 @@ impl Machine {
     /// ```
     #[inline]
     pub fn dist_row(&self, from: Pe) -> &[u32] {
-        let i = from.index() * self.n;
-        &self.dist[i..i + self.n]
+        self.rows[from.index()].get_or_init(|| {
+            // INVARIANT: a BFS machine filled every row at
+            // construction, so only a closed form's row can be empty.
+            let shape = self.shape.expect("BFS rows are filled at construction");
+            let mut row = vec![0; self.n].into_boxed_slice();
+            shape.fill_row(from.index(), &mut row);
+            row
+        })
+    }
+
+    /// Runs `scan` with this machine's distance function: `hop(a, b)`
+    /// is [`Machine::try_distance`] between the PEs of indices `a` and
+    /// `b`, `u32::MAX` when they do not reach each other.  The function
+    /// is specialized to the machine's shape, so a closed form's formula
+    /// inlines into the scan and a BFS machine's reads its rows; no row
+    /// is filled.  This is the entry point for checks that evaluate
+    /// every pair: a [`Machine::distance`] call branches on the shape
+    /// each time, which keeps the formula out of the caller's loop.
+    pub fn scan_hops<S: HopScan>(&self, scan: S) -> S::Output {
+        let n = self.n;
+        let pe = |i: usize| Pe::from_index(i);
+        // The grid forms read each PE's (row, column) from a table
+        // built once per scan instead of dividing by `cols` per call.
+        let grid = |cols: usize| -> Vec<(u32, u32)> {
+            (0..n)
+                .map(|i| ((i / cols) as u32, (i % cols) as u32))
+                .collect()
+        };
+        match self.shape {
+            Some(Shape::Linear) => scan.scan(n, |a, b| closed_form::linear(pe(a), pe(b))),
+            Some(Shape::Ring { n: len }) => {
+                scan.scan(n, |a, b| closed_form::ring(len, pe(a), pe(b)))
+            }
+            Some(Shape::Complete) => scan.scan(n, |a, b| closed_form::complete(pe(a), pe(b))),
+            Some(Shape::Mesh { cols }) => {
+                let rc = grid(cols);
+                scan.scan(n, |a, b| {
+                    rc[a].0.abs_diff(rc[b].0) + rc[a].1.abs_diff(rc[b].1)
+                })
+            }
+            Some(Shape::Torus { rows, cols }) => {
+                let rc = grid(cols);
+                let wrap = |d: u32, len: usize| d.min(len as u32 - d);
+                scan.scan(n, |a, b| {
+                    wrap(rc[a].0.abs_diff(rc[b].0), rows) + wrap(rc[a].1.abs_diff(rc[b].1), cols)
+                })
+            }
+            Some(Shape::Hypercube) => scan.scan(n, |a, b| closed_form::hypercube(pe(a), pe(b))),
+            Some(Shape::Star) => scan.scan(n, |a, b| closed_form::star(pe(a), pe(b))),
+            Some(Shape::Ideal) => scan.scan(n, |_, _| 0),
+            None => scan.scan(n, |a, b| self.dist_row(pe(a))[b]),
+        }
+    }
+
+    /// The PEs whose hop row has been filled, in index order: every
+    /// PE of a BFS machine, and the rows [`Machine::dist_row`] has
+    /// read on a closed-form one.
+    #[doc(hidden)]
+    pub fn filled_rows(&self) -> Vec<Pe> {
+        self.pes()
+            .filter(|p| self.rows[p.index()].get().is_some())
+            .collect()
     }
 
     /// Hop distance between two PEs without the connectivity panic of
@@ -185,7 +286,7 @@ impl Machine {
         if a.index() >= self.n || b.index() >= self.n {
             return None;
         }
-        match self.dist[a.index() * self.n + b.index()] {
+        match self.hop(a, b) {
             u32::MAX => None,
             d => Some(d),
         }
@@ -209,10 +310,10 @@ impl Machine {
     /// connected machine).  Reported pairs satisfy `a < b`.
     pub fn unreachable_pairs(&self) -> Vec<(Pe, Pe)> {
         let mut out = Vec::new();
-        for a in 0..self.n {
-            for b in (a + 1)..self.n {
-                if self.dist[a * self.n + b] == u32::MAX {
-                    out.push((Pe::from_index(a), Pe::from_index(b)));
+        for a in self.pes() {
+            for b in self.pes().skip(a.index() + 1) {
+                if self.try_distance(a, b).is_none() {
+                    out.push((a, b));
                 }
             }
         }
@@ -247,22 +348,37 @@ impl Machine {
         self.diameter
     }
 
-    /// Mean hop distance over ordered distinct PE pairs.
+    /// The smallest hop distance between two distinct PEs that reach
+    /// each other: 1 on a machine with links, 0 on the ideal machine
+    /// and on machines without links (one PE).  No two distinct PEs are
+    /// closer, so `min_hop() * volume` lower-bounds the cost of every
+    /// edge that crosses PEs.  O(1): cached at construction.
+    ///
+    /// ```
+    /// use ccs_topology::Machine;
+    /// assert_eq!(Machine::mesh(4, 4).min_hop(), 1);
+    /// assert_eq!(Machine::ideal(4).min_hop(), 0);
+    /// assert_eq!(Machine::complete(1).min_hop(), 0);
+    /// ```
+    #[inline]
+    pub fn min_hop(&self) -> u32 {
+        self.min_hop
+    }
+
+    /// Mean hop distance over ordered distinct PE pairs (an
+    /// unreachable pair counts `u32::MAX` hops).
     pub fn mean_distance(&self) -> f64 {
         if self.n < 2 {
             return 0.0;
         }
         let mut total = 0u64;
-        let mut count = 0u64;
-        for a in 0..self.n {
-            for b in 0..self.n {
-                if a != b {
-                    total += u64::from(self.dist[a * self.n + b]);
-                    count += 1;
-                }
+        for a in self.pes() {
+            for b in self.pes() {
+                total += u64::from(self.hop(a, b));
             }
         }
-        total as f64 / count as f64
+        let pairs = self.n as u64 * (self.n as u64 - 1);
+        total as f64 / pairs as f64
     }
 
     /// Graphviz rendering of the link graph.
@@ -279,6 +395,36 @@ impl Machine {
         out.push_str("}\n");
         out
     }
+}
+
+/// Machines are equal when their names, links, connectivity,
+/// diameters, `min_hop`s and every hop distance agree, however each
+/// computes its distances.  Comparing fills no row.
+impl PartialEq for Machine {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.n == other.n
+            && self.links == other.links
+            && self.connected == other.connected
+            && self.diameter == other.diameter
+            && self.min_hop == other.min_hop
+            && self
+                .pes()
+                .all(|a| self.pes().all(|b| self.hop(a, b) == other.hop(a, b)))
+    }
+}
+
+impl Eq for Machine {}
+
+/// A computation over every hop distance of a machine, which
+/// [`Machine::scan_hops`] runs with the machine's distance function.
+pub trait HopScan {
+    /// What the scan returns.
+    type Output;
+
+    /// Runs the scan over PEs `0..n`, where `hop(a, b)` is the hop
+    /// distance from PE `a` to PE `b` (`u32::MAX` when unreachable).
+    fn scan(self, n: usize, hop: impl Fn(usize, usize) -> u32) -> Self::Output;
 }
 
 impl fmt::Display for Machine {
@@ -424,7 +570,93 @@ mod tests {
     fn single_pe_machine() {
         let m = Machine::from_links("uni", 1, &[]);
         assert_eq!(m.diameter(), 0);
+        assert_eq!(m.min_hop(), 0);
         assert_eq!(m.mean_distance(), 0.0);
         assert!(m.is_connected());
+    }
+
+    #[test]
+    fn closed_form_rows_fill_on_first_read() {
+        let m = Machine::mesh(4, 4);
+        assert!(m.filled_rows().is_empty());
+        // Point queries and the whole-machine folds evaluate the
+        // formula.
+        assert_eq!(m.distance(Pe(0), Pe(15)), 6);
+        assert_eq!(m.try_distance(Pe(5), Pe(6)), Some(1));
+        assert_eq!(m.comm_cost(Pe(3), Pe(12), 2), 12);
+        assert!(m.unreachable_pairs().is_empty());
+        assert!((m.mean_distance() - 8.0 / 3.0).abs() < 1e-12);
+        assert!(m == m.clone());
+        assert!(m.filled_rows().is_empty());
+        assert_eq!(m.dist_row(Pe(5))[15], 4);
+        assert_eq!(m.dist_row(Pe(9))[0], 3);
+        assert_eq!(m.dist_row(Pe(5))[0], 2);
+        assert_eq!(m.filled_rows(), vec![Pe(5), Pe(9)]);
+        // A clone keeps the rows filled so far.
+        assert_eq!(m.clone().filled_rows(), vec![Pe(5), Pe(9)]);
+    }
+
+    #[test]
+    fn bfs_rows_are_filled_at_construction() {
+        let m = Machine::from_links("two islands", 4, &[(0, 1), (2, 3)]);
+        assert_eq!(m.filled_rows(), m.pes().collect::<Vec<_>>());
+        assert_eq!(m.min_hop(), 1);
+        let bare = Machine::from_links("no links", 3, &[]);
+        assert_eq!((bare.min_hop(), bare.is_connected()), (0, false));
+    }
+
+    /// Collects every hop a scan sees, row by row.
+    struct AllHops;
+
+    impl HopScan for AllHops {
+        type Output = Vec<u32>;
+
+        fn scan(self, n: usize, hop: impl Fn(usize, usize) -> u32) -> Vec<u32> {
+            (0..n)
+                .flat_map(|a| (0..n).map(move |b| (a, b)))
+                .map(|(a, b)| hop(a, b))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn scans_see_the_distance_function() {
+        let machines = [
+            Machine::linear_array(5),
+            Machine::ring(7),
+            Machine::complete(4),
+            Machine::mesh(3, 5),
+            Machine::torus(4, 3),
+            Machine::torus(1, 5),
+            Machine::hypercube(4),
+            Machine::star(6),
+            Machine::ideal(3),
+            Machine::binary_tree(9),
+            Machine::from_links("two islands", 4, &[(0, 1), (2, 3)]),
+        ];
+        for m in &machines {
+            let want: Vec<u32> = m
+                .pes()
+                .flat_map(|a| {
+                    m.pes()
+                        .map(move |b| m.try_distance(a, b).unwrap_or(u32::MAX))
+                })
+                .collect();
+            assert_eq!(m.scan_hops(AllHops), want, "{}", m.name());
+            if m.shape.is_some() {
+                assert!(m.filled_rows().is_empty(), "{} filled a row", m.name());
+            }
+        }
+    }
+
+    #[test]
+    fn equality_compares_every_hop() {
+        let k3 = [(0, 1), (0, 2), (1, 2)];
+        assert!(Machine::complete(3) == Machine::from_links("Completely Connected 3", 3, &k3));
+        // Same name, links, connectivity and diameter; other hops.
+        let path = Machine::from_links("p", 4, &[(0, 1), (1, 2), (2, 3)]);
+        let other = Machine::from_links("p", 4, &[(0, 1), (1, 3), (3, 2)]);
+        assert_eq!(path.diameter(), other.diameter());
+        assert!(path != other);
     }
 }

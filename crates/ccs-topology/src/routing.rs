@@ -19,7 +19,8 @@ const UNSEEN: u32 = u32::MAX;
 /// An undirected link list as adjacency, each PE's neighbours sorted
 /// by index, in compressed rows: the neighbours of `u` are
 /// `targets[start[u]..start[u + 1]]`.  Its BFS serves the routes here
-/// and the hop tables of [`Machine::from_links`].
+/// and the hop rows of [`Machine::from_links`].
+#[derive(Clone, Debug)]
 pub(crate) struct Adjacency {
     start: Vec<usize>,
     targets: Vec<u32>,

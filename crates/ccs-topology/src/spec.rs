@@ -24,9 +24,10 @@ fn err(msg: impl Into<String>) -> SpecError {
     SpecError(msg.into())
 }
 
-/// The most PEs a [`parse_spec`] machine may have.  Its hop table holds
-/// `MAX_PES²` `u32` entries, 64 MiB; the largest machine the tests,
-/// benches and benchmark workloads build has 1024 PEs (4 MiB).
+/// The most PEs a [`parse_spec`] machine may have.  A closed-form
+/// machine fills one hop row of `MAX_PES` `u32`s (16 KiB) for each PE
+/// a job reads it from; a BFS machine (`tree:N`, `random:N:S`) fills
+/// all `MAX_PES²` entries, 64 MiB, at construction.
 pub const MAX_PES: usize = 4096;
 
 /// The most schedule-table cells a graph × machine pair may need,

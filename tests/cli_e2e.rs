@@ -255,6 +255,31 @@ fn certify_on_an_8k_node_scc_fits_in_64_mb() {
     assert!(err.contains("note[CCS04"), "stderr: {err}");
 }
 
+/// A run on the largest machine a spec may name, `mesh:64x64` (4,096
+/// PEs), under a 32 MB address space.  A job pays for the hop rows of
+/// the PEs it places tasks on: the full table alone would take 64 MB,
+/// and its allocation aborts the run.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_small_graph_on_4096_pes_fits_in_32_mb() {
+    let dir = std::env::temp_dir().join(format!("ccs_mesh64_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("loop.csdfg");
+    std::fs::write(&path, GRAPH).unwrap();
+    let out = Command::new("sh")
+        .arg("-c")
+        .arg(r#"ulimit -v 32768; exec "$0" schedule "$1" --machine mesh:64x64 --csv"#)
+        .arg(env!("CARGO_BIN_EXE_cyclosched"))
+        .arg(&path)
+        .output()
+        .expect("spawn sh");
+    std::fs::remove_dir_all(&dir).ok();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {err}");
+    assert!(err.contains("2-D Mesh 64x64"), "stderr: {err}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("B,"));
+}
+
 #[test]
 fn compile_then_schedule_pipeline() {
     let kernel = "y = y[i-1]*k + x;\n";

@@ -136,3 +136,53 @@ fn minimum_clock_period_lower_bounds_single_cycle_machines() {
     // phi is itself >= the bound's ceiling.
     assert!(u64::from(phi) >= bound.ceil());
 }
+
+/// A job pays for the hop rows of the PEs it places tasks on.  Pass A,
+/// the validator and the PSL ledger read distances from the closed
+/// form; start-up and the passes fill a row only for a PE that hosts a
+/// placed task.  Checked on a 96-node compaction on the 1,024-PE mesh:
+/// every row the recorded run fills belongs to a PE one of its
+/// `StartupPlace` or `Placed` events names, and an unrecorded run
+/// fills the same rows.
+#[test]
+fn a_compaction_fills_only_the_hop_rows_of_the_pes_it_places_on() {
+    use cyclosched::trace::Event;
+    use cyclosched::workloads::{random_csdfg, RandomGraphConfig};
+    use std::collections::BTreeSet;
+    let cfg = RandomGraphConfig {
+        nodes: 96,
+        back_edges: 32,
+        forward_density: 0.03,
+        ..Default::default()
+    };
+    let g = random_csdfg(cfg, 7);
+    let spec = "mesh:32x32";
+    let machine = cyclosched::topology::parse_spec(spec).unwrap();
+    let mut pass_a = cyclosched::analyze::analyze_machine(&machine);
+    pass_a.merge(cyclosched::analyze::analyze_cross(&g, &machine));
+    assert!(!pass_a.has_errors());
+    assert!(machine.filled_rows().is_empty(), "Pass A filled a row");
+    let (r, events) = cyclosched::trace::record(|| {
+        cyclo_compact(&g, &machine, CompactConfig::default()).unwrap()
+    });
+    let named: BTreeSet<Pe> = events
+        .iter()
+        .filter_map(|t| match &t.event {
+            Event::StartupPlace(p) => Some(Pe(p.pe)),
+            Event::Placed(p) => Some(Pe(p.pe)),
+            _ => None,
+        })
+        .collect();
+    let filled = machine.filled_rows();
+    assert!(!filled.is_empty());
+    assert!(
+        filled.iter().all(|p| named.contains(p)),
+        "filled {filled:?}, named {named:?}"
+    );
+    validate(&r.graph, &machine, &r.schedule).unwrap();
+    assert_eq!(machine.filled_rows(), filled, "validation filled a row");
+    let plain = cyclosched::topology::parse_spec(spec).unwrap();
+    let q = cyclo_compact(&g, &plain, CompactConfig::default()).unwrap();
+    assert_eq!(q.schedule, r.schedule);
+    assert_eq!(plain.filled_rows(), filled);
+}
