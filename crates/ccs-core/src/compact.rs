@@ -1,6 +1,6 @@
 //! The cyclo-compaction driver (paper §4, `Algorithm Cyclo-Compact`).
 
-use crate::remap::{nid, remap_probed, RemapConfig, RemapMode};
+use crate::remap::{nid, remap_probed, RemapConfig, RemapMode, Scratch};
 use crate::startup::{startup_probed, StartupConfig};
 use ccs_model::{Csdfg, ModelError, NodeId};
 use ccs_retiming::Retiming;
@@ -221,6 +221,7 @@ pub(crate) fn compact_probed<P: Probe>(
     let mut cur_graph = g.clone();
     let mut retiming = Retiming::zero_for(g);
     let mut ledger = PslLedger::new(&cur_graph, machine, &cur_sched);
+    let mut scratch = Scratch::default();
     let mut best_sched = initial.clone();
     let mut best_retiming = retiming.clone();
     let mut history = Vec::with_capacity(config.passes);
@@ -245,12 +246,14 @@ pub(crate) fn compact_probed<P: Probe>(
         let t0 = P::ACTIVE.then(Instant::now);
         // The pass mutates the working pair and its PSL ledger in
         // place; a reverted pass restores all three, so nothing is
-        // cloned on the per-pass hot path.
+        // cloned on the per-pass hot path.  Every pass scans in the
+        // run's one set of buffers.
         let out = remap_probed(
             &mut cur_graph,
             machine,
             &mut cur_sched,
             &mut ledger,
+            &mut scratch,
             config.remap,
             probe,
         );

@@ -133,6 +133,42 @@ mod proptests {
         }
 
         #[test]
+        fn passes_without_relaxation_never_grow_on_the_paper_suite(
+            g in arb_csdfg(),
+            which in 0usize..6,
+            rows_per_pass in 1u32..4,
+        ) {
+            // Every pass without relaxation that places its rotation set
+            // is accepted (the remapper asserts it needs no more than
+            // the previous length in debug builds), and each keeps the
+            // length at or below the previous one.
+            let mut machines = Machine::paper_suite();
+            machines.push(Machine::ideal(4));
+            let m = &machines[which];
+            let cfg = CompactConfig {
+                passes: 24,
+                remap: RemapConfig {
+                    mode: RemapMode::WithoutRelaxation,
+                    rows_per_pass,
+                    ..Default::default()
+                },
+                stop_on_revert: false,
+                ..Default::default()
+            };
+            let r = compact::compact_probed(&g, m, cfg, Some(0), &mut ccs_trace::Off).unwrap();
+            let mut prev = r.initial_length;
+            for rec in &r.history {
+                if rec.reverted {
+                    prop_assert_eq!(rec.length, prev, "a reverted pass restores the length");
+                } else {
+                    prop_assert!(rec.length <= prev, "pass {} grew {} -> {}", rec.pass, prev, rec.length);
+                    prev = rec.length;
+                }
+            }
+            prop_assert!(validate(&r.graph, m, &r.schedule).is_ok());
+        }
+
+        #[test]
         fn best_length_never_beats_iteration_bound(g in arb_csdfg(), m in arb_machine()) {
             let r = cyclo_compact(&g, &m, CompactConfig::default()).unwrap();
             if let Some(b) = ccs_retiming::iteration_bound(&g) {

@@ -228,10 +228,6 @@ pub fn required_length(g: &Csdfg, m: &Machine, s: &Schedule) -> u32 {
 /// [`PslLedger::refresh`]: the caller refreshes every edge whose `PSL`
 /// it may have moved.  Moving both endpoints of an edge by the same
 /// number of control steps keeps its `PSL`.
-///
-/// Each refresh journals the value it replaced, and
-/// [`PslLedger::rollback`] restores the journaled values, so a pass
-/// that is refused leaves the ledger as it found it.
 #[derive(Debug)]
 pub struct PslLedger {
     /// `tree[leaves + e]` is edge `e`'s `PSL`; `tree[i]` for
@@ -239,9 +235,6 @@ pub struct PslLedger {
     tree: Vec<u32>,
     /// Leaf count: the edge count rounded up to a power of two.
     leaves: usize,
-    /// `(leaf index, replaced value)` of every refresh since the last
-    /// [`PslLedger::commit`] or [`PslLedger::rollback`].
-    journal: Vec<(usize, u32)>,
 }
 
 impl PslLedger {
@@ -255,11 +248,7 @@ impl PslLedger {
         for i in (1..leaves).rev() {
             tree[i] = tree[2 * i].max(tree[2 * i + 1]);
         }
-        PslLedger {
-            tree,
-            leaves,
-            journal: Vec::new(),
-        }
+        PslLedger { tree, leaves }
     }
 
     /// The largest `PSL` over all edges (0 for a graph without
@@ -276,26 +265,9 @@ impl PslLedger {
         s.length().max(self.max())
     }
 
-    /// Recomputes edge `e`'s `PSL` from `(g, m, s)`, journaling the
-    /// value it replaces.
+    /// Recomputes edge `e`'s `PSL` from `(g, m, s)`.
     pub fn refresh(&mut self, g: &Csdfg, m: &Machine, s: &Schedule, e: EdgeId) {
-        let leaf = self.leaves + e.index();
-        self.journal.push((leaf, self.tree[leaf]));
-        self.set(leaf, psl(g, m, s, e).unwrap_or(0));
-    }
-
-    /// Keeps every refresh since the last commit or rollback.
-    pub fn commit(&mut self) {
-        self.journal.clear();
-    }
-
-    /// Restores the values every refresh since the last commit or
-    /// rollback replaced, newest first, so an edge refreshed twice
-    /// gets its oldest value back.
-    pub fn rollback(&mut self) {
-        while let Some((leaf, value)) = self.journal.pop() {
-            self.set(leaf, value);
-        }
+        self.set(self.leaves + e.index(), psl(g, m, s, e).unwrap_or(0));
     }
 
     /// Writes `value` to `leaf` and repairs its ancestors, stopping at
@@ -744,9 +716,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// After every refresh and every rollback the ledger reads what
-        /// `required_length` recomputes from scratch, and its whole tree
-        /// equals a fresh build's.
+        /// After every refresh the ledger reads what `required_length`
+        /// recomputes from scratch, and its whole tree equals a fresh
+        /// build's, also when a move is undone and its edges refreshed
+        /// again.
         #[test]
         fn psl_ledger_tracks_required_length((times, edges, shape, start, moves) in arb_ledger_case()) {
             let m = match shape {
@@ -800,16 +773,14 @@ mod tests {
                     g.set_delay(e, (g.delay(e) + delay) % 4);
                 }
                 // Refresh every incident edge once per endpoint, as a
-                // pass does, so some leaves are journaled twice.
+                // pass does, so some leaves are refreshed twice.
                 for &v in &moved {
                     for e in g.in_deps(v).chain(g.out_deps(v)) {
                         ledger.refresh(&g, &m, &s, e);
                     }
                 }
                 prop_assert!(agrees(&ledger, &g, &s));
-                if keep {
-                    ledger.commit();
-                } else {
+                if !keep {
                     for &v in &moved {
                         s.remove(v);
                     }
@@ -819,7 +790,9 @@ mod tests {
                     for &(e, d) in &delays {
                         g.set_delay(e, d);
                     }
-                    ledger.rollback();
+                    for &e in &incident {
+                        ledger.refresh(&g, &m, &s, e);
+                    }
                 }
                 prop_assert!(agrees(&ledger, &g, &s));
             }
