@@ -34,10 +34,12 @@
 //! machine checks (fingerprinting their diagnostics), and
 //! `compact_mesh32x32_96n` builds the machine and compacts a 96-node
 //! graph shaped like perfbench `manype-compact`'s on it.
+//! `observe_mesh64x64_2n` records a two-task loop on `mesh:64x64` and
+//! builds its profile, `--report` page and `--explain` text.
 //!
-//! All timed sections run with **no trace sink installed** (asserted),
-//! so the numbers measure the uninstrumented hot path.  A separate,
-//! untimed instrumented run afterwards feeds a
+//! Every other timed section runs with **no trace sink installed**
+//! (asserted), so the numbers measure the uninstrumented hot path.
+//! A separate, untimed instrumented run afterwards feeds a
 //! [`ccs_trace::metrics::MetricsSink`] and lands in the report as the
 //! `"metrics"` section (per-phase counters + wall-time histograms),
 //! and a metered grid sweep lands as `"cells"` (per-cell counters,
@@ -416,6 +418,39 @@ fn main() {
         "random96/mesh32x32".into(),
         (r.initial_length, r.best_length),
     );
+    // A recorded run on the largest machine a spec may name: the
+    // two-task loop on `mesh:64x64` (4,096 PEs), compacted under the
+    // recorder, then folded into the profile, the `--report` page and
+    // the `--explain` text as the CLI does.  The key fingerprints the
+    // page and the text.
+    let pair = ccs_model::parser::parse(
+        "node A t=1\nnode B t=2\nedge A -> B d=0 c=1\nedge B -> A d=1 c=1\n",
+    )
+    .expect("two-task loop");
+    let (t, (page, explain)) = time_median(reps, || {
+        let m = ccs_topology::parse_spec("mesh:64x64").expect("valid spec");
+        let (r, events) = ccs_trace::record(|| cyclo_compact(&pair, &m, CompactConfig::default()));
+        let r = r.expect("legal");
+        let name = |n: u32| pair.name(NodeId::from_index(n as usize)).to_string();
+        let profile = ccs_profile::build(&events, &m);
+        let certificate = ccs_bounds::certify_period(&pair, &m, r.best_length);
+        let page = render_report(
+            &ReportInput {
+                title: &format!("loop on {}", m.name()),
+                events: &events,
+                machine: &m,
+                profile: &profile,
+                certificate: Some(&certificate),
+            },
+            name,
+        );
+        (page, ccs_profile::explain_run(&events, &profile, &m, name))
+    });
+    timings.insert("observe_mesh64x64_2n".into(), t);
+    let mut h = Fnv::new();
+    h.write(page.as_bytes());
+    h.write(explain.as_bytes());
+    prints.insert("observe_mesh64x64_2n".into(), format!("{:016x}", h.0));
 
     // --- Candidate-scan microbenchmark: the sweep with branch-and-bound
     // pruning against the same sweep unpruned, on the many-PE machines
