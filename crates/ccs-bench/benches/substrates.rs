@@ -12,7 +12,7 @@ use ccs_report::{render_report, ReportInput};
 use ccs_retiming::{clock_period, critical_cycle, iteration_bound};
 use ccs_schedule::Schedule;
 use ccs_sim::{replay_static, run_self_timed};
-use ccs_topology::{parse_spec, Machine, Pe, RoutingTable};
+use ccs_topology::{parse_spec, Machine, Pe};
 use ccs_trace::chrome::{to_chrome, Clock};
 use ccs_workloads::{random_csdfg, OpTimes, RandomGraphConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -45,8 +45,10 @@ fn bench_topology(c: &mut Criterion) {
     group.bench_function("analyze_machine/mesh_32x32", |b| {
         b.iter(|| analyze_machine(black_box(&mesh)))
     });
-    group.bench_function("routing_table/mesh_32x32", |b| {
-        b.iter(|| RoutingTable::new(black_box(&mesh)))
+    // One route on a fresh machine: its first read builds the
+    // adjacency and fills one destination's row of BFS parents.
+    group.bench_function("route/mesh_32x32", |b| {
+        b.iter(|| Machine::mesh(32, 32).route(Pe(0), black_box(Pe(1023))))
     });
     let g = random_csdfg(
         RandomGraphConfig {

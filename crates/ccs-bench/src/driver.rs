@@ -21,10 +21,10 @@
 //! scheduler path.
 
 use ccs_core::{cyclo_compact, CompactConfig};
-use ccs_profile::{CommProfile, ProfileBuilder};
+use ccs_profile::{EdgeTraffic, LinkLoad};
 use ccs_topology::Machine;
 use ccs_trace::metrics::{Metrics, MetricsSink};
-use ccs_trace::{Event, Sink};
+use ccs_trace::{Event, Sink, TrafficLedger};
 use ccs_workloads::Workload;
 use rayon::prelude::*;
 use serde::Value;
@@ -225,8 +225,8 @@ pub fn compact_grid_metered(
 }
 
 /// Fans one event stream out to two sinks, in order.  Lets a grid cell
-/// collect its counter registry *and* its communication profile from a
-/// single instrumented run.
+/// collect its counter registry *and* its traffic ledger from a single
+/// instrumented run.
 pub struct Tee<A: Sink, B: Sink>(pub A, pub B);
 
 impl<A: Sink, B: Sink> Sink for Tee<A, B> {
@@ -237,28 +237,32 @@ impl<A: Sink, B: Sink> Sink for Tee<A, B> {
 }
 
 /// One cell of a [`compact_grid_profiled`] sweep: the metered cell
-/// plus the communication profile of its final best schedule — the
-/// input the sweep grid dashboard renders one heatmap tile from.
+/// plus the traffic of its final best schedule — the input the sweep
+/// grid dashboard renders one heatmap tile from.
 #[derive(Clone, Debug)]
 pub struct ProfiledCell {
     /// The schedule-length outcome, as in [`compact_grid`].
     pub cell: GridCell,
     /// Hot-path counters recorded while solving this cell.
     pub metrics: Metrics,
-    /// Per-edge traffic attribution and link loads of the best
-    /// schedule, folded from the same event stream as the counters.
-    pub profile: CommProfile,
+    /// The per-edge traffic ledger of the best schedule, folded from
+    /// the same event stream as the counters.
+    pub edges: Vec<EdgeTraffic>,
+    /// The hop-weighted link loads of `edges`
+    /// ([`ccs_profile::link_loads`]).
+    pub links: Vec<LinkLoad>,
     /// Whether the machine routes (`ccs_profile::routable`): on
     /// routable cells the dashboard's heatmaps carry conservation
     /// totals that `report-check` re-verifies.
     pub routable: bool,
 }
 
-/// [`compact_grid_metered`] plus a per-cell [`CommProfile`]: each cell
-/// runs once under a [`Tee`] of the metrics and profile sinks, so the
-/// dashboard's heatmaps and the BENCH counters describe the *same*
-/// run.  Profiles fold the deterministic event stream, so the sweep
-/// stays byte-identical across thread counts.
+/// [`compact_grid_metered`] plus each cell's final traffic: each cell
+/// runs once under a [`Tee`] of the metrics sink and a live
+/// [`TrafficLedger`], so the dashboard's heatmaps and the BENCH
+/// counters describe the *same* run.  Both fold the deterministic
+/// event stream, so the sweep stays byte-identical across thread
+/// counts.
 pub fn compact_grid_profiled(
     workloads: &[Workload],
     machines: &[Machine],
@@ -268,15 +272,16 @@ pub fn compact_grid_profiled(
     run_many(
         grid_inputs(workloads, machines, configs),
         |(w, m, ci, c)| {
-            let (cell, tee) =
-                ccs_trace::with_sink(Tee(MetricsSink::new(), ProfileBuilder::new()), || {
+            let (cell, Tee(metrics, ledger)) =
+                ccs_trace::with_sink(Tee(MetricsSink::new(), TrafficLedger::default()), || {
                     solve_cell(w, m, ci, c)
                 });
-            let Tee(metrics, builder) = tee;
+            let edges = ledger.rows().to_vec();
             ProfiledCell {
                 cell,
                 metrics: metrics.into_metrics(),
-                profile: builder.finish(m),
+                links: ccs_profile::link_loads(m, &edges),
+                edges,
                 routable: ccs_profile::routable(m),
             }
         },
@@ -368,18 +373,16 @@ mod tests {
             // identical counters as the metrics-only sweep.
             assert_eq!((m.cell.initial, m.cell.best), (p.cell.initial, p.cell.best));
             assert_eq!(m.metrics.counters, p.metrics.counters);
-            // And the profile describes that run's best schedule.
-            assert_eq!(p.profile.best_length, p.cell.best);
-            assert_eq!(p.profile.initial_length, p.cell.initial);
-            assert!(!p.profile.edges.is_empty(), "fig1 has edges");
+            assert!(!p.edges.is_empty(), "fig1 has edges");
         }
         assert!(!ccs_trace::installed());
     }
 
-    /// The profile a [`Tee`] folds live equals [`ccs_profile::build`]
-    /// over a recorded run of the same cell, story included.
+    /// The ledger a [`Tee`] folds live, and its link loads, equal the
+    /// final edges and links of [`ccs_profile::build`] over a recorded
+    /// run of the same cell.
     #[test]
-    fn live_profiles_equal_the_replayed_folds() {
+    fn live_ledgers_equal_the_replayed_profiles() {
         let workloads: Vec<Workload> = ccs_workloads::all_workloads()
             .into_iter()
             .filter(|w| w.name == "fig1" || w.name == "elliptic")
@@ -389,21 +392,24 @@ mod tests {
         let live = compact_grid_profiled(&workloads, &machines, &configs);
         assert_eq!(live.len(), 2 * machines.len());
         let mut cells = live.iter();
-        let mut remaps = 0;
+        let mut moved = 0;
         for w in &workloads {
             let g = w.build();
             for m in &machines {
                 let cell = cells.next().expect("one cell per pair");
                 let (_, events) = ccs_trace::record(|| cyclo_compact(&g, m, configs[0]));
                 let replayed = ccs_profile::build(&events, m);
-                assert!(cell.profile == replayed, "{} on {}", w.name, m.name());
-                remaps += replayed
-                    .remap_passes()
-                    .map(|p| p.remaps.len())
-                    .sum::<usize>();
+                let what = format!("{} on {}", w.name, m.name());
+                assert_eq!(cell.edges, replayed.edges, "{what}");
+                assert_eq!(cell.links, replayed.links, "{what}");
+                assert!(!cell.edges.is_empty(), "{what}");
+                moved += usize::from(replayed.edges != replayed.pass_ledgers[0].edges);
             }
         }
-        assert!(remaps > 0, "the runs re-place rotated nodes");
+        assert!(
+            moved > 0,
+            "some final ledger differs from its start-up ledger"
+        );
     }
 
     #[test]

@@ -186,7 +186,7 @@ pub fn collect(sweep_seeds: u64, replay_iters: u32) -> FullReport {
 
 /// Flattens one sweep cell into the dashboard renderer's view: grid
 /// identity and lengths from the [`crate::driver::GridCell`], counters
-/// from the metrics registry, traffic from the communication profile.
+/// from the metrics registry, traffic from the cell's final ledger.
 pub fn grid_cell_view(p: &ProfiledCell) -> GridCellView {
     GridCellView {
         workload: p.cell.workload.to_string(),
@@ -204,8 +204,8 @@ pub fn grid_cell_view(p: &ProfiledCell) -> GridCellView {
             .iter()
             .map(|(k, v)| (k.clone(), *v))
             .collect(),
-        edges: p.profile.edges.clone(),
-        links: p.profile.links.clone(),
+        edges: p.edges.clone(),
+        links: p.links.clone(),
         routable: p.routable,
     }
 }

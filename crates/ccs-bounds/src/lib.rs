@@ -41,7 +41,7 @@ use ccs_model::{Csdfg, EdgeId, NodeId};
 use ccs_retiming::clock_period::{critical_chain, min_clock_period_above};
 use ccs_retiming::{critical_cycle, iteration_bound, Ratio};
 use ccs_schedule::Schedule;
-use ccs_topology::{routing, Machine, Pe};
+use ccs_topology::{Machine, Pe};
 use serde::{Serialize, Value};
 
 /// Which member of the bound family a certificate proves.
@@ -562,13 +562,13 @@ fn communication_bound(
     let route = match (edge, min_hop) {
         (Some(_), Some(hop)) => {
             // A hop-optimal route witnessing `min_hop`: the first pair
-            // in row-major order at that distance, routed the way the
-            // traffic ledger's `RoutingTable` would route it.  The
-            // search stops at the first PE with such a partner.
+            // in row-major order at that distance, on the machine's own
+            // route, the one the traffic ledger charges.  The search
+            // stops at the first PE with such a partner.
             let at_min = |a: Pe, b: Pe| a != b && m.try_distance(a, b).map(u64::from) == Some(hop);
             m.pes()
                 .find_map(|a| m.pes().find(|&b| at_min(a, b)).map(|b| (a, b)))
-                .map(|(a, b)| routing::route(m, a, b).iter().map(|p| p.0).collect())
+                .map(|(a, b)| m.route(a, b).iter().map(|p| p.0).collect())
                 .unwrap_or_default()
         }
         _ => Vec::new(),

@@ -131,13 +131,18 @@ mod tests {
         (g, m, s)
     }
 
+    // The tests that need the oracle compiled in run where it is:
+    // debug builds and `paranoid` ones.  A release build without
+    // `paranoid` compiles `verify` and `verify_bounds` to no-ops, so
+    // there they would check code that is not there.
     #[test]
+    #[cfg(any(debug_assertions, feature = "paranoid"))]
     #[allow(clippy::assertions_on_constants)]
     fn oracle_enabled_in_test_builds() {
-        // Tests run with debug_assertions on, so the gate must be open
-        // (and the mutation tests below actually exercise the oracle).
-        // The assertion is deliberately on the compile-time constant:
-        // it documents and enforces the build configuration.
+        // The gate must be open wherever this test is compiled (and the
+        // mutation tests below then exercise the oracle).  The
+        // assertion is deliberately on the compile-time constant: it
+        // documents and enforces the build configuration.
         assert!(ENABLED);
     }
 
@@ -165,6 +170,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(any(debug_assertions, feature = "paranoid"))]
     #[should_panic(expected = "CCS024")]
     fn verify_panics_with_stage_and_code() {
         let (g, m, mut s) = setup();
@@ -184,6 +190,7 @@ mod tests {
     /// against a graph whose resource bound is positive) must trip the
     /// bound oracle loudly.
     #[test]
+    #[cfg(any(debug_assertions, feature = "paranoid"))]
     #[should_panic(expected = "bound oracle tripped")]
     fn bound_oracle_trips_on_impossible_period() {
         let (g, m, _) = setup();

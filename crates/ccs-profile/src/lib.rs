@@ -16,8 +16,8 @@
 //!   the `traffic.edge` records ([`EdgeTraffic`]) as the trace carries
 //!   them;
 //! * a **hop-weighted link-load matrix** keyed by the machine's
-//!   physical links (deterministic BFS routes from
-//!   [`ccs_topology::RoutingTable`]);
+//!   physical links (the machine's deterministic BFS routes,
+//!   [`Machine::next_hop`], filled per destination on first use);
 //! * **per-PE timelines** — tasks hosted, busy/idle cells, traffic
 //!   sent and received;
 //! * **per-pass comm/compute balance** — how crossing traffic and
@@ -50,9 +50,9 @@
 
 pub mod render;
 
-use ccs_topology::{Machine, Pe, RoutingTable};
+use ccs_topology::{Machine, Pe};
 use ccs_trace::{
-    Candidate, Event, PeLoad, Placed, ScanBuffer, Sink, StartupPlace, TimedEvent, TrafficLedger,
+    Candidate, Event, PeLoad, Placed, ScanBuffer, StartupPlace, TimedEvent, TrafficLedger,
 };
 use serde::Value;
 
@@ -221,24 +221,23 @@ pub fn one_sided_edges(
 
 /// Renders the hop route one ledger row pays, 1-based to match the
 /// paper's `PE1..PEm` convention: `"local@PE2"` for co-located
-/// endpoints, otherwise the deterministic BFS path (`"PE1>PE2>PE4"`),
-/// falling back to `"PE1..PE4 (h hops)"` when no route table applies.
-pub fn route_label(routes: Option<&RoutingTable>, e: &EdgeTraffic) -> String {
+/// endpoints, otherwise the machine's deterministic BFS route
+/// (`"PE1>PE2>PE4"`), falling back to `"PE1..PE4 (h hops)"` on a
+/// machine that does not route (see [`routable`]).
+pub fn route_label(machine: &Machine, e: &EdgeTraffic) -> String {
     if !e.crossing() {
         return format!("local@PE{}", e.src_pe + 1);
     }
-    if let Some(rt) = routes {
-        let path = rt.path(
+    if routable(machine) {
+        let path = machine.route(
             Pe::from_index(e.src_pe as usize),
             Pe::from_index(e.dst_pe as usize),
         );
-        if path.len() >= 2 {
-            let hops: Vec<String> = path
-                .iter()
-                .map(|p| format!("PE{}", p.index() + 1))
-                .collect();
-            return hops.join(">");
-        }
+        let hops: Vec<String> = path
+            .iter()
+            .map(|p| format!("PE{}", p.index() + 1))
+            .collect();
+        return hops.join(">");
     }
     format!("PE{}..PE{} ({} hops)", e.src_pe + 1, e.dst_pe + 1, e.hops)
 }
@@ -447,8 +446,7 @@ impl CommProfile {
 /// Folds the event stream into a [`CommProfile`]: the one structured
 /// fold of a recorded run.
 ///
-/// Install one as a sink (it implements [`Sink`]) or feed it a
-/// recorded stream via [`build`]; both go through
+/// [`build`] feeds it a recorded stream through
 /// [`ProfileBuilder::observe`].  Every `traffic.edge` row is upserted
 /// into one running [`TrafficLedger`]; the builder reads the ledger and
 /// its totals at the stream's phase brackets: at `startup.end`, at
@@ -469,67 +467,14 @@ pub struct ProfileBuilder {
     profile: CommProfile,
 }
 
-/// A routable machine's deterministic BFS routes plus an index from
-/// each hop to its physical link.  Build it once per machine and share
-/// it across every [`link_loads`] and [`route_label`] call: the route
-/// table is `O(PEs²)` to build, and the index replaces a scan of the
-/// machine's link list per hop.
-pub struct LinkRoutes {
-    table: RoutingTable,
-    /// Every physical link as `((min, max), position in
-    /// machine.links())`, sorted by link for binary search.
-    index: Vec<((usize, usize), usize)>,
-}
-
-impl LinkRoutes {
-    /// Routes for `machine`, or `None` when link loads are not
-    /// meaningful on it (see [`routable`]).
-    pub fn new(machine: &Machine) -> Option<Self> {
-        if !routable(machine) {
-            return None;
-        }
-        let mut index: Vec<_> = machine
-            .links()
-            .iter()
-            .enumerate()
-            .map(|(ix, &link)| (link, ix))
-            .collect();
-        index.sort_unstable();
-        Some(LinkRoutes {
-            table: RoutingTable::new(machine),
-            index,
-        })
-    }
-
-    /// The deterministic route table ([`route_label`] takes it).
-    pub fn table(&self) -> &RoutingTable {
-        &self.table
-    }
-
-    /// Position in `machine.links()` of the link joining `a` and `b`.
-    fn link(&self, a: Pe, b: Pe) -> Option<usize> {
-        let (a, b) = (a.index(), b.index());
-        let key = (a.min(b), a.max(b));
-        self.index
-            .binary_search_by_key(&key, |&(link, _)| link)
-            .ok()
-            .map(|i| self.index[i].1)
-    }
-}
-
 /// Hop-weighted link loads of one edge ledger on `machine`: each
 /// crossing edge charges its volume to every link on the deterministic
 /// BFS route between its PEs.  Σ over links of one edge's volume =
 /// hops · volume = the edge's cost, so link loads and the ledger agree
-/// (the conservation invariant `report-check` verifies).  `routes` is
-/// [`LinkRoutes::new`] of the same machine; a machine without
-/// meaningful routes (no links, or disconnected) has none and loads
-/// nothing.
-pub fn link_loads(
-    machine: &Machine,
-    routes: Option<&LinkRoutes>,
-    edges: &[EdgeTraffic],
-) -> Vec<LinkLoad> {
+/// (the conservation invariant `report-check` verifies).  A machine
+/// without meaningful routes (see [`routable`]) loads nothing.  Reads
+/// the route rows of the destinations of the crossing edges only.
+pub fn link_loads(machine: &Machine, edges: &[EdgeTraffic]) -> Vec<LinkLoad> {
     let mut links: Vec<LinkLoad> = machine
         .links()
         .iter()
@@ -539,9 +484,9 @@ pub fn link_loads(
             ..LinkLoad::default()
         })
         .collect();
-    let Some(routes) = routes else {
+    if !routable(machine) {
         return links;
-    };
+    }
     for e in edges {
         if !e.crossing() || e.hops == 0 || e.hops == u32::MAX {
             continue;
@@ -549,8 +494,8 @@ pub fn link_loads(
         let dst = Pe::from_index(e.dst_pe as usize);
         let mut cur = Pe::from_index(e.src_pe as usize);
         while cur != dst {
-            let next = routes.table.next_hop(cur, dst);
-            if let Some(ix) = routes.link(cur, next) {
+            let next = machine.next_hop(cur, dst);
+            if let Some(ix) = machine.link_between(cur, next) {
                 links[ix].volume = links[ix].volume.saturating_add(u64::from(e.volume));
                 links[ix].messages += 1;
             }
@@ -572,7 +517,7 @@ impl ProfileBuilder {
         ProfileBuilder::default()
     }
 
-    /// Folds one event.  [`Sink::event`] and [`build`] both call it.
+    /// Folds one event.
     pub fn observe(&mut self, ev: &Event) {
         let p = &mut self.profile;
         match ev {
@@ -680,7 +625,7 @@ impl ProfileBuilder {
         let mut p = self.profile;
         p.machine = machine.name().to_string();
         p.pes = u32::try_from(machine.num_pes()).unwrap_or(u32::MAX);
-        p.links = link_loads(machine, LinkRoutes::new(machine).as_ref(), &p.edges);
+        p.links = link_loads(machine, &p.edges);
 
         // Per-PE rows: loads from the traffic.pe events, send/recv
         // from the ledger.
@@ -713,12 +658,6 @@ impl ProfileBuilder {
     }
 }
 
-impl Sink for ProfileBuilder {
-    fn event(&mut self, ev: Event) {
-        self.observe(&ev);
-    }
-}
-
 /// Folds a recorded event stream into a [`CommProfile`] for `machine`.
 pub fn build(events: &[TimedEvent], machine: &Machine) -> CommProfile {
     let mut b = ProfileBuilder::new();
@@ -742,7 +681,6 @@ pub fn pass_diff_notes(
     mut name: impl FnMut(u32) -> String,
 ) -> Vec<(u32, String)> {
     use std::fmt::Write as _;
-    let routes = routable(machine).then(|| RoutingTable::new(machine));
     let mut notes = Vec::new();
     for diff in p.phase_diffs() {
         let (prev, cur, deltas) = (diff.prev, diff.cur, &diff.deltas);
@@ -767,8 +705,8 @@ pub fn pass_diff_notes(
                 d.before.cost(),
                 d.after.cost(),
                 d.delta(),
-                route_label(routes.as_ref(), &d.before),
-                route_label(routes.as_ref(), &d.after),
+                route_label(machine, &d.before),
+                route_label(machine, &d.after),
             );
         }
         if deltas.len() > k {
@@ -956,8 +894,8 @@ mod tests {
         })
     }
 
-    /// The per-call table and linear link scan [`link_loads`] used
-    /// before [`LinkRoutes`], kept as the oracle.
+    /// A linear scan of the link list per hop of each whole route,
+    /// kept as the oracle of [`link_loads`]' link index.
     fn link_loads_by_scan(machine: &Machine, edges: &[EdgeTraffic]) -> Vec<LinkLoad> {
         let mut links: Vec<LinkLoad> = machine
             .links()
@@ -971,14 +909,14 @@ mod tests {
         if !routable(machine) {
             return links;
         }
-        let routes = RoutingTable::new(machine);
         for e in edges {
             if !e.crossing() || e.hops == 0 || e.hops == u32::MAX {
                 continue;
             }
-            let (sp, dp) = (Pe(e.src_pe), Pe(e.dst_pe));
-            for (a, b) in routes.links_on_path(sp, dp) {
-                if let Some(ix) = machine.links().iter().position(|&l| l == (a, b)) {
+            for w in machine.route(Pe(e.src_pe), Pe(e.dst_pe)).windows(2) {
+                let (a, b) = (w[0].index(), w[1].index());
+                let link = (a.min(b), a.max(b));
+                if let Some(ix) = machine.links().iter().position(|&l| l == link) {
                     links[ix].volume += u64::from(e.volume);
                     links[ix].messages += 1;
                 }
@@ -1030,12 +968,10 @@ mod tests {
                     });
                 }
             }
-            let routes = LinkRoutes::new(m);
-            assert_eq!(routes.is_some(), routable(m), "{}", m.name());
-            let loads = link_loads(m, routes.as_ref(), &edges);
+            let loads = link_loads(m, &edges);
             assert_eq!(loads, link_loads_by_scan(m, &edges), "{}", m.name());
             // Conservation: the links carry the ledger's hop-weighted cost.
-            if routes.is_some() {
+            if routable(m) {
                 let charged: u64 = loads.iter().map(|l| l.volume).sum();
                 let cost: u64 = edges
                     .iter()
@@ -1383,24 +1319,23 @@ mod tests {
             hops: 0,
             volume: 4,
         };
-        assert_eq!(route_label(None, &zero), "PE1..PE3 (0 hops)");
+        let unlinked = Machine::from_links("no links", 3, &[]);
+        assert_eq!(route_label(&unlinked, &zero), "PE1..PE3 (0 hops)");
         // Zero volume still routes: the label names the path, the cost
         // model charges nothing.
         let m = Machine::linear_array(3);
-        let routes = RoutingTable::new(&m);
         let free = EdgeTraffic {
             hops: 2,
             volume: 0,
             ..zero
         };
-        assert_eq!(route_label(Some(&routes), &free), "PE1>PE2>PE3");
+        assert_eq!(route_label(&m, &free), "PE1>PE2>PE3");
         assert_eq!(free.cost(), 0);
     }
 
     #[test]
     fn route_labels_name_hops() {
         let m = Machine::linear_array(4);
-        let routes = RoutingTable::new(&m);
         let crossing = EdgeTraffic {
             edge: 0,
             src: 0,
@@ -1410,15 +1345,16 @@ mod tests {
             hops: 3,
             volume: 1,
         };
-        assert_eq!(route_label(Some(&routes), &crossing), "PE1>PE2>PE3>PE4");
+        assert_eq!(route_label(&m, &crossing), "PE1>PE2>PE3>PE4");
         let local = EdgeTraffic {
             src_pe: 1,
             dst_pe: 1,
             hops: 0,
             ..crossing
         };
-        assert_eq!(route_label(Some(&routes), &local), "local@PE2");
-        assert_eq!(route_label(None, &crossing), "PE1..PE4 (3 hops)");
+        assert_eq!(route_label(&m, &local), "local@PE2");
+        let islands = Machine::from_links("two islands", 4, &[(0, 1), (2, 3)]);
+        assert_eq!(route_label(&islands, &crossing), "PE1..PE4 (3 hops)");
     }
 
     #[test]

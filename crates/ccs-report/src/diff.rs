@@ -26,7 +26,7 @@ use crate::{gantt_svg, names_of, phase_label, Bar, DIFF_TOP_K};
 use ccs_bounds::OptimalityReport;
 use ccs_profile::render::{heatmap_panel, PanelOptions};
 use ccs_profile::{diff_ledgers, one_sided_edges, routable, route_label, CommProfile, EdgeTraffic};
-use ccs_topology::{Machine, RoutingTable};
+use ccs_topology::Machine;
 use ccs_trace::TimedEvent;
 use std::fmt::Write as _;
 
@@ -221,8 +221,6 @@ fn ledger_section(out: &mut String, input: &DiffInput<'_>, mut name: impl FnMut(
     let (ea, eb) = (&input.a.profile.edges, &input.b.profile.edges);
     let deltas = diff_ledgers(ea, eb);
     let (lone_a, lone_b) = one_sided_edges(ea, eb);
-    let routes_a = routable(input.a.machine).then(|| RoutingTable::new(input.a.machine));
-    let routes_b = routable(input.b.machine).then(|| RoutingTable::new(input.b.machine));
     let (ca, cb) = (input.a.profile.total_comm, input.b.profile.total_comm);
     let shift = i64::try_from(cb).unwrap_or(i64::MAX) - i64::try_from(ca).unwrap_or(i64::MAX);
 
@@ -256,9 +254,9 @@ fn ledger_section(out: &mut String, input: &DiffInput<'_>, mut name: impl FnMut(
                 name(d.after.src),
                 name(d.after.dst)
             )),
-            esc(route_label(routes_a.as_ref(), &d.before)),
+            esc(route_label(input.a.machine, &d.before)),
             esc(d.before.cost()),
-            esc(route_label(routes_b.as_ref(), &d.after)),
+            esc(route_label(input.b.machine, &d.after)),
             esc(d.after.cost()),
             esc(format_args!("{:+}", d.delta()))
         );

@@ -37,9 +37,7 @@ pub mod html;
 
 use ccs_bounds::{OptimalityReport, Verdict as BoundsVerdict, Witness};
 use ccs_profile::render::{heatmap_panel, PanelOptions, Traffic};
-use ccs_profile::{
-    link_loads, route_label, CommProfile, LinkRoutes, PassLedger, PassProfile, Remap,
-};
+use ccs_profile::{link_loads, routable, route_label, CommProfile, PassLedger, PassProfile, Remap};
 use ccs_topology::Machine;
 use ccs_trace::TimedEvent;
 use html::esc;
@@ -318,18 +316,13 @@ fn phase_label(pass: u32) -> String {
 /// shift from the previous accepted phase (the edges [`diff_ledgers`]
 /// reports), and the final best ledger in full.  Every panel carries
 /// its own phase's full conservation totals.
-fn heatmaps_section(
-    out: &mut String,
-    profile: &CommProfile,
-    machine: &Machine,
-    routes: Option<&LinkRoutes>,
-) {
+fn heatmaps_section(out: &mut String, profile: &CommProfile, machine: &Machine) {
     let Some((first, passes)) = profile.pass_ledgers.split_first() else {
         out.push_str("<p>no accepted phases recorded</p>\n");
         return;
     };
     let opts = PanelOptions {
-        routable: routes.is_some(),
+        routable: routable(machine),
         ..PanelOptions::default()
     };
     let caption = |l: &PassLedger| {
@@ -340,7 +333,7 @@ fn heatmaps_section(
             l.comm
         )
     };
-    let mut prev_loads = link_loads(machine, routes, &first.edges);
+    let mut prev_loads = link_loads(machine, &first.edges);
     let start = Traffic {
         edges: &first.edges,
         links: &prev_loads,
@@ -348,7 +341,7 @@ fn heatmaps_section(
     heatmap_panel(out, &caption(first), start, opts);
     let mut prev = first;
     for l in passes {
-        let loads = link_loads(machine, routes, &l.edges);
+        let loads = link_loads(machine, &l.edges);
         let shift = PanelOptions {
             baseline: Some(Traffic {
                 edges: &prev.edges,
@@ -374,7 +367,7 @@ fn heatmaps_section(
 fn trajectory_section(
     out: &mut String,
     profile: &CommProfile,
-    routes: Option<&LinkRoutes>,
+    machine: &Machine,
     mut name: impl FnMut(u32) -> String,
 ) {
     out.push_str(
@@ -414,7 +407,6 @@ fn trajectory_section(
         esc(profile.total_comm)
     );
 
-    let routes = routes.map(LinkRoutes::table);
     for diff in profile.phase_diffs() {
         let (prev, cur, deltas) = (diff.prev, diff.cur, &diff.deltas);
         let _ = writeln!(
@@ -451,8 +443,8 @@ fn trajectory_section(
                     name(d.after.src),
                     name(d.after.dst)
                 )),
-                esc(route_label(routes, &d.before)),
-                esc(route_label(routes, &d.after)),
+                esc(route_label(machine, &d.before)),
+                esc(route_label(machine, &d.after)),
                 esc(d.before.cost()),
                 esc(d.after.cost()),
                 esc(format_args!("{:+}", d.delta()))
@@ -591,7 +583,6 @@ pub fn render_report(input: &ReportInput<'_>, mut name: impl FnMut(u32) -> Strin
         profile.passes_run,
         accepted
     );
-    let routes = LinkRoutes::new(input.machine);
     let mut page = html::Page::new(input.title, &meta);
     page.section(
         "schedule",
@@ -599,10 +590,10 @@ pub fn render_report(input: &ReportInput<'_>, mut name: impl FnMut(u32) -> Strin
         |out| schedule_section(out, profile, &mut name),
     );
     page.section("heatmaps", "Link-load heatmaps per accepted phase", |out| {
-        heatmaps_section(out, profile, input.machine, routes.as_ref())
+        heatmaps_section(out, profile, input.machine)
     });
     page.section("trajectory", "Pass trajectory and ledger diffs", |out| {
-        trajectory_section(out, profile, routes.as_ref(), &mut name)
+        trajectory_section(out, profile, input.machine, &mut name)
     });
     page.section("certificate", "Optimality certificate", |out| {
         certificate_section(out, input.certificate)

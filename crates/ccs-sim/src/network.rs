@@ -17,7 +17,7 @@
 use crate::report::SelfTimedReport;
 use ccs_model::{Csdfg, NodeId};
 use ccs_schedule::Schedule;
-use ccs_topology::{Machine, RoutingTable};
+use ccs_topology::Machine;
 use std::collections::BTreeMap;
 
 /// Per-link statistics from a contended run.
@@ -72,7 +72,10 @@ pub fn run_contended(
     iterations: u32,
 ) -> ContendedReport {
     assert!(iterations > 0, "need at least one iteration");
-    let routes = RoutingTable::new(machine);
+    assert!(
+        machine.is_connected(),
+        "cannot route a disconnected machine"
+    );
     let mut order: Vec<NodeId> = g.tasks().collect();
     order.sort_by_key(|&v| (sched.cb(v).expect("task placed"), v.index()));
 
@@ -115,14 +118,16 @@ pub fn run_contended(
                 let pw = sched.pe(w).expect("placed");
                 let volume = u64::from(g.volume(e));
                 let mut at = end;
-                let path = routes.links_on_path(pe, pw);
-                if !path.is_empty() {
+                let path = machine.route(pe, pw);
+                if path.len() > 1 {
                     messages += 1;
-                    traffic += volume * path.len() as u64;
+                    traffic += volume * (path.len() - 1) as u64;
                     // Note: message arrivals do not extend the makespan
                     // (it measures task completion); they extend the
                     // *consumer's* start instead.
-                    for link in path {
+                    for hop in path.windows(2) {
+                        let (a, b) = (hop[0].index(), hop[1].index());
+                        let link = (a.min(b), a.max(b));
                         let slot = link_free.get(&link).copied().unwrap_or(0).max(at);
                         link_free.insert(link, slot + volume);
                         *links.busy.entry(link).or_insert(0) += volume;
@@ -220,6 +225,20 @@ mod tests {
         let contended = run_contended(&g, &m, &s, 20);
         assert_eq!(contended.base.makespan, free.makespan);
         assert!((contended.base.initiation_interval - free.initiation_interval).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "disconnected")]
+    fn rejects_disconnected_machines() {
+        // Every task sits on one PE, so no message needs the missing link.
+        let g = fan_graph();
+        let m = Machine::from_links("broken", 4, &[(0, 1)]);
+        let mut s = Schedule::new(4);
+        for (i, name) in ["A", "B", "C"].iter().enumerate() {
+            let v = g.task_by_name(name).unwrap();
+            s.place(v, Pe(0), (i + 1) as u32 * 2 - 1, 1).unwrap();
+        }
+        let _ = run_contended(&g, &m, &s, 1);
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!   and user link lists ([`Machine::from_links`]) fill every row by
 //!   per-source BFS, which the tests use as the reference.
 //!   Connectivity, diameter and the smallest hop are computed once, at
-//!   construction;
-//! * [`RoutingTable`] and [`routing::route`] — deterministic
-//!   shortest-path routes for the contention simulator, the traffic
+//!   construction.  Routes are the machine's too: [`Machine::route`]
+//!   and [`Machine::next_hop`] follow the destination's BFS tree, and
+//!   the first route read toward a PE fills that destination's row of
+//!   BFS parents.  They serve the contention simulator, the traffic
 //!   ledger and the communication bound's witness.
 //!
 //! Communication follows the paper's model (Definition 3.5):
@@ -29,12 +30,11 @@
 pub mod builders;
 mod machine;
 mod pe;
-pub mod routing;
+mod routing;
 pub mod spec;
 
 pub use machine::{HopScan, Machine};
 pub use pe::Pe;
-pub use routing::RoutingTable;
 pub use spec::{parse_spec, random_machine};
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
-//! The target machine: a set of PEs plus their hop distances.
+//! The target machine: a set of PEs, their hop distances and the
+//! deterministic routes between them.
 
 use crate::builders::{closed_form, Shape};
 use crate::pe::Pe;
-use crate::routing::Adjacency;
+use crate::routing::{Adjacency, UNSEEN};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -22,6 +23,10 @@ use std::sync::OnceLock;
 /// PEs it places tasks on, not for `PEs²` entries.  A BFS machine
 /// fills every row at construction: its connectivity and diameter
 /// need all of them.
+///
+/// Routes work the same way: the first route read toward a PE fills
+/// that destination's row of BFS parents ([`Machine::next_hop`]), so
+/// a recorded run pays for the destinations its traffic reaches.
 ///
 /// ```
 /// use ccs_topology::{Machine, Pe};
@@ -54,6 +59,25 @@ pub struct Machine {
     diameter: u32,
     /// Cached at construction: read by [`Machine::min_hop`].
     min_hop: u32,
+    /// Built by the first route read.
+    routes: OnceLock<Routes>,
+    /// The positions in `links`, sorted by link for binary search;
+    /// built by the first [`Machine::link_between`].
+    link_order: OnceLock<Box<[usize]>>,
+}
+
+/// What a [`Machine`] routes with, built by its first route read.
+#[derive(Clone, Debug)]
+struct Routes {
+    /// The links as adjacency, each PE's neighbours sorted by index.
+    adjacency: Adjacency,
+    /// One row per destination PE, each filled at most once by
+    /// [`Machine::next_hop`]: entry `src` is `src`'s parent in the
+    /// destination's BFS tree (the destination itself for the
+    /// destination, [`UNSEEN`] for a PE in another partition).  Cells,
+    /// like the hop rows, so that rayon workers sharing `&Machine` can
+    /// fill them.
+    parents: Box<[OnceLock<Box<[u32]>>]>,
 }
 
 impl Machine {
@@ -102,6 +126,8 @@ impl Machine {
             links,
             connected: lo != 0,
             diameter: hi - 1,
+            routes: OnceLock::new(),
+            link_order: OnceLock::new(),
         }
     }
 
@@ -131,6 +157,8 @@ impl Machine {
             connected: true,
             diameter,
             min_hop,
+            routes: OnceLock::new(),
+            link_order: OnceLock::new(),
         }
     }
 
@@ -274,6 +302,85 @@ impl Machine {
         self.pes()
             .filter(|p| self.rows[p.index()].get().is_some())
             .collect()
+    }
+
+    /// The neighbour of `src` on the route to `dst` (`src` when they
+    /// are equal): `src`'s parent in `dst`'s BFS tree, the neighbour
+    /// the search from `dst` reached it from.  The first route read
+    /// toward `dst` fills its row of parents.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` and `dst` lie in different partitions of a
+    /// disconnected machine.
+    pub fn next_hop(&self, src: Pe, dst: Pe) -> Pe {
+        let routes = self.routes.get_or_init(|| Routes {
+            adjacency: Adjacency::new(self.n, &self.links),
+            parents: (0..self.n).map(|_| OnceLock::new()).collect(),
+        });
+        let parent = routes.parents[dst.index()].get_or_init(|| {
+            let mut row = vec![0; self.n].into_boxed_slice();
+            let mut queue = Vec::with_capacity(self.n);
+            routes.adjacency.bfs(dst.index(), &mut row, &mut queue);
+            row
+        });
+        let next = parent[src.index()];
+        assert!(next != UNSEEN, "no route between {src} and {dst}");
+        Pe(next)
+    }
+
+    /// The deterministic route from `src` to `dst`, inclusive of both:
+    /// each hop is [`Machine::next_hop`] toward `dst`, so the route
+    /// follows `dst`'s BFS tree over adjacency sorted by PE index.
+    /// That is *not* always the lowest-index neighbour on some
+    /// shortest route: a neighbour the search dequeued earlier can
+    /// have a higher index.
+    ///
+    /// ```
+    /// use ccs_topology::{Machine, Pe};
+    /// let m = Machine::mesh(2, 2);
+    /// assert_eq!(m.route(Pe(0), Pe(3)), vec![Pe(0), Pe(1), Pe(3)]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` and `dst` lie in different partitions of a
+    /// disconnected machine.
+    pub fn route(&self, src: Pe, dst: Pe) -> Vec<Pe> {
+        let mut path = vec![src];
+        let mut cur = src;
+        while cur != dst {
+            cur = self.next_hop(cur, dst);
+            path.push(cur);
+            assert!(path.len() <= self.n, "routing loop between {src} and {dst}");
+        }
+        path
+    }
+
+    /// The destinations whose route row has been filled, in index
+    /// order.
+    #[doc(hidden)]
+    pub fn filled_routes(&self) -> Vec<Pe> {
+        let routes = self.routes.get();
+        self.pes()
+            .filter(|p| routes.is_some_and(|r| r.parents[p.index()].get().is_some()))
+            .collect()
+    }
+
+    /// Position in [`Machine::links`] of the link joining `a` and `b`,
+    /// `None` when no link does.  The first call sorts the links'
+    /// positions by link.
+    pub fn link_between(&self, a: Pe, b: Pe) -> Option<usize> {
+        let order = self.link_order.get_or_init(|| {
+            let mut order: Box<[usize]> = (0..self.links.len()).collect();
+            order.sort_unstable_by_key(|&ix| self.links[ix]);
+            order
+        });
+        let (a, b) = (a.index(), b.index());
+        let at = order
+            .binary_search_by_key(&(a.min(b), a.max(b)), |&ix| self.links[ix])
+            .ok()?;
+        Some(order[at])
     }
 
     /// Hop distance between two PEs without the connectivity panic of
@@ -603,6 +710,206 @@ mod tests {
         assert_eq!(m.min_hop(), 1);
         let bare = Machine::from_links("no links", 3, &[]);
         assert_eq!((bare.min_hop(), bare.is_connected()), (0, false));
+    }
+
+    /// Every destination's row of parents at once, as an all-pairs
+    /// route table filled eagerly: the oracle the rows filled on
+    /// demand are held to.
+    fn all_pairs_parents(m: &Machine) -> Vec<Vec<u32>> {
+        let adj = Adjacency::new(m.n, &m.links);
+        let mut queue = Vec::new();
+        (0..m.n)
+            .map(|dst| {
+                let mut row = vec![0; m.n];
+                adj.bfs(dst, &mut row, &mut queue);
+                row
+            })
+            .collect()
+    }
+
+    /// `m`'s rows of parents, read through [`Machine::next_hop`] in
+    /// the order `dsts` names them.
+    fn parents_on_demand(m: &Machine, dsts: impl Iterator<Item = Pe>) -> Vec<(Pe, Vec<u32>)> {
+        dsts.map(|dst| {
+            let row = m
+                .pes()
+                .map(|src| match m.try_distance(src, dst) {
+                    Some(_) => m.next_hop(src, dst).0,
+                    None => UNSEEN,
+                })
+                .collect();
+            (dst, row)
+        })
+        .collect()
+    }
+
+    #[test]
+    fn rows_on_demand_match_the_all_pairs_table() {
+        let mut machines = Machine::paper_suite();
+        for spec in [
+            "mesh:32x32",
+            "torus:32x32",
+            "hypercube:10",
+            "ring:1024",
+            "star:1024",
+            "complete:128",
+            "ideal:64",
+            "mesh:4x5",
+            "torus:3x4",
+            "tree:15",
+            "tree:100",
+        ] {
+            machines.push(crate::parse_spec(spec).expect("spec"));
+        }
+        machines.extend((0..6).map(|seed| crate::random_machine(12 + 7 * seed as usize, seed)));
+        machines.push(Machine::from_links(
+            "two islands",
+            5,
+            &[(0, 1), (2, 3), (3, 4)],
+        ));
+        for m in &machines {
+            let want = all_pairs_parents(m);
+            // Destinations read back to front, so no row is filled in
+            // the order the eager table fills them.
+            for (dst, row) in parents_on_demand(m, (0..m.n).rev().map(Pe::from_index)) {
+                assert_eq!(row, want[dst.index()], "{} toward {dst}", m.name());
+            }
+            assert_eq!(m.filled_routes(), m.pes().collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn routes_fill_on_first_read() {
+        let m = Machine::mesh(4, 4);
+        assert!(m.filled_routes().is_empty());
+        let up = m
+            .link_between(Pe(5), Pe(1))
+            .expect("pe6 and pe2 are linked");
+        assert_eq!(m.links()[up], (1, 5));
+        assert!(
+            m.filled_routes().is_empty(),
+            "the link index routes nothing"
+        );
+        assert_eq!(m.route(Pe(0), Pe(5)).len(), 3);
+        assert_eq!(m.next_hop(Pe(15), Pe(9)), Pe(11));
+        assert_eq!(m.route(Pe(12), Pe(5)).len(), 4);
+        assert_eq!(m.filled_routes(), vec![Pe(5), Pe(9)]);
+        assert!(m.filled_rows().is_empty(), "routes fill no hop row");
+        // A clone keeps the rows filled so far.
+        assert_eq!(m.clone().filled_routes(), vec![Pe(5), Pe(9)]);
+        let bfs = Machine::binary_tree(7);
+        assert!(bfs.filled_routes().is_empty());
+    }
+
+    #[test]
+    fn path_lengths_match_distances() {
+        for m in Machine::paper_suite() {
+            for a in m.pes() {
+                for b in m.pes() {
+                    let path = m.route(a, b);
+                    assert_eq!(
+                        path.len() - 1,
+                        m.distance(a, b) as usize,
+                        "{} {a}->{b}",
+                        m.name()
+                    );
+                    assert_eq!(path[0], a);
+                    assert_eq!(*path.last().unwrap(), b);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn consecutive_hops_are_linked() {
+        let m = Machine::mesh(3, 3);
+        for a in m.pes() {
+            for b in m.pes() {
+                for w in m.route(a, b).windows(2) {
+                    assert_eq!(m.distance(w[0], w[1]), 1, "{}->{}", w[0], w[1]);
+                    let link = m.link_between(w[0], w[1]).expect("a hop is a link");
+                    let (x, y) = m.links()[link];
+                    assert_eq!(
+                        (x, y),
+                        (
+                            w[0].index().min(w[1].index()),
+                            w[0].index().max(w[1].index())
+                        )
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn self_route_is_trivial() {
+        let m = Machine::ring(5);
+        assert_eq!(m.route(Pe(2), Pe(2)), vec![Pe(2)]);
+        assert_eq!(m.next_hop(Pe(2), Pe(2)), Pe(2));
+    }
+
+    #[test]
+    fn deterministic_tie_breaks() {
+        // On a 2x2 mesh pe1->pe4 has two shortest routes; pe4's BFS
+        // dequeues pe2 (index 1) before pe3, so pe1 routes through
+        // pe2, every time.
+        let m = Machine::mesh(2, 2);
+        let p1 = m.route(Pe(0), Pe(3));
+        let p2 = Machine::mesh(2, 2).route(Pe(0), Pe(3));
+        assert_eq!(p1, p2);
+        assert_eq!(p1[1], Pe(1));
+    }
+
+    #[test]
+    fn next_hop_is_the_bfs_parent_not_the_lowest_index() {
+        // pe6 -> pe7 on `random:14:2` is three hops, through pe3, pe4
+        // or pe9.  pe7's BFS reaches pe6 from pe4 first, so the route
+        // takes pe4, not the lowest-index pe3.
+        let m = crate::random_machine(14, 2);
+        let (src, dst) = (Pe(5), Pe(6));
+        let hops = m.distance(src, dst);
+        let shortest: Vec<Pe> = m
+            .pes()
+            .filter(|&p| m.distance(src, p) == 1 && m.distance(p, dst) + 1 == hops)
+            .collect();
+        assert_eq!(hops, 3);
+        assert_eq!(shortest, vec![Pe(2), Pe(3), Pe(8)]);
+        assert_eq!(m.next_hop(src, dst), Pe(3));
+        assert_eq!(m.route(src, dst), vec![Pe(5), Pe(3), Pe(4), Pe(6)]);
+    }
+
+    #[test]
+    fn routes_stay_inside_their_partition() {
+        let m = Machine::from_links("two islands", 4, &[(0, 1), (2, 3)]);
+        assert_eq!(m.route(Pe(3), Pe(2)), vec![Pe(3), Pe(2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "no route")]
+    fn routes_reject_unreachable_pairs() {
+        let m = Machine::from_links("two islands", 4, &[(0, 1), (2, 3)]);
+        let _ = m.route(Pe(0), Pe(3));
+    }
+
+    #[test]
+    fn link_between_finds_each_link_either_way_round() {
+        let m = Machine::linear_array(4);
+        let hops: Vec<Option<usize>> = m
+            .route(Pe(3), Pe(0))
+            .windows(2)
+            .map(|w| m.link_between(w[0], w[1]))
+            .collect();
+        assert_eq!(hops, vec![Some(2), Some(1), Some(0)]);
+        assert_eq!(m.link_between(Pe(0), Pe(2)), None);
+        assert_eq!(m.link_between(Pe(1), Pe(1)), None);
+        // Links listed out of order keep their positions.
+        let k = Machine::from_links("shuffled", 5, &[(3, 4), (0, 2), (1, 4), (0, 1), (2, 3)]);
+        for (ix, &(a, b)) in k.links().iter().enumerate() {
+            assert_eq!(
+                k.link_between(Pe::from_index(b), Pe::from_index(a)),
+                Some(ix)
+            );
+        }
     }
 
     /// Collects every hop a scan sees, row by row.

@@ -183,6 +183,13 @@ impl Sink for Recorder {
     }
 }
 
+/// Installed as a sink, a ledger folds the run's traffic as it happens.
+impl Sink for TrafficLedger {
+    fn event(&mut self, ev: Event) {
+        self.observe(&ev);
+    }
+}
+
 /// Records every event emitted while `f` runs, returning `f`'s output
 /// and the timed event stream.
 pub fn record<T>(f: impl FnOnce() -> T) -> (T, Vec<TimedEvent>) {

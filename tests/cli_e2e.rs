@@ -280,6 +280,45 @@ fn a_small_graph_on_4096_pes_fits_in_32_mb() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("B,"));
 }
 
+/// Recorded runs of the same loop on `mesh:64x64` under a 32 MB
+/// address space: the profile, the `--explain` notes, the report and
+/// the diff page route only toward the PEs their traffic reaches.  An
+/// all-pairs route table alone would take 64 MB, and its allocation
+/// aborts the run.
+#[cfg(target_os = "linux")]
+#[test]
+fn recorded_runs_on_4096_pes_fit_in_32_mb() {
+    let dir = std::env::temp_dir().join(format!("ccs_mesh64_observe_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("loop.csdfg");
+    std::fs::write(&path, GRAPH).unwrap();
+    let out_file = dir.join("out").display().to_string();
+    let runs: Vec<_> = [
+        vec!["--profile", &out_file],
+        vec!["--explain"],
+        vec!["--report", &out_file],
+        vec!["--report-diff", &out_file, "--diff-policy", "strict"],
+    ]
+    .into_iter()
+    .map(|flags| {
+        let out = Command::new("sh")
+            .arg("-c")
+            .arg(r#"ulimit -v 32768; exec "$0" schedule "$@" --machine mesh:64x64"#)
+            .arg(env!("CARGO_BIN_EXE_cyclosched"))
+            .arg(&path)
+            .args(&flags)
+            .output()
+            .expect("spawn sh");
+        (flags, out)
+    })
+    .collect();
+    std::fs::remove_dir_all(&dir).ok();
+    for (flags, out) in runs {
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{flags:?} stderr: {err}");
+    }
+}
+
 #[test]
 fn compile_then_schedule_pipeline() {
     let kernel = "y = y[i-1]*k + x;\n";

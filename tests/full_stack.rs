@@ -186,3 +186,64 @@ fn a_compaction_fills_only_the_hop_rows_of_the_pes_it_places_on() {
     assert_eq!(q.schedule, r.schedule);
     assert_eq!(plain.filled_rows(), filled);
 }
+
+/// A recorded compaction on `mesh:32x32`, then its profile, report and
+/// `--explain` notes: the consumers route toward the destination PEs of
+/// the crossing `traffic.edge` rows, and fill no other route row.
+#[test]
+fn observing_a_run_fills_only_the_route_rows_its_traffic_reaches() {
+    use cyclosched::trace::Event;
+    use cyclosched::workloads::{random_csdfg, RandomGraphConfig};
+    use std::collections::BTreeSet;
+    let cfg = RandomGraphConfig {
+        nodes: 96,
+        back_edges: 32,
+        forward_density: 0.03,
+        ..Default::default()
+    };
+    let g = random_csdfg(cfg, 7);
+    let machine = cyclosched::topology::parse_spec("mesh:32x32").unwrap();
+    let (_, events) = cyclosched::trace::record(|| {
+        cyclo_compact(&g, &machine, CompactConfig::default()).unwrap()
+    });
+    // Builds with the oracle check the bound family after compaction,
+    // and the communication bound's witness routes one pair.
+    let witness = machine.filled_routes();
+    assert!(witness.len() <= 1, "compaction routed toward {witness:?}");
+    let reached: BTreeSet<Pe> = events
+        .iter()
+        .filter_map(|t| match &t.event {
+            Event::EdgeTraffic(e) if e.crossing() => Some(Pe(e.dst_pe)),
+            _ => None,
+        })
+        .collect();
+    let name = |n: u32| {
+        g.name(cyclosched::model::NodeId::from_index(n as usize))
+            .to_string()
+    };
+    let profile = cyclosched::profile::build(&events, &machine);
+    let _page = cyclosched::report::render_report(
+        &cyclosched::report::ReportInput {
+            title: "random96 on mesh:32x32",
+            events: &events,
+            machine: &machine,
+            profile: &profile,
+            certificate: None,
+        },
+        name,
+    );
+    let notes = cyclosched::profile::pass_diff_notes(&profile, &machine, 5, name);
+    assert!(!notes.is_empty(), "the run moved traffic");
+    let filled = machine.filled_routes();
+    assert!(filled.len() > witness.len());
+    let stray: Vec<&Pe> = filled
+        .iter()
+        .filter(|p| !reached.contains(p) && !witness.contains(p))
+        .collect();
+    assert!(stray.is_empty(), "filled {stray:?} beyond {reached:?}");
+    assert!(
+        filled.len() < machine.num_pes() / 8,
+        "{} rows",
+        filled.len()
+    );
+}
