@@ -11,6 +11,7 @@ use cyclosched::model::parser as graph_parser;
 use cyclosched::prelude::*;
 use cyclosched::report::{gantt_svg, Bar};
 use cyclosched::topology::parse_spec;
+use std::borrow::Cow;
 use std::io::{Read, Write};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -197,9 +198,11 @@ fn run_schedule(args: ScheduleArgs) -> Result<(), String> {
         (outcome, t0.elapsed().as_secs_f64() * 1e3)
     };
     let ((outcome, schedule_ms), events) = if diffing {
+        // Without `--diff-machine` side B runs on side A's machine, so
+        // the two share its hop rows and routes.
         let machine_b = match &args.diff_machine {
-            Some(spec) => load_machine(spec, &g)?,
-            None => machine.clone(),
+            Some(spec) => Cow::Owned(load_machine(spec, &g)?),
+            None => Cow::Borrowed(&machine),
         };
         let (run_a, (outcome_b, events_b)) = cyclosched::trace::record_pair(schedule_a, || {
             cyclo_compact(&g, &machine_b, args.diff_config())
