@@ -95,13 +95,11 @@ fn sweep_driver_is_thread_count_invariant() {
 }
 
 #[test]
-fn parallel_candidate_scan_is_thread_count_invariant() {
-    // Force the engine's parallel chunk scan on (threshold 1 puts every
-    // machine above it) and pin the worker count: the chunked scan plus
-    // ascending-PE reduce must reproduce the sequential engine — and
-    // therefore the reference sweep — byte-for-byte at any thread
-    // count, on the paper workloads and on random graph × wide-machine
-    // cells.
+fn engine_scan_is_thread_count_invariant() {
+    // The engine's ring search is serial and must not read the worker
+    // count: at any `RAYON_NUM_THREADS` it reproduces the unpruned
+    // reference sweep byte-for-byte, on the paper workloads and on
+    // random graph × wide-machine cells.
     use ccs_core::{RemapConfig, ScanPolicy};
     use ccs_workloads::{random_csdfg, RandomGraphConfig};
 
@@ -130,10 +128,9 @@ fn parallel_candidate_scan_is_thread_count_invariant() {
         }
     }
 
-    let config = |scan, parallel_pes| CompactConfig {
+    let config = |scan| CompactConfig {
         remap: RemapConfig {
             scan,
-            parallel_pes,
             ..Default::default()
         },
         ..Default::default()
@@ -143,7 +140,7 @@ fn parallel_candidate_scan_is_thread_count_invariant() {
         let out: Vec<String> = cells
             .iter()
             .map(|(name, g, m)| {
-                let r = cyclo_compact(g, m, config(ScanPolicy::Engine, 1)).expect("legal");
+                let r = cyclo_compact(g, m, config(ScanPolicy::Engine)).expect("legal");
                 format!("{name} on {}:\n{}", m.name(), encode(&r))
             })
             .collect();
@@ -153,15 +150,14 @@ fn parallel_candidate_scan_is_thread_count_invariant() {
     let one = run_at("1");
     let two = run_at("2");
     let eight = run_at("8");
-    assert_eq!(one, two, "parallel scan: 1 vs 2 threads");
-    assert_eq!(one, eight, "parallel scan: 1 vs 8 threads");
+    assert_eq!(one, two, "engine scan: 1 vs 2 threads");
+    assert_eq!(one, eight, "engine scan: 1 vs 8 threads");
 
-    // And the forced-parallel engine agrees with the plain sequential
-    // scan (threshold above every machine here).
-    for ((name, g, m), parallel) in cells.iter().zip(&one) {
-        let seq = cyclo_compact(g, m, config(ScanPolicy::Engine, u32::MAX)).expect("legal");
-        let seq_enc = format!("{name} on {}:\n{}", m.name(), encode(&seq));
-        assert_eq!(&seq_enc, parallel, "sequential vs parallel engine");
+    // And the engine agrees with the unpruned reference sweep.
+    for ((name, g, m), engine) in cells.iter().zip(&one) {
+        let reference = cyclo_compact(g, m, config(ScanPolicy::Reference)).expect("legal");
+        let reference = format!("{name} on {}:\n{}", m.name(), encode(&reference));
+        assert_eq!(&reference, engine, "reference vs engine scan");
     }
 }
 

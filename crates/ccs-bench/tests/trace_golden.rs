@@ -5,8 +5,10 @@
 //! runs.
 
 use ccs_core::{cyclo_compact, CompactConfig};
+#[cfg(debug_assertions)]
 use ccs_model::NodeId;
 use ccs_topology::Machine;
+#[cfg(debug_assertions)]
 use ccs_trace::chrome::{to_chrome, validate_chrome, Clock};
 use ccs_trace::{record, Event};
 

@@ -45,6 +45,7 @@ pub mod oracle;
 pub mod priority;
 pub mod refine;
 pub mod remap;
+mod rings;
 pub mod startup;
 mod traffic;
 
@@ -90,6 +91,22 @@ mod proptests {
             (2usize..6).prop_map(Machine::complete),
             Just(Machine::mesh(2, 2)),
             Just(Machine::hypercube(2)),
+        ]
+    }
+
+    /// [`arb_machine`], whose sweeps rank every PE in order, and
+    /// machines of every kind the ring search treats apart with enough
+    /// PEs left empty that their sweeps walk rings.
+    fn arb_sparse_machine() -> impl Strategy<Value = Machine> {
+        prop_oneof![
+            arb_machine(),
+            Just(Machine::mesh(8, 8)),
+            Just(Machine::hypercube(6)),
+            Just(Machine::star(48)),
+            Just(Machine::binary_tree(63)),
+            (0u32..8).prop_map(|seed| ccs_topology::random_machine(48, u64::from(seed))),
+            Just(Machine::ideal(48)),
+            Just(Machine::torus(7, 7)),
         ]
     }
 
@@ -188,25 +205,23 @@ mod proptests {
         }
 
         #[test]
-        fn pruned_scan_matches_reference_scan(g in arb_csdfg(), m in arb_machine()) {
-            // Pruning soundness: the pruned sweep (sequential and
-            // forced-parallel) and a recorded run (the probed, unpruned
-            // instantiation) must reproduce the unpruned reference
-            // sweep bit-for-bit — schedules, lengths, and the entire
-            // pass history.
-            let run = |scan: ScanPolicy, parallel_pes: u32| {
+        fn pruned_scan_matches_reference_scan(g in arb_csdfg(), m in arb_sparse_machine()) {
+            // Pruning soundness: the engine's ring search and a
+            // recorded run (the probed, unpruned instantiation) must
+            // reproduce the unpruned reference sweep bit-for-bit —
+            // schedules, lengths, and the entire pass history.
+            let run = |scan: ScanPolicy| {
                 let cfg = CompactConfig {
                     passes: 8,
-                    remap: RemapConfig { scan, parallel_pes, ..Default::default() },
+                    remap: RemapConfig { scan, ..Default::default() },
                     ..Default::default()
                 };
                 cyclo_compact(&g, &m, cfg).unwrap()
             };
-            let reference = run(ScanPolicy::Reference, u32::MAX);
-            let engine = run(ScanPolicy::Engine, u32::MAX);
-            let parallel = run(ScanPolicy::Engine, 1);
-            let (recorded, _) = ccs_trace::record(|| run(ScanPolicy::Engine, 1));
-            for (label, r) in [("engine", &engine), ("parallel", &parallel), ("recorded", &recorded)] {
+            let reference = run(ScanPolicy::Reference);
+            let engine = run(ScanPolicy::Engine);
+            let (recorded, _) = ccs_trace::record(|| run(ScanPolicy::Engine));
+            for (label, r) in [("engine", &engine), ("recorded", &recorded)] {
                 prop_assert_eq!(&r.schedule, &reference.schedule, "{} schedule diverged", label);
                 prop_assert_eq!(r.best_length, reference.best_length, "{} best length", label);
                 prop_assert_eq!(r.initial_length, reference.initial_length, "{} initial", label);

@@ -8,12 +8,12 @@
 //! the anticipation function `AN` (Lemma 4.2) for a *target* schedule
 //! length, preferring one control step shorter than before.
 
+use crate::rings::{RingSearch, Rings};
 use ccs_model::{Csdfg, NodeId};
 use ccs_retiming::{rotate_in_place, unrotate_in_place};
 use ccs_schedule::{PslLedger, Schedule, Slot};
 use ccs_topology::{Machine, Pe};
 use ccs_trace::{Candidate, Event, Off, PassStats, Placed, Probe, RunnerUp, Tls, Verdict};
-use rayon::prelude::*;
 
 /// Raw `u32` index of a node, for event payloads.  (Node indices are
 /// backed by `u32` so the fallback is unreachable; `try_from` keeps
@@ -39,21 +39,23 @@ pub enum RemapMode {
 }
 
 /// Candidate-scan strategy of the remapper when no trace sink is
-/// installed.  Both policies run the same candidate sweep; a recorded
+/// installed.  Both policies rank PEs with the same kernel; a recorded
 /// run always sweeps every PE in order, whatever the policy, so its
 /// `Candidate` events and counters describe the full scan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ScanPolicy {
-    /// The sweep with branch-and-bound PE pruning on the `(impact, cs,
-    /// comm, pe)` ranking key and — on machines with at least
-    /// [`RemapConfig::parallel_pes`] PEs — a deterministic parallel
-    /// chunk scan.  Pruning is on strict domination only, so the winner
-    /// and every tie-break are bit-identical to
+    /// Ranks the PEs of the node's placed neighbours, then every other
+    /// PE ring by ring in hop distance around them, stopping at the
+    /// first ring whose floor key cannot beat the best so far (every PE
+    /// in order when too few are empty for the rings to pay), with
+    /// branch-and-bound PE pruning on the `(impact, cs, comm, pe)`
+    /// ranking key throughout.  Both stops are on strict domination
+    /// only, so the winner and every tie-break are bit-identical to
     /// [`ScanPolicy::Reference`] (proptested).
     #[default]
     Engine,
-    /// The same sweep with pruning off, sequential.  Kept as the oracle
-    /// for the pruning-soundness tests and as the baseline of the
+    /// Every PE in index order, pruning off.  Kept as the oracle for
+    /// the pruning-soundness tests and as the baseline of the
     /// candidate-scan microbenchmark.
     Reference,
 }
@@ -74,16 +76,10 @@ pub struct RemapConfig {
     pub rows_per_pass: u32,
     /// Candidate-scan strategy (see [`ScanPolicy`]).
     pub scan: ScanPolicy,
-    /// Minimum machine size (in PEs) before the unprobed engine scan
-    /// fans the PE range out across rayon workers, when there is more
-    /// than one.  The vendored rayon stand-in spawns a fresh thread
-    /// scope per call, so fan-out only pays once a single scan
-    /// outweighs thread spawn-up.  The default of 128 does not clear
-    /// every in-repo machine: perfbench's `manype-compact` schedules
-    /// on up to 1,024 PEs, and its jobs on 128 or more skip the chunk
-    /// path only because they run at one rayon thread (its
-    /// `core.parallel_scan_x` probe is what takes it).  Results are
-    /// byte-identical at any threshold and thread count.
+    /// Read by no sweep: the candidate sweep is serial.  The field
+    /// stays only because the job-level benchmark (`perfbench/`),
+    /// which changes only with the benchmark itself, reads it; the
+    /// next benchmark change deletes it.
     pub parallel_pes: u32,
 }
 
@@ -283,17 +279,16 @@ pub(crate) fn remap_probed<P: Probe>(
     let mut failed = false;
     'remap: for &v in &rotated {
         let duration = g.time(v);
-        // Placements only change between nodes, so neighbour slots and
-        // the traffic column can be resolved once per node and reused
-        // across PEs and targets.
-        scratch.resolve(g, v, sched, machine);
-        let Scratch { resolved, window } = &mut *scratch;
+        // Placements only change between nodes, so neighbour slots can
+        // be resolved once per node and reused across PEs and targets.
+        scratch.resolve(g, v, sched);
         let mut attempts: u64 = 0;
         for &target in &targets {
             if P::ACTIVE {
                 stats.scratch_reuses += u64::from(attempts > 0);
                 attempts += 1;
             }
+            let Scratch { resolved, buffers } = &mut *scratch;
             let sweep = Sweep {
                 machine,
                 table: sched,
@@ -302,7 +297,7 @@ pub(crate) fn remap_probed<P: Probe>(
                 duration,
                 target,
             };
-            if let Some(found) = best_position(&sweep, window, config, probe, &mut stats) {
+            if let Some(found) = best_position(&sweep, buffers, config, probe, &mut stats) {
                 sched
                     .place(v, found.pe, found.cs, duration)
                     // INVARIANT: best_position only returns slots that
@@ -434,45 +429,56 @@ struct PlacedEdge {
 
 /// The candidate scan's buffers, reused by every node of every pass
 /// of a run: the resolved neighbourhood of the node being placed, and
-/// the per-PE `AN` window of the sweep.
+/// what its sweeps walk.
 #[derive(Default)]
 pub(crate) struct Scratch {
     resolved: Resolved,
+    buffers: SweepBuffers,
+}
+
+/// What a sweep walks: the ring walker, and the per-PE `AN` window of
+/// the PEs being ranked.
+#[derive(Default)]
+struct SweepBuffers {
+    rings: Rings,
     window: Window,
 }
 
 /// One node's neighbourhood, resolved against the current table: its
-/// placed neighbours and the per-PE total traffic `comm` (the column
-/// sums of every edge's volume-scaled hop-distance row), resolved once
-/// per node so it is shared across every target the remapper tries and
-/// the sweep reads it as one indexed load per PE.
+/// placed neighbours, resolved once per node so they are shared across
+/// every target the remapper tries.
 #[derive(Default)]
 struct Resolved {
     ins: Vec<PlacedEdge>,
     outs: Vec<PlacedEdge>,
-    comm: Vec<u32>,
 }
 
-/// The per-PE `AN` window of one sweep over a PE span: `lb` bounds
-/// `CB(v)` from below, `ub` bounds `CE(v)` from above.
+impl Resolved {
+    /// The PEs of the placed neighbours: the sources of the rings.
+    fn pes(&self) -> impl Iterator<Item = Pe> + '_ {
+        self.ins.iter().chain(&self.outs).map(|e| e.pe)
+    }
+}
+
+/// The per-PE `AN` window of one ranked list of PEs: `lb` bounds
+/// `CB(v)` from below, `ub` bounds `CE(v)` from above, and `comm` is
+/// the total traffic, `Σ hops · c(e)` over the placed neighbours.
 #[derive(Default)]
 struct Window {
     lb: Vec<i64>,
     ub: Vec<i64>,
+    comm: Vec<u32>,
 }
 
 impl Scratch {
     /// Resolves node `v`'s non-self edges against the current table,
     /// keeping only edges whose neighbour is placed (unplaced
     /// neighbours never constrain; self loops constrain only through
-    /// the node's own PSL, which the slack repair covers), and
-    /// accumulates the per-PE traffic column from each edge's
-    /// volume-scaled hop-distance row ([`Machine::dist_row`]; distances
-    /// are symmetric, so one row serves in- and out-edges alike).
-    /// Every buffer is `clear`ed before refilling, so a node with fewer
+    /// the node's own PSL, which the slack repair covers).  Every
+    /// buffer is `clear`ed before refilling, so a node with fewer
     /// resolved edges than its predecessor can never observe stale
     /// slots (regression-tested below).
-    fn resolve(&mut self, g: &Csdfg, v: NodeId, table: &Schedule, machine: &Machine) {
+    fn resolve(&mut self, g: &Csdfg, v: NodeId, table: &Schedule) {
         let r = &mut self.resolved;
         r.ins.clear();
         for e in g.in_deps(v) {
@@ -505,14 +511,6 @@ impl Scratch {
                 pe: pw,
                 step: i64::from(cb_w),
             });
-        }
-        r.comm.clear();
-        r.comm.resize(machine.num_pes(), 0);
-        for e in r.ins.iter().chain(&r.outs) {
-            let vol = e.vol;
-            for (sum, &d) in r.comm.iter_mut().zip(machine.dist_row(e.pe)) {
-                *sum += d * vol;
-            }
         }
     }
 }
@@ -553,9 +551,17 @@ struct Placement {
 
 /// A candidate's full ranking key `(impact, cs, comm, pe index)`;
 /// lexicographic minimum wins, and the trailing PE index makes the
-/// minimum unique — the property the deterministic parallel reduce
-/// relies on.
+/// minimum unique, so the winner does not depend on the order in which
+/// PEs are ranked.
 type CandKey = (u32, u32, u32, u32);
+
+/// The best and second-best keys ranked so far.
+#[derive(Default)]
+struct Ranked {
+    best: Option<CandKey>,
+    /// Runner-up for the explain narrative (probe-gated).
+    second: Option<CandKey>,
+}
 
 /// What one candidate sweep reads: the node whose neighbourhood is
 /// `resolved`, its duration, and the final-schedule-length `target` it
@@ -569,8 +575,8 @@ struct Sweep<'a> {
     target: u32,
 }
 
-/// The candidate sweep over the PE span `[lo, hi)`: ranks every PE for
-/// the sweep's node and returns the span's best and second-best keys.
+/// The ranking kernel: ranks every PE of `pes` for the sweep's node,
+/// folding each key into `ranked`.
 ///
 /// For every processor the anticipation function gives the first
 /// control step that satisfies all *placed* predecessors:
@@ -592,14 +598,10 @@ struct Sweep<'a> {
 /// across dense machines: a remote slot one step earlier is worthless
 /// if its communication inflates a projected schedule length.
 ///
-/// The `AN` bounds are computed column-major: one tight add-and-
-/// accumulate loop per resolved edge over the span's slice of its
-/// hop-distance row (indexed adds, no bounds checks, no hop-matrix
-/// branch — the compiler vectorizes these), instead of re-walking the
-/// edge list once per PE.  They are written into `window`, one entry
-/// per PE of the span.  Per-PE traffic comes from the column sums
-/// [`Resolved::comm`] resolved once per *node*, shared across every
-/// target.
+/// The `AN` bounds and the traffic are computed column-major: one
+/// tight loop per resolved edge over `pes`, reading the edge's
+/// hop-distance row, instead of re-walking the edge list once per PE.
+/// They are written into `window`, one entry per listed PE.
 ///
 /// With `prune`, branch-and-bound decides per PE whether the expensive
 /// part — the free-window scan and the PSL sweep — can be skipped:
@@ -614,17 +616,17 @@ struct Sweep<'a> {
 /// Under an active probe every PE emits an [`Event::Candidate`] with
 /// its `AN` window and verdict, `stats` tallies edges swept and slots
 /// probed, and the second-best key is tracked for the
-/// placement's `runner_up`.  [`best_position`] never prunes then, so
-/// the events describe every PE.
-fn scan_span<P: Probe>(
+/// placement's `runner_up`.  [`best_position`] never prunes then, and
+/// lists every PE in order, so the events describe the full sweep.
+fn rank_pes<P: Probe>(
     sweep: &Sweep<'_>,
-    lo: usize,
-    hi: usize,
+    pes: &[u32],
     prune: bool,
     window: &mut Window,
+    ranked: &mut Ranked,
     probe: &mut P,
     stats: &mut PassStats,
-) -> (Option<CandKey>, Option<CandKey>) {
+) {
     let Sweep {
         machine,
         table,
@@ -635,63 +637,62 @@ fn scan_span<P: Probe>(
     } = *sweep;
     let target_len = i64::from(target);
     let dur = i64::from(duration);
-    let span = hi - lo;
     if P::ACTIVE {
-        stats.edges_swept += (span * (resolved.ins.len() + resolved.outs.len())) as u64;
+        stats.edges_swept += (pes.len() * (resolved.ins.len() + resolved.outs.len())) as u64;
     }
-    // Lower bound on CB(v) per PE from placed predecessors (Lemma 4.2)
-    // and upper bound on CE(v) from placed successors and the target,
-    // accumulated column-major straight off each edge's hop-distance
-    // row slice.
-    let Window { lb, ub } = window;
+    // Lower bound on CB(v) per PE from placed predecessors (Lemma 4.2),
+    // upper bound on CE(v) from placed successors and the target, and
+    // the traffic, accumulated column-major off each edge's hop row.
+    let Window { lb, ub, comm } = window;
     lb.clear();
-    lb.resize(span, 1);
+    lb.resize(pes.len(), 1);
+    comm.clear();
+    comm.resize(pes.len(), 0);
     for e in &resolved.ins {
         let base = e.step + 1 - e.k * target_len;
-        let vol = e.vol;
-        let row = &machine.dist_row(e.pe)[lo..hi];
-        for (l, &d) in lb.iter_mut().zip(row) {
-            *l = (*l).max(i64::from(d * vol) + base);
+        let (vol, row) = (e.vol, machine.dist_row(e.pe));
+        for ((l, c), &p) in lb.iter_mut().zip(comm.iter_mut()).zip(pes) {
+            let m = row[p as usize] * vol;
+            *l = (*l).max(i64::from(m) + base);
+            *c += m;
         }
     }
     ub.clear();
-    ub.resize(span, target_len);
+    ub.resize(pes.len(), target_len);
     for e in &resolved.outs {
         let base = e.k * target_len + e.step - 1;
-        let vol = e.vol;
-        let row = &machine.dist_row(e.pe)[lo..hi];
-        for (u, &d) in ub.iter_mut().zip(row) {
-            *u = (*u).min(base - i64::from(d * vol));
+        let (vol, row) = (e.vol, machine.dist_row(e.pe));
+        for ((u, c), &p) in ub.iter_mut().zip(comm.iter_mut()).zip(pes) {
+            let m = row[p as usize] * vol;
+            *u = (*u).min(base - i64::from(m));
+            *c += m;
         }
     }
-    let mut best: Option<CandKey> = None;
-    // Runner-up for the explain narrative (probe-gated).
-    let mut second: Option<CandKey> = None;
-    'pes: for (i, (&lb, &ub)) in lb.iter().zip(ub.iter()).enumerate() {
-        let p = lo + i;
+    let Ranked { best, second } = ranked;
+    'pes: for (((&p, &lb), &ub), &comm) in pes.iter().zip(lb.iter()).zip(ub.iter()).zip(comm.iter())
+    {
+        let pe = Pe(p);
         if lb > ub {
             if P::ACTIVE {
                 probe.emit(Event::Candidate(Candidate {
                     node,
                     target,
-                    pe: Pe::from_index(p).0,
+                    pe: p,
                     lb,
                     ub,
-                    comm: resolved.comm[p],
+                    comm,
                     verdict: Verdict::Infeasible,
                 }));
             }
             continue;
         }
-        let pe = Pe::from_index(p);
-        let comm = resolved.comm[p];
         // INVARIANT: lb <= ub <= target at this point (checked above)
         // and target is a u32, so the clamped value always fits.
         let from = u32::try_from(lb.max(1)).expect("clamped positive");
         if let Some(incumbent) = best.filter(|_| prune) {
             let floor = from.max(table.free_cursor(pe));
             let impact_floor = u32::try_from(i64::from(floor) + dur - 1).unwrap_or(u32::MAX);
-            if (impact_floor, floor, comm, pe.0) >= incumbent {
+            if (impact_floor, floor, comm, p) >= incumbent {
                 continue;
             }
         }
@@ -705,7 +706,7 @@ fn scan_span<P: Probe>(
                 probe.emit(Event::Candidate(Candidate {
                     node,
                     target,
-                    pe: pe.0,
+                    pe: p,
                     lb,
                     ub,
                     comm,
@@ -726,7 +727,7 @@ fn scan_span<P: Probe>(
         let mut needed = ce_v;
         for e in &resolved.ins {
             if e.k > 0 {
-                let m = i64::from(machine.dist_row(e.pe)[p] * e.vol);
+                let m = i64::from(machine.dist_row(e.pe)[p as usize] * e.vol);
                 if m + e.step - cb_v + 1 > cap(e.k) {
                     continue 'pes;
                 }
@@ -735,7 +736,7 @@ fn scan_span<P: Probe>(
         }
         for e in &resolved.outs {
             if e.k > 0 {
-                let m = i64::from(machine.dist_row(e.pe)[p] * e.vol);
+                let m = i64::from(machine.dist_row(e.pe)[p as usize] * e.vol);
                 if m + ce_v - e.step + 1 > cap(e.k) {
                     continue 'pes;
                 }
@@ -746,13 +747,13 @@ fn scan_span<P: Probe>(
         // and cannot meaningfully exceed u32::MAX; if one ever does,
         // the candidate simply ranks last instead of panicking.
         let impact = u32::try_from(needed.max(0)).unwrap_or(u32::MAX);
-        let key = (impact, cs, comm, pe.0);
+        let key = (impact, cs, comm, p);
         let leads = best.is_none_or(|b| key < b);
         if P::ACTIVE {
             probe.emit(Event::Candidate(Candidate {
                 node,
                 target,
-                pe: pe.0,
+                pe: p,
                 lb,
                 ub,
                 comm,
@@ -764,83 +765,129 @@ fn scan_span<P: Probe>(
             }));
             // The displaced best (or the losing candidate) competes
             // for the runner-up slot.
-            let contender = if leads { best } else { Some(key) };
+            let contender = if leads { *best } else { Some(key) };
             if contender.is_some_and(|c| second.is_none_or(|s| c < s)) {
-                second = contender;
+                *second = contender;
             }
         }
         if leads {
-            best = Some(key);
+            *best = Some(key);
         }
     }
-    (best, second)
 }
 
-/// Deterministic parallel sweep: the PE range is cut into fixed
-/// contiguous chunks (one per rayon worker), each chunk runs the pruned
-/// [`scan_span`] independently, and the minimum of the per-chunk minima
-/// wins.  Chunk-local pruning never changes a chunk's exact minimum,
-/// and the trailing PE index makes the global minimum unique, so the
-/// result is byte-identical to the sequential sweep at any
-/// `RAYON_NUM_THREADS`.  Each chunk fills its own window, which keeps
-/// the workers free of shared mutable state.
-fn parallel_scan(sweep: &Sweep<'_>) -> Option<CandKey> {
-    let n = sweep.machine.num_pes();
-    let chunk = n.div_ceil(rayon::current_num_threads().min(n).max(1));
-    let spans: Vec<(usize, usize)> = (0..n)
-        .step_by(chunk)
-        .map(|lo| (lo, (lo + chunk).min(n)))
-        .collect();
-    let bests: Vec<Option<CandKey>> = spans
-        .into_par_iter()
-        .map(|(lo, hi)| {
-            let mut window = Window::default();
-            scan_span(
-                sweep,
-                lo,
-                hi,
-                true,
-                &mut window,
-                &mut Off,
-                &mut PassStats::default(),
-            )
-            .0
-        })
-        .collect();
-    bests.into_iter().flatten().min()
+/// The engine's sweep: the pruned kernel over the PE lists of
+/// [`Rings::search`], which stops on [`floor_key`].
+struct Engine<'s, 'a> {
+    sweep: &'s Sweep<'a>,
+    window: &'s mut Window,
+    ranked: Ranked,
+}
+
+impl RingSearch for Engine<'_, '_> {
+    fn rank(&mut self, pes: &[u32]) {
+        let stats = &mut PassStats::default();
+        rank_pes(
+            self.sweep,
+            pes,
+            true,
+            self.window,
+            &mut self.ranked,
+            &mut Off,
+            stats,
+        );
+    }
+
+    fn beaten(&self, hops: u32) -> bool {
+        match floor_key(self.sweep, hops) {
+            None => true,
+            Some(floor) => self
+                .ranked
+                .best
+                .is_some_and(|(impact, cs, comm, _)| floor > (impact, cs, comm)),
+        }
+    }
+}
+
+/// The floor of `(impact, cs, comm)` over every PE at least `hops` hops
+/// from each placed neighbour's PE, or `None` when none of them can
+/// take the node.
+///
+/// A PE starts the node no earlier than its `AN` bound `lb`, and an
+/// empty row makes `earliest_free(p, from, t) == from`, so an empty PE
+/// starts it exactly there: its key depends only on its hop distances,
+/// and the floor is exact for it.  With every distance at least `r`:
+/// `lb >= L = max(1, max_in(r·c + CE(u) + 1 - k·T))`,
+/// `ub <= U = min(T, min_out(k·T + CB(w) - 1 - r·c))`, so a PE fits
+/// only when `L + t - 1 <= U`; `cs >= L`; the impact is at least the
+/// end step `L + t - 1` and each out-edge's PSL at `r` hops; and
+/// `comm >= r·Σc`.  The floors saturate at `u32::MAX`, as the keys do.
+fn floor_key(sweep: &Sweep<'_>, hops: u32) -> Option<(u32, u32, u32)> {
+    let Resolved { ins, outs } = sweep.resolved;
+    let r = i64::from(hops);
+    let target = i64::from(sweep.target);
+    let lb = ins
+        .iter()
+        .map(|e| r * i64::from(e.vol) + e.step + 1 - e.k * target)
+        .fold(1, i64::max);
+    let ub = outs
+        .iter()
+        .map(|e| e.k * target + e.step - 1 - r * i64::from(e.vol))
+        .fold(target, i64::min);
+    let ce = lb + i64::from(sweep.duration) - 1;
+    if ce > ub {
+        return None;
+    }
+    let impact = outs
+        .iter()
+        .filter(|e| e.k > 0)
+        .map(|e| psl(r * i64::from(e.vol), ce, e.step, e.k))
+        .fold(ce, i64::max);
+    let comm: i64 = ins.iter().chain(outs).map(|e| r * i64::from(e.vol)).sum();
+    let clamp = |x: i64| u32::try_from(x).unwrap_or(u32::MAX);
+    Some((clamp(impact), clamp(lb), clamp(comm)))
 }
 
 /// Finds the best feasible `(control step, processor)` for the sweep's
 /// node, or `None`.
 ///
-/// A dispatcher over the one candidate sweep, [`scan_span`]: an
-/// unrecorded run under [`ScanPolicy::Engine`] prunes, and on machines
-/// of at least [`RemapConfig::parallel_pes`] PEs (with more than one
-/// rayon worker) fans out through [`parallel_scan`].  A recorded run
-/// and [`ScanPolicy::Reference`] sweep every PE in order.  All paths
-/// return the same winner, bit-identically.
+/// An unrecorded run under [`ScanPolicy::Engine`] prunes, and ranks the
+/// PEs ring by ring around the placed neighbours' PEs
+/// ([`Rings::search`]) when enough PEs are empty for that to pay
+/// ([`Rings::worth_walking`]), every PE in order otherwise.  A recorded
+/// run and [`ScanPolicy::Reference`] rank every PE in order, unpruned.
+/// All return the same winner, bit-identically.
 fn best_position<P: Probe>(
     sweep: &Sweep<'_>,
-    window: &mut Window,
+    buffers: &mut SweepBuffers,
     config: RemapConfig,
     probe: &mut P,
     stats: &mut PassStats,
 ) -> Option<Placement> {
-    let n = sweep.machine.num_pes();
+    let SweepBuffers { rings, window } = buffers;
     let prune = !P::ACTIVE && config.scan == ScanPolicy::Engine;
-    let (best, second) =
-        if prune && n >= config.parallel_pes as usize && rayon::current_num_threads() > 1 {
-            (parallel_scan(sweep), None)
-        } else {
-            scan_span(sweep, 0, n, prune, window, probe, stats)
+    let ranked = if prune && rings.worth_walking(sweep.table) {
+        let mut engine = Engine {
+            sweep,
+            window,
+            ranked: Ranked::default(),
         };
-    let (impact, cs, comm, pe) = best?;
+        let sources = sweep.resolved.pes();
+        rings.search(sweep.machine, sweep.table, sources, &mut engine);
+        engine.ranked
+    } else {
+        let mut ranked = Ranked::default();
+        let all = rings.every_pe(sweep.machine.num_pes());
+        rank_pes(sweep, all, prune, window, &mut ranked, probe, stats);
+        ranked
+    };
+    let (impact, cs, comm, pe) = ranked.best?;
     Some(Placement {
         cs,
         pe: Pe(pe),
         impact,
         comm,
-        runner_up: second.map(|(impact, cs, comm, pe)| RunnerUp {
+        runner_up: ranked.second.map(|(impact, cs, comm, pe)| RunnerUp {
             pe,
             cs,
             impact,
@@ -854,6 +901,7 @@ mod tests {
     use super::*;
     use crate::startup::{startup_schedule, StartupConfig};
     use ccs_schedule::validate;
+    use proptest::prelude::*;
 
     fn fig1() -> (Csdfg, Vec<NodeId>, Machine) {
         let mut g = Csdfg::new();
@@ -1024,25 +1072,45 @@ mod tests {
         }
 
         let mut scratch = Scratch::default();
-        scratch.resolve(&g, hub, &sched, &m);
+        scratch.resolve(&g, hub, &sched);
         let r = &scratch.resolved;
         assert_eq!(r.ins.len(), 5);
         assert_eq!(r.outs.len(), 5);
-        assert_eq!(r.comm.len(), m.num_pes());
-        // Poison the reusable column; a resolve that accumulated onto
-        // it instead of rebuilding it would keep the poison.
-        scratch.resolved.comm.fill(99);
 
-        scratch.resolve(&g, thin, &sched, &m);
+        scratch.resolve(&g, thin, &sched);
         let r = &scratch.resolved;
         assert_eq!(r.ins.len(), 1, "thin node resolves one in-edge");
         assert_eq!(r.outs.len(), 1);
-        assert_eq!(r.comm.len(), m.num_pes());
-        // The comm column is rebuilt from the thin node's own edges:
-        // one in- and one out-edge to spoke0 on PE 0, volume 2 each,
-        // so every column is 4 * dist_row(0).
-        let expect: Vec<u32> = m.dist_row(Pe(0)).iter().map(|&d| d * 4).collect();
-        assert_eq!(r.comm, expect);
+        // Both are the thin node's own edges: to and from spoke0 on
+        // PE 0, volume 2.
+        for e in r.ins.iter().chain(&r.outs) {
+            assert_eq!((e.pe, e.vol, e.k), (Pe(0), 2, 1));
+        }
+        // The window's traffic column is sized by the ranked list, and
+        // filled afresh by each ranking.
+        let Scratch { resolved, buffers } = &mut scratch;
+        let window = &mut buffers.window;
+        let sweep = Sweep {
+            machine: &m,
+            table: &sched,
+            resolved,
+            node: nid(thin),
+            duration: 1,
+            target: 9,
+        };
+        window.comm.fill(99);
+        let mut ranked = Ranked::default();
+        rank_pes(
+            &sweep,
+            &[3, 1],
+            false,
+            window,
+            &mut ranked,
+            &mut Off,
+            &mut PassStats::default(),
+        );
+        let expect: Vec<u32> = [3, 1].iter().map(|&p| m.dist_row(Pe(0))[p] * 4).collect();
+        assert_eq!(window.comm, expect);
     }
 
     #[test]
@@ -1062,8 +1130,9 @@ mod tests {
         let mut table = Schedule::new(m.num_pes());
         table.place(u, Pe(0), 1, 1).unwrap();
         let mut scratch = Scratch::default();
-        scratch.resolve(&g, v, &table, &m);
-        let Scratch { resolved, window } = &mut scratch;
+        scratch.resolve(&g, v, &table);
+        let Scratch { resolved, buffers } = &mut scratch;
+        let window = &mut buffers.window;
         let sweep = Sweep {
             machine: &m,
             table: &table,
@@ -1073,18 +1142,20 @@ mod tests {
             target: 10,
         };
         let mut scan = |prune| {
-            scan_span(
+            let mut ranked = Ranked::default();
+            rank_pes(
                 &sweep,
-                0,
-                4,
+                &[0, 1, 2, 3],
                 prune,
                 window,
+                &mut ranked,
                 &mut Off,
                 &mut PassStats::default(),
-            )
+            );
+            ranked.best
         };
-        let (pruned, _) = scan(true);
-        let (full, _) = scan(false);
+        let pruned = scan(true);
+        let full = scan(false);
         assert_eq!(pruned, full, "the exit never changes the winner");
         let winner = full.expect("v fits");
         assert_eq!((winner.0, winner.1, winner.3), (2, 1, 1), "PE2 wins on cs");
@@ -1094,6 +1165,89 @@ mod tests {
         assert_eq!(psl_cap(None)(2), i64::MAX, "no incumbent, no exit");
         let huge = psl_cap(Some((u32::MAX - 1, 0, 0, 0)));
         assert_eq!(huge(i64::from(u32::MAX)), i64::MAX, "k * I saturates");
+    }
+
+    /// A placement's key, `(impact, cs, comm, pe)`.
+    fn key(p: Placement) -> CandKey {
+        (p.impact, p.cs, p.comm, p.pe.0)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The engine's ring search lands on the key of the full
+        /// unpruned sweep, or finds nothing with it: on mostly-empty
+        /// tables, with placed in- and out-neighbours anywhere, for
+        /// every target.
+        #[test]
+        fn ring_search_matches_the_full_sweep(
+            m in crate::startup::tests::arb_machine(),
+            duration in 1u32..4,
+            neighbours in proptest::collection::vec(
+                (0u32..2, 0u32..3, 1u32..6, 0usize..64, 1u32..12, 1u32..3),
+                0..6,
+            ),
+            others in proptest::collection::vec((0usize..64, 1u32..12, 1u32..3), 0..8),
+            targets in proptest::collection::vec(1u32..24, 1..4),
+        ) {
+            let mut g = Csdfg::new();
+            let v = g.add_task("v", duration).unwrap();
+            let mut table = Schedule::new(m.num_pes());
+            let mut put = |g: &mut Csdfg, name: String, pe: usize, from: u32, t: u32| {
+                let u = g.add_task(name, t).unwrap();
+                let pe = Pe::from_index(pe % m.num_pes());
+                let cs = table.earliest_free(pe, from, t);
+                table.place(u, pe, cs, t).unwrap();
+                u
+            };
+            for (i, &(out, k, vol, pe, from, t)) in neighbours.iter().enumerate() {
+                let u = put(&mut g, format!("n{i}"), pe, from, t);
+                let (a, b) = if out == 1 { (v, u) } else { (u, v) };
+                g.add_dep(a, b, k, vol).unwrap();
+            }
+            for (i, &(pe, from, t)) in others.iter().enumerate() {
+                put(&mut g, format!("o{i}"), pe, from, t);
+            }
+            let mut scratch = Scratch::default();
+            scratch.resolve(&g, v, &table);
+            scratch.buffers.rings = Rings::walking();
+            for &target in &targets {
+                let Scratch { resolved, buffers } = &mut scratch;
+                let sweep = Sweep { machine: &m, table: &table, resolved, node: nid(v), duration, target };
+                let mut place = |scan| {
+                    let config = RemapConfig { scan, ..Default::default() };
+                    best_position(&sweep, buffers, config, &mut Off, &mut PassStats::default()).map(key)
+                };
+                let engine = place(ScanPolicy::Engine);
+                let full = place(ScanPolicy::Reference);
+                prop_assert_eq!(engine, full, "{} at target {}", m.name(), target);
+            }
+        }
+    }
+
+    #[test]
+    fn engine_compactions_never_list_the_links_of_complete_or_ideal_machines() {
+        // Both sweeps answer these machines without expanding a ring,
+        // so their O(PEs²) neighbour lists are never built.  The passes
+        // run one by one: the debug oracle's bound check at the end of
+        // `cyclo_compact` routes its witness, which lists the links.
+        let (g, _, _) = fig1();
+        let compact = |m: &Machine| {
+            let mut graph = g.clone();
+            let mut s = startup_schedule(&graph, m, StartupConfig::default()).unwrap();
+            for _ in 0..16 {
+                rotate_remap_in_place(&mut graph, m, &mut s, RemapConfig::default());
+            }
+            assert!(validate(&graph, m, &s).is_ok());
+        };
+        for m in [Machine::complete(1024), Machine::ideal(64)] {
+            compact(&m);
+            assert!(!m.has_adjacency(), "{} listed its links", m.name());
+        }
+        // A mesh does walk its links.
+        let m = Machine::mesh(8, 8);
+        compact(&m);
+        assert!(m.has_adjacency());
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 use crate::priority::{evaluate, Priority};
 use crate::remap::nid;
+use crate::rings::{RingSearch, Rings};
 use ccs_model::{timing, Csdfg, ModelError, NodeId};
 use ccs_schedule::{required_length, Schedule};
 use ccs_topology::{Machine, Pe};
@@ -60,10 +61,18 @@ pub(crate) fn startup_probed<P: Probe>(
     probe: &mut P,
 ) -> Result<Schedule, ModelError> {
     g.check_legal()?;
+    // Connectivity is a construction-time property (cached, O(1)) that
+    // `CCS010` checks before scheduling; the slot search walks links.
+    debug_assert!(
+        machine.is_connected(),
+        "cannot schedule on disconnected machine {}",
+        machine.name()
+    );
     // INVARIANT: check_legal above proved the zero-delay view acyclic,
     // the only failure mode of the timing analysis.
     let timing = timing::analyze(g).expect("legal graph has acyclic zero-delay view");
     let mut sched = Schedule::new(machine.num_pes());
+    let mut rings = Rings::default();
     if P::ACTIVE {
         probe.emit(Event::StartupBegin {
             tasks: u32::try_from(g.task_count()).unwrap_or(u32::MAX),
@@ -107,7 +116,8 @@ pub(crate) fn startup_probed<P: Probe>(
         let mut deferred: Vec<NodeId> = Vec::new();
         let mut newly_ready: Vec<NodeId> = Vec::new();
         for &node in &ready {
-            match best_slot_at(g, machine, &sched, node, cs, config.ignore_communication) {
+            let ignore = config.ignore_communication;
+            match best_slot_at(g, machine, &sched, &mut rings, node, cs, ignore) {
                 Some(pe) => {
                     sched
                         .place(node, pe, cs, g.time(node))
@@ -176,21 +186,24 @@ pub(crate) fn startup_probed<P: Probe>(
 /// scheduled predecessors.  Among feasible PEs the one with the
 /// smallest `cm` wins, ties to the lowest index (the paper's example
 /// picks PE2 over PE4 this way).
+///
+/// The predecessors' PEs are ranked first, then every other PE ring by
+/// ring around them ([`Rings::search`]).
 fn best_slot_at(
     g: &Csdfg,
     machine: &Machine,
     sched: &Schedule,
+    rings: &mut Rings,
     node: NodeId,
     cs: u32,
     ignore_comm: bool,
 ) -> Option<Pe> {
-    let duration = g.time(node);
     // Resolve the scheduled predecessors once, outside the PE loop: an
     // unscheduled predecessor defers the node on *every* processor, and
     // `base_cm` (the communication-free part of `cm`) lower-bounds the
     // per-PE value.
     let mut base_cm: u32 = 0;
-    let mut preds: Vec<(u32, Pe, u32)> = Vec::new();
+    let mut preds: Vec<(u32, Pe, &[u32], u32)> = Vec::new();
     for e in g.intra_iter_in_deps(node) {
         let (u, _) = g.endpoints(e);
         let ce_u = sched.ce(u)?; // predecessor not scheduled yet
@@ -198,60 +211,69 @@ fn best_slot_at(
         if !ignore_comm {
             // INVARIANT: ce(u) succeeded just above, so u is placed
             // and has a processor.
-            preds.push((ce_u, sched.pe(u).expect("placed"), g.volume(e)));
+            let pu = sched.pe(u).expect("placed");
+            preds.push((ce_u, pu, machine.dist_row(pu), g.volume(e)));
         }
     }
-    // No two distinct PEs are closer than `min_hop`, so predecessor `u`
-    // adds at least `least(u, p)` to PE `p`'s `cm`: `CE(u)` when `p`
-    // hosts `u`, `CE(u) + min_hop · c(e)` otherwise.  A PE hosting none
-    // of the predecessors has at least `far`, a free PE hosting some
-    // the max of its own terms.  The smallest of these, `floor`, bounds
-    // every free PE's `cm` from below: at `floor >= cs` no PE can take
-    // the node, and the first PE whose `cm` reaches `floor` wins, since
-    // no PE has less and a later one loses the tie.
-    let hop = machine.min_hop();
-    let least = |&(ce_u, pu, vol): &(u32, Pe, u32), p: Option<Pe>| {
-        if p == Some(pu) {
-            ce_u
-        } else {
-            ce_u + hop * vol
-        }
-    };
-    let bound = |p: Option<Pe>| preds.iter().map(|u| least(u, p)).fold(base_cm, u32::max);
-    let floor = preds
-        .iter()
-        .map(|&(_, q, _)| q)
-        .filter(|&q| sched.is_free(q, cs, duration))
-        .map(|q| bound(Some(q)))
-        .fold(bound(None), u32::min);
-    if floor >= cs {
+    if base_cm >= cs {
         return None;
     }
-    // Per PE the sweep is one hop-row read per predecessor.
-    let rows: Vec<(u32, &[u32], u32)> = preds
-        .iter()
-        .map(|&(ce_u, pu, vol)| (ce_u, machine.dist_row(pu), vol))
-        .collect();
-    let mut best: Option<(u32, Pe)> = None;
-    for pe in machine.pes() {
-        if !sched.is_free(pe, cs, duration) {
-            continue;
-        }
-        let mut cm: u32 = base_cm;
-        for &(ce_u, row, vol) in &rows {
-            cm = cm.max(ce_u + row[pe.index()] * vol);
-        }
-        if cm >= cs {
-            continue;
-        }
-        if best.is_none_or(|(bcm, _)| cm < bcm) {
-            best = Some((cm, pe));
-            if cm == floor {
-                break;
+    let mut search = SlotSearch {
+        sched,
+        duration: g.time(node),
+        cs,
+        base_cm,
+        preds: &preds,
+        best: None,
+    };
+    let sources = preds.iter().map(|&(_, pu, _, _)| pu);
+    rings.search(machine, sched, sources, &mut search);
+    search.best.map(|(_, pe)| pe)
+}
+
+/// Start-up's [`RingSearch`]: `cm` per PE, and its floor by hops.
+struct SlotSearch<'a> {
+    sched: &'a Schedule,
+    duration: u32,
+    cs: u32,
+    base_cm: u32,
+    /// `(CE(u), PE(u), PE(u)'s hop row, c(e))` per scheduled predecessor.
+    preds: &'a [(u32, Pe, &'a [u32], u32)],
+    /// The smallest `(cm, pe)` so far.
+    best: Option<(u32, Pe)>,
+}
+
+impl RingSearch for SlotSearch<'_> {
+    fn rank(&mut self, pes: &[u32]) {
+        for &p in pes {
+            let pe = Pe(p);
+            if !self.sched.is_free(pe, self.cs, self.duration) {
+                continue;
+            }
+            let cm = self
+                .preds
+                .iter()
+                .map(|&(ce_u, _, row, vol)| ce_u + row[p as usize] * vol)
+                .fold(self.base_cm, u32::max);
+            if cm < self.cs && self.best.is_none_or(|(bcm, bpe)| (cm, p) < (bcm, bpe.0)) {
+                self.best = Some((cm, pe));
             }
         }
     }
-    best.map(|(_, pe)| pe)
+
+    /// At least `hops` hops from every predecessor's PE, a PE's `cm` is
+    /// at least `max(base_cm, max_u(CE(u) + hops · c(e)))`, and exactly
+    /// that far an empty PE, free at every step, reaches it.  At that
+    /// floor no PE left can take the node once it reaches `cs`, and
+    /// none can win once it exceeds the best `cm`.
+    fn beaten(&self, hops: u32) -> bool {
+        let floor = self
+            .preds
+            .iter()
+            .map(|&(ce_u, _, _, vol)| u64::from(ce_u) + u64::from(hops) * u64::from(vol))
+            .fold(u64::from(self.base_cm), u64::max);
+        floor >= u64::from(self.cs) || self.best.is_some_and(|(bcm, _)| floor > u64::from(bcm))
+    }
 }
 
 /// Rebuilds start times for the real machine while keeping each task's
@@ -290,7 +312,7 @@ pub(crate) mod tests {
     use proptest::prelude::*;
 
     /// The sweep [`best_slot_at`] refines, kept as its oracle: every
-    /// free PE, no lower bound and no early exit.
+    /// free PE in index order, no floor and no early exit.
     fn best_slot_at_by_sweep(
         g: &Csdfg,
         machine: &Machine,
@@ -332,25 +354,28 @@ pub(crate) mod tests {
         best.map(|(_, pe)| pe)
     }
 
-    /// Machines of every hop model, `min_hop` 0 included: the ideal
-    /// machine and one PE.
-    fn arb_machine() -> impl Strategy<Value = Machine> {
+    /// Machines of every hop model and of up to 64 PEs, `min_hop` 0
+    /// included: the ideal machine and one PE.
+    pub(crate) fn arb_machine() -> impl Strategy<Value = Machine> {
         prop_oneof![
-            (1usize..5).prop_map(Machine::ideal),
-            (1usize..4).prop_map(Machine::complete),
-            (2usize..7).prop_map(Machine::linear_array),
-            (3usize..7).prop_map(Machine::ring),
-            ((1usize..4), (1usize..4)).prop_map(|(r, c)| Machine::mesh(r, c)),
-            (0u32..4).prop_map(Machine::hypercube),
-            (2usize..7).prop_map(Machine::star),
-            ((2usize..9), (0u32..4))
+            (1usize..6).prop_map(Machine::ideal),
+            (1usize..10).prop_map(Machine::complete),
+            (2usize..12).prop_map(Machine::linear_array),
+            (3usize..12).prop_map(Machine::ring),
+            ((1usize..9), (1usize..9)).prop_map(|(r, c)| Machine::mesh(r, c)),
+            ((1usize..6), (1usize..6)).prop_map(|(r, c)| Machine::torus(r, c)),
+            (0u32..7).prop_map(Machine::hypercube),
+            (2usize..33).prop_map(Machine::star),
+            (2usize..32).prop_map(Machine::binary_tree),
+            ((2usize..41), (0u32..4))
                 .prop_map(|(n, s)| ccs_topology::random_machine(n, u64::from(s))),
         ]
     }
 
     /// A graph of 2-9 tasks whose edges from lower to higher ids carry
     /// no delay (the others one), and a table holding some of its tasks
-    /// anywhere, each at its PE's first free window from a random step.
+    /// anywhere, each at its PE's first free window from a random step:
+    /// on all but the smallest machines most PEs stay empty.
     #[allow(clippy::type_complexity)]
     fn arb_state(
     ) -> impl Strategy<Value = (Vec<u32>, Vec<(usize, usize, u32)>, Vec<(bool, usize, u32)>)> {
@@ -358,7 +383,7 @@ pub(crate) mod tests {
             (
                 proptest::collection::vec(1u32..4, n),
                 proptest::collection::vec((0..n, 0..n, 1u32..6), 1..n * 3),
-                proptest::collection::vec((0u32..3, 0usize..16, 1u32..9), n).prop_map(|v| {
+                proptest::collection::vec((0u32..3, 0usize..64, 1u32..9), n).prop_map(|v| {
                     v.into_iter()
                         .map(|(p, pe, from)| (p > 0, pe, from))
                         .collect()
@@ -370,12 +395,11 @@ pub(crate) mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// The bound and the early exit change no answer: at every
-        /// step up to past the table's end, with and without
-        /// communication, every task gets the plain sweep's PE or
-        /// `None`.
+        /// The ring search changes no answer: at every step up to past
+        /// the table's end, with and without communication, every task
+        /// gets the plain sweep's PE or `None`.
         #[test]
-        fn bounded_slot_search_matches_the_plain_sweep(
+        fn ring_slot_search_matches_the_plain_sweep(
             (times, edges, placed) in arb_state(),
             m in arb_machine(),
         ) {
@@ -396,11 +420,12 @@ pub(crate) mod tests {
                     sched.place(v, pe, cs, g.time(v)).unwrap();
                 }
             }
+            let mut rings = Rings::default();
             for &v in &ids {
                 for cs in 1..=sched.length() + 3 {
                     for ignore in [false, true] {
                         prop_assert_eq!(
-                            best_slot_at(&g, &m, &sched, v, cs, ignore),
+                            best_slot_at(&g, &m, &sched, &mut rings, v, cs, ignore),
                             best_slot_at_by_sweep(&g, &m, &sched, v, cs, ignore),
                             "{} at cs {} on {} (ignore_comm {})",
                             g.name(v), cs, m.name(), ignore
@@ -409,6 +434,58 @@ pub(crate) mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn ring_search_looks_past_a_floor_that_ties_the_best() {
+        // On a 9-PE line, v's predecessors end at step 4 on pe7 and at
+        // step 1 on pe3 (one unit of volume each), and pe6 and pe7 are
+        // busy at step 7.  Ring 1 leaves pe8 best at cm 6, which ties
+        // the floor of ring 2; ring 2 holds pe5, 2 hops from both
+        // predecessors, also at cm 6, and its lower index wins.
+        let mut g = Csdfg::new();
+        let a = g.add_task("a", 1).unwrap();
+        let b = g.add_task("b", 1).unwrap();
+        let v = g.add_task("v", 1).unwrap();
+        let busy: Vec<NodeId> = (0..2)
+            .map(|i| g.add_task(format!("x{i}"), 1).unwrap())
+            .collect();
+        g.add_dep(a, v, 0, 1).unwrap();
+        g.add_dep(b, v, 0, 1).unwrap();
+        let m = Machine::linear_array(9);
+        let mut sched = Schedule::new(m.num_pes());
+        sched.place(a, Pe(6), 4, 1).unwrap();
+        sched.place(b, Pe(2), 1, 1).unwrap();
+        sched.place(busy[0], Pe(5), 7, 1).unwrap();
+        sched.place(busy[1], Pe(6), 7, 1).unwrap();
+        let mut rings = Rings::default();
+        let want = best_slot_at_by_sweep(&g, &m, &sched, v, 7, false);
+        assert_eq!(want, Some(Pe(4)));
+        assert_eq!(best_slot_at(&g, &m, &sched, &mut rings, v, 7, false), want);
+    }
+
+    #[test]
+    fn ring_search_tells_apart_the_empty_pes_short_of_the_diameter() {
+        // On a 4-PE line, v's predecessor ends at step 1 on pe4, and
+        // pe3 and pe4 are busy at step 10.  Ring 1 (pe3) cannot take v;
+        // ring 2 (pe2, cm 3) beats pe1 (cm 4), the lowest-indexed empty
+        // PE, which only the diameter makes equivalent to the others.
+        let mut g = Csdfg::new();
+        let u = g.add_task("u", 1).unwrap();
+        let v = g.add_task("v", 1).unwrap();
+        let busy: Vec<NodeId> = (0..2)
+            .map(|i| g.add_task(format!("x{i}"), 1).unwrap())
+            .collect();
+        g.add_dep(u, v, 0, 1).unwrap();
+        let m = Machine::linear_array(4);
+        let mut sched = Schedule::new(m.num_pes());
+        sched.place(u, Pe(3), 1, 1).unwrap();
+        sched.place(busy[0], Pe(2), 10, 1).unwrap();
+        sched.place(busy[1], Pe(3), 10, 1).unwrap();
+        let mut rings = Rings::default();
+        let want = best_slot_at_by_sweep(&g, &m, &sched, v, 10, false);
+        assert_eq!(want, Some(Pe(1)));
+        assert_eq!(best_slot_at(&g, &m, &sched, &mut rings, v, 10, false), want);
     }
 
     /// The paper's running example: Figure 1(b) graph, 2x2 mesh.

@@ -52,10 +52,11 @@ const UNORDERED_TYPES: [&str; 2] = ["HashMap", "HashSet"];
 
 /// The innermost-loop functions that must stay panic-free in release
 /// builds, as `(file, function)` pairs.
-const HOT_PATH_FNS: [(&str, &str); 5] = [
+const HOT_PATH_FNS: [(&str, &str); 6] = [
     ("crates/ccs-core/src/remap.rs", "best_position"),
-    ("crates/ccs-core/src/remap.rs", "scan_span"),
-    ("crates/ccs-core/src/remap.rs", "parallel_scan"),
+    ("crates/ccs-core/src/remap.rs", "rank_pes"),
+    ("crates/ccs-core/src/rings.rs", "search"),
+    ("crates/ccs-core/src/rings.rs", "expand"),
     ("crates/ccs-schedule/src/table.rs", "earliest_free"),
     ("crates/ccs-topology/src/machine.rs", "distance"),
 ];
@@ -595,9 +596,16 @@ mod tests {
             f.iter().any(|f| f.rule == RULE_HOT_ASSERT && f.line == 2),
             "{f:?}"
         );
-        let src = "fn scan_span<P: Probe>(lo: usize, hi: usize) -> usize {\n    \
-                   assert_ne!(lo, hi);\n    hi - lo\n}\n";
+        let src = "fn rank_pes<P: Probe>(pes: &[u32], lo: u32) -> usize {\n    \
+                   assert_ne!(pes[0], lo);\n    pes.len()\n}\n";
         let f = lint_source("crates/ccs-core/src/remap.rs", src);
+        assert!(
+            f.iter().any(|f| f.rule == RULE_HOT_ASSERT && f.line == 2),
+            "{f:?}"
+        );
+        let src = "fn expand(&mut self, machine: &Machine) {\n    \
+                   assert!(machine.is_connected());\n}\n";
+        let f = lint_source("crates/ccs-core/src/rings.rs", src);
         assert!(
             f.iter().any(|f| f.rule == RULE_HOT_ASSERT && f.line == 2),
             "{f:?}"

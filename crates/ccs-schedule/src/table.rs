@@ -178,6 +178,10 @@ pub struct Schedule {
     /// Per-PE cursor: the smallest free control step (1-based).  Every
     /// cell strictly below the cursor is occupied.
     first_free: Vec<u32>,
+    /// The PEs whose row is non-empty, each once, in no particular
+    /// order, so that the whole-table operations visit only those rows
+    /// on a machine whose PEs mostly hold nothing.
+    in_use: Vec<Pe>,
     /// Extra empty control steps appended at the end.
     padding: u32,
 }
@@ -194,8 +198,17 @@ impl Schedule {
             rows: vec![Vec::new(); num_pes],
             bits: vec![Vec::new(); num_pes],
             first_free: vec![1; num_pes],
+            in_use: Vec::new(),
             padding: 0,
         }
+    }
+
+    /// The PEs that may hold a task, each once, in no particular order:
+    /// every PE not listed is free at every control step.  A PE whose
+    /// tasks were all removed stays listed until
+    /// [`Schedule::drop_and_shift_by`] has dropped all its cells.
+    pub fn pes_in_use(&self) -> &[Pe] {
+        &self.in_use
     }
 
     /// Number of processors of the target machine.
@@ -294,6 +307,9 @@ impl Schedule {
             }
         }
         if (row.len() as u32) < end {
+            if row.is_empty() {
+                self.in_use.push(pe);
+            }
             row.resize(end as usize, FREE);
         }
         for cs in start..=end {
@@ -437,23 +453,34 @@ impl Schedule {
 
     /// Test support: `true` when every PE's occupancy bitset exactly
     /// mirrors its dense row (same occupied cells, exact word count,
-    /// no ghost bits past the row).  The equivalence proptests call
-    /// this after every mutation; it is O(cells) and not for the hot
-    /// path.
+    /// no ghost bits past the row), and [`Schedule::pes_in_use`] lists
+    /// exactly the non-empty rows, each once, every other PE's cursor
+    /// at 1.  The equivalence proptests call this after every mutation;
+    /// it is O(cells) and not for the hot path.
     #[doc(hidden)]
     pub fn occupancy_bits_in_sync(&self) -> bool {
-        self.rows.iter().zip(&self.bits).all(|(row, bits)| {
-            if bits.len() != bit_words(row.len()) {
-                return false;
-            }
-            let cell_set = |c: usize| bits[c / 64] >> (c % 64) & 1 == 1;
-            let mirrored = row
-                .iter()
-                .enumerate()
-                .all(|(c, &cell)| cell_set(c) == (cell != FREE));
-            let no_ghosts = (row.len()..bits.len() * 64).all(|c| !cell_set(c));
-            mirrored && no_ghosts
-        })
+        let mut listed = vec![0u32; self.num_pes];
+        for p in &self.in_use {
+            listed[p.index()] += 1;
+        }
+        let in_use = (0..self.num_pes).all(|p| match listed[p] {
+            0 => self.rows[p].is_empty() && self.first_free[p] == 1,
+            1 => !self.rows[p].is_empty(),
+            _ => false,
+        });
+        in_use
+            && self.rows.iter().zip(&self.bits).all(|(row, bits)| {
+                if bits.len() != bit_words(row.len()) {
+                    return false;
+                }
+                let cell_set = |c: usize| bits[c / 64] >> (c % 64) & 1 == 1;
+                let mirrored = row
+                    .iter()
+                    .enumerate()
+                    .all(|(c, &cell)| cell_set(c) == (cell != FREE));
+                let no_ghosts = (row.len()..bits.len() * 64).all(|c| !cell_set(c));
+                mirrored && no_ghosts
+            })
     }
 
     /// Nodes beginning at control step `<= upto` — the rotation set of
@@ -546,6 +573,9 @@ impl Schedule {
         assert!(cs >= 1, "control steps are 1-based");
         let row = &mut self.rows[pe.index()];
         if (row.len() as u32) < cs {
+            if row.is_empty() {
+                self.in_use.push(pe);
+            }
             row.resize(cs as usize, FREE);
         }
         row[(cs - 1) as usize] = node.index();
@@ -593,14 +623,14 @@ impl Schedule {
         self.occupied_end = self.occupied_end.saturating_sub(shift);
         // Nothing starts in the first `shift` rows any more, so their
         // cells are free on every PE: drop them off the front of each
-        // row and its bitset, and rescan the cursor.
+        // non-empty row and its bitset, rescan the cursor, and unlist a
+        // row left empty.  An unlisted row is empty, with its cursor
+        // already at 1.
         let shift = shift as usize;
-        for ((row, bits), cursor) in self
-            .rows
-            .iter_mut()
-            .zip(&mut self.bits)
-            .zip(&mut self.first_free)
-        {
+        let (rows, bits, first_free) = (&mut self.rows, &mut self.bits, &mut self.first_free);
+        self.in_use.retain(|&pe| {
+            let p = pe.index();
+            let (row, bits) = (&mut rows[p], &mut bits[p]);
             debug_assert!(row.iter().take(shift).all(|&c| c == FREE));
             if row.len() <= shift {
                 row.clear();
@@ -609,8 +639,9 @@ impl Schedule {
                 row.drain(..shift);
                 shift_bits_down(bits, shift, bit_words(row.len()));
             }
-            *cursor = first_free_cell(bits) + 1;
-        }
+            first_free[p] = first_free_cell(bits) + 1;
+            !row.is_empty()
+        });
         self.padding = 0;
     }
 
@@ -631,29 +662,33 @@ impl Schedule {
 
     /// Reconstructs occupancy rows and cursors from `slots`.
     fn rebuild_rows(&mut self) {
-        for row in &mut self.rows {
-            row.clear();
+        for pe in self.in_use.drain(..) {
+            let p = pe.index();
+            self.rows[p].clear();
+            self.bits[p].clear();
+            self.first_free[p] = 1;
         }
         for (i, slot) in self.slots.iter().enumerate() {
             let Some(slot) = slot else { continue };
             let row = &mut self.rows[slot.pe.index()];
             let end = slot.end();
             if (row.len() as u32) < end {
+                if row.is_empty() {
+                    self.in_use.push(slot.pe);
+                }
                 row.resize(end as usize, FREE);
             }
             for cs in slot.start..=end {
                 row[(cs - 1) as usize] = i;
             }
         }
-        for (p, row) in self.rows.iter().enumerate() {
+        for &pe in &self.in_use {
+            let (row, bits) = (&self.rows[pe.index()], &mut self.bits[pe.index()]);
             let mut cs = 1u32;
             while (cs as usize) <= row.len() && row[(cs - 1) as usize] != FREE {
                 cs += 1;
             }
-            self.first_free[p] = cs;
-        }
-        for (row, bits) in self.rows.iter().zip(self.bits.iter_mut()) {
-            bits.clear();
+            self.first_free[pe.index()] = cs;
             bits.resize(bit_words(row.len()), 0);
             for (c, &cell) in row.iter().enumerate() {
                 if cell != FREE {
@@ -721,8 +756,9 @@ impl Schedule {
 }
 
 /// Field-wise, so that [`Clone::clone_from`] reuses the target's slot
-/// list, rows and bitsets: the compaction driver snapshots its best
-/// schedule into the same table on every improvement.
+/// list, rows and bitsets and, between tables of one machine, visits
+/// only the rows either lists in use: the compaction driver snapshots
+/// its best schedule into the same table on every improvement.
 impl Clone for Schedule {
     fn clone(&self) -> Self {
         Schedule {
@@ -733,18 +769,35 @@ impl Clone for Schedule {
             rows: self.rows.clone(),
             bits: self.bits.clone(),
             first_free: self.first_free.clone(),
+            in_use: self.in_use.clone(),
             padding: self.padding,
         }
     }
 
     fn clone_from(&mut self, source: &Self) {
+        if self.num_pes == source.num_pes {
+            // Only the rows listed in either table can differ: every
+            // other row is empty in both.
+            for &pe in &self.in_use {
+                if source.rows[pe.index()].is_empty() {
+                    self.rows[pe.index()].clear();
+                    self.bits[pe.index()].clear();
+                }
+            }
+            for &pe in &source.in_use {
+                self.rows[pe.index()].clone_from(&source.rows[pe.index()]);
+                self.bits[pe.index()].clone_from(&source.bits[pe.index()]);
+            }
+        } else {
+            self.rows.clone_from(&source.rows);
+            self.bits.clone_from(&source.bits);
+        }
         self.num_pes = source.num_pes;
         self.slots.clone_from(&source.slots);
         self.placed = source.placed;
         self.occupied_end = source.occupied_end;
-        self.rows.clone_from(&source.rows);
-        self.bits.clone_from(&source.bits);
         self.first_free.clone_from(&source.first_free);
+        self.in_use.clone_from(&source.in_use);
         self.padding = source.padding;
     }
 }

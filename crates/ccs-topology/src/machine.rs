@@ -7,6 +7,9 @@ use crate::routing::{Adjacency, UNSEEN};
 use std::fmt;
 use std::sync::OnceLock;
 
+/// One row of `u32`s per PE, each filled at most once.
+type Rows = Box<[OnceLock<Box<[u32]>>]>;
+
 /// A target parallel machine.
 ///
 /// The paper models communication as *store-and-forward over
@@ -26,7 +29,9 @@ use std::sync::OnceLock;
 ///
 /// Routes work the same way: the first route read toward a PE fills
 /// that destination's row of BFS parents ([`Machine::next_hop`]), so
-/// a recorded run pays for the destinations its traffic reaches.
+/// a recorded run pays for the destinations its traffic reaches.  The
+/// neighbour lists both read ([`Machine::neighbours`]) are built on
+/// first use too, so a job that never walks a link never lists them.
 ///
 /// ```
 /// use ccs_topology::{Machine, Pe};
@@ -46,7 +51,7 @@ pub struct Machine {
     /// [`Machine::dist_row`].  `u32::MAX` = unreachable.  A cell, not
     /// a plain vector, so that rayon workers sharing `&Machine` can
     /// fill rows.
-    rows: Box<[OnceLock<Box<[u32]>>]>,
+    rows: Rows,
     /// Undirected links, each stored once with `a < b`.
     links: Vec<(usize, usize)>,
     /// Cached at construction: `true` when every PE can reach every
@@ -59,25 +64,20 @@ pub struct Machine {
     diameter: u32,
     /// Cached at construction: read by [`Machine::min_hop`].
     min_hop: u32,
-    /// Built by the first route read.
-    routes: OnceLock<Routes>,
-    /// The positions in `links`, sorted by link for binary search;
-    /// built by the first [`Machine::link_between`].
-    link_order: OnceLock<Box<[usize]>>,
-}
-
-/// What a [`Machine`] routes with, built by its first route read.
-#[derive(Clone, Debug)]
-struct Routes {
-    /// The links as adjacency, each PE's neighbours sorted by index.
-    adjacency: Adjacency,
+    /// The links as adjacency, each PE's neighbours sorted by index:
+    /// built at construction for a BFS machine, by the first read of
+    /// [`Machine::neighbours`] or of a route otherwise.
+    adjacency: OnceLock<Adjacency>,
     /// One row per destination PE, each filled at most once by
     /// [`Machine::next_hop`]: entry `src` is `src`'s parent in the
     /// destination's BFS tree (the destination itself for the
     /// destination, [`UNSEEN`] for a PE in another partition).  Cells,
     /// like the hop rows, so that rayon workers sharing `&Machine` can
-    /// fill them.
-    parents: Box<[OnceLock<Box<[u32]>>]>,
+    /// fill them; the slice itself is built by the first route read.
+    routes: OnceLock<Rows>,
+    /// The positions in `links`, sorted by link for binary search;
+    /// built by the first [`Machine::link_between`].
+    link_order: OnceLock<Box<[usize]>>,
 }
 
 impl Machine {
@@ -126,6 +126,7 @@ impl Machine {
             links,
             connected: lo != 0,
             diameter: hi - 1,
+            adjacency: OnceLock::from(adj),
             routes: OnceLock::new(),
             link_order: OnceLock::new(),
         }
@@ -157,6 +158,7 @@ impl Machine {
             connected: true,
             diameter,
             min_hop,
+            adjacency: OnceLock::new(),
             routes: OnceLock::new(),
             link_order: OnceLock::new(),
         }
@@ -314,14 +316,13 @@ impl Machine {
     /// Panics if `src` and `dst` lie in different partitions of a
     /// disconnected machine.
     pub fn next_hop(&self, src: Pe, dst: Pe) -> Pe {
-        let routes = self.routes.get_or_init(|| Routes {
-            adjacency: Adjacency::new(self.n, &self.links),
-            parents: (0..self.n).map(|_| OnceLock::new()).collect(),
-        });
-        let parent = routes.parents[dst.index()].get_or_init(|| {
+        let routes = self
+            .routes
+            .get_or_init(|| (0..self.n).map(|_| OnceLock::new()).collect());
+        let parent = routes[dst.index()].get_or_init(|| {
             let mut row = vec![0; self.n].into_boxed_slice();
             let mut queue = Vec::with_capacity(self.n);
-            routes.adjacency.bfs(dst.index(), &mut row, &mut queue);
+            self.adjacency().bfs(dst.index(), &mut row, &mut queue);
             row
         });
         let next = parent[src.index()];
@@ -363,8 +364,36 @@ impl Machine {
     pub fn filled_routes(&self) -> Vec<Pe> {
         let routes = self.routes.get();
         self.pes()
-            .filter(|p| routes.is_some_and(|r| r.parents[p.index()].get().is_some()))
+            .filter(|p| routes.is_some_and(|r| r[p.index()].get().is_some()))
             .collect()
+    }
+
+    /// The PEs linked to `p`, sorted by index.  The first read lists
+    /// every PE's neighbours at once, which takes memory in proportion
+    /// to the links: `O(PEs²)` on `complete:N` and `ideal:N`.
+    ///
+    /// ```
+    /// use ccs_topology::{Machine, Pe};
+    /// let m = Machine::mesh(3, 3);
+    /// assert_eq!(m.neighbours(Pe(4)), &[1, 3, 5, 7]);
+    /// ```
+    #[inline]
+    pub fn neighbours(&self, p: Pe) -> &[u32] {
+        self.adjacency().neighbours(p.index())
+    }
+
+    /// `true` once the neighbour lists of [`Machine::neighbours`]
+    /// exist: always on a BFS machine, after the first neighbour or
+    /// route read on a closed form.
+    #[doc(hidden)]
+    pub fn has_adjacency(&self) -> bool {
+        self.adjacency.get().is_some()
+    }
+
+    /// The links as adjacency, built on first use.
+    fn adjacency(&self) -> &Adjacency {
+        self.adjacency
+            .get_or_init(|| Adjacency::new(self.n, &self.links))
     }
 
     /// Position in [`Machine::links`] of the link joining `a` and `b`,
@@ -818,6 +847,78 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Hop counts from `src` by BFS over [`Machine::neighbours`].
+    fn bfs_hops(m: &Machine, src: Pe) -> Vec<u32> {
+        let mut hops = vec![u32::MAX; m.n];
+        hops[src.index()] = 0;
+        let mut queue = std::collections::VecDeque::from([src.0]);
+        while let Some(u) = queue.pop_front() {
+            for &v in m.neighbours(Pe(u)) {
+                if hops[v as usize] == u32::MAX {
+                    hops[v as usize] = hops[u as usize] + 1;
+                    queue.push_back(v);
+                }
+            }
+        }
+        hops
+    }
+
+    #[test]
+    fn bfs_over_the_links_gives_every_closed_form_distance() {
+        // The schedulers' ring searches read BFS layers over `links()`
+        // as hop distances; every closed form but `ideal` (all hops 0)
+        // must agree with its formula.
+        for spec in [
+            "linear:1",
+            "linear:9",
+            "ring:2",
+            "ring:7",
+            "ring:8",
+            "complete:1",
+            "complete:9",
+            "mesh:1x6",
+            "mesh:3x5",
+            "mesh:32x32",
+            "torus:1x5",
+            "torus:3x4",
+            "torus:8x8",
+            "hypercube:0",
+            "hypercube:3",
+            "hypercube:8",
+            "star:2",
+            "star:64",
+        ] {
+            let m = crate::parse_spec(spec).expect("spec");
+            assert!(m.shape.is_some(), "{spec} is a closed form");
+            for src in m.pes() {
+                assert_eq!(bfs_hops(&m, src), m.dist_row(src), "{spec} from {src}");
+            }
+        }
+        let ideal = Machine::ideal(4);
+        assert_eq!(ideal.diameter(), 0, "the searches never walk ideal's links");
+        assert_eq!(bfs_hops(&ideal, Pe(0)), [0, 1, 1, 1]);
+    }
+
+    #[test]
+    fn neighbour_lists_are_built_on_first_read() {
+        let m = Machine::complete(64);
+        assert!(!m.has_adjacency());
+        assert_eq!(m.distance(Pe(3), Pe(9)), 1);
+        assert_eq!(m.dist_row(Pe(5)).len(), 64);
+        assert!(!m.has_adjacency(), "hops read no neighbour list");
+        assert_eq!(m.neighbours(Pe(0)).len(), 63);
+        assert!(m.has_adjacency());
+        assert!(
+            m.filled_routes().is_empty(),
+            "a neighbour read routes nothing"
+        );
+        // A route read builds them too; a BFS machine has them at once.
+        let mesh = Machine::mesh(2, 3);
+        assert_eq!(mesh.next_hop(Pe(0), Pe(5)), Pe(1));
+        assert!(mesh.has_adjacency());
+        assert!(Machine::binary_tree(7).has_adjacency());
     }
 
     #[test]

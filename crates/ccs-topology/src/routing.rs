@@ -15,9 +15,11 @@ pub(crate) const UNSEEN: u32 = u32::MAX;
 /// An undirected link list as adjacency, each PE's neighbours sorted
 /// by index, in compressed rows: the neighbours of `u` are
 /// `targets[start[u]..start[u + 1]]`.  Its BFS serves the hop rows of
-/// [`Machine::from_links`] and every machine's routes.
+/// [`Machine::from_links`] and every machine's routes, and its lists
+/// are [`Machine::neighbours`].
 ///
 /// [`Machine::from_links`]: crate::Machine::from_links
+/// [`Machine::neighbours`]: crate::Machine::neighbours
 #[derive(Clone, Debug)]
 pub(crate) struct Adjacency {
     start: Vec<usize>,
@@ -50,6 +52,12 @@ impl Adjacency {
         Adjacency { start, targets }
     }
 
+    /// The neighbours of `u`, sorted by index.
+    #[inline]
+    pub(crate) fn neighbours(&self, u: usize) -> &[u32] {
+        &self.targets[self.start[u]..self.start[u + 1]]
+    }
+
     /// The BFS from `root`: writes its tree into `parent` (`parent[v]`
     /// is the PE the search reached `v` from, `root` for `root`, and
     /// [`UNSEEN`] for a PE in another partition) and leaves the PEs it
@@ -63,7 +71,7 @@ impl Adjacency {
         while let Some(&u) = queue.get(head) {
             head += 1;
             let u = u as usize;
-            for &v in &self.targets[self.start[u]..self.start[u + 1]] {
+            for &v in self.neighbours(u) {
                 if parent[v as usize] == UNSEEN {
                     parent[v as usize] = u as u32;
                     queue.push(v);
