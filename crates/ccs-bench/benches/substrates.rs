@@ -18,6 +18,18 @@ use ccs_workloads::{random_csdfg, OpTimes, RandomGraphConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
+/// A copy of `g` that keeps no derived fact (one delay rewritten to its
+/// own value drops them), so an analysis timed on it computes the
+/// zero-delay order and the iteration bound as a job's first read
+/// does.  Each timed iteration includes the copy.
+fn uncached(g: &Csdfg) -> Csdfg {
+    let mut fresh = g.clone();
+    if let Some(e) = g.deps().next() {
+        fresh.set_delay(e, g.delay(e));
+    }
+    fresh
+}
+
 fn bench_topology(c: &mut Criterion) {
     let mut group = c.benchmark_group("topology");
     group.bench_function("build/hypercube_10", |b| {
@@ -60,7 +72,7 @@ fn bench_topology(c: &mut Criterion) {
         5,
     );
     group.bench_function("compute_bounds/mesh_32x32_96n", |b| {
-        b.iter(|| compute_bounds(black_box(&g), &mesh))
+        b.iter(|| compute_bounds(&uncached(black_box(&g)), &mesh))
     });
     group.finish();
 }
@@ -91,16 +103,16 @@ fn bench_retiming(c: &mut Criterion) {
     let machine = Machine::mesh(8, 8);
     for (nodes, g) in &graphs {
         group.bench_with_input(BenchmarkId::new("iteration_bound", nodes), g, |b, g| {
-            b.iter(|| iteration_bound(black_box(g)))
+            b.iter(|| iteration_bound(&uncached(black_box(g))))
         });
         group.bench_with_input(BenchmarkId::new("min_clock_period", nodes), g, |b, g| {
-            b.iter(|| clock_period::min_clock_period(black_box(g)))
+            b.iter(|| clock_period::min_clock_period(&uncached(black_box(g))))
         });
         group.bench_with_input(BenchmarkId::new("critical_cycle", nodes), g, |b, g| {
-            b.iter(|| critical_cycle(black_box(g)))
+            b.iter(|| critical_cycle(&uncached(black_box(g))))
         });
         group.bench_with_input(BenchmarkId::new("compute_bounds", nodes), g, |b, g| {
-            b.iter(|| compute_bounds(black_box(g), &machine))
+            b.iter(|| compute_bounds(&uncached(black_box(g)), &machine))
         });
     }
     group.finish();

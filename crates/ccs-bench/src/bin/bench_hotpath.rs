@@ -29,6 +29,12 @@
 //! 4,000- and 8,000-task one-SCC chains on `mesh:4x4` and fingerprints
 //! each certificate's JSON.
 //!
+//! `job_certify_mesh8x8_200n` runs a whole `schedule --csv --certify`
+//! job in-process — parse, Pass A, compaction, validation, the CSV and
+//! the certificate — on a 200-node graph shaped like perfbench
+//! `large-certify`'s on `mesh:8x8`, and fingerprints the CSV and the
+//! certificate JSON.
+//!
 //! A big-machine tier times what a job on `mesh:32x32` pays for its
 //! machine: `machine/mesh32x32` parses the spec and runs the Pass A
 //! machine checks (fingerprinting their diagnostics), and
@@ -257,6 +263,24 @@ fn artifact_bytes() -> Vec<(String, Value)> {
 }
 
 /// Medians `reps` timed runs of `f`, returning (median ms, last output).
+/// `cyclosched schedule - --machine SPEC --csv --certify` on `text`,
+/// in-process: returns the CSV and the certificate JSON.
+fn certify_job(text: &str, spec: &str) -> (String, String) {
+    let g = ccs_model::parser::parse(text).expect("generated graphs parse");
+    assert!(!ccs_analyze::analyze_graph(&g).has_errors());
+    let m = ccs_topology::parse_spec(spec).expect("valid spec");
+    let mut pass_a = ccs_analyze::analyze_machine(&m);
+    pass_a.merge(ccs_analyze::analyze_cross(&g, &m));
+    assert!(!pass_a.has_errors());
+    let r = cyclo_compact(&g, &m, CompactConfig::default()).expect("legal");
+    ccs_schedule::validate(&r.graph, &m, &r.schedule).expect("valid schedule");
+    let csv = ccs_schedule::to_csv(&r.graph, &r.schedule);
+    let report = ccs_bounds::certify_period(&g, &m, r.best_length);
+    std::hint::black_box(report.render_human());
+    std::hint::black_box(ccs_analyze::certify_report(&report));
+    (csv, report.to_json_pretty())
+}
+
 fn time_median<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     let mut out = None;
     let mut times = Vec::with_capacity(reps);
@@ -384,6 +408,26 @@ fn main() {
         "random200/mesh8x8".into(),
         (r.initial_length, r.best_length),
     );
+
+    // A whole `schedule --csv --certify` job in-process on a graph
+    // shaped like perfbench `large-certify`'s: parse, Pass A, the
+    // compaction, validation, the CSV, and the certificate, as the CLI
+    // runs them.  The key fingerprints the CSV and the certificate JSON.
+    let job_text = ccs_model::parser::write(&random_csdfg(
+        RandomGraphConfig {
+            nodes: 200,
+            back_edges: 66,
+            forward_density: 0.03,
+            ..Default::default()
+        },
+        7,
+    ));
+    let (t, (csv, certificate)) = time_median(reps, || certify_job(&job_text, "mesh:8x8"));
+    timings.insert("job_certify_mesh8x8_200n".into(), t);
+    let mut h = Fnv::new();
+    h.write(csv.as_bytes());
+    h.write(certificate.as_bytes());
+    prints.insert("job_certify_mesh8x8_200n".into(), format!("{:016x}", h.0));
 
     // --- Big-machine tier: a 1,024-PE mesh.  Each rep builds its own
     // machine, as a job does, so the timings include whatever the

@@ -1101,6 +1101,22 @@ mod tests {
     }
 
     #[test]
+    fn certificates_on_complete_and_ideal_machines_list_no_links() {
+        // Any two PEs of these machines are linked, so the witness
+        // route is the pair itself and the O(PEs²) neighbour lists are
+        // never built.
+        let g = diamond();
+        for m in [Machine::complete(1024), Machine::ideal(64)] {
+            let report = certify_period(&g, &m, 4);
+            match &report.bounds.get(BoundKind::Communication).unwrap().witness {
+                Witness::Cut { route, .. } => assert_eq!(route, &vec![0, 1]),
+                w => panic!("wrong witness {w:?}"),
+            }
+            assert!(!m.has_adjacency(), "{} listed its links", m.name());
+        }
+    }
+
+    #[test]
     fn communication_bound_respects_retimed_delays() {
         // 2-node cycle with big volume: the crossing floor uses the
         // max retimable delay (1 around the cycle), so each edge

@@ -215,8 +215,8 @@ pub(crate) fn compact_probed<P: Probe>(
         .unwrap_or_else(|| u32::try_from(ccs_bounds::cheap_floor(g, machine)).unwrap_or(u32::MAX));
 
     // The working graph is always `retiming.apply(g)`, so the best
-    // pair is snapshotted as its retiming alone and its graph is built
-    // once, after the loop.
+    // pair is snapshotted as its retiming alone, and after the loop the
+    // working graph is retimed to it.
     let mut cur_sched = initial.clone();
     let mut cur_graph = g.clone();
     let mut retiming = Retiming::zero_for(g);
@@ -318,7 +318,15 @@ pub(crate) fn compact_probed<P: Probe>(
     }
 
     let best_length = best_sched.length();
-    let best_graph = best_retiming.apply(g);
+    // The working graph becomes the best one: every delay retimed from
+    // `g`'s, as `best_retiming.apply(g)` would set it on a fresh copy.
+    let mut best_graph = cur_graph;
+    for e in g.deps() {
+        let d = best_retiming.retimed_delay(g, e);
+        // INVARIANT: the best retiming is one the loop applied to the
+        // working graph, so every retimed delay was a legal one.
+        best_graph.set_delay(e, u32::try_from(d).expect("a legal retiming"));
+    }
     // Bound oracle (paranoid/debug builds): the best validated
     // schedule must never beat a statically proven lower bound of the
     // *input* graph — the bounds are retiming-invariant, so every

@@ -84,7 +84,7 @@ pub fn optimal_schedule(g: &Csdfg, machine: &Machine, max_states: u64) -> Optima
     let mut budget = max_states;
     while lower <= upper {
         let mut table = Schedule::new(machine.num_pes());
-        match place(g, machine, &order, 0, lower, &mut table, &mut budget) {
+        match place(g, machine, order, 0, lower, &mut table, &mut budget) {
             SearchResult::Found => {
                 table.pad_to(lower);
                 debug_assert!(validate(g, machine, &table).is_ok());

@@ -1228,17 +1228,13 @@ mod tests {
     #[test]
     fn engine_compactions_never_list_the_links_of_complete_or_ideal_machines() {
         // Both sweeps answer these machines without expanding a ring,
-        // so their O(PEs²) neighbour lists are never built.  The passes
-        // run one by one: the debug oracle's bound check at the end of
-        // `cyclo_compact` routes its witness, which lists the links.
+        // so their O(PEs²) neighbour lists are never built; nor does
+        // the debug oracle's bound check at the end, whose witness
+        // route joins two linked PEs.
         let (g, _, _) = fig1();
         let compact = |m: &Machine| {
-            let mut graph = g.clone();
-            let mut s = startup_schedule(&graph, m, StartupConfig::default()).unwrap();
-            for _ in 0..16 {
-                rotate_remap_in_place(&mut graph, m, &mut s, RemapConfig::default());
-            }
-            assert!(validate(&graph, m, &s).is_ok());
+            let r = crate::cyclo_compact(&g, m, crate::CompactConfig::default()).unwrap();
+            assert!(validate(&r.graph, m, &r.schedule).is_ok());
         };
         for m in [Machine::complete(1024), Machine::ideal(64)] {
             compact(&m);

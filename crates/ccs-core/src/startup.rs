@@ -93,8 +93,10 @@ pub(crate) fn startup_probed<P: Probe>(
     while unscheduled > 0 {
         // Arrange(list): sort by descending priority, ties by node id
         // (FIFO keeps insertion order, which for a Vec sorted stably by
-        // a constant key is the same thing).
-        ready.sort_by_key(|&v| {
+        // a constant key is the same thing).  Each priority is
+        // evaluated once per step; the keys are distinct, so the order
+        // is the one any sort gives.
+        ready.sort_by_cached_key(|&v| {
             (
                 -evaluate(config.priority, g, &timing, &sched, v, cs),
                 v.index(),

@@ -1,8 +1,7 @@
-//! Weighted path computations: DAG longest paths and feasible
-//! potentials of a difference-constraint system.
+//! Weighted path computations: feasible potentials of a
+//! difference-constraint system.
 
-use crate::algo::topo::{topo_sort_filtered, CycleError};
-use crate::{DiGraph, EdgeId, NodeId};
+use crate::{DiGraph, EdgeId};
 
 /// Error returned when a relaxation detects a negative cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -15,43 +14,6 @@ impl std::fmt::Display for NegativeCycle {
 }
 
 impl std::error::Error for NegativeCycle {}
-
-/// Longest-path distances on a DAG (or a DAG view selected by
-/// `edge_keep`), measured as the *sum of edge weights* supplied by
-/// `edge_len` along the best path ending at each node.
-///
-/// Every node starts at `source_value(node)`; nodes unreachable from a
-/// higher-valued source keep their own start value.  This is the shape
-/// needed by ASAP/ALAP computations where node execution times enter
-/// through `edge_len`/`source_value`.
-///
-/// Returns `Err` if the (filtered) graph is cyclic.
-pub fn dag_longest_paths<N, E>(
-    g: &DiGraph<N, E>,
-    mut edge_keep: impl FnMut(EdgeId) -> bool,
-    mut edge_len: impl FnMut(EdgeId) -> i64,
-    mut source_value: impl FnMut(NodeId) -> i64,
-) -> Result<Vec<i64>, CycleError> {
-    let order = topo_sort_filtered(g, &mut edge_keep)?;
-    let mut dist = vec![i64::MIN; g.node_count()];
-    for n in g.node_ids() {
-        dist[n.index()] = source_value(n);
-    }
-    for &u in &order {
-        let du = dist[u.index()];
-        for e in g.out_edges(u) {
-            if !edge_keep(e) {
-                continue;
-            }
-            let v = g.edge_target(e);
-            let cand = du + edge_len(e);
-            if cand > dist[v.index()] {
-                dist[v.index()] = cand;
-            }
-        }
-    }
-    Ok(dist)
-}
 
 /// Bellman-Ford from a virtual super-source connected to every node
 /// with zero-length edges: computes a feasible potential for the
@@ -91,46 +53,6 @@ pub fn feasible_potentials<N, E>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn longest_path_on_diamond() {
-        let mut g: DiGraph<(), i64> = DiGraph::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        let c = g.add_node(());
-        let d = g.add_node(());
-        g.add_edge(a, b, 1);
-        g.add_edge(a, c, 5);
-        g.add_edge(b, d, 1);
-        g.add_edge(c, d, 1);
-        let dist = dag_longest_paths(&g, |_| true, |e| g[e], |_| 0).unwrap();
-        assert_eq!(dist[d.index()], 6);
-        assert_eq!(dist[b.index()], 1);
-        assert_eq!(dist[c.index()], 5);
-    }
-
-    #[test]
-    fn longest_path_rejects_cycles() {
-        let mut g: DiGraph<(), i64> = DiGraph::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        g.add_edge(a, b, 1);
-        g.add_edge(b, a, 1);
-        assert!(dag_longest_paths(&g, |_| true, |e| g[e], |_| 0).is_err());
-    }
-
-    #[test]
-    fn longest_path_respects_filter_and_sources() {
-        let mut g: DiGraph<(), i64> = DiGraph::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        let back = g.add_edge(b, a, 100);
-        g.add_edge(a, b, 2);
-        let dist = dag_longest_paths(&g, |e| e != back, |e| g[e], |n| if n == a { 10 } else { 0 })
-            .unwrap();
-        assert_eq!(dist[a.index()], 10);
-        assert_eq!(dist[b.index()], 12);
-    }
 
     #[test]
     fn potentials_satisfy_all_constraints() {

@@ -1,7 +1,6 @@
 //! Topological ordering (Kahn's algorithm) with optional edge filtering.
 
 use crate::{DiGraph, EdgeId, NodeId};
-use std::collections::VecDeque;
 
 /// Error returned when a topological sort hits a directed cycle.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -28,27 +27,34 @@ impl std::error::Error for CycleError {}
 ///
 /// This is the workhorse behind the "zero-delay DAG view" of a cyclic
 /// data-flow graph: keep only edges with `d(e) == 0` and sort.
+///
+/// Kahn's algorithm over the graph's own adjacency, with the output
+/// as its FIFO queue, so the sort allocates two vectors whatever the
+/// graph's size; `edge_keep` is asked twice per edge.
 pub fn topo_sort_filtered<N, E>(
     g: &DiGraph<N, E>,
     mut edge_keep: impl FnMut(EdgeId) -> bool,
 ) -> Result<Vec<NodeId>, CycleError> {
     let mut in_deg = vec![0usize; g.node_count()];
-    let mut kept_out: Vec<Vec<NodeId>> = vec![Vec::new(); g.node_count()];
-    for (e, src, dst, _) in g.edges() {
+    for (e, _, dst, _) in g.edges() {
         if edge_keep(e) {
             in_deg[dst.index()] += 1;
-            kept_out[src.index()].push(dst);
         }
     }
-    // Deterministic: seed queue in id order.
-    let mut queue: VecDeque<NodeId> = g.node_ids().filter(|n| in_deg[n.index()] == 0).collect();
+    // Deterministic: seed the queue in id order.  `order[head..]` is
+    // the queue, so the order is the sequence the queue pops.
     let mut order = Vec::with_capacity(g.node_count());
-    while let Some(n) = queue.pop_front() {
-        order.push(n);
-        for &s in &kept_out[n.index()] {
-            in_deg[s.index()] -= 1;
-            if in_deg[s.index()] == 0 {
-                queue.push_back(s);
+    order.extend(g.node_ids().filter(|n| in_deg[n.index()] == 0));
+    let mut head = 0;
+    while let Some(&n) = order.get(head) {
+        head += 1;
+        for e in g.out_edges(n) {
+            if edge_keep(e) {
+                let s = g.edge_target(e);
+                in_deg[s.index()] -= 1;
+                if in_deg[s.index()] == 0 {
+                    order.push(s);
+                }
             }
         }
     }

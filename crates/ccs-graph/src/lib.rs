@@ -18,9 +18,8 @@
 //!   statistics, the iteration bound);
 //! * [`algo::cycles`] — one cycle of an edge-filtered sub-graph (the
 //!   witness behind a cycle-ratio certificate);
-//! * [`algo::paths`] — DAG longest paths (ASAP/ALAP) and feasible
-//!   potentials of a difference-constraint system (negative-cycle
-//!   detection for retiming feasibility).
+//! * [`algo::paths`] — feasible potentials of a difference-constraint
+//!   system (negative-cycle detection for retiming feasibility).
 //!
 //! ## Example
 //!

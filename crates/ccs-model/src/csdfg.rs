@@ -1,9 +1,12 @@
 //! The communication-sensitive data-flow graph (CSDFG).
 
+use crate::cycle_ratio::{self, Ratio};
 use ccs_graph::algo::topo::{topo_sort_filtered, CycleError};
 use ccs_graph::{DiGraph, EdgeId, NodeId};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::OnceLock;
 
 /// Node payload of a CSDFG: a computational task.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -65,6 +68,14 @@ impl std::error::Error for ModelError {}
 ///   directed cycle, equivalently: the sub-graph of zero-delay edges is
 ///   acyclic (see [`Csdfg::check_legal`]).
 ///
+/// Two facts derived from the graph are computed by their first reader
+/// and kept, the way a `Machine` keeps its hop rows: the zero-delay
+/// topological order, which is also the legality proof
+/// ([`Csdfg::zero_delay_topo`], [`Csdfg::check_legal`]), and the
+/// iteration bound ([`Csdfg::iteration_bound`]).  A clone keeps them;
+/// [`Csdfg::add_task`], [`Csdfg::add_dep`] and [`Csdfg::set_delay`]
+/// drop them, so a read after an edit computes them afresh.
+///
 /// ```
 /// use ccs_model::Csdfg;
 ///
@@ -82,6 +93,46 @@ pub struct Csdfg {
     // ORDERED: name -> id lookup index on the add_task/task_by_name
     // path; never iterated, so its order cannot reach any output.
     by_name: HashMap<String, NodeId>,
+    derived: Derived,
+}
+
+/// The facts a [`Csdfg`] derives from its tasks, edges and delays, each
+/// in a cell its first reader fills.  Cells rather than fields, so a
+/// `&Csdfg` can fill them and rayon workers can share one graph.
+#[derive(Debug, Default)]
+struct Derived {
+    /// The zero-delay topological order, or the zero-delay cycle that
+    /// refutes legality.
+    topo: OnceLock<Result<Box<[NodeId]>, CycleError>>,
+    /// The iteration bound, `None` for an acyclic graph.
+    bound: OnceLock<Option<Ratio>>,
+    /// How many times each cell has been filled, read by
+    /// [`Csdfg::fills`].
+    topo_fills: AtomicU32,
+    bound_fills: AtomicU32,
+}
+
+impl Clone for Derived {
+    fn clone(&self) -> Self {
+        let count = |c: &AtomicU32| AtomicU32::new(c.load(Ordering::Relaxed));
+        Derived {
+            topo: self.topo.clone(),
+            bound: self.bound.clone(),
+            topo_fills: count(&self.topo_fills),
+            bound_fills: count(&self.bound_fills),
+        }
+    }
+}
+
+/// How many times a [`Csdfg`] has computed each derived fact: the
+/// count a test reads to see that readers share one computation.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Fills {
+    /// Zero-delay topological sorts.
+    pub topo: u32,
+    /// Iteration-bound computations.
+    pub bound: u32,
 }
 
 impl Default for Csdfg {
@@ -96,7 +147,14 @@ impl Csdfg {
         Csdfg {
             graph: DiGraph::new(),
             by_name: HashMap::new(), // ORDERED: see field note
+            derived: Derived::default(),
         }
+    }
+
+    /// Drops the derived facts: called by every edit.
+    fn edited(&mut self) {
+        self.derived.topo.take();
+        self.derived.bound.take();
     }
 
     /// Adds a task with the given `name` and computation time `time`.
@@ -108,6 +166,7 @@ impl Csdfg {
         if self.by_name.contains_key(&name) {
             return Err(ModelError::DuplicateTask(name));
         }
+        self.edited();
         let id = self.graph.add_node(Task {
             name: name.clone(),
             time,
@@ -128,6 +187,7 @@ impl Csdfg {
         if volume == 0 {
             return Err(ModelError::ZeroVolume);
         }
+        self.edited();
         Ok(self.graph.add_edge(src, dst, Dep { delay, volume }))
     }
 
@@ -181,8 +241,10 @@ impl Csdfg {
         self.graph[e].volume
     }
 
-    /// Overwrites the delay count of edge `e` (used by retiming).
+    /// Overwrites the delay count of edge `e` (used by retiming), and
+    /// drops the derived facts.
     pub fn set_delay(&mut self, e: EdgeId, delay: u32) {
+        self.edited();
         self.graph[e].delay = delay;
     }
 
@@ -224,7 +286,8 @@ impl Csdfg {
 
     /// Checks the paper's legality condition: every directed cycle has a
     /// strictly positive total delay.  Because delays are non-negative
-    /// this is equivalent to the zero-delay edge sub-graph being acyclic.
+    /// this is equivalent to the zero-delay edge sub-graph being acyclic,
+    /// so the proof is the kept [`Csdfg::zero_delay_topo`].
     pub fn check_legal(&self) -> Result<(), ModelError> {
         match self.zero_delay_topo() {
             Ok(_) => Ok(()),
@@ -232,9 +295,47 @@ impl Csdfg {
         }
     }
 
-    /// Topological order of the zero-delay (intra-iteration) DAG view.
-    pub fn zero_delay_topo(&self) -> Result<Vec<NodeId>, CycleError> {
-        topo_sort_filtered(&self.graph, |e| self.graph[e].delay == 0)
+    /// Topological order of the zero-delay (intra-iteration) DAG view,
+    /// ties broken by node id.  Sorted by the first call and kept until
+    /// an edit.
+    pub fn zero_delay_topo(&self) -> Result<&[NodeId], CycleError> {
+        let topo = self.derived.topo.get_or_init(|| {
+            self.derived.topo_fills.fetch_add(1, Ordering::Relaxed);
+            topo_sort_filtered(&self.graph, |e| self.graph[e].delay == 0).map(Vec::into_boxed_slice)
+        });
+        topo.as_deref().map_err(Clone::clone)
+    }
+
+    /// The iteration bound `B = max_C T(C)/D(C)` over the directed
+    /// cycles `C` (total computation time over total delay), `None`
+    /// for an acyclic graph.  No schedule of any retiming of the graph
+    /// has a shorter initiation interval, whatever the machine.
+    /// Computed by the first call and kept until an edit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has a zero-delay cycle (illegal CSDFG — the
+    /// bound would be infinite).
+    pub fn iteration_bound(&self) -> Option<Ratio> {
+        assert!(
+            self.check_legal().is_ok(),
+            "iteration bound undefined: graph has a zero-delay cycle"
+        );
+        *self.derived.bound.get_or_init(|| {
+            self.derived.bound_fills.fetch_add(1, Ordering::Relaxed);
+            cycle_ratio::compute(self)
+        })
+    }
+
+    /// How many times this graph (and the graph it was cloned from)
+    /// has sorted its zero-delay view and computed its iteration
+    /// bound.
+    #[doc(hidden)]
+    pub fn fills(&self) -> Fills {
+        Fills {
+            topo: self.derived.topo_fills.load(Ordering::Relaxed),
+            bound: self.derived.bound_fills.load(Ordering::Relaxed),
+        }
     }
 
     /// The zero-delay in-edges of `v` — its same-iteration dependencies.
@@ -355,6 +456,82 @@ mod tests {
         let e = g.out_deps(a).next().unwrap();
         g.set_delay(e, 5);
         assert_eq!(g.delay(e), 5);
+    }
+
+    #[test]
+    fn derived_facts_are_computed_once_and_kept_by_clones() {
+        let (g, a, b) = two_node_loop();
+        assert_eq!(g.fills(), Fills { topo: 0, bound: 0 });
+        assert_eq!(g.zero_delay_topo().unwrap(), &[a, b]);
+        assert!(g.check_legal().is_ok());
+        assert_eq!(g.fills(), Fills { topo: 1, bound: 0 });
+        assert_eq!(g.iteration_bound(), Some(Ratio::new(3, 2)));
+        assert_eq!(g.iteration_bound(), Some(Ratio::new(3, 2)));
+        assert_eq!(g.fills(), Fills { topo: 1, bound: 1 });
+        // A clone keeps both cells: its reads compute nothing.
+        let c = g.clone();
+        assert_eq!(c.zero_delay_topo().unwrap(), &[a, b]);
+        assert_eq!(c.iteration_bound(), Some(Ratio::new(3, 2)));
+        assert_eq!(c.fills(), Fills { topo: 1, bound: 1 });
+    }
+
+    #[test]
+    fn every_edit_drops_the_derived_facts() {
+        let read = |g: &Csdfg| {
+            (
+                g.zero_delay_topo().map(<[NodeId]>::to_vec),
+                g.iteration_bound(),
+            )
+        };
+        type Edit = fn(&mut Csdfg);
+        let edits: [(&str, Edit); 3] = [
+            ("add_task", |g| {
+                g.add_task("C", 4).unwrap();
+            }),
+            ("add_dep", |g| {
+                let (a, b) = (NodeId::from_index(0), NodeId::from_index(1));
+                g.add_dep(b, a, 1, 1).unwrap();
+            }),
+            ("set_delay", |g| g.set_delay(EdgeId::from_index(1), 1)),
+        ];
+        for (name, edit) in edits {
+            let (mut g, _, _) = two_node_loop();
+            let _ = read(&g);
+            edit(&mut g);
+            let fresh = crate::spec::CsdfgSpec::from(&g).build().unwrap();
+            assert_eq!(read(&g), read(&fresh), "{name}");
+            assert_eq!(g.fills(), Fills { topo: 2, bound: 2 }, "{name}");
+        }
+        // A refused edit changes nothing and keeps them.
+        let (mut g, _, _) = two_node_loop();
+        let _ = read(&g);
+        assert!(g.add_task("A", 1).is_err());
+        let _ = read(&g);
+        assert_eq!(g.fills(), Fills { topo: 1, bound: 1 });
+    }
+
+    #[test]
+    fn an_illegal_graph_keeps_its_refutation() {
+        let mut g = Csdfg::new();
+        let a = g.add_task("A", 1).unwrap();
+        let b = g.add_task("B", 1).unwrap();
+        g.add_dep(a, b, 0, 1).unwrap();
+        let back = g.add_dep(b, a, 0, 1).unwrap();
+        assert!(g.check_legal().is_err());
+        assert!(g.zero_delay_topo().is_err());
+        assert_eq!(g.fills().topo, 1);
+        g.set_delay(back, 1);
+        assert!(g.check_legal().is_ok());
+        assert_eq!(g.iteration_bound(), Some(Ratio::new(2, 1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "zero-delay cycle")]
+    fn the_bound_of_an_illegal_graph_panics() {
+        let mut g = Csdfg::new();
+        let a = g.add_task("A", 1).unwrap();
+        g.add_dep(a, a, 0, 1).unwrap();
+        let _ = g.iteration_bound();
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! loop-carried delay counts, and per-edge communication volumes.
 //!
 //! * [`Csdfg`] — the graph type, with legality checking (every directed
-//!   cycle must carry at least one delay) and the zero-delay DAG view
-//!   used by the start-up scheduler;
+//!   cycle must carry at least one delay), the zero-delay DAG view
+//!   used by the start-up scheduler, and the iteration bound (an exact
+//!   [`Ratio`]), the latter two kept by the graph once computed;
 //! * [`timing`] — ASAP/ALAP/mobility/critical-path analysis
 //!   (Definition 3.4's `MB` comes from here);
 //! * [`transform`] — slow-down (Table 11 runs filters at slow-down 3)
@@ -20,12 +21,16 @@
 
 pub mod analysis;
 mod csdfg;
+mod cycle_ratio;
 pub mod parser;
 pub mod spec;
 pub mod timing;
 pub mod transform;
 
+#[doc(hidden)]
+pub use csdfg::Fills;
 pub use csdfg::{Csdfg, Dep, ModelError, Task};
+pub use cycle_ratio::Ratio;
 // Re-export the id types: every downstream crate speaks in them.
 pub use ccs_graph::{EdgeId, NodeId};
 

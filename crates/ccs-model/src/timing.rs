@@ -6,7 +6,6 @@
 //! (Definition 3.4) and provide lower bounds for sanity checks.
 
 use crate::csdfg::Csdfg;
-use ccs_graph::algo::paths::dag_longest_paths;
 use ccs_graph::algo::topo::CycleError;
 use ccs_graph::NodeId;
 
@@ -47,30 +46,31 @@ impl Timing {
     }
 }
 
-/// Computes [`Timing`] for the zero-delay DAG view of `g`.
+/// Computes [`Timing`] for the zero-delay DAG view of `g`, walking the
+/// graph's kept zero-delay order ([`Csdfg::zero_delay_topo`]).
 ///
 /// Fails with [`CycleError`] if `g` has a zero-delay cycle (illegal
 /// CSDFG).
 pub fn analyze(g: &Csdfg) -> Result<Timing, CycleError> {
+    let order = g.zero_delay_topo()?;
     let graph = g.graph();
+    let bound = graph.node_count();
     // ASAP: longest path counting execution times, start step 1.
-    // dist(v) = max(1, max over zero-delay edges u->v of dist(u)+t(u)).
-    let asap_raw = dag_longest_paths(
-        graph,
-        |e| g.delay(e) == 0,
-        |e| i64::from(g.time(graph.edge_source(e))),
-        |_| 1,
-    )?;
+    // asap(v) = max(1, max over zero-delay edges u->v of asap(u)+t(u)).
+    let mut asap_raw = vec![1i64; bound];
+    for &u in order {
+        let reach = asap_raw[u.index()] + i64::from(g.time(u));
+        for e in g.intra_iter_out_deps(u) {
+            let w = graph.edge_target(e);
+            asap_raw[w.index()] = asap_raw[w.index()].max(reach);
+        }
+    }
     let mut critical: i64 = 0;
     for v in g.tasks() {
         critical = critical.max(asap_raw[v.index()] + i64::from(g.time(v)) - 1);
     }
-    // Tail length T(v) = t(v) + max over zero-delay out-edges T(w);
-    // computed as longest path in the reversed orientation.
-    // dag_longest_paths walks forward edges, so emulate reversal by
-    // processing the reverse topological order manually.
-    let order = g.zero_delay_topo()?;
-    let bound = graph.node_count();
+    // Tail length T(v) = t(v) + max over zero-delay out-edges T(w),
+    // in reverse topological order.
     let mut tail = vec![0i64; bound];
     for &v in order.iter().rev() {
         let mut best = 0i64;

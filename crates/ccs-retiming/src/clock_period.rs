@@ -28,7 +28,7 @@ fn deltas(g: &Csdfg) -> Vec<u32> {
         .zero_delay_topo()
         .expect("illegal CSDFG: zero-delay cycle");
     let mut delta = vec![0u32; g.task_count()];
-    for &v in &order {
+    for &v in order {
         let mut best = 0;
         for e in g.intra_iter_in_deps(v) {
             let (u, _) = g.endpoints(e);
@@ -83,6 +83,9 @@ pub fn critical_chain(g: &Csdfg) -> Vec<NodeId> {
 /// Tests whether clock period `c` is achievable by some legal retiming
 /// (the `FEAS` algorithm).  On success returns the witness retiming in
 /// the *paper's* sign convention, normalized to non-negative values.
+///
+/// Each round retimes one working copy of `g` in place, so a call
+/// copies the graph once, whatever its number of rounds.
 pub fn feasible(g: &Csdfg, c: u32) -> Option<Retiming> {
     let n = g.task_count();
     // Work in Leiserson-Saxe convention internally:
@@ -101,17 +104,17 @@ pub fn feasible(g: &Csdfg, c: u32) -> Option<Retiming> {
         if !changed {
             break;
         }
-        // Re-apply from scratch to keep arithmetic simple.
-        let mut r = Retiming::zero_for(g);
-        for v in g.tasks() {
-            r.set(v, -r_ls[v.index()]);
-        }
-        if !r.is_legal(g) {
+        // Every delay from `g`'s, as applying the whole retiming would.
+        for e in g.deps() {
+            let (u, v) = g.endpoints(e);
+            let d = i64::from(g.delay(e)) + r_ls[v.index()] - r_ls[u.index()];
             // FEAS guarantees legality for feasible c; an illegal
             // intermediate only happens when c is infeasible.
-            return None;
+            let Ok(d) = u32::try_from(d) else {
+                return None;
+            };
+            current.set_delay(e, d);
         }
-        current = r.apply(g);
     }
     if clock_period(&current) <= c {
         let mut r = Retiming::zero_for(g);

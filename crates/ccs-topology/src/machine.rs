@@ -335,7 +335,8 @@ impl Machine {
     /// follows `dst`'s BFS tree over adjacency sorted by PE index.
     /// That is *not* always the lowest-index neighbour on some
     /// shortest route: a neighbour the search dequeued earlier can
-    /// have a higher index.
+    /// have a higher index.  Two linked PEs are their own route, so
+    /// such a pair reads no neighbour list and fills no route row.
     ///
     /// ```
     /// use ccs_topology::{Machine, Pe};
@@ -348,6 +349,12 @@ impl Machine {
     /// Panics if `src` and `dst` lie in different partitions of a
     /// disconnected machine.
     pub fn route(&self, src: Pe, dst: Pe) -> Vec<Pe> {
+        // The route every BFS tree gives a linked pair: on `complete:N`
+        // and `ideal:N`, the only kind, the search would first list
+        // `O(PEs²)` links.
+        if src != dst && self.linked(src, dst) {
+            return vec![src, dst];
+        }
         let mut path = vec![src];
         let mut cur = src;
         while cur != dst {
@@ -356,6 +363,13 @@ impl Machine {
             assert!(path.len() <= self.n, "routing loop between {src} and {dst}");
         }
         path
+    }
+
+    /// `true` when a link joins the distinct PEs `a` and `b`: any
+    /// pair on the ideal machine, a pair one hop apart on any other
+    /// (the closed forms agree with a search over their links).
+    fn linked(&self, a: Pe, b: Pe) -> bool {
+        matches!(self.shape, Some(Shape::Ideal)) || self.hop(a, b) == 1
     }
 
     /// The destinations whose route row has been filled, in index
@@ -977,6 +991,44 @@ mod tests {
         assert_eq!(shortest, vec![Pe(2), Pe(3), Pe(8)]);
         assert_eq!(m.next_hop(src, dst), Pe(3));
         assert_eq!(m.route(src, dst), vec![Pe(5), Pe(3), Pe(4), Pe(6)]);
+    }
+
+    #[test]
+    fn linked_pairs_are_their_own_route() {
+        // `complete:N` and `ideal:N` route any pair without listing a
+        // link or filling a route row.
+        for m in [Machine::complete(64), Machine::ideal(16)] {
+            for (a, b) in [(Pe(0), Pe(1)), (Pe(9), Pe(3)), (Pe(15), Pe(2))] {
+                assert_eq!(m.route(a, b), vec![a, b]);
+            }
+            assert!(!m.has_adjacency(), "{} listed its links", m.name());
+            assert!(m.filled_routes().is_empty());
+        }
+        // Every route is still the walk down the destination's BFS tree.
+        let machines = [
+            Machine::linear_array(5),
+            Machine::ring(7),
+            Machine::complete(5),
+            Machine::mesh(3, 4),
+            Machine::torus(3, 4),
+            Machine::hypercube(3),
+            Machine::star(6),
+            Machine::ideal(4),
+            Machine::binary_tree(9),
+        ];
+        for m in &machines {
+            for a in m.pes() {
+                for b in m.pes() {
+                    let mut walk = vec![a];
+                    let mut at = a;
+                    while at != b {
+                        at = m.next_hop(at, b);
+                        walk.push(at);
+                    }
+                    assert_eq!(m.route(a, b), walk, "{} {a}->{b}", m.name());
+                }
+            }
+        }
     }
 
     #[test]

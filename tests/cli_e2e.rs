@@ -97,8 +97,8 @@ fn schedule_requires_machine_flag() {
 
 #[test]
 fn illegal_graph_rejected_cleanly() {
-    // The analyzer's Pass A runs before `check_legal` and reports the
-    // zero-delay cycle with its stable diagnostic code.
+    // The analyzer's Pass A reports the zero-delay cycle with its
+    // stable diagnostic code and stops the run.
     let bad = "edge A -> B d=0 c=1\nedge B -> A d=0 c=1\n";
     let out = run_with_stdin(&["bound", "-"], bad);
     assert!(!out.status.success());

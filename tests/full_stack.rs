@@ -247,3 +247,37 @@ fn observing_a_run_fills_only_the_route_rows_its_traffic_reaches() {
         filled.len()
     );
 }
+
+/// One job shaped like `cyclosched schedule --certify`, on a freshly
+/// parsed graph: Pass A sorts the zero-delay view (`analyze_graph`)
+/// and computes the iteration bound (`analyze_cross`), and every later
+/// reader of the input graph — start-up, the compaction floor, the
+/// certificate, and the debug oracle's bound check — reads the facts
+/// the graph kept.
+#[test]
+fn a_certify_job_derives_each_fact_of_its_graph_once() {
+    use cyclosched::model::Fills;
+    use cyclosched::workloads::{random_csdfg, RandomGraphConfig};
+    let cfg = RandomGraphConfig {
+        nodes: 200,
+        back_edges: 66,
+        forward_density: 0.03,
+        ..Default::default()
+    };
+    let g = parser::parse(&parser::write(&random_csdfg(cfg, 7))).unwrap();
+    let m = cyclosched::topology::parse_spec("mesh:8x8").unwrap();
+    let fills = |topo, bound| Fills { topo, bound };
+    assert_eq!(g.fills(), fills(0, 0));
+    assert!(!cyclosched::analyze::analyze_graph(&g).has_errors());
+    assert_eq!(g.fills(), fills(1, 0));
+    let mut pass_a = cyclosched::analyze::analyze_machine(&m);
+    pass_a.merge(cyclosched::analyze::analyze_cross(&g, &m));
+    assert!(!pass_a.has_errors());
+    assert_eq!(g.fills(), fills(1, 1));
+    let r = cyclo_compact(&g, &m, CompactConfig::default()).unwrap();
+    assert!(!r.history.is_empty(), "the passes ran");
+    validate(&r.graph, &m, &r.schedule).unwrap();
+    let report = cyclosched::bounds::certify_period(&g, &m, r.best_length);
+    assert!(report.bounds.best_value() > 0);
+    assert_eq!(g.fills(), fills(1, 1));
+}
