@@ -12,13 +12,13 @@
 //! [`compact_grid`] is the common special case: `cyclo_compact` over a
 //! full workloads × machines × configs grid, row-major.
 //!
-//! The `*_metered` variants run the same sweep with a per-cell
-//! [`MetricsSink`] installed, so every cell comes back with the
-//! scheduler's hot-path counters (edges swept, slots probed, traffic
-//! attribution, ...).  Counters are pure event-stream folds, so the
-//! metered report is as thread-count-invariant as the plain one;
-//! metering is opt-in because installing a sink takes the instrumented
-//! scheduler path.
+//! [`compact_grid_profiled`] runs the same sweep with a per-cell sink
+//! installed, so every cell comes back with the scheduler's hot-path
+//! counters (edges swept, slots probed, traffic attribution, ...) and
+//! the traffic of its best schedule.  Both are pure event-stream folds,
+//! so the profiled report is as thread-count-invariant as the plain
+//! one; profiling is opt-in because installing a sink takes the
+//! instrumented scheduler path.
 
 use ccs_core::{cyclo_compact, CompactConfig};
 use ccs_profile::{EdgeTraffic, LinkLoad};
@@ -43,27 +43,6 @@ where
     F: Fn(T) -> R + Sync + Send,
 {
     inputs.into_par_iter().map(f).collect()
-}
-
-/// Like [`run_many`], but each cell runs with its own
-/// [`MetricsSink`] installed and returns `(result, metrics)`.
-///
-/// The sink is installed per cell on whatever worker thread picks the
-/// cell up, so no counters bleed between cells and the *counter* part
-/// of every [`Metrics`] is identical at any thread count (histograms
-/// hold wall-clock samples and are not).  Serialize per-cell summaries
-/// with [`Metrics::counters_value`], never `to_value`, when the report
-/// must be byte-stable.
-pub fn run_many_metered<T, R, F>(inputs: Vec<T>, f: F) -> Vec<(R, Metrics)>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync + Send,
-{
-    run_many(inputs, |t| {
-        let (r, sink) = ccs_trace::with_sink(MetricsSink::new(), || f(t));
-        (r, sink.into_metrics())
-    })
 }
 
 /// One cell of a [`compact_grid`] sweep.
@@ -101,52 +80,6 @@ impl GridCell {
         } else {
             self.gap() as f64 * 100.0 / self.bound as f64
         }
-    }
-}
-
-/// One cell of a [`compact_grid_metered`] sweep: the plain cell plus
-/// the scheduler's per-cell counter registry.
-#[derive(Clone, Debug)]
-pub struct MeteredCell {
-    /// The schedule-length outcome, as in [`compact_grid`].
-    pub cell: GridCell,
-    /// Hot-path counters recorded while solving this cell.  Only the
-    /// counters are deterministic; the wall-clock histograms are not.
-    pub metrics: Metrics,
-}
-
-impl MeteredCell {
-    /// Deterministic JSON summary of the cell: identity, lengths, and
-    /// the counter registry (histograms deliberately excluded so the
-    /// value is byte-identical across runs and thread counts).
-    pub fn to_value(&self) -> Value {
-        Value::Object(vec![
-            (
-                "workload".to_string(),
-                Value::String(self.cell.workload.to_string()),
-            ),
-            (
-                "machine".to_string(),
-                Value::String(self.cell.machine.clone()),
-            ),
-            (
-                "config_ix".to_string(),
-                Value::UInt(self.cell.config_ix as u64),
-            ),
-            (
-                "initial".to_string(),
-                Value::UInt(u64::from(self.cell.initial)),
-            ),
-            ("best".to_string(), Value::UInt(u64::from(self.cell.best))),
-            ("bound".to_string(), Value::UInt(self.cell.bound)),
-            (
-                "bound_kind".to_string(),
-                Value::String(self.cell.bound_kind.to_string()),
-            ),
-            ("gap".to_string(), Value::UInt(self.cell.gap())),
-            ("gap_pct".to_string(), Value::Float(self.cell.gap_pct())),
-            ("counters".to_string(), self.metrics.counters_value()),
-        ])
     }
 }
 
@@ -202,28 +135,6 @@ pub fn compact_grid(
     )
 }
 
-/// [`compact_grid`] with a per-cell [`MetricsSink`]: same cells, same
-/// order, plus the scheduler's counter registry for every cell.
-///
-/// Because the counters fold the (deterministic) event stream, a
-/// metered grid serialized via [`MeteredCell::to_value`] is
-/// byte-identical across thread counts — the property
-/// `tests/determinism.rs` pins.
-pub fn compact_grid_metered(
-    workloads: &[Workload],
-    machines: &[Machine],
-    configs: &[CompactConfig],
-) -> Vec<MeteredCell> {
-    preflight(workloads, machines);
-    run_many_metered(
-        grid_inputs(workloads, machines, configs),
-        |(w, m, ci, c)| solve_cell(w, m, ci, c),
-    )
-    .into_iter()
-    .map(|(cell, metrics)| MeteredCell { cell, metrics })
-    .collect()
-}
-
 /// Fans one event stream out to two sinks, in order.  Lets a grid cell
 /// collect its counter registry *and* its traffic ledger from a single
 /// instrumented run.
@@ -236,14 +147,15 @@ impl<A: Sink, B: Sink> Sink for Tee<A, B> {
     }
 }
 
-/// One cell of a [`compact_grid_profiled`] sweep: the metered cell
-/// plus the traffic of its final best schedule — the input the sweep
-/// grid dashboard renders one heatmap tile from.
+/// One cell of a [`compact_grid_profiled`] sweep: the plain cell, its
+/// counter registry, and the traffic of its final best schedule — the
+/// input the sweep grid dashboard renders one heatmap tile from.
 #[derive(Clone, Debug)]
 pub struct ProfiledCell {
     /// The schedule-length outcome, as in [`compact_grid`].
     pub cell: GridCell,
-    /// Hot-path counters recorded while solving this cell.
+    /// Hot-path counters recorded while solving this cell.  Only the
+    /// counters are deterministic; the wall-clock histograms are not.
     pub metrics: Metrics,
     /// The per-edge traffic ledger of the best schedule, folded from
     /// the same event stream as the counters.
@@ -257,12 +169,50 @@ pub struct ProfiledCell {
     pub routable: bool,
 }
 
-/// [`compact_grid_metered`] plus each cell's final traffic: each cell
-/// runs once under a [`Tee`] of the metrics sink and a live
-/// [`TrafficLedger`], so the dashboard's heatmaps and the BENCH
-/// counters describe the *same* run.  Both fold the deterministic
-/// event stream, so the sweep stays byte-identical across thread
-/// counts.
+impl ProfiledCell {
+    /// Deterministic JSON summary of the cell: identity, lengths, and
+    /// the counter registry (histograms and traffic deliberately
+    /// excluded so the value is byte-identical across runs and thread
+    /// counts).
+    pub fn to_value(&self) -> Value {
+        Value::Object(vec![
+            (
+                "workload".to_string(),
+                Value::String(self.cell.workload.to_string()),
+            ),
+            (
+                "machine".to_string(),
+                Value::String(self.cell.machine.clone()),
+            ),
+            (
+                "config_ix".to_string(),
+                Value::UInt(self.cell.config_ix as u64),
+            ),
+            (
+                "initial".to_string(),
+                Value::UInt(u64::from(self.cell.initial)),
+            ),
+            ("best".to_string(), Value::UInt(u64::from(self.cell.best))),
+            ("bound".to_string(), Value::UInt(self.cell.bound)),
+            (
+                "bound_kind".to_string(),
+                Value::String(self.cell.bound_kind.to_string()),
+            ),
+            ("gap".to_string(), Value::UInt(self.cell.gap())),
+            ("gap_pct".to_string(), Value::Float(self.cell.gap_pct())),
+            ("counters".to_string(), self.metrics.counters_value()),
+        ])
+    }
+}
+
+/// [`compact_grid`] with each cell's counters and final traffic: each
+/// cell runs once under a [`Tee`] of a [`MetricsSink`] and a live
+/// [`TrafficLedger`], installed on whatever worker thread picks the
+/// cell up, so no counters bleed between cells and the dashboard's
+/// heatmaps and the BENCH counters describe the *same* run.  Both fold
+/// the deterministic event stream, so a sweep serialized via
+/// [`ProfiledCell::to_value`] is byte-identical across thread counts —
+/// the property `tests/determinism.rs` pins.
 pub fn compact_grid_profiled(
     workloads: &[Workload],
     machines: &[Machine],
@@ -292,7 +242,8 @@ pub fn compact_grid_profiled(
 /// analyzer *errors* before the sweep burns CPU on it.  Runs once per
 /// grid, sequentially, outside every timed region — experiment
 /// binaries call [`compact_grid`] from untimed setup code, and the
-/// hot-path benchmark does not use grids at all.
+/// hot-path benchmark builds its `"cells"` section after its timed
+/// sections.
 ///
 /// # Panics
 ///
@@ -326,7 +277,7 @@ mod tests {
     }
 
     #[test]
-    fn metered_grid_matches_plain_grid_and_counts_work() {
+    fn profiled_grid_matches_plain_grid_and_counts_work() {
         let workloads: Vec<Workload> = ccs_workloads::all_workloads()
             .into_iter()
             .filter(|w| w.name == "fig1")
@@ -334,9 +285,9 @@ mod tests {
         let machines = vec![Machine::mesh(2, 2)];
         let configs = vec![CompactConfig::default()];
         let plain = compact_grid(&workloads, &machines, &configs);
-        let metered = compact_grid_metered(&workloads, &machines, &configs);
-        assert_eq!(plain.len(), metered.len());
-        for (p, m) in plain.iter().zip(&metered) {
+        let profiled = compact_grid_profiled(&workloads, &machines, &configs);
+        assert_eq!(plain.len(), profiled.len());
+        for (p, m) in plain.iter().zip(&profiled) {
             assert_eq!(p.workload, m.cell.workload);
             assert_eq!(p.machine, m.cell.machine);
             assert_eq!((p.initial, p.best), (m.cell.initial, m.cell.best));
@@ -346,6 +297,7 @@ mod tests {
             // The cell actually recorded scheduler work and traffic.
             assert!(m.metrics.counters["edges_swept"] > 0);
             assert!(m.metrics.counters["traffic_events"] > 0);
+            assert!(!m.edges.is_empty(), "fig1 has edges");
             let v = m.to_value();
             assert_eq!(v["workload"].as_str(), Some("fig1"));
             assert_eq!(v["bound"].as_u64(), Some(p.bound));
@@ -353,28 +305,7 @@ mod tests {
             assert!(v["counters"]["placements"].as_u64().unwrap() > 0);
             assert!(v.get("histograms").is_none(), "histograms must not leak");
         }
-        // Metering must not leak a sink past the sweep.
-        assert!(!ccs_trace::installed());
-    }
-
-    #[test]
-    fn profiled_grid_carries_matching_metrics_and_profiles() {
-        let workloads: Vec<Workload> = ccs_workloads::all_workloads()
-            .into_iter()
-            .filter(|w| w.name == "fig1")
-            .collect();
-        let machines = vec![Machine::mesh(2, 2)];
-        let configs = vec![CompactConfig::default()];
-        let metered = compact_grid_metered(&workloads, &machines, &configs);
-        let profiled = compact_grid_profiled(&workloads, &machines, &configs);
-        assert_eq!(metered.len(), profiled.len());
-        for (m, p) in metered.iter().zip(&profiled) {
-            // The tee'd run is the same run: identical outcome and
-            // identical counters as the metrics-only sweep.
-            assert_eq!((m.cell.initial, m.cell.best), (p.cell.initial, p.cell.best));
-            assert_eq!(m.metrics.counters, p.metrics.counters);
-            assert!(!p.edges.is_empty(), "fig1 has edges");
-        }
+        // Profiling must not leak a sink past the sweep.
         assert!(!ccs_trace::installed());
     }
 

@@ -5,7 +5,7 @@
 //! count.
 
 use ccs_bench::experiments::random_sweep;
-use ccs_bench::{compact_grid, compact_grid_metered, run_many};
+use ccs_bench::{compact_grid, compact_grid_profiled, run_many};
 use ccs_core::{cyclo_compact, CompactConfig};
 use ccs_topology::Machine;
 
@@ -162,27 +162,30 @@ fn engine_scan_is_thread_count_invariant() {
 }
 
 #[test]
-fn metered_sweep_counters_are_thread_count_invariant() {
+fn profiled_sweep_counters_are_thread_count_invariant() {
     // The per-cell MetricsSink observes the (deterministic) event
     // stream of its own cell only, so serializing every cell with
-    // `MeteredCell::to_value` — counters, never histograms — must give
+    // `ProfiledCell::to_value` — counters, never histograms — must give
     // byte-identical JSON at any thread count.
     let run_at = |threads: &str| {
         std::env::set_var("RAYON_NUM_THREADS", threads);
-        let cells = compact_grid_metered(
+        let cells = compact_grid_profiled(
             &ccs_workloads::all_workloads(),
             &machine_suite(),
             &[CompactConfig::default()],
         );
         std::env::remove_var("RAYON_NUM_THREADS");
-        let values: Vec<_> = cells.iter().map(ccs_bench::MeteredCell::to_value).collect();
+        let values: Vec<_> = cells
+            .iter()
+            .map(ccs_bench::ProfiledCell::to_value)
+            .collect();
         serde_json::to_string_pretty(&serde::Value::Array(values)).expect("serialize")
     };
     let one = run_at("1");
     let four = run_at("4");
     let eight = run_at("8");
-    assert_eq!(one, four, "metered counters: 1 vs 4 threads");
-    assert_eq!(one, eight, "metered counters: 1 vs 8 threads");
+    assert_eq!(one, four, "profiled counters: 1 vs 4 threads");
+    assert_eq!(one, eight, "profiled counters: 1 vs 8 threads");
     // A sweep worth pinning is one that actually metered something.
     assert!(one.contains("\"traffic_cost\""), "{one}");
 }

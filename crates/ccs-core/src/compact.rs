@@ -1,13 +1,12 @@
 //! The cyclo-compaction driver (paper §4, `Algorithm Cyclo-Compact`).
 
-use crate::remap::{nid, remap_probed, RemapConfig, RemapMode, Scratch};
+use crate::remap::{remap_probed, RemapConfig, RemapMode, Scratch};
 use crate::startup::{startup_probed, StartupConfig};
 use ccs_model::{Csdfg, ModelError, NodeId};
 use ccs_retiming::Retiming;
 use ccs_schedule::{PslLedger, Schedule};
 use ccs_topology::Machine;
 use ccs_trace::{Event, Off, Probe, Tls};
-use serde::{DeError, Deserialize, Serialize, Value};
 use std::time::Instant;
 
 /// Options for [`cyclo_compact`].
@@ -69,70 +68,6 @@ pub struct PassRecord {
     /// determinism fingerprint (the schedule and the decision sequence
     /// stay a pure function of the inputs).
     pub wall_ms: f64,
-}
-
-// Manual impls: the vendored serde derive handles named-field structs
-// only via `Serialize`/`Deserialize` on every field, and `NodeId`
-// deliberately has no serde surface (schedules serialize raw indices).
-//
-// `Serialize` deliberately omits `wall_ms`, so every export stays
-// byte-identical across runs and machines; `Deserialize` reads the
-// field when outside input carries it.
-impl Serialize for PassRecord {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("pass".to_string(), Value::UInt(self.pass as u64)),
-            (
-                "rotated".to_string(),
-                Value::Array(
-                    self.rotated
-                        .iter()
-                        .map(|&v| Value::UInt(u64::from(nid(v))))
-                        .collect(),
-                ),
-            ),
-            ("length".to_string(), Value::UInt(u64::from(self.length))),
-            ("reverted".to_string(), Value::Bool(self.reverted)),
-        ])
-    }
-}
-
-impl Deserialize for PassRecord {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let pass = v
-            .get("pass")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| DeError::msg("PassRecord: missing `pass`"))?;
-        let rotated = v
-            .get("rotated")
-            .and_then(Value::as_array)
-            .ok_or_else(|| DeError::msg("PassRecord: missing `rotated`"))?
-            .iter()
-            .map(|x| {
-                x.as_u64()
-                    .and_then(|i| usize::try_from(i).ok())
-                    .map(NodeId::from_index)
-                    .ok_or_else(|| DeError::msg("PassRecord: bad node index"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let length = v
-            .get("length")
-            .and_then(Value::as_u64)
-            .and_then(|x| u32::try_from(x).ok())
-            .ok_or_else(|| DeError::msg("PassRecord: missing `length`"))?;
-        let reverted = v
-            .get("reverted")
-            .and_then(Value::as_bool)
-            .ok_or_else(|| DeError::msg("PassRecord: missing `reverted`"))?;
-        let wall_ms = v.get("wall_ms").and_then(Value::as_f64).unwrap_or(0.0);
-        Ok(PassRecord {
-            pass: usize::try_from(pass).map_err(|_| DeError::msg("PassRecord: pass overflow"))?,
-            rotated,
-            length,
-            reverted,
-            wall_ms,
-        })
-    }
 }
 
 /// Result of [`cyclo_compact`].
@@ -493,7 +428,7 @@ mod tests {
     }
 
     #[test]
-    fn pass_records_have_wall_time_and_round_trip_serde() {
+    fn pass_records_have_wall_time() {
         let (g, _, m) = fig1();
         // An unrecorded run reads no clock.
         let plain = cyclo_compact(&g, &m, CompactConfig::default()).unwrap();
@@ -501,36 +436,7 @@ mod tests {
         let (result, _) =
             ccs_trace::record(|| cyclo_compact(&g, &m, CompactConfig::default()).unwrap());
         assert!(!result.history.is_empty());
-        for rec in &result.history {
-            assert!(rec.wall_ms >= 0.0);
-            // Default serialization omits the non-deterministic clock.
-            let v = rec.to_value();
-            assert!(v.get("wall_ms").is_none(), "wall_ms leaked: {v:?}");
-            let back = PassRecord::from_value(&v).unwrap();
-            assert_eq!(back.pass, rec.pass);
-            assert_eq!(back.rotated, rec.rotated);
-            assert_eq!(back.length, rec.length);
-            assert_eq!(back.reverted, rec.reverted);
-            assert_eq!(back.wall_ms, 0.0);
-        }
-        // Records that carry `wall_ms` load it.
-        let v = Value::Object(vec![
-            ("pass".to_string(), Value::UInt(2)),
-            ("rotated".to_string(), Value::Array(vec![])),
-            ("length".to_string(), Value::UInt(4)),
-            ("reverted".to_string(), Value::Bool(true)),
-            ("wall_ms".to_string(), Value::Float(1.5)),
-        ]);
-        assert_eq!(PassRecord::from_value(&v).unwrap().wall_ms, 1.5);
-        // Older serialized records without `wall_ms` still load.
-        let v = Value::Object(vec![
-            ("pass".to_string(), Value::UInt(1)),
-            ("rotated".to_string(), Value::Array(vec![Value::UInt(0)])),
-            ("length".to_string(), Value::UInt(5)),
-            ("reverted".to_string(), Value::Bool(false)),
-        ]);
-        let rec = PassRecord::from_value(&v).unwrap();
-        assert_eq!(rec.wall_ms, 0.0);
+        assert!(result.history.iter().all(|rec| rec.wall_ms >= 0.0));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! 1. [`startup::startup_schedule`] — the modified list scheduler of
 //!    §3: priority function [`priority::evaluate`] (`PF`,
 //!    Definition 3.6), processor choice by the `cm < cs` rule;
-//! 2. [`remap::rotate_remap`] — one pass of §4: rotate the first
+//! 2. [`remap::rotate_remap_in_place`] — one pass of §4: rotate the first
 //!    schedule row (implicit retiming), remap each rotated node using
 //!    the anticipation function `AN` (Lemma 4.2), repair inter-
 //!    iteration slack via the projected schedule length (Lemma 4.3);
@@ -51,9 +51,7 @@ mod traffic;
 
 pub use compact::{cyclo_compact, CompactConfig, Compaction};
 pub use priority::Priority;
-pub use remap::{
-    rotate_remap, rotate_remap_in_place, InPlaceOutcome, RemapConfig, RemapMode, ScanPolicy,
-};
+pub use remap::{rotate_remap_in_place, InPlaceOutcome, RemapConfig, RemapMode, ScanPolicy};
 pub use startup::{startup_schedule, StartupConfig};
 
 #[cfg(test)]

@@ -94,20 +94,6 @@ impl Default for RemapConfig {
     }
 }
 
-/// Result of one rotate-remap pass.
-#[derive(Clone, Debug)]
-pub struct PassOutcome {
-    /// The schedule after the pass (equal to the input when `reverted`).
-    pub schedule: Schedule,
-    /// The (retimed) graph after the pass.
-    pub graph: Csdfg,
-    /// Nodes that were rotated this pass.
-    pub rotated: Vec<NodeId>,
-    /// `true` when the pass could not re-place the rotated nodes within
-    /// the mode's length budget and was rolled back.
-    pub reverted: bool,
-}
-
 /// Result of one in-place rotate-remap pass
 /// ([`rotate_remap_in_place`]).  On revert the borrowed graph and
 /// schedule are restored to their pre-pass state, so no cloned copies
@@ -119,29 +105,6 @@ pub struct InPlaceOutcome {
     /// `true` when the pass could not re-place the rotated nodes within
     /// the mode's length budget and was rolled back.
     pub reverted: bool,
-}
-
-/// Performs one rotation + remapping pass on `(g, sched)`, allocating
-/// fresh copies for the outcome.  Thin cloning wrapper around
-/// [`rotate_remap_in_place`] for callers that want to keep the inputs.
-///
-/// `sched` must be a valid schedule of `g` on `machine` (callers in
-/// this crate always pass validated schedules; debug builds re-assert).
-pub fn rotate_remap(
-    g: &Csdfg,
-    machine: &Machine,
-    sched: &Schedule,
-    config: RemapConfig,
-) -> PassOutcome {
-    let mut graph = g.clone();
-    let mut schedule = sched.clone();
-    let out = rotate_remap_in_place(&mut graph, machine, &mut schedule, config);
-    PassOutcome {
-        schedule,
-        graph,
-        rotated: out.rotated,
-        reverted: out.reverted,
-    }
 }
 
 /// Performs one rotation + remapping pass directly on `(g, sched)`.
@@ -928,25 +891,24 @@ mod tests {
 
     #[test]
     fn first_pass_rotates_a_and_shrinks() {
-        let (g, n, m) = fig1();
-        let s = startup_schedule(&g, &m, StartupConfig::default()).unwrap();
+        let (mut g, n, m) = fig1();
+        let mut s = startup_schedule(&g, &m, StartupConfig::default()).unwrap();
         assert_eq!(s.length(), 7);
-        let out = rotate_remap(&g, &m, &s, RemapConfig::default());
+        let out = rotate_remap_in_place(&mut g, &m, &mut s, RemapConfig::default());
         assert!(!out.reverted);
         assert_eq!(out.rotated, vec![n[0]]); // A was the only cs1 node
                                              // The paper's first pass lands at 6 control steps.
-        assert_eq!(out.schedule.length(), 6);
-        assert!(validate(&out.graph, &m, &out.schedule).is_ok());
+        assert_eq!(s.length(), 6);
+        assert!(validate(&g, &m, &s).is_ok());
         // Figure 1(c): D->A now carries 2 delays, A->B/C/E carry 1.
-        let da = out.graph.graph().find_edge(n[3], n[0]).unwrap();
-        assert_eq!(out.graph.delay(da), 2);
+        let da = g.graph().find_edge(n[3], n[0]).unwrap();
+        assert_eq!(g.delay(da), 2);
     }
 
     #[test]
     fn without_relaxation_never_grows() {
-        let (g, _, m) = fig1();
-        let mut s = startup_schedule(&g, &m, StartupConfig::default()).unwrap();
-        let mut graph = g;
+        let (mut graph, _, m) = fig1();
+        let mut s = startup_schedule(&graph, &m, StartupConfig::default()).unwrap();
         let cfg = RemapConfig {
             mode: RemapMode::WithoutRelaxation,
             rows_per_pass: 1,
@@ -954,14 +916,12 @@ mod tests {
         };
         for _ in 0..10 {
             let prev = s.length();
-            let out = rotate_remap(&graph, &m, &s, cfg);
-            assert!(out.schedule.length() <= prev, "grew from {prev}");
-            assert!(validate(&out.graph, &m, &out.schedule).is_ok());
+            let out = rotate_remap_in_place(&mut graph, &m, &mut s, cfg);
+            assert!(s.length() <= prev, "grew from {prev}");
+            assert!(validate(&graph, &m, &s).is_ok());
             if out.reverted {
                 break;
             }
-            s = out.schedule;
-            graph = out.graph;
         }
     }
 
@@ -969,17 +929,14 @@ mod tests {
     fn repeated_passes_reach_paper_length_five() {
         // Figure 3(b): after three passes the example reaches 5 control
         // steps on the 2x2 mesh.
-        let (g, _, m) = fig1();
-        let mut s = startup_schedule(&g, &m, StartupConfig::default()).unwrap();
-        let mut graph = g;
+        let (mut graph, _, m) = fig1();
+        let mut s = startup_schedule(&graph, &m, StartupConfig::default()).unwrap();
         let mut best = s.length();
         for _ in 0..8 {
-            let out = rotate_remap(&graph, &m, &s, RemapConfig::default());
+            let out = rotate_remap_in_place(&mut graph, &m, &mut s, RemapConfig::default());
             if out.reverted {
                 break;
             }
-            s = out.schedule;
-            graph = out.graph;
             best = best.min(s.length());
         }
         assert!(best <= 5, "expected <= 5 control steps, got {best}");
@@ -988,9 +945,9 @@ mod tests {
     #[test]
     fn pass_preserves_task_count() {
         let (g, _, m) = fig1();
-        let s = startup_schedule(&g, &m, StartupConfig::default()).unwrap();
-        let out = rotate_remap(&g, &m, &s, RemapConfig::default());
-        assert_eq!(out.schedule.placed_count(), g.task_count());
+        let mut s = startup_schedule(&g, &m, StartupConfig::default()).unwrap();
+        rotate_remap_in_place(&mut g.clone(), &m, &mut s, RemapConfig::default());
+        assert_eq!(s.placed_count(), g.task_count());
     }
 
     #[test]
@@ -1005,16 +962,14 @@ mod tests {
             let mut s = startup_schedule(&graph, &m, StartupConfig::default()).unwrap();
             let mut best = s.length();
             for _ in 0..12 {
-                let out = rotate_remap(&graph, &m, &s, cfg);
+                let out = rotate_remap_in_place(&mut graph, &m, &mut s, cfg);
                 assert!(
-                    validate(&out.graph, &m, &out.schedule).is_ok(),
+                    validate(&graph, &m, &s).is_ok(),
                     "rows={rows}: invalid schedule"
                 );
                 if out.reverted {
                     break;
                 }
-                graph = out.graph;
-                s = out.schedule;
                 best = best.min(s.length());
             }
             assert!(best <= 6, "rows={rows}: best {best}");
@@ -1024,15 +979,16 @@ mod tests {
     #[test]
     fn rotating_more_rows_than_length_rotates_everything() {
         let (g, _, m) = fig1();
-        let s = startup_schedule(&g, &m, StartupConfig::default()).unwrap();
+        let mut s = startup_schedule(&g, &m, StartupConfig::default()).unwrap();
         let cfg = RemapConfig {
             rows_per_pass: 99,
             ..Default::default()
         };
-        let out = rotate_remap(&g, &m, &s, cfg);
+        let mut graph = g.clone();
+        let out = rotate_remap_in_place(&mut graph, &m, &mut s, cfg);
         if !out.reverted {
             assert_eq!(out.rotated.len(), g.task_count());
-            assert!(validate(&out.graph, &m, &out.schedule).is_ok());
+            assert!(validate(&graph, &m, &s).is_ok());
         }
     }
 
@@ -1260,10 +1216,10 @@ mod tests {
         s.place(a, Pe(0), 2, 1).unwrap();
         s.place(b, Pe(0), 3, 1).unwrap();
         assert!(validate(&g, &m, &s).is_ok());
-        let out = rotate_remap(&g, &m, &s, RemapConfig::default());
+        let out = rotate_remap_in_place(&mut g, &m, &mut s, RemapConfig::default());
         assert!(!out.reverted);
         assert!(out.rotated.is_empty());
-        assert_eq!(out.schedule.cb(a), Some(1));
-        assert_eq!(out.schedule.length(), 2);
+        assert_eq!(s.cb(a), Some(1));
+        assert_eq!(s.length(), 2);
     }
 }
